@@ -3,7 +3,7 @@ swarm coverage experiment.
 
 Modules: morphology (fixation geometry), vision (pronotum masks and
 metrics), assembly (pose planning and the process state machine),
-neurosignal (stimuli and spike detection), locomotion (calibrated agent
+neurosignal (synthetic responses and spike detection), locomotion (calibrated agent
 dynamics), swarm (dispersion with UWB localization), config and cli.
 """
 from __future__ import annotations
@@ -19,14 +19,12 @@ from .assembly import (AssemblyProcess, AssemblyState, ImplantPose,
                        PayloadSpec, PixelToArmCalibration, Workspace, advance,
                        batch_assemble, check_payload, check_workspace,
                        plan_assembly, solve_pitch, walk_all)
-from .neurosignal import (ElectrodeModel, SpikeTrain, StimParams, Trace,
-                          bandpass, blank_artifacts, detect_spikes,
-                          electrode_resistance, expected_spike_rate,
-                          gen_stimulus, run_spike_pipeline,
-                          synth_neural_response, threshold)
+from .neurosignal import (SpikeTrain, Trace, bandpass, blank_artifacts,
+                          detect_spikes, expected_spike_rate,
+                          run_spike_pipeline, synth_neural_response,
+                          threshold)
 from .locomotion import (AgentParams, AgentState, AUTO_PRESET, MANUAL_PRESET,
-                         PRESETS, StimCommand, StimKind, apply_command,
-                         body_lengths_per_second, step)
+                         PRESETS, StimCommand, StimKind, apply_command, step)
 from .swarm import (Arena, CoverageGrid, MultilaterationResult, Rect, SwarmRun,
                     UwbSystem, coverage_percent, coverage_rate, multilaterate,
                     simulate, simulate_ranges, update_coverage)

@@ -125,12 +125,12 @@ class AssemblyProcess:
     step_durations: Mapping[str, float] = field(default_factory=lambda: DEFAULT_STEP_DURATIONS)
 
     def __post_init__(self):
-        missing = set(EVENT_ORDER) - set(self.step_durations)
-        if missing:
-            raise ValueError(f"step_durations missing events: {sorted(missing)}")
         extra = set(self.step_durations) - set(EVENT_ORDER)
         if extra:
-            raise ValueError(f"step_durations has unknown events: {sorted(extra)}")
+            raise ValueError(f"step_durations has unknown steps {sorted(extra)}")
+        missing = set(EVENT_ORDER) - set(self.step_durations)
+        if missing:
+            raise ValueError(f"step_durations is missing steps {sorted(missing)}")
         for name, dur in self.step_durations.items():
             if not dur > 0.0:
                 raise ValueError(f"duration for {name!r} must be positive, got {dur!r}")
@@ -183,14 +183,12 @@ def check_payload(spec: PayloadSpec) -> bool:
     return total <= spec.arm_payload_limit and spec.camera_min_depth < spec.arm_reach
 
 
-def check_workspace(pose: ImplantPose, ws: Workspace,
+def check_workspace(ws: Workspace,
                     approach_envelope: tuple[float, float, float]) -> bool:
     """True when the axis-aligned approach envelope fits inside the box.
 
     The fixture centers the approach corridor on the marked spot, so the
-    check reduces to extent containment, boundary inclusive.  The pose is
-    validated (its corridor invariant) but its position is not re-checked
-    here.
+    check reduces to extent containment, boundary inclusive.
     """
     if any(e < 0.0 for e in approach_envelope):
         raise ValueError(f"approach envelope must be non-negative, got {approach_envelope}")

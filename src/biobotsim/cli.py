@@ -23,10 +23,11 @@ from . import neurosignal as ns
 from . import swarm as sw
 from . import vision
 from .config import (ConfigError, RunConfig, agent_params_from_config,
-                     arena_from_config, calibration_from_config,
-                     config_digest, load_config, payload_from_config,
-                     rig_from_config, uwb_from_config, workspace_from_config)
-from .morphology import lifting_height, exposure_sufficient, exposure_safety_margin, sample_morphology
+                     arena_from_config, config_digest, from_config,
+                     load_config, uwb_from_config, workspace_from_config)
+from .morphology import (FixationRig, exposure_safety_margin,
+                         exposure_sufficient, lifting_height,
+                         sample_morphology)
 from .seeding import child_seed
 
 ENV_OUTPUT_DIR = "BIOBOTSIM_OUTPUT_DIR"
@@ -77,9 +78,10 @@ def _write_json(path: Path, payload: dict):
 # ---------- subcommands ----------
 
 def run_assemble(cfg: RunConfig, out_dir: Path, batch: int | None) -> int:
-    rig = rig_from_config(cfg.rig)
-    calibration = calibration_from_config(cfg.assembly.calibration)
-    payload = payload_from_config(cfg.assembly.payload)
+    rig = from_config(FixationRig, cfg.rig)
+    calibration = from_config(asm.PixelToArmCalibration,
+                              cfg.assembly.calibration)
+    payload = from_config(asm.PayloadSpec, cfg.assembly.payload)
     workspace = workspace_from_config(cfg.assembly)
 
     mc = cfg.morphology
@@ -102,7 +104,7 @@ def run_assemble(cfg: RunConfig, out_dir: Path, batch: int | None) -> int:
         step_durations=cfg.assembly.step_durations_s)
     if not asm.check_payload(payload):
         raise ValueError("payload check failed: tooling exceeds the arm limits")
-    if not asm.check_workspace(pose, workspace, cfg.assembly.approach_envelope_m):
+    if not asm.check_workspace(workspace, cfg.assembly.approach_envelope_m):
         raise ValueError("workspace check failed: approach envelope does not fit")
 
     final, rows = asm.walk_all(proc)
@@ -209,21 +211,13 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
     return EXIT_OK
 
 
-def _swarm_inputs(cfg: RunConfig):
-    arena = arena_from_config(cfg.swarm.arena)
-    uwb = uwb_from_config(cfg.swarm.uwb)
-    params = agent_params_from_config(cfg.locomotion)
-    return arena, uwb, [params] * cfg.swarm.n_agents
-
-
 def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
                  n_agents: int | None = None) -> int:
-    arena, uwb, params = _swarm_inputs(cfg)
-    if n_agents is not None:
-        if n_agents < 1:
-            raise ValueError(f"need at least one agent, got {n_agents}")
-        params = [params[0]] * n_agents
     sc = cfg.swarm
+    arena = arena_from_config(sc.arena)
+    uwb = uwb_from_config(sc.uwb)
+    params = [agent_params_from_config(cfg.locomotion)] * (
+        sc.n_agents if n_agents is None else n_agents)
     common = dict(stim_period=sc.stim_period_s, duration=sc.duration_s,
                   dt=sc.dt_s, log_rate_hz=sc.log_rate_hz,
                   coverage_from=sc.coverage_from, cell_size=sc.cell_size_m)
@@ -357,7 +351,7 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
 def run_fixation(cfg: RunConfig, points: int) -> int:
     if points < 2:
         raise ValueError(f"need at least 2 table points, got {points}")
-    rig = rig_from_config(cfg.rig)
+    rig = from_config(FixationRig, cfg.rig)
     print("d_mm\th_mm\texposed\tsafety_margin")
     for i in range(points):
         d = rig.rod_a_initial_clearance * i / (points - 1)

@@ -2,28 +2,33 @@
 
 Configs are plain JSON with unit-suffixed keys in SI units.  Loading is
 strict: unknown keys anywhere in the tree are rejected with their full
-path, so typos fail loudly instead of silently using defaults.
+path, so typos fail loudly instead of silently using defaults.  The
+schema is thin: every default is read from the domain object or module
+constant that owns it, and load-time validation runs the domain code's
+own checks, reporting each failure at its config path.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
-from .assembly import (DEFAULT_ALPHA_LOWER, DEFAULT_ALPHA_UPPER,
-                       DEFAULT_HANDLING_GAP, DEFAULT_STEP_DURATIONS,
-                       EVENT_ORDER, PayloadSpec, PixelToArmCalibration,
-                       Workspace)
+from . import assembly as asm
+from . import neurosignal as ns
+from . import swarm as sw
+from .assembly import PayloadSpec, PixelToArmCalibration, Workspace
 from .locomotion import AgentParams, PRESETS
 from .morphology import (ABDOMINAL_CUTICLE_LENGTH_RANGE,
                          ABDOMINAL_CUTICLE_THICKNESS_RANGE,
                          ANTENNA_DIAMETER_RANGE, BODY_LENGTH_RANGE,
                          FixationRig, PRONOTUM_LENGTH_RANGE,
                          PRONOTUM_THICKNESS_RANGE)
-from .swarm import Arena, Rect, UwbSystem, default_anchors
+from .swarm import Arena, Rect, UwbSystem
 
 SCHEMA_VERSION = 1
 
@@ -46,40 +51,41 @@ class MorphologyConfig:
 
 @dataclass(frozen=True)
 class RigConfig:
-    rod_a_initial_clearance_m: float = 4.0e-3
-    lowered_distance_d_m: float = 3.5e-3
-    saturation_d_m: float = 3.5e-3
-    saturation_height_h_max_m: float = 1.9e-3
-    electrode_thickness_m: float = 0.6e-3
+    rod_a_initial_clearance_m: float = FixationRig.rod_a_initial_clearance
+    lowered_distance_d_m: float = FixationRig.lowered_distance_d
+    saturation_d_m: float = FixationRig.saturation_d
+    saturation_height_h_max_m: float = FixationRig.saturation_height_h_max
+    electrode_thickness_m: float = FixationRig.electrode_thickness
     lifting_jitter_sd_m: float = 0.0
 
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    scale_x_m_per_px: float = 1.0
-    scale_y_m_per_px: float = 1.0
-    offset_x_m: float = 0.0
-    offset_y_m: float = 0.0
-    offset_z_m: float = 0.0
+    scale_x_m_per_px: float = PixelToArmCalibration.scale_x
+    scale_y_m_per_px: float = PixelToArmCalibration.scale_y
+    offset_x_m: float = PixelToArmCalibration.offset_x
+    offset_y_m: float = PixelToArmCalibration.offset_y
+    offset_z_m: float = PixelToArmCalibration.offset_z
 
 
 @dataclass(frozen=True)
 class PayloadConfig:
-    gripper_mass_kg: float = 1.0
-    camera_mass_kg: float = 0.075
-    backpack_mass_kg: float = 0.0023
-    arm_payload_limit_kg: float = 3.0
-    arm_reach_m: float = 0.5
-    camera_min_depth_m: float = 0.28
+    gripper_mass_kg: float = PayloadSpec.gripper_mass
+    camera_mass_kg: float = PayloadSpec.camera_mass
+    backpack_mass_kg: float = PayloadSpec.backpack_mass
+    arm_payload_limit_kg: float = PayloadSpec.arm_payload_limit
+    arm_reach_m: float = PayloadSpec.arm_reach
+    camera_min_depth_m: float = PayloadSpec.camera_min_depth
 
 
 @dataclass(frozen=True)
 class AssemblyConfig:
-    alpha_lower_deg: float = DEFAULT_ALPHA_LOWER
-    alpha_upper_deg: float = DEFAULT_ALPHA_UPPER
-    step_durations_s: dict = field(default_factory=lambda: dict(DEFAULT_STEP_DURATIONS))
-    handling_gap_s: float = DEFAULT_HANDLING_GAP
-    workspace_box_m: tuple[float, float, float] = (0.065, 0.035, 0.025)
+    alpha_lower_deg: float = asm.DEFAULT_ALPHA_LOWER
+    alpha_upper_deg: float = asm.DEFAULT_ALPHA_UPPER
+    step_durations_s: dict[str, float] = field(
+        default_factory=lambda: dict(asm.DEFAULT_STEP_DURATIONS))
+    handling_gap_s: float = asm.DEFAULT_HANDLING_GAP
+    workspace_box_m: tuple[float, float, float] = Workspace.box_dimensions
     approach_envelope_m: tuple[float, float, float] = (0.010, 0.010, 0.010)
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     payload: PayloadConfig = field(default_factory=PayloadConfig)
@@ -87,16 +93,16 @@ class AssemblyConfig:
 
 @dataclass(frozen=True)
 class NeuroConfig:
-    sample_rate_hz: float = 25000.0
-    bandpass_low_hz: float = 300.0
-    bandpass_high_hz: float = 5000.0
-    blank_window_s: float = 0.050
-    blank_edge_times_s: tuple[float, ...] = (0.0, 0.5, 1.0)
-    refractory_s: float = 0.001
-    synth_duration_s: float = 1.2
-    synth_noise_sd_v: float = 10e-6
-    r_min_hz: float = 2.0
-    r_max_hz: float = 40.0
+    sample_rate_hz: float = ns.DEFAULT_SAMPLE_RATE
+    bandpass_low_hz: float = ns.DEFAULT_BAND[0]
+    bandpass_high_hz: float = ns.DEFAULT_BAND[1]
+    blank_window_s: float = ns.DEFAULT_BLANK_WINDOW
+    blank_edge_times_s: tuple[float, ...] = ns.DEFAULT_EDGE_TIMES
+    refractory_s: float = ns.DEFAULT_REFRACTORY
+    synth_duration_s: float = ns.DEFAULT_SYNTH_DURATION
+    synth_noise_sd_v: float = ns.DEFAULT_SYNTH_NOISE_SD
+    r_min_hz: float = ns.DEFAULT_R_MIN
+    r_max_hz: float = ns.DEFAULT_R_MAX
 
 
 @dataclass(frozen=True)
@@ -110,27 +116,27 @@ class LocomotionConfig:
 
 @dataclass(frozen=True)
 class ArenaConfig:
-    width_m: float = 2.0
-    height_m: float = 2.0
-    release_corner: str = "sw"
+    width_m: float = Arena.width
+    height_m: float = Arena.height
+    release_corner: str = Arena.release_corner
     obstacles_m: Optional[tuple[tuple[float, float, float, float], ...]] = None
 
 
 @dataclass(frozen=True)
 class UwbConfig:
-    anchors_m: tuple[tuple[float, float], ...] = default_anchors()
-    range_noise_sd_m: float = 0.05
+    anchors_m: tuple[tuple[float, float], ...] = UwbSystem.anchors
+    range_noise_sd_m: float = UwbSystem.range_noise_sd
 
 
 @dataclass(frozen=True)
 class SwarmConfig:
     n_agents: int = 4
-    stim_period_s: float = 10.0
-    duration_s: float = 631.0
-    dt_s: float = 0.01
-    log_rate_hz: float = 10.0
-    coverage_from: str = "true"
-    cell_size_m: float = 0.10
+    stim_period_s: float = sw.DEFAULT_STIM_PERIOD
+    duration_s: float = sw.DEFAULT_DURATION
+    dt_s: float = sw.DEFAULT_DT
+    log_rate_hz: float = sw.DEFAULT_LOG_RATE
+    coverage_from: str = sw.DEFAULT_COVERAGE_FROM
+    cell_size_m: float = sw.DEFAULT_CELL_SIZE
     arena: ArenaConfig = field(default_factory=ArenaConfig)
     uwb: UwbConfig = field(default_factory=UwbConfig)
 
@@ -180,14 +186,21 @@ def _coerce(tp, value, path: str):
             )
         return tuple(_coerce(a, v, f"{path}[{i}]")
                      for i, (a, v) in enumerate(zip(args, value)))
-    if tp is dict:
+    if origin is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object")
-        return dict(value)
+        return {k: _coerce(get_args(tp)[1], v, f"{path}.{k}")
+                for k, v in value.items()}
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:   # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return value
     if tp is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -216,10 +229,7 @@ def _build_dataclass(cls, data: dict, path: str):
         if name in data:
             sub = f"{path}.{name}" if path else name
             kwargs[name] = _coerce(hints[name], data[name], sub)
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -250,46 +260,34 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(data)
 
 
-def _validate(cfg: RunConfig):
-    if cfg.locomotion.preset not in PRESETS:
-        raise ConfigError(
-            f"locomotion.preset: must be one of {sorted(PRESETS)}, "
-            f"got {cfg.locomotion.preset!r}"
-        )
-    durations = cfg.assembly.step_durations_s
-    extra = set(durations) - set(EVENT_ORDER)
-    if extra:
-        raise ConfigError(
-            f"assembly.step_durations_s.{sorted(extra)[0]}: unknown step"
-        )
-    missing = set(EVENT_ORDER) - set(durations)
-    if missing:
-        raise ConfigError(
-            f"assembly.step_durations_s: missing step {sorted(missing)[0]!r}"
-        )
-    for name, dur in durations.items():
-        if isinstance(dur, bool) or not isinstance(dur, (int, float)) or dur <= 0:
-            raise ConfigError(
-                f"assembly.step_durations_s.{name}: expected a positive number"
-            )
-    if cfg.swarm.coverage_from not in ("true", "estimated"):
-        raise ConfigError(
-            f"swarm.coverage_from: must be 'true' or 'estimated', "
-            f"got {cfg.swarm.coverage_from!r}"
-        )
-    if cfg.swarm.n_agents < 1:
-        raise ConfigError("swarm.n_agents: must be at least 1")
-    for name in ("stim_period_s", "duration_s", "dt_s", "log_rate_hz", "cell_size_m"):
-        if getattr(cfg.swarm, name) <= 0:
-            raise ConfigError(f"swarm.{name}: must be positive")
-    # constructing the domain objects runs their own invariants
+@contextmanager
+def _at(path: str):
+    """Report a ValueError raised by domain code as a config error at path."""
     try:
-        rig_from_config(cfg.rig)
-        arena_from_config(cfg.swarm.arena)
-        uwb_from_config(cfg.swarm.uwb)
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _validate(cfg: RunConfig):
+    """Run every block through the domain code that owns its rules."""
+    ac, sc = cfg.assembly, cfg.swarm
+    with _at("rig"):
+        from_config(FixationRig, cfg.rig)
+    with _at("assembly"):
+        asm.AssemblyProcess(step_durations=ac.step_durations_s)
+        asm.solve_pitch(ac.alpha_lower_deg, ac.alpha_upper_deg)
+        asm.check_workspace(workspace_from_config(ac), ac.approach_envelope_m)
+    with _at("locomotion"):
         agent_params_from_config(cfg.locomotion)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    with _at("swarm.arena"):
+        arena = arena_from_config(sc.arena)
+    with _at("swarm.uwb"):
+        uwb_from_config(sc.uwb)
+    with _at("swarm"):
+        sw.check_run(sc.n_agents, sc.stim_period_s, sc.duration_s, sc.dt_s,
+                     sc.log_rate_hz, sc.coverage_from)
+        sw.CoverageGrid.for_arena(arena, sc.cell_size_m)
 
 
 # ---------- serialization ----------
@@ -322,30 +320,19 @@ def config_digest(cfg: RunConfig) -> str:
 
 # ---------- adapters to domain objects ----------
 
-def rig_from_config(c: RigConfig) -> FixationRig:
-    return FixationRig(
-        rod_a_initial_clearance=c.rod_a_initial_clearance_m,
-        lowered_distance_d=c.lowered_distance_d_m,
-        saturation_d=c.saturation_d_m,
-        saturation_height_h_max=c.saturation_height_h_max_m,
-        electrode_thickness=c.electrode_thickness_m,
-    )
+# unit suffixes that config keys add to domain field names
+_UNITS = ("_m_per_px", "_kg", "_m")
 
 
-def calibration_from_config(c: CalibrationConfig) -> PixelToArmCalibration:
-    return PixelToArmCalibration(
-        scale_x=c.scale_x_m_per_px, scale_y=c.scale_y_m_per_px,
-        offset_x=c.offset_x_m, offset_y=c.offset_y_m, offset_z=c.offset_z_m,
-    )
-
-
-def payload_from_config(c: PayloadConfig) -> PayloadSpec:
-    return PayloadSpec(
-        gripper_mass=c.gripper_mass_kg, camera_mass=c.camera_mass_kg,
-        backpack_mass=c.backpack_mass_kg,
-        arm_payload_limit=c.arm_payload_limit_kg, arm_reach=c.arm_reach_m,
-        camera_min_depth=c.camera_min_depth_m,
-    )
+def from_config(domain_cls, block):
+    """Build domain_cls from the config block that holds its fields under
+    unit-suffixed names: FixationRig from rig, PixelToArmCalibration from
+    assembly.calibration, PayloadSpec from assembly.payload."""
+    kwargs = {}
+    for f in dataclasses.fields(domain_cls):
+        key = next(f.name + u for u in _UNITS if hasattr(block, f.name + u))
+        kwargs[f.name] = getattr(block, key)
+    return domain_cls(**kwargs)
 
 
 def workspace_from_config(c: AssemblyConfig) -> Workspace:
@@ -353,25 +340,20 @@ def workspace_from_config(c: AssemblyConfig) -> Workspace:
 
 
 def agent_params_from_config(c: LocomotionConfig) -> AgentParams:
-    params = PRESETS[c.preset] if c.preset in PRESETS else None
-    if params is None:
-        raise ValueError(f"unknown locomotion preset {c.preset!r}")
-    overrides = {}
-    if c.turn_angle_sd_deg is not None:
-        overrides["turn_angle_sd"] = c.turn_angle_sd_deg
-    if c.heading_diffusion_deg2_s is not None:
-        overrides["heading_diffusion"] = c.heading_diffusion_deg2_s
-    if c.recovery_tau_s is not None:
-        overrides["recovery_tau"] = c.recovery_tau_s
-    if c.command_duration_s is not None:
-        overrides["command_duration"] = c.command_duration_s
-    return dataclasses.replace(params, **overrides) if overrides else params
+    if c.preset not in PRESETS:
+        raise ValueError(
+            f"preset must be one of {sorted(PRESETS)}, got {c.preset!r}")
+    overrides = {name: value for name, value in (
+        ("turn_angle_sd", c.turn_angle_sd_deg),
+        ("heading_diffusion", c.heading_diffusion_deg2_s),
+        ("recovery_tau", c.recovery_tau_s),
+        ("command_duration", c.command_duration_s)) if value is not None}
+    return dataclasses.replace(PRESETS[c.preset], **overrides)
 
 
 def arena_from_config(c: ArenaConfig) -> Arena:
     if c.obstacles_m is None:
-        from .swarm import DEFAULT_OBSTACLES
-        obstacles = DEFAULT_OBSTACLES
+        obstacles = sw.DEFAULT_OBSTACLES
     else:
         obstacles = tuple(Rect(*r) for r in c.obstacles_m)
     return Arena(width=c.width_m, height=c.height_m, obstacles=obstacles,

@@ -50,7 +50,6 @@ class AgentParams:
     walk_speed_mean: float
     decel_min_speed_mean: float
     turn_angle_sd: float = 15.0
-    walk_speed_sd: float = 0.026
     decel_min_speed_sd: float = 0.013
     decel_time: float = 0.33
     recovery_tau: float = 1.0
@@ -64,7 +63,7 @@ class AgentParams:
                      "body_length", "command_duration"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("turn_angle_sd", "walk_speed_sd", "decel_min_speed_sd",
+        for name in ("turn_angle_sd", "decel_min_speed_sd",
                      "heading_diffusion", "decel_min_speed_mean"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
@@ -140,18 +139,6 @@ def sample_decel_minimum(params: AgentParams, rng=None) -> float:
             raise ValueError("decel_min_speed_sd > 0 requires an rng")
         draw = params.decel_min_speed_mean + params.decel_min_speed_sd * rng.normal()
     return min(max(draw, 0.0), params.walk_speed_mean)
-
-
-def sample_walk_speed(params: AgentParams, rng=None) -> float:
-    if params.walk_speed_sd == 0.0:
-        return params.walk_speed_mean
-    if rng is None:
-        raise ValueError("walk_speed_sd > 0 requires an rng")
-    return max(params.walk_speed_mean + params.walk_speed_sd * rng.normal(), 0.0)
-
-
-def body_lengths_per_second(speed: float, params: AgentParams) -> float:
-    return speed / params.body_length
 
 
 # ---------- command handling ----------

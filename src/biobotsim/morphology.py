@@ -124,36 +124,3 @@ def sample_morphology(seed: int, *,
         antenna_diameter=draw(antenna_diameter_range),
     )
 
-
-def morphology_to_dict(m: InsectMorphology) -> dict:
-    """JSON-ready mapping, SI meters, unit-suffixed keys."""
-    return {
-        "body_length_m": m.body_length,
-        "pronotum_length_m": m.pronotum_length,
-        "pronotum_thickness_m": m.pronotum_thickness,
-        "abdominal_cuticle_length_m": m.abdominal_cuticle_length,
-        "abdominal_cuticle_thickness_m": m.abdominal_cuticle_thickness,
-        "antenna_diameter_m": m.antenna_diameter,
-    }
-
-
-def morphology_from_dict(data: dict) -> InsectMorphology:
-    expected = {
-        "body_length_m", "pronotum_length_m", "pronotum_thickness_m",
-        "abdominal_cuticle_length_m", "abdominal_cuticle_thickness_m",
-        "antenna_diameter_m",
-    }
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown morphology keys: {sorted(unknown)}")
-    missing = expected - set(data)
-    if missing:
-        raise ValueError(f"missing morphology keys: {sorted(missing)}")
-    return InsectMorphology(
-        body_length=float(data["body_length_m"]),
-        pronotum_length=float(data["pronotum_length_m"]),
-        pronotum_thickness=float(data["pronotum_thickness_m"]),
-        abdominal_cuticle_length=float(data["abdominal_cuticle_length_m"]),
-        abdominal_cuticle_thickness=float(data["abdominal_cuticle_thickness_m"]),
-        antenna_diameter=float(data["antenna_diameter_m"]),
-    )

@@ -1,4 +1,4 @@
-"""Stimulus generation, electrode traces, and the spike detection pipeline.
+"""Electrode traces, synthetic responses, and the spike detection pipeline.
 
 The pipeline is: blank stimulation artifacts, bandpass 300-5000 Hz
 (single-biquad Butterworth, bilinear design with prewarping), estimate a
@@ -7,7 +7,6 @@ crossings of the absolute value with a refractory hold-off.
 """
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,9 @@ DEFAULT_SAMPLE_RATE = 25000.0
 DEFAULT_BLANK_WINDOW = 0.050  # s
 DEFAULT_REFRACTORY = 0.001    # s
 DEFAULT_BAND = (300.0, 5000.0)
+DEFAULT_EDGE_TIMES = (0.0, 0.5, 1.0)  # s, stimulation edges
+DEFAULT_SYNTH_DURATION = 1.2  # s
+DEFAULT_SYNTH_NOISE_SD = 10e-6  # V
 
 # synthetic voltage-response curve, events per second
 RATE_RAMP_START_V = 0.5
@@ -55,24 +57,6 @@ class Trace:
         return len(self.samples) / self.sample_rate
 
 
-@dataclass(frozen=True)
-class StimParams:
-    """Bipolar square-wave stimulus description."""
-
-    amplitude: float     # volts
-    frequency: float     # Hz
-    duration: float      # s
-    shape: str = "bipolar-square"
-
-    def __post_init__(self):
-        if self.shape != "bipolar-square":
-            raise ValueError(f"unsupported stimulus shape {self.shape!r}")
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be non-negative, got {self.amplitude!r}")
-        if self.frequency <= 0.0 or self.duration <= 0.0:
-            raise ValueError("frequency and duration must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class SpikeTrain:
     """Detected spike sample indices plus the threshold that produced them."""
@@ -86,39 +70,6 @@ class SpikeTrain:
     @property
     def count(self) -> int:
         return len(self.indices)
-
-
-@dataclass(frozen=True)
-class ElectrodeModel:
-    """Planar trace electrode; resistance = L / (sigma * w * t)."""
-
-    conductivity: float = 3.12e7        # S/m
-    plating_thickness: float = 2.5e-6   # m
-    trace_length: float = 0.030         # m
-    trace_width: float = 0.5e-3         # m
-
-
-# ---------- stimulus ----------
-
-def gen_stimulus(p: StimParams, sample_rate: float) -> Trace:
-    """Render a bipolar square pulse train.
-
-    Only floor(duration * frequency) complete cycles are emitted, positive
-    half first; the remainder of the trace is zero.  Total length is
-    duration * sample_rate samples.
-    """
-    if sample_rate < 20.0 * p.frequency:
-        raise ValueError(
-            f"sample_rate {sample_rate} too low for {p.frequency} Hz "
-            f"(need at least 20x)"
-        )
-    n_total = int(round(p.duration * sample_rate))
-    n_cycles = int(math.floor(p.duration * p.frequency + 1e-9))
-    t = np.arange(n_total) / sample_rate
-    active = t * p.frequency < n_cycles
-    phase = np.mod(t * p.frequency, 1.0)
-    wave = np.where(phase < 0.5, p.amplitude, -p.amplitude)
-    return Trace(sample_rate, np.where(active, wave, 0.0))
 
 
 # ---------- pipeline stages ----------
@@ -193,7 +144,7 @@ def detect_spikes(t: Trace, thresh: float,
     return SpikeTrain(np.array(kept, dtype=int), thresh)
 
 
-def run_spike_pipeline(t: Trace, *, edge_times=(0.0, 0.5, 1.0),
+def run_spike_pipeline(t: Trace, *, edge_times=DEFAULT_EDGE_TIMES,
                        blank_window: float = DEFAULT_BLANK_WINDOW,
                        low: float = DEFAULT_BAND[0],
                        high: float = DEFAULT_BAND[1],
@@ -240,10 +191,10 @@ def _spikelet(sample_rate: float, width: float = 0.0005) -> np.ndarray:
 
 def synth_neural_response(stim_voltage: float, rng_seed: int,
                           sample_rate: float = DEFAULT_SAMPLE_RATE, *,
-                          duration: float = 1.2,
-                          noise_sd: float = 10e-6,
+                          duration: float = DEFAULT_SYNTH_DURATION,
+                          noise_sd: float = DEFAULT_SYNTH_NOISE_SD,
                           spike_amplitude: float | None = None,
-                          artifact_times=(0.0, 0.5, 1.0),
+                          artifact_times=DEFAULT_EDGE_TIMES,
                           r_min: float = DEFAULT_R_MIN,
                           r_max: float = DEFAULT_R_MAX) -> Trace:
     """Noise plus Poisson spike events at the voltage-dependent rate.
@@ -319,16 +270,6 @@ def planted_spike_trace(rng_seed: int, *, n_spikes: int = 7,
             raise ValueError("fixture spikes do not fit in the trace")
         trace[start:start + w] += amp * template
     return Trace(sample_rate, trace)
-
-
-# ---------- electrode model ----------
-
-def electrode_resistance(e: ElectrodeModel) -> float:
-    """DC resistance of the plated trace, ohms."""
-    area = e.trace_width * e.plating_thickness
-    if area <= 0.0 or e.conductivity <= 0.0 or e.trace_length <= 0.0:
-        raise ValueError("electrode dimensions and conductivity must be positive")
-    return e.trace_length / (e.conductivity * area)
 
 
 # ---------- trace file I/O ----------

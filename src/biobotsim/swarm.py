@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .locomotion import (AgentParams, AgentState, StimCommand, StimKind,
-                         _euler, _normals, apply_command)
+from .locomotion import (MAX_DT, AgentParams, AgentState, StimCommand,
+                         StimKind, _euler, _normals, apply_command)
 from .seeding import child_seed
 
 DEFAULT_CELL_SIZE = 0.10      # m
@@ -23,6 +23,7 @@ DEFAULT_STIM_PERIOD = 10.0    # s
 DEFAULT_DURATION = 631.0      # s
 DEFAULT_DT = 0.01             # s
 DEFAULT_LOG_RATE = 10.0       # Hz
+DEFAULT_COVERAGE_FROM = "true"  # or "estimated"
 DEFAULT_RANGE_NOISE_SD = 0.05  # m
 DEFAULT_ANCHOR_SIDE = 3.6     # m, anchors sit on this square's corners
 
@@ -133,6 +134,8 @@ class CoverageGrid:
 
     @classmethod
     def for_arena(cls, arena: Arena, cell_size: float = DEFAULT_CELL_SIZE) -> "CoverageGrid":
+        if not cell_size > 0.0:
+            raise ValueError(f"cell_size must be positive, got {cell_size!r}")
         nx = int(round(arena.width / cell_size))
         ny = int(round(arena.height / cell_size))
         if abs(nx * cell_size - arena.width) > 1e-9 or abs(ny * cell_size - arena.height) > 1e-9:
@@ -480,6 +483,36 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
     return names
 
 
+def check_run(n_agents: int, stim_period: float, duration: float, dt: float,
+              log_rate_hz: float, coverage_from: str) -> tuple[int, int, int]:
+    """Check the set-up of a run before any step is taken.
+
+    Raises ValueError for a bad agent count, coverage source or timing, or
+    a dt that does not divide the duration, the stim period and the log
+    interval exactly.  Returns the integration step counts of the three.
+    """
+    if n_agents < 1:
+        raise ValueError(f"need at least one agent, got n_agents = {n_agents}")
+    if coverage_from not in ("true", "estimated"):
+        raise ValueError(f"coverage_from must be 'true' or 'estimated', got {coverage_from!r}")
+    for name, value in (("stim_period", stim_period), ("duration", duration),
+                        ("log_rate_hz", log_rate_hz)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
+    n_steps = int(round(duration / dt))
+    if abs(n_steps * dt - duration) > 1e-9:
+        raise ValueError(f"dt {dt} does not divide the duration {duration}")
+    stim_steps = int(round(stim_period / dt))
+    if stim_steps < 1 or abs(stim_steps * dt - stim_period) > 1e-9:
+        raise ValueError(f"dt {dt} does not divide the stim period {stim_period}")
+    log_steps = int(round(1.0 / (log_rate_hz * dt)))
+    if log_steps < 1 or abs(log_steps * dt - 1.0 / log_rate_hz) > 1e-9:
+        raise ValueError(f"dt {dt} does not divide the log interval {1.0 / log_rate_hz}")
+    return n_steps, stim_steps, log_steps
+
+
 def simulate(arena: Arena, uwb: UwbSystem,
              params_per_agent: Sequence[AgentParams],
              stim_period: float = DEFAULT_STIM_PERIOD,
@@ -487,7 +520,7 @@ def simulate(arena: Arena, uwb: UwbSystem,
              seed: int = 0, *,
              dt: float = DEFAULT_DT,
              log_rate_hz: float = DEFAULT_LOG_RATE,
-             coverage_from: str = "true",
+             coverage_from: str = DEFAULT_COVERAGE_FROM,
              cell_size: float = DEFAULT_CELL_SIZE,
              initial_states: Sequence[AgentState] | None = None,
              ) -> SwarmRun:
@@ -500,19 +533,8 @@ def simulate(arena: Arena, uwb: UwbSystem,
     Fully deterministic for a given seed.
     """
     n_agents = len(params_per_agent)
-    if n_agents < 1:
-        raise ValueError("need at least one agent")
-    if coverage_from not in ("true", "estimated"):
-        raise ValueError(f"coverage_from must be 'true' or 'estimated', got {coverage_from!r}")
-    n_steps = int(round(duration / dt))
-    if abs(n_steps * dt - duration) > 1e-9:
-        raise ValueError(f"dt {dt} does not divide the duration {duration}")
-    stim_steps = int(round(stim_period / dt))
-    if stim_steps < 1 or abs(stim_steps * dt - stim_period) > 1e-9:
-        raise ValueError(f"dt {dt} does not divide the stim period {stim_period}")
-    log_steps = int(round(1.0 / (log_rate_hz * dt)))
-    if log_steps < 1 or abs(log_steps * dt - 1.0 / log_rate_hz) > 1e-9:
-        raise ValueError(f"dt {dt} does not divide the log interval {1.0 / log_rate_hz}")
+    n_steps, stim_steps, log_steps = check_run(
+        n_agents, stim_period, duration, dt, log_rate_hz, coverage_from)
 
     motion_rngs = [np.random.default_rng(child_seed(seed, "swarm.motion", i))
                    for i in range(n_agents)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -258,16 +258,6 @@ def synth_pronotum(params: PronotumShapeParams, seed: int,
 
     p_r = ReferencePoint(x=_round_half_away((x_min + x_max) / 2.0), y=y_post)
     return Mask(bits), p_r
-
-
-# ---------- segmenter plug point ----------
-
-# any callable mapping an input mask to a predicted mask can be scored
-Segmenter = Callable[[Mask], Mask]
-
-
-def identity_segmenter(mask: Mask) -> Mask:
-    return mask
 
 
 def evaluate_pairs(predicted: list[Mask], truth: list[Mask],

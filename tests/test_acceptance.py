@@ -38,8 +38,8 @@ def _verdict(num: int, text: str):
 
 def _zero_spread(preset):
     import dataclasses
-    return dataclasses.replace(preset, turn_angle_sd=0.0, walk_speed_sd=0.0,
-                               decel_min_speed_sd=0.0, heading_diffusion=0.0)
+    return dataclasses.replace(preset, turn_angle_sd=0.0, decel_min_speed_sd=0.0,
+                               heading_diffusion=0.0)
 
 
 def test_criterion_01_threshold_formula():

@@ -92,26 +92,21 @@ def test_payload_fails_when_camera_cannot_focus():
     assert not check_payload(PayloadSpec(camera_min_depth=0.6))
 
 
-def _pose():
-    return ImplantPose(reference_point_xyz=(0.0, 0.0, 0.0),
-                       pitch_alpha=solve_pitch())
-
-
 def test_small_envelope_fits_workspace():
-    assert check_workspace(_pose(), Workspace(), (0.01, 0.01, 0.01))
+    assert check_workspace(Workspace(), (0.01, 0.01, 0.01))
 
 
 def test_oversized_envelope_fails_on_one_axis():
-    assert not check_workspace(_pose(), Workspace(), (0.07, 0.01, 0.01))
+    assert not check_workspace(Workspace(), (0.07, 0.01, 0.01))
 
 
 def test_exact_box_envelope_is_boundary_inclusive():
-    assert check_workspace(_pose(), Workspace(), (0.065, 0.035, 0.025))
+    assert check_workspace(Workspace(), (0.065, 0.035, 0.025))
 
 
 def test_negative_envelope_rejected():
     with pytest.raises(ValueError):
-        check_workspace(_pose(), Workspace(), (-0.01, 0.01, 0.01))
+        check_workspace(Workspace(), (-0.01, 0.01, 0.01))
 
 
 # ---------- calibration ----------

@@ -5,23 +5,30 @@ files written to throwaway directories.
 """
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
 from biobotsim import cli, neurosignal as ns, vision
+from biobotsim.assembly import PayloadSpec, PixelToArmCalibration
 from biobotsim.config import (
+    CalibrationConfig,
     ConfigError,
+    PayloadConfig,
+    RigConfig,
     RunConfig,
     agent_params_from_config,
     arena_from_config,
     config_digest,
     config_from_dict,
     config_to_dict,
+    from_config,
     load_config,
     uwb_from_config,
 )
 from biobotsim.locomotion import AUTO_PRESET
+from biobotsim.morphology import FixationRig
 from biobotsim.vision import Mask, write_pgm
 
 
@@ -60,6 +67,20 @@ def test_digest_is_stable_and_ignores_output_dir():
     assert config_digest(moved) == config_digest(cfg)
     reseeded = dataclasses.replace(cfg, seed=cfg.seed + 1)
     assert config_digest(reseeded) != config_digest(cfg)
+
+
+def test_default_config_digest_is_pinned():
+    # defaults are read from the domain modules; a drifted default or an
+    # added or removed key changes every run's config_sha256
+    assert config_digest(RunConfig()) == (
+        "51307f0e812222d06536e3a4997deed0a3a2a4fe0daa3b5b93bca1234408527e")
+
+
+def test_block_adapters_build_the_domain_defaults():
+    assert from_config(FixationRig, RigConfig()) == FixationRig()
+    assert (from_config(PixelToArmCalibration, CalibrationConfig())
+            == PixelToArmCalibration())
+    assert from_config(PayloadSpec, PayloadConfig()) == PayloadSpec()
 
 
 def test_schema_version_is_required_and_checked():
@@ -134,6 +155,61 @@ def test_domain_validation_through_config():
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 1,
                           "rig": {"rod_a_initial_clearance_m": -1.0}})
+
+
+def _exit_2_message(tmp_path, capsys, data):
+    cfg = _write_cfg(tmp_path, data)
+    rc = cli.main(["fixation", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    return err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("swarm.uwb.range_noise_sd_m", math.nan),   # NaN > 0 is false: no noise
+    ("swarm.dt_s", math.nan),
+    ("neurosignal.refractory_s", math.inf),
+])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, path, value):
+    data = {"schema_version": 1}
+    *blocks, key = path.split(".")
+    node = data
+    for name in blocks:
+        node = node.setdefault(name, {})
+    node[key] = value
+    err = _exit_2_message(tmp_path, capsys, data)
+    assert err.startswith(f"config error: {path}: expected a finite number")
+
+
+_STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
+          "press": 10.0, "release": 6.0, "retract": 10.0}
+
+
+@pytest.mark.parametrize("data, path, text", [
+    ({"swarm": {"dt_s": 0.03, "duration_s": 20.0}}, "swarm", "duration"),
+    ({"swarm": {"dt_s": 0.1}}, "swarm", "dt must lie in"),
+    ({"swarm": {"cell_size_m": 0.3}}, "swarm", "does not tile"),
+    ({"swarm": {"stim_period_s": 10.005}}, "swarm", "stim period"),
+    ({"swarm": {"log_rate_hz": 30.0}}, "swarm", "log interval"),
+    ({"rig": {"rod_a_initial_clearance_m": -1.0}}, "rig", "lowered_distance_d"),
+    ({"swarm": {"arena": {"width_m": 0.5}}}, "swarm.arena", "outside the arena"),
+    ({"assembly": {"step_durations_s": dict(_STEPS, fix=True)}},
+     "assembly.step_durations_s.fix", "expected a number"),
+    ({"assembly": {"step_durations_s": dict(_STEPS, press="10")}},
+     "assembly.step_durations_s.press", "expected a number"),
+    ({"assembly": {"step_durations_s": dict(_STEPS, grasp=0.0)}},
+     "assembly", "grasp"),
+    ({"assembly": {"alpha_lower_deg": 170.0}}, "assembly", "infeasible"),
+    ({"assembly": {"approach_envelope_m": [-0.01, 0.01, 0.01]}},
+     "assembly", "envelope"),
+], ids=["duration", "dt-bound", "tiling", "stim-period", "log-interval",
+        "rig", "arena", "step-bool", "step-string", "step-zero", "corridor",
+        "envelope"])
+def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
+                                                path, text):
+    err = _exit_2_message(tmp_path, capsys, dict(data, schema_version=1))
+    assert err.startswith(f"config error: {path}: ")
+    assert text in err
 
 
 def test_load_config_reports_json_errors(tmp_path):

@@ -16,18 +16,16 @@ from biobotsim.locomotion import (
     StimCommand,
     StimKind,
     apply_command,
-    body_lengths_per_second,
     sample_decel_minimum,
     sample_turn_angle,
-    sample_walk_speed,
     step,
 )
 
 
 def _det(preset: AgentParams) -> AgentParams:
     """Zero every spread so the dynamics run without an rng."""
-    return replace(preset, turn_angle_sd=0.0, walk_speed_sd=0.0,
-                   decel_min_speed_sd=0.0, heading_diffusion=0.0)
+    return replace(preset, turn_angle_sd=0.0, decel_min_speed_sd=0.0,
+                   heading_diffusion=0.0)
 
 
 def _walk(state, params, n, dt=0.01, rng=None):
@@ -57,7 +55,6 @@ def test_auto_preset_frozen_values():
 def test_shared_response_spreads():
     for p in (MANUAL_PRESET, AUTO_PRESET):
         assert p.turn_angle_sd == 15.0
-        assert p.walk_speed_sd == 0.026
         assert p.decel_min_speed_sd == 0.013
         assert p.decel_time == 0.33
         assert p.command_duration == 0.4
@@ -142,20 +139,6 @@ def test_decel_sampler_zero_spread_and_missing_rng():
     assert sample_decel_minimum(_det(MANUAL_PRESET)) == 0.015
     with pytest.raises(ValueError):
         sample_decel_minimum(MANUAL_PRESET)
-
-
-def test_walk_speed_sampler_never_negative():
-    p = replace(MANUAL_PRESET, walk_speed_sd=1.0)
-    rng = np.random.default_rng(5)
-    assert all(sample_walk_speed(p, rng) >= 0.0 for _ in range(200))
-    assert sample_walk_speed(_det(MANUAL_PRESET)) == 0.062
-    with pytest.raises(ValueError):
-        sample_walk_speed(MANUAL_PRESET)
-
-
-def test_body_length_normalization():
-    assert body_lengths_per_second(0.062, MANUAL_PRESET) == pytest.approx(1.1273, abs=1e-3)
-    assert body_lengths_per_second(0.015, MANUAL_PRESET) == pytest.approx(0.2727, abs=1e-3)
 
 
 # ---------- turns ----------

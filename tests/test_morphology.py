@@ -15,8 +15,6 @@ from biobotsim.morphology import (
     exposure_safety_margin,
     exposure_sufficient,
     lifting_height,
-    morphology_from_dict,
-    morphology_to_dict,
     sample_morphology,
 )
 
@@ -157,23 +155,3 @@ def test_morphology_rejects_nonpositive_fields():
                          abdominal_cuticle_thickness=0.25e-3,
                          antenna_diameter=0.65e-3)
 
-
-# ---------- dict round trip ----------
-
-def test_morphology_dict_round_trip():
-    m = sample_morphology(7)
-    assert morphology_from_dict(morphology_to_dict(m)) == m
-
-
-def test_morphology_from_dict_rejects_unknown_key():
-    d = morphology_to_dict(sample_morphology(7))
-    d["wing_span_m"] = 0.01
-    with pytest.raises(ValueError, match="unknown"):
-        morphology_from_dict(d)
-
-
-def test_morphology_from_dict_rejects_missing_key():
-    d = morphology_to_dict(sample_morphology(7))
-    del d["antenna_diameter_m"]
-    with pytest.raises(ValueError, match="missing"):
-        morphology_from_dict(d)

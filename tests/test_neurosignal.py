@@ -13,15 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from biobotsim.neurosignal import (
     DEFAULT_SAMPLE_RATE,
-    ElectrodeModel,
-    StimParams,
     Trace,
     bandpass,
     blank_artifacts,
     detect_spikes,
-    electrode_resistance,
     expected_spike_rate,
-    gen_stimulus,
     planted_spike_trace,
     read_trace_binary,
     read_trace_csv,
@@ -172,44 +168,6 @@ def test_blanking_is_idempotent(edges):
     assert np.array_equal(once.samples, twice.samples)
 
 
-# ---------- stimulus ----------
-
-def test_stimulus_42hz_emits_16_complete_cycles():
-    t = gen_stimulus(StimParams(3.0, 42.0, 0.4), FS)
-    x = t.samples
-    assert len(x) == 10000
-    nz = np.flatnonzero(x)
-    assert nz[-1] == 9523            # last sample of the 16th cycle
-    assert set(np.unique(x)) == {-3.0, 0.0, 3.0}
-    assert x[0] == 3.0               # positive half-period leads
-    # exactly 16 positive-going onsets
-    pos = (x == 3.0).astype(int)
-    assert int(np.sum(np.diff(pos) == 1) + pos[0]) == 16
-
-
-def test_stimulus_one_hertz_single_cycle():
-    t = gen_stimulus(StimParams(3.0, 1.0, 1.0), FS)
-    x = t.samples
-    assert len(x) == 25000
-    assert (x[:12500] == 3.0).all()
-    assert (x[12500:] == -3.0).all()
-
-
-def test_stimulus_zero_amplitude_is_silent():
-    t = gen_stimulus(StimParams(0.0, 42.0, 0.4), FS)
-    assert not t.samples.any()
-
-
-def test_stimulus_requires_20x_oversampling():
-    with pytest.raises(ValueError):
-        gen_stimulus(StimParams(3.0, 2000.0, 0.1), 25000.0)
-
-
-def test_stimulus_rejects_unknown_shape():
-    with pytest.raises(ValueError):
-        StimParams(3.0, 42.0, 0.4, shape="sine")
-
-
 # ---------- detection ----------
 
 def test_detection_counts_upward_crossings_only():
@@ -317,27 +275,6 @@ def test_artifacts_are_confined_to_blank_windows():
     filtered = bandpass(blank_artifacts(t, (0.0, 0.5, 1.0)))
     # after blanking the trace is pure filtered noise: bounded near 5 sigma
     assert np.abs(filtered.samples).max() < 10.0 * filtered.samples.std()
-
-
-# ---------- electrode ----------
-
-def test_electrode_default_resistance():
-    assert electrode_resistance(ElectrodeModel()) == pytest.approx(0.76923, abs=1e-5)
-
-
-def test_electrode_resistance_well_below_spec_ceiling():
-    assert electrode_resistance(ElectrodeModel()) < 70.0
-
-
-def test_electrode_resistance_scales_with_length():
-    base = electrode_resistance(ElectrodeModel())
-    doubled = electrode_resistance(ElectrodeModel(trace_length=0.060))
-    assert doubled == pytest.approx(2.0 * base)
-
-
-def test_electrode_rejects_degenerate_geometry():
-    with pytest.raises(ValueError):
-        electrode_resistance(ElectrodeModel(trace_width=0.0))
 
 
 # ---------- trace container and I/O ----------

@@ -29,8 +29,8 @@ QUIET_UWB = UwbSystem(range_noise_sd=0.0)
 
 
 def _det_params():
-    return replace(AUTO_PRESET, turn_angle_sd=0.0, walk_speed_sd=0.0,
-                   decel_min_speed_sd=0.0, heading_diffusion=0.0)
+    return replace(AUTO_PRESET, turn_angle_sd=0.0, decel_min_speed_sd=0.0,
+                   heading_diffusion=0.0)
 
 
 # ---------- geometry ----------
