@@ -330,6 +330,10 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
             tm = vision.read_pgm(truth_dir / name)
         except ValueError as exc:
             raise InputDataError(str(exc)) from exc
+        if pm.pixels.shape != tm.pixels.shape:
+            raise InputDataError(
+                f"{name}: mask dimensions differ: prediction "
+                f"{pm.width}x{pm.height} vs truth {tm.width}x{tm.height}")
         if pm.foreground_count == 0 or tm.foreground_count == 0:
             raise InputDataError(f"{name}: empty mask has no reference point")
         preds.append(pm)

@@ -8,6 +8,7 @@ column index and y the row index; the posterior direction defaults to +y
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -162,30 +163,29 @@ def augment(mask: Mask, scale_x: float, scale_y: float,
     theta = math.radians(rotation_deg)
     c, s = math.cos(theta), math.sin(theta)
 
-    ys, xs = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
-                         indexing="ij")
-    dx = xs - cx
-    dy = ys - cy
+    dx = np.arange(w, dtype=float) - cx
+    dy = (np.arange(h, dtype=float) - cy)[:, None]
     # inverse map: undo rotation, then undo scaling
     sx = (c * dx + s * dy) / scale_x + cx
     sy = (-s * dx + c * dy) / scale_y + cy
 
-    field = mask.pixels.astype(float)
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
-    fx = sx - x0
-    fy = sy - y0
-
-    def at(yy, xx):
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        out = np.zeros_like(fx)
-        out[valid] = field[yy[valid], xx[valid]]
-        return out
-
-    v00 = at(y0, x0)
-    v01 = at(y0, x0 + 1)
-    v10 = at(y0 + 1, x0)
-    v11 = at(y0 + 1, x0 + 1)
+    # a 2-pixel zero border stands in for everything outside the frame:
+    # floor(sx) clipped to [-2, w] keeps both x neighbours in the padded
+    # field, and a pair wholly outside the frame still reads two zeros
+    pw = w + 4
+    field = np.zeros((h + 4, pw))
+    field[2:-2, 2:-2] = mask.pixels
+    flat = field.ravel()
+    fsx = np.floor(sx)
+    fsy = np.floor(sy)
+    fx = sx - fsx
+    fy = sy - fsy
+    base = ((np.clip(fsy, -2, h).astype(np.intp) + 2) * pw
+            + np.clip(fsx, -2, w).astype(np.intp) + 2)
+    v00 = flat[base]
+    v01 = flat[base + 1]
+    v10 = flat[base + pw]
+    v11 = flat[base + pw + 1]
     sampled = (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
                + v10 * (1 - fx) * fy + v11 * fx * fy)
     return Mask(sampled >= 0.5)
@@ -288,32 +288,71 @@ def evaluate_pairs(predicted: list[Mask], truth: list[Mask],
 
 # ---------- PGM I/O ----------
 
+# PGM whitespace: the six ASCII bytes that `bytes.split()` and C isspace() use
+_PGM_SPACE = np.zeros(256, dtype=bool)
+_PGM_SPACE[list(b" \t\n\v\f\r")] = True
+_PGM_COMMENT = re.compile(rb"#[^\n\r]*")
+
+
 def write_pgm(mask: Mask, path: str | Path):
-    """Write an ASCII PGM (P2, maxval 1); round-trips bit for bit."""
-    lines = [f"P2", f"{mask.width} {mask.height}", "1"]
-    for row in mask.pixels:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write an ASCII PGM (P2, maxval 1); round-trips bit for bit.
+
+    The file is ``P2``, ``<width> <height>`` and ``1`` on three lines, then
+    one line per mask row holding its pixels as ``0``/``1`` separated by
+    single spaces.
+    """
+    h, w = mask.pixels.shape
+    if h == 0 or w == 0:
+        raise ValueError(f"cannot write an empty {w}x{h} mask as PGM")
+    body = np.full((h, 2 * w), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = mask.pixels + ord("0")
+    body[:, -1] = ord("\n")
+    Path(path).write_bytes(f"P2\n{w} {h}\n1\n".encode() + body.tobytes())
+
+
+def _pgm_header_int(path, name: str, token: bytes) -> int:
+    value = int(token) if token.isdigit() else 0
+    if value == 0:
+        raise ValueError(
+            f"{path}: PGM {name} must be a positive integer, got {token.decode()!r}")
+    return value
 
 
 def read_pgm(path: str | Path) -> Mask:
-    tokens: list[str] = []
-    for line in Path(path).read_text().splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
+    """Read an ASCII PGM (P2, maxval 1) mask.
+
+    Accepted grammar: the tokens ``P2``, width, height and maxval, then
+    width x height pixel tokens, all separated by runs of ASCII whitespace
+    (space, tab, LF, CR, VT, FF).  Width and height are positive decimal
+    integers and maxval is 1.  Each pixel token is the single byte ``0`` or
+    ``1``.  A comment runs from ``#`` to the next LF or CR, may hold any
+    bytes and may appear anywhere.  Outside comments the file is ASCII.
+    Every violation raises ValueError with a message that starts with the
+    path.
+    """
+    data = _PGM_COMMENT.sub(b"", Path(path).read_bytes())
+    if not data.isascii():
+        bad = next(b for b in data if b > 0x7F)
+        raise ValueError(f"{path}: not an ASCII PGM (P2) file: byte 0x{bad:02x}")
+    parts = data.split(maxsplit=4)
+    if not parts or parts[0] != b"P2":
         raise ValueError(f"{path}: not an ASCII PGM (P2) file")
-    if len(tokens) < 4:
+    if len(parts) < 4:
         raise ValueError(f"{path}: truncated PGM header")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    width = _pgm_header_int(path, "width", parts[1])
+    height = _pgm_header_int(path, "height", parts[2])
+    maxval = _pgm_header_int(path, "maxval", parts[3])
     if maxval != 1:
         raise ValueError(f"{path}: expected maxval 1, got {maxval}")
-    values = tokens[4:]
-    if len(values) != width * height:
-        raise ValueError(
-            f"{path}: expected {width * height} pixels, got {len(values)}"
-        )
-    arr = np.array([int(v) for v in values], dtype=int).reshape(height, width)
-    if not np.isin(arr, (0, 1)).all():
+    body = np.frombuffer(parts[4] if len(parts) == 5 else b"", dtype=np.uint8)
+    space = _PGM_SPACE[body]
+    starts = ~space
+    starts[1:] &= space[:-1]
+    count = int(starts.sum())
+    if count != width * height:
+        raise ValueError(f"{path}: expected {width * height} pixels, got {count}")
+    bits = body[~space] - np.uint8(ord("0"))
+    # more non-space bytes than tokens means a token longer than one byte
+    if bits.size != count or (bits > 1).any():
         raise ValueError(f"{path}: pixel values must be 0 or 1")
-    return Mask(arr.astype(bool))
+    return Mask(bits.reshape(height, width).astype(bool))

@@ -485,6 +485,38 @@ def test_metrics_name_mismatch_lists_files(tmp_path, capsys):
     assert "a.pgm" in err and "b.pgm" in err
 
 
+def test_metrics_mismatched_mask_sizes_exit_3(tmp_path, capsys):
+    for d in ("pred", "truth"):
+        (tmp_path / d).mkdir()
+    write_pgm(Mask(np.ones((2, 3), dtype=bool)), tmp_path / "pred" / "m.pgm")
+    write_pgm(Mask(np.ones((2, 2), dtype=bool)), tmp_path / "truth" / "m.pgm")
+    rc = cli.main(["metrics", "--pred", str(tmp_path / "pred"),
+                   "--truth", str(tmp_path / "truth"),
+                   "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "m.pgm" in err and "dimensions differ" in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(b"P2\nx 2\n1\n0 1\n", id="non-integer-width"),
+    pytest.param(b"P2\n-2 -2\n1\n0 1 1 0\n", id="negative-dimensions"),
+    pytest.param(b"P2\n2 2\n1\n0 1 \xff 0\n", id="non-ascii-byte"),
+])
+def test_metrics_malformed_pgm_header_exits_3_naming_the_file(text, tmp_path,
+                                                             capsys):
+    for d in ("pred", "truth"):
+        (tmp_path / d).mkdir()
+    write_pgm(_rect_mask(), tmp_path / "truth" / "m.pgm")
+    bad = tmp_path / "pred" / "m.pgm"
+    bad.write_bytes(text)
+    rc = cli.main(["metrics", "--pred", str(tmp_path / "pred"),
+                   "--truth", str(tmp_path / "truth"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"input error: {bad}: ")
+
+
 # ---------- fixation ----------
 
 def test_fixation_table(capsys):

@@ -1,4 +1,6 @@
 """Mask metrics, reference-point geometry, augmentation, and PGM I/O."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +202,42 @@ def test_rotation_preserves_area_approximately():
     assert rot.foreground_count == pytest.approx(m.foreground_count, rel=0.02)
 
 
+def _augment_reference(mask, scale_x, scale_y, rotation_deg):
+    """Per-pixel bilinear resampling that reads zero outside the frame."""
+    h, w = mask.pixels.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    theta = math.radians(rotation_deg)
+    c, s = math.cos(theta), math.sin(theta)
+
+    def at(y, x):
+        return float(mask.pixels[y, x]) if 0 <= y < h and 0 <= x < w else 0.0
+
+    out = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            dx, dy = x - cx, y - cy
+            sx = (c * dx + s * dy) / scale_x + cx
+            sy = (-s * dx + c * dy) / scale_y + cy
+            x0, y0 = math.floor(sx), math.floor(sy)
+            fx, fy = sx - x0, sy - y0
+            v = (at(y0, x0) * (1 - fx) * (1 - fy) + at(y0, x0 + 1) * fx * (1 - fy)
+                 + at(y0 + 1, x0) * (1 - fx) * fy + at(y0 + 1, x0 + 1) * fx * fy)
+            out[y, x] = v >= 0.5
+    return Mask(out)
+
+
+@pytest.mark.parametrize("params", [
+    (1.0, 1.0, 0.0), (1.0, 1.0, 2.0), (0.8, 1.2, -25.0), (0.1, 0.1, 45.0),
+    (5.0, 5.0, 10.0), (1e-3, 1e-3, 0.0), (0.5, 3.0, 180.0), (2.0, 0.7, -180.0),
+    (1.0, 1.0, 90.0), (0.9, 0.9, -135.0),
+])
+def test_augment_matches_per_pixel_reference_bit_for_bit(params):
+    rng = np.random.default_rng(5)
+    for shape in ((9, 6), (6, 9), (1, 1), (7, 7)):
+        m = Mask(rng.random(shape) < 0.5)
+        assert augment(m, *params).same_bits(_augment_reference(m, *params))
+
+
 # ---------- synthetic generator ----------
 
 def test_synthetic_reference_point_matches_extraction_exactly():
@@ -261,6 +299,19 @@ def test_pgm_round_trip_is_bit_exact(tmp_path):
     assert read_pgm(p).same_bits(m)
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param([[1]], id="1x1"),
+    pytest.param([[1, 0, 1], [0, 0, 1], [1, 1, 0], [0, 1, 0], [1, 0, 0]],
+                 id="3-wide-5-high"),
+])
+def test_pgm_round_trip_small_and_non_square(rows, tmp_path):
+    m = _mask(rows)
+    p = tmp_path / "m.pgm"
+    write_pgm(m, p)
+    assert p.read_text().splitlines()[1] == f"{m.width} {m.height}"
+    assert read_pgm(p).same_bits(m)
+
+
 def test_pgm_reader_tolerates_comments(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_text("P2\n# a comment line\n2 2\n1\n1 0\n# mid comment\n0 1\n")
@@ -273,3 +324,47 @@ def test_pgm_reader_rejects_wrong_magic(tmp_path):
     p.write_text("P5\n2 2\n1\n1 0 0 1\n")
     with pytest.raises(ValueError):
         read_pgm(p)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(b"P2\r\n3 2\r\n1\r\n1 0 1\r\n0 1 1\r\n", id="crlf"),
+    pytest.param(b"P2\t3   2\n\t1\n1\t\t0  1\n   0 1\t1\n",
+                 id="tabs-and-runs-of-spaces"),
+    pytest.param(b"P2\n3 2\n1\n1 0 1\n0 1 1", id="no-trailing-newline"),
+    pytest.param(b"P2\n3 2\n1\n1 0 1 # row 0\n# between rows\n0 1#x\n1\n",
+                 id="comments-in-the-body"),
+    pytest.param(b"P2 3 2 1 1 0 1 0 1 1", id="one-line"),
+    pytest.param(b"P2 # caf\xc3\xa9\n3 2 1 1 0 1 0 1 1", id="non-ascii-comment"),
+])
+def test_pgm_reader_grammar(text, tmp_path):
+    p = tmp_path / "g.pgm"
+    p.write_bytes(text)
+    assert read_pgm(p).pixels.tolist() == [[True, False, True],
+                                           [False, True, True]]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(b"", id="empty-file"),
+    pytest.param(b"P2\n3 2\n", id="truncated-header"),
+    pytest.param(b"P2\nx 2\n1\n0 1\n", id="non-integer-width"),
+    pytest.param(b"P2\n-2 -2\n1\n0 1 1 0\n", id="negative-dimensions"),
+    pytest.param(b"P2\n0 2\n1\n", id="zero-width"),
+    pytest.param(b"P2\n2 2\n2\n0 1 1 0\n", id="maxval-2"),
+    pytest.param(b"P2\n2 2\n1\n0 1 \xff 0\n", id="non-ascii-byte"),
+    pytest.param(b"P2\n2 2\n1\n0 1 2 0\n", id="pixel-value-2"),
+    pytest.param(b"P2\n2 2\n1\n0 1 1 0 1\n", id="one-pixel-too-many"),
+    pytest.param(b"P2\n2 2\n1\n0 1 1\n", id="one-pixel-too-few"),
+    pytest.param(b"P2\n2 2\n1\n0 1 00 1\n", id="multi-digit-pixel-token"),
+    pytest.param(b"P2\n2 2\n1\n0 1 +1 0\n", id="signed-pixel-token"),
+])
+def test_pgm_reader_rejects_malformed_files_naming_the_path(text, tmp_path):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(text)
+    with pytest.raises(ValueError) as exc:
+        read_pgm(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
+def test_pgm_writer_rejects_an_empty_mask(tmp_path):
+    with pytest.raises(ValueError, match="empty"):
+        write_pgm(Mask(np.zeros((2, 0), dtype=bool)), tmp_path / "e.pgm")
