@@ -1,10 +1,12 @@
-"""Golden digests of fixed-seed `coverage` and mask-path outputs.
+"""Golden digests of fixed-seed `coverage`, `spikes` and mask-path outputs.
 
 These guard determinism across processes and code changes, not only
 reruns in one process: any change to the swarm engine that alters a
 single byte of trajectory.csv, coverage.csv or summary.json fails here,
-and so does any change to `synth_pronotum`, `augment`, `write_pgm` or
-`read_pgm` that alters a written mask or the `metrics` table.
+and so does any change to the spike chain that alters spikes.json or
+spike_sweep.csv, or any change to `synth_pronotum`, `augment`,
+`write_pgm` or `read_pgm` that alters a written mask or the `metrics`
+table.
 A change that alters the numbers on purpose must say so and update the
 digests below.
 """
@@ -160,3 +162,42 @@ def test_metrics_csv_matches_golden_digest(tmp_path, monkeypatch):
                      "--output-dir", str(out)]) == 0
     got = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_METRICS_CSV
+
+
+# ---------- spike path ----------
+
+SPIKES_SEED = 3
+
+GOLDEN_SPIKES_JSON = {
+    0.5: "1c034e01adf731e4cb21f893f2f5b214ffb03de806f12ac806677e2685a27e11",
+    2.0: "b4291dd3347588132750a64a1abd6efd5fdc8e9a5326662d1c0311f9de6b8278",
+    3.0: "39604148b9acf4511ffc43bdc82cb3e9d4c0205334969a18bf04123f39a2cb88",
+    4.0: "7c1c91a0c8b435007c72672b5daa5329cdf83059b29006991ff1f2a7a27821d8",
+}
+
+# the 15 x 50 sweep of the voltage-response protocol
+GOLDEN_SPIKE_SWEEP_CSV = (
+    "f15feec834a01fd877e92c2294dd0444c7eb5c3ee2e77f55c5ce3f69bea4120e")
+
+
+def _spikes(tmp_path, monkeypatch, *args):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+    out = tmp_path / "out"
+    assert cli.main(["spikes", *args, "--seed", str(SPIKES_SEED),
+                     "--output-dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("voltage", sorted(GOLDEN_SPIKES_JSON))
+def test_spikes_json_matches_golden_digest(voltage, tmp_path, monkeypatch):
+    out = _spikes(tmp_path, monkeypatch, "--synth", repr(voltage))
+    got = hashlib.sha256((out / "spikes.json").read_bytes()).hexdigest()
+    assert got == GOLDEN_SPIKES_JSON[voltage]
+
+
+def test_spike_sweep_csv_matches_golden_digest(tmp_path, monkeypatch):
+    out = _spikes(tmp_path, monkeypatch, "--sweep", "0.5", "4.0", "0.25",
+                  "--sweep-seeds", "50")
+    got = hashlib.sha256((out / "spike_sweep.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN_SPIKE_SWEEP_CSV
