@@ -163,15 +163,15 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
         rows = []
         for vi in range(n_points):
             v = start + vi * step_v
-            counts = []
-            for si in range(sweep_seeds):
-                trace = ns.synth_neural_response(
-                    v, child_seed(cfg.seed, f"spikes.sweep.{vi}", si),
-                    nc.sample_rate_hz, duration=nc.synth_duration_s,
-                    noise_sd=nc.synth_noise_sd_v,
-                    artifact_times=nc.blank_edge_times_s,
-                    r_min=nc.r_min_hz, r_max=nc.r_max_hz)
-                counts.append(ns.run_spike_pipeline(trace, **pipeline_kwargs).count)
+            traces = (ns.synth_neural_response(
+                v, child_seed(cfg.seed, f"spikes.sweep.{vi}", si),
+                nc.sample_rate_hz, duration=nc.synth_duration_s,
+                noise_sd=nc.synth_noise_sd_v,
+                artifact_times=nc.blank_edge_times_s,
+                r_min=nc.r_min_hz, r_max=nc.r_max_hz)
+                for si in range(sweep_seeds))
+            counts = [train.count for train in
+                      ns.run_spike_pipelines(traces, **pipeline_kwargs)]
             rows.append((v, float(np.mean(counts)), float(np.std(counts))))
         _write_csv(out_dir / "spike_sweep.csv",
                    ["voltage_v", "mean_spikes", "sd_spikes"], rows)

@@ -269,9 +269,22 @@ def _at(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# config key of each neurosignal.check_params parameter
+_NEURO_KEYS = {"sample_rate": "sample_rate_hz", "low": "bandpass_low_hz",
+               "high": "bandpass_high_hz", "blank_window": "blank_window_s",
+               "refractory": "refractory_s"}
+
+
 def _validate(cfg: RunConfig):
     """Run every block through the domain code that owns its rules."""
-    ac, sc = cfg.assembly, cfg.swarm
+    ac, sc, nc = cfg.assembly, cfg.swarm, cfg.neurosignal
+    try:
+        ns.check_params(nc.sample_rate_hz,
+                        (nc.bandpass_low_hz, nc.bandpass_high_hz),
+                        nc.blank_window_s, nc.refractory_s)
+    except ns.ParamError as exc:
+        raise ConfigError(
+            f"neurosignal.{_NEURO_KEYS[exc.name]}: {exc}") from exc
     with _at("rig"):
         from_config(FixationRig, cfg.rig)
     with _at("assembly"):

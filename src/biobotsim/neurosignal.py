@@ -1,18 +1,26 @@
 """Electrode traces, synthetic responses, and the spike detection pipeline.
 
-The pipeline is: blank stimulation artifacts, bandpass 300-5000 Hz
-(single-biquad Butterworth, bilinear design with prewarping), estimate a
-robust threshold from the filtered trace, then detect upward threshold
-crossings of the absolute value with a refractory hold-off.
+The pipeline is: blank stimulation artifacts, bandpass 300-5000 Hz,
+estimate a robust threshold from the filtered trace, then detect upward
+threshold crossings of the absolute value with a refractory hold-off.
+
+The bandpass needs numpy only.  It is a single-biquad Butterworth whose
+coefficients come in closed form from the bilinear transform with
+prewarped edges (biquad_coefficients).  It runs as a direct-form-II-
+transposed filter in one kernel, bandpass_rows, which filters many traces
+at once through blocked matrix-vector products; bandpass is its one-row
+call.  The threshold takes the median from one partition.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 THRESHOLD_FACTOR = 5.0
 MAD_SCALE = 0.6745            # median(|x|) of a unit normal
@@ -74,14 +82,46 @@ class SpikeTrain:
 
 # ---------- pipeline stages ----------
 
+class ParamError(ValueError):
+    """A bad pipeline parameter; name is the parameter's name."""
+
+    def __init__(self, name: str, problem: str):
+        super().__init__(f"{name} {problem}")
+        self.name = name
+
+
+def check_params(sample_rate: float, band: tuple[float, float] | None = None,
+                 blank_window: float | None = None,
+                 refractory: float | None = None):
+    """The one check of the pipeline's parameters, shared by the stages and
+    by config loading.  A parameter left as None is not checked.  Raises
+    ParamError naming the first bad one: sample_rate, low, high,
+    blank_window or refractory."""
+    if not sample_rate > 0.0:
+        raise ParamError("sample_rate", f"must be positive, got {sample_rate!r}")
+    if band is not None:
+        low, high = band
+        if not low > 0.0:
+            raise ParamError("low", f"must be positive, got {low!r}")
+        if not high > low:
+            raise ParamError("high", f"must be above low ({low} Hz), got {high!r}")
+        if high >= sample_rate / 2.0:
+            raise ParamError("high", f"edge {high} Hz must be below Nyquist "
+                                     f"({sample_rate / 2.0} Hz)")
+    if blank_window is not None and not blank_window >= 0.0:
+        raise ParamError("blank_window",
+                         f"must be non-negative, got {blank_window!r}")
+    if refractory is not None and not refractory >= 0.0:
+        raise ParamError("refractory", f"must be non-negative, got {refractory!r}")
+
+
 def blank_artifacts(t: Trace, edge_times, window: float = DEFAULT_BLANK_WINDOW) -> Trace:
     """Zero [edge, edge + window) around each stimulation edge.
 
     Idempotent; an empty edge list is the identity.  Edges must lie within
     the trace extent (windows are clipped at the end).
     """
-    if window < 0.0:
-        raise ValueError(f"window must be non-negative, got {window!r}")
+    check_params(t.sample_rate, blank_window=window)
     n = len(t.samples)
     out = t.samples.copy()
     width = int(round(window * t.sample_rate))
@@ -96,32 +136,117 @@ def blank_artifacts(t: Trace, edge_times, window: float = DEFAULT_BLANK_WINDOW) 
     return Trace(t.sample_rate, out)
 
 
-def bandpass(t: Trace, low: float = DEFAULT_BAND[0], high: float = DEFAULT_BAND[1],
-             order: int = 2) -> Trace:
-    """Butterworth bandpass via bilinear transform with prewarped edges.
+def biquad_coefficients(sample_rate: float, low: float = DEFAULT_BAND[0],
+                        high: float = DEFAULT_BAND[1]):
+    """(b, a) of the single-biquad Butterworth bandpass, in closed form.
 
-    order is the overall filter order; the default 2 is a single biquad.
-    Filtering is causal with zero initial state.
+    Bilinear transform with both edges prewarped: K = 2 fs,
+    w_i = K tan(pi f_i / fs), bw = w2 - w1, D = K^2 + bw K + w1 w2; then
+    b = (bw K, 0, -bw K) / D and a = (1, 2 (w1 w2 - K^2) / D,
+    (K^2 - bw K + w1 w2) / D).
     """
-    if not 0.0 < low < high:
-        raise ValueError(f"need 0 < low < high, got ({low}, {high})")
-    if high >= t.sample_rate / 2.0:
-        raise ValueError(
-            f"high edge {high} Hz must be below Nyquist "
-            f"({t.sample_rate / 2.0} Hz)"
-        )
-    if order < 2 or order % 2 != 0:
-        raise ValueError(f"order must be a positive even integer, got {order!r}")
-    b, a = signal.butter(order // 2, [low, high], btype="bandpass",
-                         fs=t.sample_rate)
-    return Trace(t.sample_rate, signal.lfilter(b, a, t.samples))
+    k = 2.0 * sample_rate
+    w1 = k * math.tan(math.pi * low / sample_rate)
+    w2 = k * math.tan(math.pi * high / sample_rate)
+    bw, w0_sq = w2 - w1, w1 * w2
+    d = k * k + bw * k + w0_sq
+    return ((bw * k / d, 0.0, -bw * k / d),
+            (1.0, 2.0 * (w0_sq - k * k) / d, (k * k - bw * k + w0_sq) / d))
+
+
+_BLOCK = 32   # samples per block
+_GROUP = 32   # blocks per group
+
+
+@functools.lru_cache(maxsize=8)
+def _block_matrices(sample_rate: float, low: float, high: float):
+    """Response matrices of the direct-form-II-transposed biquad.
+
+    step maps a block's inputs and start state [x_0 .. x_{L-1}, z0, z1] to
+    its outputs and end state [y_0 .. y_{L-1}, z0', z1'].  Its state part
+    P carries a state over one block: s_{k+1} = P s_k + e_k, where e_k is
+    the state block k leaves when it starts from zero.  carry maps a
+    group's [e_0 .. e_{G-1}, s_0] to [s_0 .. s_{G-1}, s_G].  Both are
+    built by running the recursions on unit inputs.
+    """
+    (b0, b1, b2), (_, a1, a2) = biquad_coefficients(sample_rate, low, high)
+    L, G = _BLOCK, _GROUP
+    unit = np.eye(L + 2)
+    z0, z1 = unit[L], unit[L + 1]
+    rows = []
+    for x in unit[:L]:
+        y = b0 * x + z0
+        z0, z1 = b1 * x - a1 * y + z1, b2 * x - a2 * y
+        rows.append(y)
+    step = np.array(rows + [z0, z1])
+    p = step[L:, L:]
+    unit = np.eye(2 * G + 2)
+    s0, s1 = unit[2 * G], unit[2 * G + 1]
+    rows = []
+    for e0, e1 in zip(unit[:2 * G:2], unit[1:2 * G:2]):
+        rows += [s0, s1]
+        s0, s1 = (p[0, 0] * s0 + p[0, 1] * s1 + e0,
+                  p[1, 0] * s0 + p[1, 1] * s1 + e1)
+    return step, np.array(rows + [s0, s1])
+
+
+def bandpass_rows(x: np.ndarray, sample_rate: float,
+                  low: float = DEFAULT_BAND[0],
+                  high: float = DEFAULT_BAND[1]) -> np.ndarray:
+    """Filter every row of x [lanes, n] with the bandpass biquad.
+
+    The one filter kernel.  Filtering is causal with zero initial state.
+    Each row is cut into blocks of 32 samples; one matrix-vector product
+    per block gives its outputs from its inputs and start state.  The
+    2-value state is carried from block to block, 32 blocks per product.
+    Rows never mix, so a row's result does not depend on the other rows.
+    """
+    check_params(sample_rate, band=(low, high))
+    step, carry = _block_matrices(float(sample_rate), float(low), float(high))
+    L, G = _BLOCK, _GROUP
+    lanes, n = x.shape
+    groups = -(-n // (L * G))
+    full = n // L
+    z = np.zeros((lanes, groups * G, L + 2))   # per block: inputs, start state
+    z[:, :full, :L] = x[:, :full * L].reshape(lanes, full, L)
+    if n % L:
+        z[:, full, :n % L] = x[:, full * L:]
+    ends = np.matvec(step[L:, :L], z[:, :, :L]).reshape(lanes, groups, 2 * G)
+    starts = np.empty_like(ends)
+    buf = np.zeros((lanes, 2 * G + 2))
+    for g in range(groups):
+        buf[:, :2 * G] = ends[:, g]
+        out = np.matvec(carry, buf)
+        starts[:, g] = out[:, :2 * G]
+        buf[:, 2 * G:] = out[:, 2 * G:]
+    z[:, :, L:] = starts.reshape(lanes, groups * G, 2)
+    return np.matvec(step[:L], z).reshape(lanes, groups * G * L)[:, :n]
+
+
+def bandpass(t: Trace, low: float = DEFAULT_BAND[0],
+             high: float = DEFAULT_BAND[1]) -> Trace:
+    """Butterworth bandpass via bilinear transform with prewarped edges:
+    the one-row call of bandpass_rows."""
+    return Trace(t.sample_rate, bandpass_rows(t.samples[None], t.sample_rate,
+                                              low, high)[0])
 
 
 def threshold(t: Trace) -> float:
-    """Robust detection threshold, 5 x the MAD-based noise estimate."""
-    if len(t.samples) == 0:
+    """Robust detection threshold, 5 x the MAD-based noise estimate.
+
+    The median of |x| / MAD_SCALE comes from one partition of |x|.  Division
+    by a positive constant keeps the order of the values, so this is
+    np.median's value bit for bit.
+    """
+    n = len(t.samples)
+    if n == 0:
         raise ValueError("cannot estimate a threshold from an empty trace")
-    return THRESHOLD_FACTOR * float(np.median(np.abs(t.samples) / MAD_SCALE))
+    mags = np.abs(t.samples)
+    half = n // 2
+    mags.partition(half)
+    upper = mags[half] / MAD_SCALE
+    median = upper if n % 2 else (mags[:half].max() / MAD_SCALE + upper) / 2.0
+    return THRESHOLD_FACTOR * float(median)
 
 
 def detect_spikes(t: Trace, thresh: float,
@@ -130,8 +255,7 @@ def detect_spikes(t: Trace, thresh: float,
     suppressing any crossing within the refractory window of the last."""
     if thresh < 0.0:
         raise ValueError(f"threshold must be non-negative, got {thresh!r}")
-    if refractory < 0.0:
-        raise ValueError(f"refractory must be non-negative, got {refractory!r}")
+    check_params(t.sample_rate, refractory=refractory)
     above = np.abs(t.samples) > thresh
     crossings = np.flatnonzero(above & ~np.concatenate(([False], above[:-1])))
     hold = int(round(refractory * t.sample_rate))
@@ -144,15 +268,38 @@ def detect_spikes(t: Trace, thresh: float,
     return SpikeTrain(np.array(kept, dtype=int), thresh)
 
 
-def run_spike_pipeline(t: Trace, *, edge_times=DEFAULT_EDGE_TIMES,
-                       blank_window: float = DEFAULT_BLANK_WINDOW,
-                       low: float = DEFAULT_BAND[0],
-                       high: float = DEFAULT_BAND[1],
-                       refractory: float = DEFAULT_REFRACTORY) -> SpikeTrain:
-    """Full detection chain: blank, bandpass, robust threshold, detect."""
-    blanked = blank_artifacts(t, edge_times, blank_window)
-    filtered = bandpass(blanked, low, high)
-    return detect_spikes(filtered, threshold(filtered), refractory)
+# traces per kernel call in run_spike_pipelines: it bounds the memory held;
+# the kernel's cost per trace barely depends on it
+LANES = 8
+
+
+def run_spike_pipelines(traces, *, edge_times=DEFAULT_EDGE_TIMES,
+                        blank_window: float = DEFAULT_BLANK_WINDOW,
+                        low: float = DEFAULT_BAND[0],
+                        high: float = DEFAULT_BAND[1],
+                        refractory: float = DEFAULT_REFRACTORY) -> list[SpikeTrain]:
+    """Full detection chain over traces of one sample rate and length:
+    blank each, bandpass LANES of them per kernel call, then give each its
+    own robust threshold and detection.  traces may be a generator; at most
+    LANES of them are held at once."""
+    trains = []
+    it = iter(traces)
+    while chunk := list(itertools.islice(it, LANES)):
+        rate = chunk[0].sample_rate
+        if any(t.sample_rate != rate for t in chunk[1:]):
+            raise ValueError("traces must share one sample rate")
+        rows = np.stack([blank_artifacts(t, edge_times, blank_window).samples
+                         for t in chunk])
+        for row in bandpass_rows(rows, rate, low, high):
+            filtered = Trace(rate, row)
+            trains.append(detect_spikes(filtered, threshold(filtered), refractory))
+    return trains
+
+
+def run_spike_pipeline(t: Trace, **kwargs) -> SpikeTrain:
+    """Full detection chain on one trace: blank, bandpass, robust
+    threshold, detect.  Takes the keyword arguments of run_spike_pipelines."""
+    return run_spike_pipelines([t], **kwargs)[0]
 
 
 # ---------- synthetic responses ----------

@@ -6,6 +6,10 @@ files written to throwaway directories.
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,32 @@ def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
     err = _exit_2_message(tmp_path, capsys, dict(data, schema_version=1))
     assert err.startswith(f"config error: {path}: ")
     assert text in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("refractory_s", -1.0),
+    ("bandpass_high_hz", 20000.0),
+    ("blank_window_s", -0.1),
+])
+def test_neurosignal_mistakes_exit_2_at_load(tmp_path, capsys, key, value):
+    cfg = _write_cfg(tmp_path, {"schema_version": 1,
+                                "neurosignal": {key: value}})
+    rc = cli.main(["spikes", "--synth", "3", "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"config error: neurosignal.{key}: ")
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, biobotsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_load_config_reports_json_errors(tmp_path):

@@ -13,8 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from biobotsim.neurosignal import (
     DEFAULT_SAMPLE_RATE,
+    MAD_SCALE,
+    THRESHOLD_FACTOR,
     Trace,
     bandpass,
+    bandpass_rows,
+    biquad_coefficients,
     blank_artifacts,
     detect_spikes,
     expected_spike_rate,
@@ -85,10 +89,6 @@ def test_bandpass_validates_edges_and_order():
         bandpass(t, 500.0, 400.0)
     with pytest.raises(ValueError):
         bandpass(t, 300.0, 13000.0)  # above Nyquist
-    with pytest.raises(ValueError):
-        bandpass(t, 300.0, 5000.0, order=3)
-    with pytest.raises(ValueError):
-        bandpass(t, 300.0, 5000.0, order=0)
 
 
 def test_bandpass_is_linear():
@@ -99,7 +99,77 @@ def test_bandpass_is_linear():
     assert np.allclose(b, 3.0 * a, rtol=1e-12, atol=1e-15)
 
 
+# ---------- filter kernel ----------
+
+# signal.butter(1, [300, 5000], "bandpass", fs=25000) from scipy 1.17.1,
+# the design this module used before it needed numpy only
+BUTTER_B = (0.4013600352823513, 0.0, -0.4013600352823513)
+BUTTER_A = (1.0, -1.1334119990910105, 0.19727992943529724)
+
+
+def _df2t_reference(x, b, a):
+    """Direct-form-II-transposed biquad, one sample at a time; with these
+    coefficients it is the recursion of scipy's lfilter."""
+    (b0, b1, b2), (_, a1, a2) = b, a
+    z0 = z1 = 0.0
+    y = []
+    for v in map(float, x):
+        out = b0 * v + z0
+        z0 = b1 * v - a1 * out + z1
+        z1 = b2 * v - a2 * out
+        y.append(out)
+    return np.array(y)
+
+
+def test_closed_form_coefficients_match_butter():
+    b, a = biquad_coefficients(FS, 300.0, 5000.0)
+    assert np.abs(np.subtract(b, BUTTER_B)).max() <= 1e-15
+    assert np.abs(np.subtract(a, BUTTER_A)).max() <= 1e-15
+
+
+# lengths around the 32-sample block and the 1024-sample group
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_kernel_matches_sample_by_sample_reference(n, lanes):
+    rng = np.random.default_rng(n * 10 + lanes)
+    x = rng.normal(size=(lanes, n))
+    x[:, 0] = 5.0        # the first samples are far from zero
+    b, a = biquad_coefficients(FS, 300.0, 5000.0)
+    y = bandpass_rows(x, FS)
+    assert y.shape == x.shape
+    for row, out in zip(x, y):
+        ref = _df2t_reference(row, b, a)
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_batched_rows_equal_one_row_calls_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(7, 3001)) * 1e-5
+    batched = bandpass_rows(x, FS)
+    for row, out in zip(x, batched):
+        assert np.array_equal(out, bandpass(Trace(FS, row)).samples)
+        assert np.array_equal(out, bandpass_rows(row[None], FS)[0])
+
+
+def test_kernel_uses_the_requested_band():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=3000)
+    b, a = biquad_coefficients(10000.0, 100.0, 2000.0)
+    y = bandpass(Trace(10000.0, x), 100.0, 2000.0).samples
+    ref = _df2t_reference(x, b, a)
+    assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 # ---------- threshold ----------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 101, 1000, 29999, 30000])
+def test_threshold_equals_the_median_formula_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) * 1e-5
+    x[::7] = 0.0          # ties at the median
+    median = float(np.median(np.abs(x) / MAD_SCALE))
+    assert threshold(Trace(FS, x)) == THRESHOLD_FACTOR * median
+
 
 def test_threshold_tracks_five_sigma_for_gaussian_noise():
     rng = np.random.default_rng(42)
