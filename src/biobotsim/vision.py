@@ -165,30 +165,56 @@ def augment(mask: Mask, scale_x: float, scale_y: float,
 
     dx = np.arange(w, dtype=float) - cx
     dy = (np.arange(h, dtype=float) - cy)[:, None]
-    # inverse map: undo rotation, then undo scaling
-    sx = (c * dx + s * dy) / scale_x + cx
-    sy = (-s * dx + c * dy) / scale_y + cy
+    # inverse map: undo rotation, then undo scaling.  The full-frame arrays
+    # are updated in place, in the operation order of the plain expressions,
+    # so that each call allocates few of them.
+    fx = c * dx + s * dy
+    fx /= scale_x
+    fx += cx
+    fy = -s * dx + c * dy
+    fy /= scale_y
+    fy += cy
 
     # a 2-pixel zero border stands in for everything outside the frame:
-    # floor(sx) clipped to [-2, w] keeps both x neighbours in the padded
-    # field, and a pair wholly outside the frame still reads two zeros
+    # the floor of the source x clipped to [-2, w] keeps both x neighbours
+    # in the padded field, and a pair wholly outside the frame still reads
+    # two zeros
     pw = w + 4
     field = np.zeros((h + 4, pw))
     field[2:-2, 2:-2] = mask.pixels
     flat = field.ravel()
-    fsx = np.floor(sx)
-    fsy = np.floor(sy)
-    fx = sx - fsx
-    fy = sy - fsy
-    base = ((np.clip(fsy, -2, h).astype(np.intp) + 2) * pw
-            + np.clip(fsx, -2, w).astype(np.intp) + 2)
+    row = np.floor(fy)
+    fy -= row
+    col = np.floor(fx)
+    fx -= col
+    # flat index of the top-left neighbour; integers this small are exact
+    # in float64
+    np.clip(row, -2, h, out=row)
+    row += 2
+    row *= pw
+    np.clip(col, -2, w, out=col)
+    row += col
+    row += 2
+    base = row.astype(np.intp)
     v00 = flat[base]
-    v01 = flat[base + 1]
-    v10 = flat[base + pw]
-    v11 = flat[base + pw + 1]
-    sampled = (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
-               + v10 * (1 - fx) * fy + v11 * fx * fy)
-    return Mask(sampled >= 0.5)
+    v01 = flat[1:][base]
+    v10 = flat[pw:][base]
+    v11 = flat[pw + 1:][base]
+    # v00 (1-fx)(1-fy) + v01 fx (1-fy) + v10 (1-fx) fy + v11 fx fy
+    gx = 1 - fx
+    gy = 1 - fy
+    v00 *= gx
+    v00 *= gy
+    v01 *= fx
+    v01 *= gy
+    v00 += v01
+    v10 *= gx
+    v10 *= fy
+    v00 += v10
+    v11 *= fx
+    v11 *= fy
+    v00 += v11
+    return Mask(v00 >= 0.5)
 
 
 # ---------- synthetic pronotum generator ----------
