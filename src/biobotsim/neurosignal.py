@@ -187,7 +187,10 @@ def _block_matrices(sample_rate: float, low: float, high: float):
         rows += [s0, s1]
         s0, s1 = (p[0, 0] * s0 + p[0, 1] * s1 + e0,
                   p[1, 0] * s0 + p[1, 1] * s1 + e1)
-    return step, np.array(rows + [s0, s1])
+    carry = np.array(rows + [s0, s1])
+    step.setflags(write=False)   # the cache hands the same arrays to every call
+    carry.setflags(write=False)
+    return step, carry
 
 
 def bandpass_rows(x: np.ndarray, sample_rate: float,
