@@ -136,8 +136,7 @@ def blank_artifacts(t: Trace, edge_times, window: float = DEFAULT_BLANK_WINDOW) 
     return Trace(t.sample_rate, out)
 
 
-def biquad_coefficients(sample_rate: float, low: float = DEFAULT_BAND[0],
-                        high: float = DEFAULT_BAND[1]):
+def biquad_coefficients(sample_rate: float, low: float, high: float):
     """(b, a) of the single-biquad Butterworth bandpass, in closed form.
 
     Bilinear transform with both edges prewarped: K = 2 fs,
@@ -273,7 +272,7 @@ def detect_spikes(t: Trace, thresh: float,
 
 # traces per kernel call in run_spike_pipelines: it bounds the memory held;
 # the kernel's cost per trace barely depends on it
-LANES = 8
+_LANES = 8
 
 
 def run_spike_pipelines(traces, *, edge_times=DEFAULT_EDGE_TIMES,
@@ -282,12 +281,12 @@ def run_spike_pipelines(traces, *, edge_times=DEFAULT_EDGE_TIMES,
                         high: float = DEFAULT_BAND[1],
                         refractory: float = DEFAULT_REFRACTORY) -> list[SpikeTrain]:
     """Full detection chain over traces of one sample rate and length:
-    blank each, bandpass LANES of them per kernel call, then give each its
+    blank each, bandpass _LANES of them per kernel call, then give each its
     own robust threshold and detection.  traces may be a generator; at most
-    LANES of them are held at once."""
+    _LANES of them are held at once."""
     trains = []
     it = iter(traces)
-    while chunk := list(itertools.islice(it, LANES)):
+    while chunk := list(itertools.islice(it, _LANES)):
         rate = chunk[0].sample_rate
         if any(t.sample_rate != rate for t in chunk[1:]):
             raise ValueError("traces must share one sample rate")

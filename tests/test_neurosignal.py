@@ -26,6 +26,7 @@ from biobotsim.neurosignal import (
     read_trace_binary,
     read_trace_csv,
     run_spike_pipeline,
+    run_spike_pipelines,
     synth_neural_response,
     threshold,
     write_trace_binary,
@@ -294,6 +295,22 @@ def test_pipeline_equals_manual_stage_chain():
     auto = run_spike_pipeline(t, edge_times=())
     assert auto.indices.tolist() == st_.indices.tolist()
     assert auto.threshold_used == st_.threshold_used
+
+
+def test_batched_pipeline_equals_one_trace_calls():
+    traces = [synth_neural_response(3.0, seed) for seed in range(10)]
+    batched = run_spike_pipelines(iter(traces))   # more than one kernel call
+    assert len(batched) == len(traces)
+    for t, got in zip(traces, batched):
+        one = run_spike_pipeline(t)
+        assert got.indices.tolist() == one.indices.tolist()
+        assert got.threshold_used == one.threshold_used
+
+
+def test_batched_pipeline_rejects_mixed_sample_rates():
+    x = np.zeros(3000)
+    with pytest.raises(ValueError):
+        run_spike_pipelines([Trace(FS, x), Trace(FS / 2, x)], edge_times=())
 
 
 # ---------- voltage-response curve ----------
