@@ -1,7 +1,7 @@
 """biobotsim: hardware-free models of a cyborg-insect assembly line and
 swarm coverage experiment.
 
-Modules: morphology (fixation geometry), vision (pronotum masks and
+Modules: morphology (the fixation rig), vision (pronotum masks and
 metrics), assembly (pose planning and the process state machine),
 neurosignal (synthetic responses and spike detection), locomotion (calibrated agent
 dynamics), swarm (dispersion with UWB localization), config and cli.
@@ -10,15 +10,15 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .morphology import (FixationRig, InsectMorphology, exposure_safety_margin,
-                         exposure_sufficient, lifting_height, sample_morphology)
+from .morphology import (FixationRig, exposure_safety_margin,
+                         exposure_sufficient, lifting_height)
 from .vision import (Mask, PronotumShapeParams, ReferencePoint, SegMetrics,
                      augment, dsc, extract_reference_point, iou, mse_pr,
                      read_pgm, synth_pronotum, write_pgm)
 from .assembly import (AssemblyProcess, AssemblyState, ImplantPose,
                        PayloadSpec, PixelToArmCalibration, Workspace, advance,
-                       batch_assemble, check_payload, check_workspace,
-                       plan_assembly, solve_pitch, walk_all)
+                       batch_assemble, check_exposure, check_payload,
+                       check_workspace, plan_assembly, solve_pitch, walk_all)
 from .neurosignal import (SpikeTrain, Trace, bandpass, blank_artifacts,
                           detect_spikes, expected_spike_rate,
                           run_spike_pipeline, synth_neural_response,

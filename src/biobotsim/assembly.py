@@ -11,8 +11,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .morphology import (FixationRig, InsectMorphology, exposure_sufficient,
-                         lifting_height)
+from .morphology import FixationRig, exposure_sufficient, lifting_height
 from .vision import ReferencePoint
 
 # implantation pitch corridor bounds, degrees
@@ -177,25 +176,50 @@ def solve_pitch(alpha_lower: float = DEFAULT_ALPHA_LOWER,
     return (alpha_lower + alpha_upper) / 2.0
 
 
-def check_payload(spec: PayloadSpec) -> bool:
-    """Arm can carry the tooling and still see the work surface."""
+def check_payload(spec: PayloadSpec):
+    """Raise ValueError unless the arm can carry the tooling and still see
+    the work surface."""
     total = spec.gripper_mass + spec.camera_mass + spec.backpack_mass
-    return total <= spec.arm_payload_limit and spec.camera_min_depth < spec.arm_reach
+    if not total <= spec.arm_payload_limit:
+        raise ValueError(f"tooling mass {total!r} kg exceeds the arm payload "
+                         f"limit {spec.arm_payload_limit!r} kg")
+    if not spec.camera_min_depth < spec.arm_reach:
+        raise ValueError(f"camera minimum depth {spec.camera_min_depth!r} m is "
+                         f"not within the arm reach {spec.arm_reach!r} m")
 
 
 def check_workspace(ws: Workspace,
-                    approach_envelope: tuple[float, float, float]) -> bool:
-    """True when the axis-aligned approach envelope fits inside the box.
+                    approach_envelope: tuple[float, float, float]):
+    """Raise ValueError unless the axis-aligned approach envelope fits
+    inside the box.
 
     The fixture centers the approach corridor on the marked spot, so the
     check reduces to extent containment, boundary inclusive.
     """
     if any(e < 0.0 for e in approach_envelope):
         raise ValueError(f"approach envelope must be non-negative, got {approach_envelope}")
-    return all(e <= b for e, b in zip(approach_envelope, ws.box_dimensions))
+    if not all(e <= b for e, b in zip(approach_envelope, ws.box_dimensions)):
+        raise ValueError(f"approach envelope {approach_envelope} does not fit "
+                         f"the workspace box {ws.box_dimensions}")
 
 
-def plan_assembly(morph: InsectMorphology, p_r: ReferencePoint, rig: FixationRig,
+def check_exposure(rig: FixationRig) -> float:
+    """Lift at the rig's lowering distance.
+
+    Raises ValueError unless that lift exposes the mounting gap past the
+    electrode.
+    """
+    h = lifting_height(rig, rig.lowered_distance_d)
+    if not exposure_sufficient(rig, h):
+        raise ValueError(
+            f"insufficient exposure: lift {h * 1e3:.3f} mm at "
+            f"d = {rig.lowered_distance_d * 1e3:.3f} mm does not clear the "
+            f"electrode thickness {rig.electrode_thickness * 1e3:.3f} mm"
+        )
+    return h
+
+
+def plan_assembly(p_r: ReferencePoint, rig: FixationRig,
                   *, calibration: PixelToArmCalibration | None = None,
                   alpha_lower: float = DEFAULT_ALPHA_LOWER,
                   alpha_upper: float = DEFAULT_ALPHA_UPPER,
@@ -205,17 +229,11 @@ def plan_assembly(morph: InsectMorphology, p_r: ReferencePoint, rig: FixationRig
     fresh process in Idle.
 
     Requires the rig's configured lowering distance to expose the mounting
-    gap; raises ValueError otherwise.
+    gap (check_exposure).
     """
     if calibration is None:
         calibration = PixelToArmCalibration()
-    h = lifting_height(rig, rig.lowered_distance_d)
-    if not exposure_sufficient(rig, h):
-        raise ValueError(
-            f"insufficient exposure: lift {h * 1e3:.3f} mm at "
-            f"d = {rig.lowered_distance_d * 1e3:.3f} mm does not clear the "
-            f"electrode thickness {rig.electrode_thickness * 1e3:.3f} mm"
-        )
+    h = check_exposure(rig)
     pose = ImplantPose(
         reference_point_xyz=calibration.apply(p_r, h),
         pitch_alpha=solve_pitch(alpha_lower, alpha_upper),

@@ -26,8 +26,7 @@ from .config import (ConfigError, RunConfig, agent_params_from_config,
                      arena_from_config, config_digest, from_config,
                      load_config, uwb_from_config, workspace_from_config)
 from .morphology import (FixationRig, exposure_safety_margin,
-                         exposure_sufficient, lifting_height,
-                         sample_morphology)
+                         exposure_sufficient, lifting_height)
 from .seeding import child_seed
 
 ENV_OUTPUT_DIR = "BIOBOTSIM_OUTPUT_DIR"
@@ -84,28 +83,17 @@ def run_assemble(cfg: RunConfig, out_dir: Path, batch: int | None) -> int:
     payload = from_config(asm.PayloadSpec, cfg.assembly.payload)
     workspace = workspace_from_config(cfg.assembly)
 
-    mc = cfg.morphology
-    morph = sample_morphology(
-        child_seed(cfg.seed, "assemble.morph"),
-        body_length_range=mc.body_length_range_m,
-        pronotum_length_range=mc.pronotum_length_range_m,
-        pronotum_thickness_range=mc.pronotum_thickness_range_m,
-        abdominal_cuticle_length_range=mc.abdominal_cuticle_length_range_m,
-        abdominal_cuticle_thickness_range=mc.abdominal_cuticle_thickness_range_m,
-        antenna_diameter_range=mc.antenna_diameter_range_m)
     mask, p_r = vision.synth_pronotum(vision.PronotumShapeParams(),
                                       child_seed(cfg.seed, "assemble.mask"))
     extracted = vision.extract_reference_point(mask)
 
     pose, proc = asm.plan_assembly(
-        morph, extracted, rig, calibration=calibration,
+        extracted, rig, calibration=calibration,
         alpha_lower=cfg.assembly.alpha_lower_deg,
         alpha_upper=cfg.assembly.alpha_upper_deg,
         step_durations=cfg.assembly.step_durations_s)
-    if not asm.check_payload(payload):
-        raise ValueError("payload check failed: tooling exceeds the arm limits")
-    if not asm.check_workspace(workspace, cfg.assembly.approach_envelope_m):
-        raise ValueError("workspace check failed: approach envelope does not fit")
+    asm.check_payload(payload)
+    asm.check_workspace(workspace, cfg.assembly.approach_envelope_m)
 
     final, rows = asm.walk_all(proc)
     _write_csv(out_dir / "event_log.csv",
@@ -353,8 +341,6 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
 
 
 def run_fixation(cfg: RunConfig, points: int) -> int:
-    if points < 2:
-        raise ValueError(f"need at least 2 table points, got {points}")
     rig = from_config(FixationRig, cfg.rig)
     print("d_mm\th_mm\texposed\tsafety_margin")
     for i in range(points):
@@ -367,6 +353,17 @@ def run_fixation(cfg: RunConfig, points: int) -> int:
 
 
 # ---------- entry ----------
+
+def _count(minimum: int):
+    """argparse type for a count flag: an integer of at least minimum."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {n}")
+        return n
+    return count
+
 
 def _build_parser() -> argparse.ArgumentParser:
     # the shared flags live both on the top-level parser and on every
@@ -390,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assemble", parents=[common],
                        help="plan one unit and walk the process")
-    p.add_argument("--batch", type=int, default=None,
+    p.add_argument("--batch", type=_count(1), default=None,
                    help="also report total time for N sequential units")
 
     p = sub.add_parser("spikes", parents=[common],
@@ -402,14 +399,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=float, nargs=3, default=None,
                    metavar=("START", "STOP", "STEP"),
                    help="voltage sweep; writes mean/sd spike counts")
-    p.add_argument("--sweep-seeds", type=int, default=50,
+    p.add_argument("--sweep-seeds", type=_count(1), default=50,
                    help="seeds per sweep voltage (default 50)")
 
     p = sub.add_parser("coverage", parents=[common],
                        help="run the dispersion experiment")
-    p.add_argument("--seeds", type=int, default=None,
+    p.add_argument("--seeds", type=_count(1), default=None,
                    help="run a batch of N seeds and aggregate")
-    p.add_argument("--agents", type=int, default=None,
+    p.add_argument("--agents", type=_count(1), default=None,
                    help="override the configured agent count")
 
     p = sub.add_parser("metrics", parents=[common],
@@ -421,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixation", parents=[common],
                        help="print the lift-height table")
-    p.add_argument("--points", type=int, default=9,
+    p.add_argument("--points", type=_count(2), default=9,
                    help="table rows (default 9)")
     return parser
 

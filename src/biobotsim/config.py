@@ -23,11 +23,7 @@ from . import neurosignal as ns
 from . import swarm as sw
 from .assembly import PayloadSpec, PixelToArmCalibration, Workspace
 from .locomotion import AgentParams, PRESETS
-from .morphology import (ABDOMINAL_CUTICLE_LENGTH_RANGE,
-                         ABDOMINAL_CUTICLE_THICKNESS_RANGE,
-                         ANTENNA_DIAMETER_RANGE, BODY_LENGTH_RANGE,
-                         FixationRig, PRONOTUM_LENGTH_RANGE,
-                         PRONOTUM_THICKNESS_RANGE)
+from .morphology import FixationRig
 from .swarm import Arena, Rect, UwbSystem
 
 SCHEMA_VERSION = 1
@@ -40,23 +36,12 @@ class ConfigError(Exception):
 # ---------- schema blocks ----------
 
 @dataclass(frozen=True)
-class MorphologyConfig:
-    body_length_range_m: tuple[float, float] = BODY_LENGTH_RANGE
-    pronotum_length_range_m: tuple[float, float] = PRONOTUM_LENGTH_RANGE
-    pronotum_thickness_range_m: tuple[float, float] = PRONOTUM_THICKNESS_RANGE
-    abdominal_cuticle_length_range_m: tuple[float, float] = ABDOMINAL_CUTICLE_LENGTH_RANGE
-    abdominal_cuticle_thickness_range_m: tuple[float, float] = ABDOMINAL_CUTICLE_THICKNESS_RANGE
-    antenna_diameter_range_m: tuple[float, float] = ANTENNA_DIAMETER_RANGE
-
-
-@dataclass(frozen=True)
 class RigConfig:
     rod_a_initial_clearance_m: float = FixationRig.rod_a_initial_clearance
     lowered_distance_d_m: float = FixationRig.lowered_distance_d
     saturation_d_m: float = FixationRig.saturation_d
     saturation_height_h_max_m: float = FixationRig.saturation_height_h_max
     electrode_thickness_m: float = FixationRig.electrode_thickness
-    lifting_jitter_sd_m: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -146,7 +131,6 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 42
     output_dir: str = "out"
-    morphology: MorphologyConfig = field(default_factory=MorphologyConfig)
     rig: RigConfig = field(default_factory=RigConfig)
     assembly: AssemblyConfig = field(default_factory=AssemblyConfig)
     neurosignal: NeuroConfig = field(default_factory=NeuroConfig)
@@ -272,7 +256,9 @@ def _at(path: str):
 # config key of each neurosignal.check_params parameter
 _NEURO_KEYS = {"sample_rate": "sample_rate_hz", "low": "bandpass_low_hz",
                "high": "bandpass_high_hz", "blank_window": "blank_window_s",
-               "refractory": "refractory_s"}
+               "refractory": "refractory_s", "duration": "synth_duration_s",
+               "noise_sd": "synth_noise_sd_v", "r_min": "r_min_hz",
+               "r_max": "r_max_hz"}
 
 
 def _validate(cfg: RunConfig):
@@ -281,12 +267,17 @@ def _validate(cfg: RunConfig):
     try:
         ns.check_params(nc.sample_rate_hz,
                         (nc.bandpass_low_hz, nc.bandpass_high_hz),
-                        nc.blank_window_s, nc.refractory_s)
+                        nc.blank_window_s, nc.refractory_s,
+                        duration=nc.synth_duration_s,
+                        noise_sd=nc.synth_noise_sd_v,
+                        rates=(nc.r_min_hz, nc.r_max_hz))
     except ns.ParamError as exc:
         raise ConfigError(
             f"neurosignal.{_NEURO_KEYS[exc.name]}: {exc}") from exc
     with _at("rig"):
-        from_config(FixationRig, cfg.rig)
+        asm.check_exposure(from_config(FixationRig, cfg.rig))
+    with _at("assembly.payload"):
+        asm.check_payload(from_config(PayloadSpec, ac.payload))
     with _at("assembly"):
         asm.AssemblyProcess(step_durations=ac.step_durations_s)
         asm.solve_pitch(ac.alpha_lower_deg, ac.alpha_upper_deg)

@@ -54,13 +54,12 @@ class AgentParams:
     decel_time: float = 0.33
     recovery_tau: float = 1.0
     heading_diffusion: float = 3000.0
-    body_length: float = 0.055
     command_duration: float = DEFAULT_COMMAND_DURATION
 
     def __post_init__(self):
         for name in ("max_ang_speed_left", "max_ang_speed_right",
                      "walk_speed_mean", "decel_time", "recovery_tau",
-                     "body_length", "command_duration"):
+                     "command_duration"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("turn_angle_sd", "decel_min_speed_sd",

@@ -92,11 +92,15 @@ class ParamError(ValueError):
 
 def check_params(sample_rate: float, band: tuple[float, float] | None = None,
                  blank_window: float | None = None,
-                 refractory: float | None = None):
-    """The one check of the pipeline's parameters, shared by the stages and
-    by config loading.  A parameter left as None is not checked.  Raises
-    ParamError naming the first bad one: sample_rate, low, high,
-    blank_window or refractory."""
+                 refractory: float | None = None, *,
+                 duration: float | None = None,
+                 noise_sd: float | None = None,
+                 rates: tuple[float, float] | None = None):
+    """The one check of the pipeline's and the synthesizer's parameters,
+    shared by the stages, synth_neural_response and config loading.  A
+    parameter left as None is not checked.  Raises ParamError naming the
+    first bad one: sample_rate, low, high, blank_window, refractory,
+    duration, noise_sd, r_min or r_max."""
     if not sample_rate > 0.0:
         raise ParamError("sample_rate", f"must be positive, got {sample_rate!r}")
     if band is not None:
@@ -113,6 +117,17 @@ def check_params(sample_rate: float, band: tuple[float, float] | None = None,
                          f"must be non-negative, got {blank_window!r}")
     if refractory is not None and not refractory >= 0.0:
         raise ParamError("refractory", f"must be non-negative, got {refractory!r}")
+    if duration is not None and not duration > 0.0:
+        raise ParamError("duration", f"must be positive, got {duration!r}")
+    if noise_sd is not None and not noise_sd >= 0.0:
+        raise ParamError("noise_sd", f"must be non-negative, got {noise_sd!r}")
+    if rates is not None:
+        r_min, r_max = rates
+        if not r_min >= 0.0:
+            raise ParamError("r_min", f"must be non-negative, got {r_min!r}")
+        if not r_max >= r_min:
+            raise ParamError("r_max", f"must be at least r_min ({r_min} Hz), "
+                                      f"got {r_max!r}")
 
 
 def blank_artifacts(t: Trace, edge_times, window: float = DEFAULT_BLANK_WINDOW) -> Trace:
@@ -352,6 +367,8 @@ def synth_neural_response(stim_voltage: float, rng_seed: int,
     artifacts are placed at the stimulation edges so the blanking stage has
     something real to remove.  Deterministic per seed.
     """
+    check_params(sample_rate, duration=duration, noise_sd=noise_sd,
+                 rates=(r_min, r_max))
     rate = expected_spike_rate(stim_voltage, r_min, r_max)
     rng = np.random.default_rng(rng_seed)
     n = int(round(duration * sample_rate))

@@ -9,7 +9,7 @@ a fixed rate alongside the truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -389,7 +389,6 @@ class SwarmRun:
     agent_coverage_pct: np.ndarray    # [n_agents, n_log]
     union_coverage_pct: np.ndarray    # [n_log]
     union_grid: CoverageGrid
-    agent_grids: list = field(default_factory=list)
 
     @property
     def final_union_coverage(self) -> float:
@@ -405,30 +404,23 @@ def coverage_rate(run: SwarmRun) -> float:
     return run.union_grid.visited_count * cell_cm2 / elapsed
 
 
-def spawn_states(arena: Arena, n_agents: int, rngs,
-                 walk_speed: float | None = None,
-                 params_per_agent: Sequence[AgentParams] | None = None,
-                 ) -> list[AgentState]:
+def spawn_states(arena: Arena, params_per_agent: Sequence[AgentParams],
+                 rngs) -> list[AgentState]:
     """Place agents on a small ring inside the release corner cell, headed
-    roughly toward the arena center."""
+    roughly toward the arena center at their mean walking speed."""
     cell = arena.release_cell_rect()
     ccx = (cell.x_min + cell.x_max) / 2.0
     ccy = (cell.y_min + cell.y_max) / 2.0
+    n_agents = len(params_per_agent)
     states = []
-    for i in range(n_agents):
-        phi = 2.0 * math.pi * i / max(n_agents, 1)
+    for i, params in enumerate(params_per_agent):
+        phi = 2.0 * math.pi * i / n_agents
         x = ccx + 0.03 * math.cos(phi)
         y = ccy + 0.03 * math.sin(phi)
         bearing = math.degrees(math.atan2(arena.height / 2.0 - y,
                                           arena.width / 2.0 - x))
         heading = (bearing + rngs[i].uniform(-45.0, 45.0)) % 360.0
-        if walk_speed is not None:
-            speed = walk_speed
-        elif params_per_agent is not None:
-            speed = params_per_agent[i].walk_speed_mean
-        else:
-            raise ValueError("need walk_speed or params_per_agent")
-        states.append(AgentState(x, y, heading, speed))
+        states.append(AgentState(x, y, heading, params.walk_speed_mean))
     return states
 
 
@@ -543,8 +535,7 @@ def simulate(arena: Arena, uwb: UwbSystem,
     uwb_rng = np.random.default_rng(child_seed(seed, "swarm.uwb"))
 
     if initial_states is None:
-        states = spawn_states(arena, n_agents, motion_rngs,
-                              params_per_agent=params_per_agent)
+        states = spawn_states(arena, params_per_agent, motion_rngs)
     else:
         if len(initial_states) != n_agents:
             raise ValueError("initial_states length must match params_per_agent")
@@ -596,7 +587,6 @@ def simulate(arena: Arena, uwb: UwbSystem,
         counts = np.bincount(t.ravel(), minlength=never_seen + 1).cumsum()
         return 100.0 * counts[:n_log] / union_grid.total_cells
 
-    agent_grids = [CoverageGrid(cell_size, t <= n_log) for t in ticks]
     union_grid.visited = union_ticks <= n_log
     return SwarmRun(seed=seed, dt=dt, stim_period=stim_period,
                     duration=duration, arena=arena, uwb=uwb,
@@ -605,4 +595,4 @@ def simulate(arena: Arena, uwb: UwbSystem,
                     commands=commands,
                     agent_coverage_pct=np.array([curve(t) for t in ticks]),
                     union_coverage_pct=curve(union_ticks),
-                    union_grid=union_grid, agent_grids=agent_grids)
+                    union_grid=union_grid)

@@ -20,7 +20,7 @@ from biobotsim.assembly import (
     solve_pitch,
     walk_all,
 )
-from biobotsim.morphology import FixationRig, sample_morphology
+from biobotsim.morphology import FixationRig
 from biobotsim.vision import ReferencePoint
 
 # full legal walk with default durations, frozen
@@ -77,31 +77,35 @@ def test_pose_rejects_pitch_outside_corridor():
 def test_default_payload_is_feasible():
     spec = PayloadSpec()
     assert spec.gripper_mass + spec.camera_mass + spec.backpack_mass == pytest.approx(1.0773)
-    assert check_payload(spec)
+    check_payload(spec)
 
 
 def test_payload_fails_under_small_arm_limit():
-    assert not check_payload(PayloadSpec(arm_payload_limit=1.0))
+    with pytest.raises(ValueError, match="payload limit"):
+        check_payload(PayloadSpec(arm_payload_limit=1.0))
 
 
 def test_payload_fails_with_heavy_backpack():
-    assert not check_payload(PayloadSpec(backpack_mass=2.5))
+    with pytest.raises(ValueError, match="payload limit"):
+        check_payload(PayloadSpec(backpack_mass=2.5))
 
 
 def test_payload_fails_when_camera_cannot_focus():
-    assert not check_payload(PayloadSpec(camera_min_depth=0.6))
+    with pytest.raises(ValueError, match="arm reach"):
+        check_payload(PayloadSpec(camera_min_depth=0.6))
 
 
 def test_small_envelope_fits_workspace():
-    assert check_workspace(Workspace(), (0.01, 0.01, 0.01))
+    check_workspace(Workspace(), (0.01, 0.01, 0.01))
 
 
 def test_oversized_envelope_fails_on_one_axis():
-    assert not check_workspace(Workspace(), (0.07, 0.01, 0.01))
+    with pytest.raises(ValueError, match="does not fit"):
+        check_workspace(Workspace(), (0.07, 0.01, 0.01))
 
 
 def test_exact_box_envelope_is_boundary_inclusive():
-    assert check_workspace(Workspace(), (0.065, 0.035, 0.025))
+    check_workspace(Workspace(), (0.065, 0.035, 0.025))
 
 
 def test_negative_envelope_rejected():
@@ -206,8 +210,7 @@ def test_process_rejects_nonpositive_durations():
 # ---------- planning ----------
 
 def test_plan_assembly_defaults():
-    pose, proc = plan_assembly(sample_morphology(0), ReferencePoint(128, 200),
-                               FixationRig())
+    pose, proc = plan_assembly(ReferencePoint(128, 200), FixationRig())
     assert pose.pitch_alpha == pytest.approx(162.65, abs=1e-12)
     assert pose.reference_point_xyz == (128.0, 200.0, 0.0019)
     assert proc.state is AssemblyState.IDLE
@@ -217,14 +220,14 @@ def test_plan_assembly_defaults():
 def test_plan_assembly_requires_exposure():
     rig = FixationRig(lowered_distance_d=0.0)
     with pytest.raises(ValueError, match="exposure"):
-        plan_assembly(sample_morphology(0), ReferencePoint(10, 10), rig)
+        plan_assembly(ReferencePoint(10, 10), rig)
 
 
 def test_plan_assembly_applies_calibration():
     cal = PixelToArmCalibration(scale_x=0.001, scale_y=0.001,
                                 offset_x=-0.05, offset_y=-0.05, offset_z=0.1)
-    pose, _ = plan_assembly(sample_morphology(0), ReferencePoint(100, 100),
-                            FixationRig(), calibration=cal)
+    pose, _ = plan_assembly(ReferencePoint(100, 100), FixationRig(),
+                            calibration=cal)
     assert pose.reference_point_xyz[0] == pytest.approx(0.05)
     assert pose.reference_point_xyz[1] == pytest.approx(0.05)
     assert pose.reference_point_xyz[2] == pytest.approx(0.1019)

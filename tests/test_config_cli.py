@@ -77,7 +77,7 @@ def test_default_config_digest_is_pinned():
     # defaults are read from the domain modules; a drifted default or an
     # added or removed key changes every run's config_sha256
     assert config_digest(RunConfig()) == (
-        "51307f0e812222d06536e3a4997deed0a3a2a4fe0daa3b5b93bca1234408527e")
+        "b4461a91f3016f8e8925606d64646549a78b3b9929be219443a87359379d9e09")
 
 
 def test_block_adapters_build_the_domain_defaults():
@@ -206,9 +206,24 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
     ({"assembly": {"alpha_lower_deg": 170.0}}, "assembly", "infeasible"),
     ({"assembly": {"approach_envelope_m": [-0.01, 0.01, 0.01]}},
      "assembly", "envelope"),
+    ({"rig": {"saturation_height_h_max_m": 1e-4}}, "rig",
+     "insufficient exposure"),
+    ({"assembly": {"payload": {"gripper_mass_kg": 5.0}}}, "assembly.payload",
+     "exceeds the arm payload limit"),
+    ({"assembly": {"approach_envelope_m": [1.0, 1.0, 1.0]}}, "assembly",
+     "does not fit the workspace box"),
+    ({"neurosignal": {"synth_noise_sd_v": -1.0}},
+     "neurosignal.synth_noise_sd_v", "must be non-negative"),
+    ({"neurosignal": {"synth_duration_s": 0.0}},
+     "neurosignal.synth_duration_s", "must be positive"),
+    ({"neurosignal": {"r_max_hz": -5.0}}, "neurosignal.r_max_hz",
+     "must be at least r_min"),
+    ({"neurosignal": {"r_min_hz": -5.0}}, "neurosignal.r_min_hz",
+     "must be non-negative"),
 ], ids=["duration", "dt-bound", "tiling", "stim-period", "log-interval",
         "rig", "arena", "step-bool", "step-string", "step-zero", "corridor",
-        "envelope"])
+        "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
+        "synth-duration", "r-max", "r-min"])
 def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
                                                 path, text):
     err = _exit_2_message(tmp_path, capsys, dict(data, schema_version=1))
@@ -307,14 +322,12 @@ def test_assemble_batch_total(tmp_path, capsys):
     assert doc["batch_total_s"] == 468.0
 
 
-def test_assemble_zero_lowering_fails_at_runtime(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, {"schema_version": 1,
-                                "rig": {"lowered_distance_d_m": 0.0}})
-    rc = cli.main(["assemble", "--config", str(cfg),
-                   "--output-dir", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 4
-    assert "exposure" in err
+def test_assemble_zero_lowering_fails_at_runtime(tmp_path):
+    # config loading rejects this rig; a RunConfig built in code skips
+    # loading, and the run applies the same exposure check
+    cfg = RunConfig(rig=RigConfig(lowered_distance_d_m=0.0))
+    with pytest.raises(ValueError, match="insufficient exposure"):
+        cli.run_assemble(cfg, tmp_path / "out", None)
 
 
 # ---------- spikes ----------
@@ -443,10 +456,11 @@ def test_coverage_batch_mode(tmp_path, capsys):
 
 def test_coverage_rejects_zero_agents(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, _quick_swarm_cfg(duration=10.0))
-    rc = cli.main(["coverage", "--config", str(cfg), "--agents", "0",
-                   "--output-dir", str(tmp_path / "out")])
-    assert rc == 4
-    assert "at least one agent" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coverage", "--config", str(cfg), "--agents", "0",
+                  "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --agents: must be at least 1" in capsys.readouterr().err
 
 
 # ---------- metrics ----------
@@ -561,9 +575,32 @@ def test_fixation_table(capsys):
 
 
 def test_fixation_rejects_single_point(capsys):
-    rc = cli.main(["fixation", "--points", "1"])
-    assert rc == 4
-    assert "at least 2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fixation", "--points", "1"])
+    assert exc.value.code == 2
+    assert "argument --points: must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, minimum", [
+    (["coverage", "--seeds", "0"], "--seeds", 1),
+    (["coverage", "--seeds", "-1"], "--seeds", 1),
+    (["spikes", "--sweep", "0.5", "1.0", "0.5", "--sweep-seeds", "0"],
+     "--sweep-seeds", 1),
+    (["spikes", "--sweep", "0.5", "1.0", "0.5", "--sweep-seeds", "-3"],
+     "--sweep-seeds", 1),
+    (["coverage", "--agents", "0"], "--agents", 1),
+    (["assemble", "--batch", "0"], "--batch", 1),
+    (["fixation", "--points", "1"], "--points", 2),
+], ids=["seeds-0", "seeds-neg", "sweep-seeds-0", "sweep-seeds-neg", "agents",
+        "batch", "points"])
+def test_count_flags_below_their_minimum_exit_2(tmp_path, capsys, argv, flag,
+                                                minimum):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least {minimum}, got " in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------- seeds, env, determinism ----------

@@ -27,7 +27,7 @@ GOLDEN = {
         "coverage.csv":
             "78b72f8ce66c0b90843739511a20f488f9c99b8a1b6b409604f27f0f3762062d",
         "summary.json":
-            "2c95b6acdca773323b37a455b1be1ec73e26d53f9729c75b95864e080ee0942b",
+            "a7f07e7c547170ca6a546863fbb8aa72ed2be11c7aba519e34ab5ef510bacda8",
     },
     "estimated": {
         "trajectory.csv":
@@ -35,13 +35,13 @@ GOLDEN = {
         "coverage.csv":
             "40f04abc18e941ef0be5cef3a0a0f9b0f1421991801e148e7d9d18a18e2a7710",
         "summary.json":
-            "9e235d52571d4defe492c6bfd6cd2ddd1ce2f559acf52127744b059176df3743",
+            "71cb25b4afd0691e459d917713afdb0a05fa3b2d65e76e3dd01643a52aa7653c",
     },
     "seeds3": {
         "coverage.csv":
             "9744d0f11c4f277b897ed6734b51631d26057c5ab84093fbdcf6128586f44af9",
         "summary.json":
-            "485e564af0f762f55daac67e0f6c4a49763f0e5d1a97a78043a80538368a4013",
+            "3967d442c6128d30ab8a14aa352a38119fdb62ff1ab79a27a25c0b881f2b55c4",
     },
 }
 
@@ -172,10 +172,10 @@ SPIKES_SEED = 3
 # and 3.0 V (3.0 V: 2.731087163590139e-05 to 2.7310871635901424e-05);
 # every n_spikes is unchanged.
 GOLDEN_SPIKES_JSON = {
-    0.5: "bcde3dbb24b85f29c2cfd812250a90e26c00e0769b69ea748643af2d30b8a17a",
-    2.0: "8e98bc016b3d08e1cd4790f6a61de395bc4452a72030fa286d310002c1432039",
-    3.0: "bd3fcc59ab6eac98be30c46c7a9cea3526b03fd64234cd41166bd73c3d2ebcba",
-    4.0: "7c1c91a0c8b435007c72672b5daa5329cdf83059b29006991ff1f2a7a27821d8",
+    0.5: "150da4a843a9206c8636a887149977392b9e99267246c16445a6dc2be1af8b16",
+    2.0: "47723b3e20dbd6822f8a7b812a28d4ee7a24601fdfb8ec46a4564ccc96fb2702",
+    3.0: "818c6092c4aa9c367f670ab755e21256209a09ae08edf1389e2a0365942bd5a0",
+    4.0: "badb03e416ae5b71a3231191c054da0fb36dcf701b83d4e7468f6cbfb1c3e74f",
 }
 
 # the 15 x 50 sweep of the voltage-response protocol

@@ -58,7 +58,6 @@ def test_shared_response_spreads():
         assert p.decel_min_speed_sd == 0.013
         assert p.decel_time == 0.33
         assert p.command_duration == 0.4
-        assert p.body_length == 0.055
 
 
 def test_preset_registry():

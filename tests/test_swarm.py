@@ -247,7 +247,7 @@ def test_interior_moves_pass_through():
 def test_spawn_ring_inside_release_cell():
     arena = Arena()
     rngs = [np.random.default_rng(i) for i in range(4)]
-    states = spawn_states(arena, 4, rngs, walk_speed=0.063)
+    states = spawn_states(arena, [AUTO_PRESET] * 4, rngs)
     xs = [s.x for s in states]
     ys = [s.y for s in states]
     assert xs == pytest.approx([0.08, 0.05, 0.02, 0.05], abs=1e-9)
@@ -256,11 +256,6 @@ def test_spawn_ring_inside_release_cell():
         assert s.speed == 0.063
         assert 0.0 <= s.heading < 360.0
         assert s.active_command is None
-
-
-def test_spawn_requires_a_speed_source():
-    with pytest.raises(ValueError):
-        spawn_states(Arena(), 2, [np.random.default_rng(0)] * 2)
 
 
 # ---------- full runs ----------
