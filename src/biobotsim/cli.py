@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 config error, 3 input data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -44,12 +46,14 @@ class InputDataError(Exception):
 
 # ---------- deterministic, atomic output ----------
 
-def _atomic_write_text(path: Path, text: str):
+def _atomic_write_lines(path: Path, lines):
+    """Write an iterable of text lines to path through a temp file, so the
+    path holds either the old file or the whole new one."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,21 +61,16 @@ def _atomic_write_text(path: Path, text: str):
         raise
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write the header and rows line by line; rows may be a generator.
+    Floats print as their repr, which str gives for a Python float."""
+    _atomic_write_lines(path, itertools.chain(
+        [",".join(header) + "\n"],
+        (",".join(map(str, row)) + "\n" for row in rows)))
 
 
 def _write_json(path: Path, payload: dict):
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
 # ---------- subcommands ----------
@@ -145,8 +144,6 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
 
     if sweep is not None:
         start, stop, step_v = sweep
-        if step_v <= 0 or stop < start:
-            raise ValueError(f"bad sweep range {sweep}")
         n_points = int(round((stop - start) / step_v)) + 1
         rows = []
         for vi in range(n_points):
@@ -212,15 +209,10 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
 
     if seeds is None:
         run = sw.simulate(arena, uwb, params, seed=cfg.seed, **common)
-        traj_rows = []
-        for li, t in enumerate(run.log_t):
-            for i in range(run.n_agents):
-                traj_rows.append((float(t), i,
-                                  float(run.true_xy[i, li, 0]),
-                                  float(run.true_xy[i, li, 1]),
-                                  float(run.est_xy[i, li, 0]),
-                                  float(run.est_xy[i, li, 1]),
-                                  run.commands[i][li]))
+        traj_rows = ((t, i, *run.true_xy[i, li].tolist(),
+                      *run.est_xy[i, li].tolist(), run.commands[i][li])
+                     for li, t in enumerate(run.log_t.tolist())
+                     for i in range(run.n_agents))
         _write_csv(out_dir / "trajectory.csv",
                    ["t_s", "agent_id", "x_true_m", "y_true_m",
                     "x_est_m", "y_est_m", "command"], traj_rows)
@@ -253,21 +245,19 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
         print(f"coverage rate: {rate:.2f} cm^2/s")
         return EXIT_OK
 
-    # batch mode: per-seed runs merged in deterministic seed order
+    # batch mode: per-seed runs merged in deterministic seed order; each
+    # run is dropped before the next starts, keeping only what is merged
     finals = []
     rates = []
-    unions = None
-    log_t = None
+    unions = []
     run_seeds = [child_seed(cfg.seed, "coverage.batch", i) for i in range(seeds)]
     for rs in run_seeds:
         run = sw.simulate(arena, uwb, params, seed=rs, **common)
         finals.append(run.final_union_coverage)
         rates.append(sw.coverage_rate(run))
-        if unions is None:
-            unions = [run.union_coverage_pct]
-            log_t = run.log_t
-        else:
-            unions.append(run.union_coverage_pct)
+        unions.append(run.union_coverage_pct)
+        log_t = run.log_t
+        del run
     stack = np.vstack(unions)
     rows = [(float(t), float(m), float(s))
             for t, m, s in zip(log_t, stack.mean(axis=0), stack.std(axis=0))]
@@ -426,6 +416,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "sweep", None) is not None:
+        start, stop, step_v = args.sweep
+        if not (all(map(math.isfinite, args.sweep)) and step_v > 0
+                and stop >= start):
+            parser.error(f"argument --sweep: need finite START <= STOP and "
+                         f"STEP > 0, got {start} {stop} {step_v}")
     config_path = getattr(args, "config", None)
     seed_flag = getattr(args, "seed", None)
     output_flag = getattr(args, "output_dir", None)

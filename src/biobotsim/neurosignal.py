@@ -117,8 +117,13 @@ def check_params(sample_rate: float, band: tuple[float, float] | None = None,
                          f"must be non-negative, got {blank_window!r}")
     if refractory is not None and not refractory >= 0.0:
         raise ParamError("refractory", f"must be non-negative, got {refractory!r}")
-    if duration is not None and not duration > 0.0:
-        raise ParamError("duration", f"must be positive, got {duration!r}")
+    if duration is not None:
+        if not duration > 0.0:
+            raise ParamError("duration", f"must be positive, got {duration!r}")
+        w = len(_spikelet(sample_rate))
+        if int(round(duration * sample_rate)) <= w:
+            raise ParamError("duration", f"{duration!r} s is too short to hold "
+                                         f"one {w}-sample spikelet")
     if noise_sd is not None and not noise_sd >= 0.0:
         raise ParamError("noise_sd", f"must be non-negative, got {noise_sd!r}")
     if rates is not None:

@@ -4,7 +4,9 @@ Agents follow the locomotion dynamics, reflect specularly off arena walls
 and obstacle faces, and receive a random stimulation command every
 stim_period seconds.  Coverage is accounted on a square cell grid from
 true positions; position estimates from noisy anchor ranges are logged at
-a fixed rate alongside the truth.
+a fixed rate alongside the truth.  Every fix starts from the anchor
+centroid, so all fixes of a run are solved together by one lane-wise
+Gauss-Newton kernel.
 """
 from __future__ import annotations
 
@@ -171,6 +173,19 @@ class CoverageGrid:
         return ix, iy
 
 
+def _first_ticks(grid: CoverageGrid, xy: np.ndarray, never_seen: int
+                 ) -> np.ndarray:
+    """Index of the first position in xy [n, 2] that falls in each cell,
+    never_seen for a cell none falls in; cells as cell_index assigns them."""
+    ix = np.clip(np.floor(xy[:, 0] / grid.cell_size), 0, grid.nx - 1)
+    iy = np.clip(np.floor(xy[:, 1] / grid.cell_size), 0, grid.ny - 1)
+    cells, first = np.unique((iy * grid.nx + ix).astype(np.intp),
+                             return_index=True)
+    ticks = np.full(grid.total_cells, never_seen)
+    ticks[cells] = first
+    return ticks
+
+
 def update_coverage(grid: CoverageGrid, pos: tuple[float, float]) -> CoverageGrid:
     """Mark the cell containing pos; returns the same grid, updated."""
     ix, iy = grid.cell_index(pos[0], pos[1])
@@ -184,19 +199,28 @@ def coverage_percent(grid: CoverageGrid) -> float:
 
 # ---------- UWB localization ----------
 
+# lanes per Gauss-Newton block: bounds the kernel's temporaries, and
+# 1,024-4,096 lanes ran fastest on a 2-vCPU Xeon
+_FIX_LANES = 4096
+
+
+def _fix_ranges(xy: np.ndarray, uwb: UwbSystem, rng) -> np.ndarray:
+    """Noisy anchor ranges [m, k] from true positions [m, 2].  The noise is
+    one block draw, which is the stream of scalar rng.normal() draws in
+    (position, anchor) order."""
+    anchors = np.array(uwb.anchors)
+    d = np.hypot(xy[:, :1] - anchors[:, 0], xy[:, 1:] - anchors[:, 1])
+    if uwb.range_noise_sd > 0.0:
+        d += uwb.range_noise_sd * rng.normal(size=d.shape)
+    return np.maximum(d, 0.0, out=d)
+
+
 def simulate_ranges(true_pos: tuple[float, float], uwb: UwbSystem,
                     rng=None) -> list[float]:
     """Anchor distances with additive Gaussian noise, clamped at zero."""
     if uwb.range_noise_sd > 0.0 and rng is None:
         raise ValueError("range_noise_sd > 0 requires an rng")
-    x, y = true_pos
-    out = []
-    for ax, ay in uwb.anchors:
-        d = math.hypot(x - ax, y - ay)
-        if uwb.range_noise_sd > 0.0:
-            d += uwb.range_noise_sd * rng.normal()
-        out.append(max(d, 0.0))
-    return out
+    return _fix_ranges(np.array([true_pos], dtype=float), uwb, rng)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -205,6 +229,68 @@ class MultilaterationResult:
     rms_residual: float
     converged: bool
     iterations: int
+
+
+def _solve_fixes(ranges: np.ndarray, anchors, start: np.ndarray,
+                 tol: float = 1e-9, max_iter: int = 50,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Newton least squares for many fixes at once, one lane per row
+    of ranges [m, k], from start [m, 2].
+
+    Each lane follows its own iteration: a lane whose normal matrix is
+    singular stops where it is, unconverged, and a lane whose step norm
+    drops below tol has converged.  Lanes still moving after max_iter return their last
+    iterate.  Lanes leave the working set as they finish, and every lane's
+    arithmetic is independent of the others, so a lane gives the same bits
+    alone or in any batch.  Returns positions [m, 2], converged [m] and
+    iteration counts [m].
+    """
+    m = len(ranges)
+    xy = np.empty((m, 2))
+    converged = np.zeros(m, dtype=bool)
+    iterations = np.full(m, max_iter)
+    lane = np.arange(m)
+    x, y = start[:, 0].copy(), start[:, 1].copy()
+    r = ranges.T.copy()
+    for it in range(1, max_iter + 1):
+        if not lane.size:
+            break
+        jtj00 = jtj01 = jtj11 = rhs0 = rhs1 = 0.0
+        for (ax, ay), rk in zip(anchors, r):
+            dx, dy = x - ax, y - ay
+            d = np.maximum(np.hypot(dx, dy), 1e-12)
+            ux, uy = dx / d, dy / d
+            f = rk - d
+            # residual f = r - |p - a|, Jacobian row = (-ux, -uy)
+            jtj00 = jtj00 + ux * ux
+            jtj01 = jtj01 + ux * uy
+            jtj11 = jtj11 + uy * uy
+            rhs0 = rhs0 + ux * f
+            rhs1 = rhs1 + uy * f
+        det = jtj00 * jtj11 - jtj01 * jtj01
+        flat = det == 0.0
+        det[flat] = np.inf          # a zero step: singular lanes stay put
+        sx = (rhs0 * jtj11 - rhs1 * jtj01) / det
+        sy = (rhs1 * jtj00 - rhs0 * jtj01) / det
+        x += sx
+        y += sy
+        done = flat | (np.hypot(sx, sy) < tol)
+        if done.any():
+            gone = lane[done]
+            xy[gone, 0] = x[done]
+            xy[gone, 1] = y[done]
+            converged[gone] = ~flat[done]
+            iterations[gone] = it
+            keep = ~done
+            lane, x, y, r = lane[keep], x[keep], y[keep], r[:, keep]
+    xy[lane, 0] = x
+    xy[lane, 1] = y
+    return xy, converged, iterations
+
+
+def _centroid(anchors) -> tuple[float, float]:
+    return (sum(a[0] for a in anchors) / len(anchors),
+            sum(a[1] for a in anchors) / len(anchors))
 
 
 def multilaterate(ranges: Sequence[float], uwb: UwbSystem,
@@ -216,7 +302,8 @@ def multilaterate(ranges: Sequence[float], uwb: UwbSystem,
     Minimizes sum_i (r_i - |p - a_i|)^2 from the anchor centroid (or the
     given guess), stopping when the step norm drops below tol.  If the
     iteration cap is hit first the best iterate is returned flagged as
-    unconverged.
+    unconverged.  This is the one-fix call of the kernel that solves all
+    fixes of a run.
     """
     anchors = uwb.anchors
     if len(ranges) != len(anchors):
@@ -225,45 +312,42 @@ def multilaterate(ranges: Sequence[float], uwb: UwbSystem,
         )
     if any(r < 0.0 for r in ranges):
         raise ValueError("ranges must be non-negative")
-    if initial_guess is None:
-        x = sum(a[0] for a in anchors) / len(anchors)
-        y = sum(a[1] for a in anchors) / len(anchors)
-    else:
-        x, y = float(initial_guess[0]), float(initial_guess[1])
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        jtj00 = jtj01 = jtj11 = rhs0 = rhs1 = 0.0
-        for (ax, ay), r in zip(anchors, ranges):
-            dx, dy = x - ax, y - ay
-            d = math.hypot(dx, dy)
-            if d < 1e-12:
-                d = 1e-12
-            ux, uy = dx / d, dy / d
-            f = r - d
-            # residual f = r - |p - a|, Jacobian row = (-ux, -uy)
-            jtj00 += ux * ux
-            jtj01 += ux * uy
-            jtj11 += uy * uy
-            rhs0 += ux * f
-            rhs1 += uy * f
-        det = jtj00 * jtj11 - jtj01 * jtj01
-        if det == 0.0:
-            break
-        sx = (rhs0 * jtj11 - rhs1 * jtj01) / det
-        sy = (rhs1 * jtj00 - rhs0 * jtj01) / det
-        x += sx
-        y += sy
-        if math.hypot(sx, sy) < tol:
-            converged = True
-            break
-
+    start = _centroid(anchors) if initial_guess is None else initial_guess
+    xy, converged, iterations = _solve_fixes(
+        np.array([ranges], dtype=float), anchors,
+        np.array([start], dtype=float), tol, max_iter)
+    x, y = xy[0].tolist()
     ssq = 0.0
     for (ax, ay), r in zip(anchors, ranges):
         ssq += (r - math.hypot(x - ax, y - ay)) ** 2
     return MultilaterationResult((x, y), math.sqrt(ssq / len(anchors)),
-                                 converged, iterations)
+                                 bool(converged[0]), int(iterations[0]))
+
+
+def _localize(true_xy: np.ndarray, uwb: UwbSystem, rng
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """UWB fixes of every agent at every log tick, each cold-started from
+    the anchor centroid.  true_xy is [n_agents, n_log, 2]; the ranging noise
+    is drawn in (tick, agent, anchor) order, one block of ticks at a time.
+    Returns est_xy [n_agents, n_log, 2] and est_converged [n_agents, n_log].
+    """
+    n_agents, n_log = true_xy.shape[:2]
+    est_xy = np.empty_like(true_xy)
+    est_conv = np.empty((n_agents, n_log), dtype=bool)
+    # tick-major views: lane order (tick, agent) is the ranging order
+    by_tick = true_xy.transpose(1, 0, 2)
+    est_by_tick = est_xy.transpose(1, 0, 2)
+    conv_by_tick = est_conv.T
+    start = np.array([_centroid(uwb.anchors)])
+    block_ticks = max(1, _FIX_LANES // n_agents)
+    for t0 in range(0, n_log, block_ticks):
+        block = by_tick[t0:t0 + block_ticks].reshape(-1, 2)
+        xy, converged, _ = _solve_fixes(
+            _fix_ranges(block, uwb, rng), uwb.anchors,
+            np.broadcast_to(start, block.shape))
+        est_by_tick[t0:t0 + block_ticks] = xy.reshape(-1, n_agents, 2)
+        conv_by_tick[t0:t0 + block_ticks] = converged.reshape(-1, n_agents)
+    return est_xy, est_conv
 
 
 # ---------- reflection geometry ----------
@@ -554,33 +638,23 @@ def simulate(arena: Arena, uwb: UwbSystem,
     # never_seen for a cell never entered.  The union takes the earliest
     # tick over agents, which is the OR of the agent grids at every tick.
     never_seen = n_log + 1
-    first_tick = [[never_seen] * union_grid.total_cells for _ in range(n_agents)]
     mark_steps = coverage_from == "true"
+    first_tick = [[never_seen] * union_grid.total_cells if mark_steps else None
+                  for _ in range(n_agents)]
 
     true_xy = np.empty((n_agents, n_log, 2))
     commands = [_walk(arena, union_grid, params_per_agent[i], s, dt, n_steps,
                       stim_steps, log_steps, motion_rngs[i], cmd_rngs[i],
-                      true_xy[i], first_tick[i] if mark_steps else None)
+                      true_xy[i], first_tick[i])
                 for i, s in enumerate(states)]
 
-    # localization runs tick by tick, agents in order, as the shared
-    # ranging stream requires
-    est_xy = np.empty((n_agents, n_log, 2))
-    est_conv = np.zeros((n_agents, n_log), dtype=bool)
-    guesses: list[tuple[float, float] | None] = [None] * n_agents
-    for li in range(n_log):
-        for i, pos in enumerate(true_xy[:, li].tolist()):
-            ranges = simulate_ranges(pos, uwb, uwb_rng)
-            res = multilaterate(ranges, uwb, guesses[i])
-            guesses[i] = res.position
-            est_xy[i, li] = res.position
-            est_conv[i, li] = res.converged
-            if not mark_steps:
-                ix, iy = union_grid.cell_index(*res.position)
-                c = iy * union_grid.nx + ix
-                first_tick[i][c] = min(first_tick[i][c], li)
-
-    ticks = np.array(first_tick).reshape(n_agents, union_grid.ny, union_grid.nx)
+    est_xy, est_conv = _localize(true_xy, uwb, uwb_rng)
+    if mark_steps:
+        ticks = np.array(first_tick)
+    else:
+        ticks = np.array([_first_ticks(union_grid, xy, never_seen)
+                          for xy in est_xy])
+    ticks = ticks.reshape(n_agents, union_grid.ny, union_grid.nx)
     union_ticks = ticks.min(axis=0)
 
     def curve(t):

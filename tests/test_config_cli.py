@@ -216,6 +216,9 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "neurosignal.synth_noise_sd_v", "must be non-negative"),
     ({"neurosignal": {"synth_duration_s": 0.0}},
      "neurosignal.synth_duration_s", "must be positive"),
+    ({"neurosignal": {"synth_duration_s": 0.0004, "blank_edge_times_s": [],
+                      "r_max_hz": 100000.0}},
+     "neurosignal.synth_duration_s", "too short to hold one 12-sample spikelet"),
     ({"neurosignal": {"r_max_hz": -5.0}}, "neurosignal.r_max_hz",
      "must be at least r_min"),
     ({"neurosignal": {"r_min_hz": -5.0}}, "neurosignal.r_min_hz",
@@ -223,7 +226,7 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
 ], ids=["duration", "dt-bound", "tiling", "stim-period", "log-interval",
         "rig", "arena", "step-bool", "step-string", "step-zero", "corridor",
         "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
-        "synth-duration", "r-max", "r-min"])
+        "synth-duration", "synth-too-short", "r-max", "r-min"])
 def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
                                                 path, text):
     err = _exit_2_message(tmp_path, capsys, dict(data, schema_version=1))
@@ -395,10 +398,26 @@ def test_spikes_without_a_mode(tmp_path, capsys):
 
 
 def test_spikes_bad_sweep_range(tmp_path, capsys):
-    rc = cli.main(["spikes", "--sweep", "2.0", "1.0", "0.5",
-                   "--output-dir", str(tmp_path / "out")])
-    assert rc == 4
-    assert "runtime error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spikes", "--sweep", "2.0", "1.0", "0.5",
+                  "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --sweep: need finite START <= STOP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [
+    ["0.5", "1.0", "0"], ["0.5", "1.0", "-0.5"], ["nan", "1.0", "0.5"],
+    ["0.5", "inf", "0.5"], ["0.5", "1.0", "nan"], ["-inf", "1.0", "0.5"],
+], ids=["zero-step", "negative-step", "nan-start", "inf-stop", "nan-step",
+        "inf-start"])
+def test_spikes_sweep_range_faults_exit_2_at_parse_time(tmp_path, capsys,
+                                                        sweep):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spikes", "--sweep", *sweep, "--sweep-seeds", "2",
+                  "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --sweep: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------- coverage ----------

@@ -23,7 +23,7 @@ DURATION_S = 60.0
 GOLDEN = {
     "true": {
         "trajectory.csv":
-            "8e414542f4a78f177612df48cb0300a3ef67ae73f5af55313be272054d75cd4d",
+            "8531cbb21fab7a6a74f308945b49aefc7b67f3a732f2f10d200229c2c296c14d",
         "coverage.csv":
             "78b72f8ce66c0b90843739511a20f488f9c99b8a1b6b409604f27f0f3762062d",
         "summary.json":
@@ -31,7 +31,7 @@ GOLDEN = {
     },
     "estimated": {
         "trajectory.csv":
-            "8e414542f4a78f177612df48cb0300a3ef67ae73f5af55313be272054d75cd4d",
+            "8531cbb21fab7a6a74f308945b49aefc7b67f3a732f2f10d200229c2c296c14d",
         "coverage.csv":
             "40f04abc18e941ef0be5cef3a0a0f9b0f1421991801e148e7d9d18a18e2a7710",
         "summary.json":

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from biobotsim import swarm
 from biobotsim.locomotion import AUTO_PRESET, AgentState, step
 from biobotsim.seeding import child_seed
 from biobotsim.swarm import (
@@ -14,7 +15,10 @@ from biobotsim.swarm import (
     Rect,
     SwarmRun,
     UwbSystem,
+    _first_ticks,
+    _fix_ranges,
     _reflect_move,
+    _solve_fixes,
     coverage_percent,
     coverage_rate,
     default_anchors,
@@ -205,6 +209,90 @@ def test_warm_start_converges_fast():
     res = multilaterate(ranges, QUIET_UWB, initial_guess=(0.4, 1.6))
     assert res.converged
     assert res.iterations <= 3
+
+
+# noisy ranges 4 cm from the anchor at (0, 0) that hit the 50-iteration cap
+CAPPED_RANGES = [0.021413335492545683, 3.5287300647154427, 5.00106074650553,
+                 3.4808339024089774]
+
+
+def _one_row_calls_agree(uwb, ranges, starts):
+    """Solve the lanes as one batch; assert each equals its own
+    multilaterate call bit for bit; return (converged, iterations)."""
+    xy, conv, its = _solve_fixes(np.array(ranges), uwb.anchors,
+                                 np.array(starts))
+    for row, start, pos, c, n in zip(ranges, starts, xy.tolist(), conv, its):
+        res = multilaterate(row, uwb, start)
+        assert res.position == tuple(pos)
+        assert (res.converged, res.iterations) == (c, n)
+    return conv.tolist(), its.tolist()
+
+
+def test_fix_kernel_lanes_equal_one_row_calls():
+    rng = np.random.default_rng(4)
+    centroid = (1.8, 1.8)
+    square = [simulate_ranges((0.7, 1.3), QUIET_UWB),           # noiseless
+              simulate_ranges((1.1, 0.2), UwbSystem(), rng),    # noisy
+              simulate_ranges((0.0, 0.0), QUIET_UWB),           # on an anchor
+              [0.0, 3.6, 5.0, 3.6],                              # zero range
+              CAPPED_RANGES]                                     # iteration cap
+    starts = [centroid] * 5
+    square.append(CAPPED_RANGES)                  # started on an anchor
+    starts.append((0.0, 0.0))
+    conv, its = _one_row_calls_agree(QUIET_UWB, square, starts)
+    assert conv[:2] == [True, True]
+    assert (conv[4], its[4]) == (False, 50)
+
+    line = UwbSystem(anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                     range_noise_sd=0.0)
+    rows = [simulate_ranges((1.0, 0.0), line), simulate_ranges((0.5, 0.4), line),
+            simulate_ranges((1.5, 0.0), line)]
+    # on the anchor line every unit vector is horizontal: det == 0 at once
+    conv, its = _one_row_calls_agree(line, rows,
+                                     [(1.0, 0.0), (1.0, 0.5), (0.3, 0.0)])
+    assert conv == [False, True, False]
+    assert its[0] == its[2] == 1
+
+
+def test_block_ranging_noise_is_the_scalar_draw_stream():
+    uwb = UwbSystem(range_noise_sd=0.5)
+    xy = np.random.default_rng(1).uniform(0.0, 0.5, (37, 2))
+    got = _fix_ranges(xy, uwb, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    want = [[max(np.hypot(x - ax, y - ay) + 0.5 * rng.normal(), 0.0)
+             for ax, ay in uwb.anchors] for x, y in xy.tolist()]
+    assert got.tolist() == want
+    assert (got == 0.0).any()      # some noisy ranges clamp at zero
+
+
+def test_simulate_fixes_are_cold_started_multilateration(monkeypatch):
+    # small kernel blocks, so the run crosses several block boundaries
+    monkeypatch.setattr(swarm, "_FIX_LANES", 10)
+    uwb = UwbSystem()
+    run = simulate(Arena(), uwb, [AUTO_PRESET] * 3, duration=5.0, seed=2)
+    rng = np.random.default_rng(child_seed(2, "swarm.uwb"))
+    for li in range(len(run.log_t)):       # ranging order: tick, agent
+        for i in range(3):
+            res = multilaterate(
+                simulate_ranges(tuple(run.true_xy[i, li].tolist()), uwb, rng),
+                uwb)
+            assert res.position == tuple(run.est_xy[i, li].tolist())
+            assert res.converged == run.est_converged[i, li]
+
+
+def test_estimated_marking_matches_cell_index_per_fix():
+    g = CoverageGrid.for_arena(Arena())
+    edges = [(0.0, 0.0), (0.1, 0.0), (0.1 * 3, 0.7), (2.0, 2.0), (1.95, 2.0),
+             (-0.5, 3.0), (2.5, -0.01), (0.05, 0.15), (0.0999999, 1.0)]
+    xy = np.vstack([edges, np.random.default_rng(8).uniform(-0.3, 2.3, (300, 2)),
+                    edges])
+    never_seen = len(xy) + 1
+    want = [never_seen] * g.total_cells
+    for k, (x, y) in enumerate(xy.tolist()):
+        ix, iy = g.cell_index(x, y)
+        c = iy * g.nx + ix
+        want[c] = min(want[c], k)
+    assert _first_ticks(g, xy, never_seen).tolist() == want
 
 
 # ---------- reflection ----------
