@@ -165,6 +165,13 @@ def apply_command(state: AgentState, params: AgentParams, command: StimCommand,
     return replace(state, active_command=active)
 
 
+def _free_walk(params: AgentParams, dt: float) -> tuple[float, float, float]:
+    """Per-step constants of the uncommanded dynamics: the walking speed,
+    the speed's relaxation factor and the heading diffusion's step sd."""
+    return (params.walk_speed_mean, math.exp(-dt / params.recovery_tau),
+            math.sqrt(params.heading_diffusion * dt))
+
+
 def _euler(params: AgentParams, dt: float):
     """Build the explicit-Euler update of one agent for one step size.
 
@@ -179,12 +186,10 @@ def _euler(params: AgentParams, dt: float):
     """
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
-    walk = params.walk_speed_mean
-    decay = math.exp(-dt / params.recovery_tau)
+    walk, decay, sigma = _free_walk(params, dt)
     step_left = params.max_ang_speed_left * dt
     step_right = params.max_ang_speed_right * dt
     diffuses = params.heading_diffusion > 0.0
-    sigma = math.sqrt(params.heading_diffusion * dt)
     decel_time = params.decel_time
     radians, cos, sin = math.radians, math.cos, math.sin
 
@@ -226,15 +231,6 @@ def _euler(params: AgentParams, dt: float):
                 heading, speed, cmd)
 
     return advance
-
-
-def _normals(rng):
-    """Standard normals from rng, drawn 1024 at a time.
-
-    Yields the same sequence as repeated ``rng.normal()`` calls.
-    """
-    while True:
-        yield from rng.normal(size=1024).tolist()
 
 
 def _no_rng():

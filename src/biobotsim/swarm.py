@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .locomotion import (MAX_DT, AgentParams, AgentState, StimCommand,
-                         StimKind, _euler, _normals, apply_command)
+                         StimKind, _euler, _free_walk, apply_command)
 from .seeding import child_seed
 
 DEFAULT_CELL_SIZE = 0.10      # m
@@ -173,16 +173,25 @@ class CoverageGrid:
         return ix, iy
 
 
+def _cell_ids(grid: CoverageGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat ids iy * nx + ix of the cells holding positions x, y, with
+    boundary and outside positions clamped as cell_index clamps them."""
+    ix = np.floor(x / grid.cell_size)
+    iy = np.floor(y / grid.cell_size)
+    np.clip(ix, 0, grid.nx - 1, out=ix)
+    np.clip(iy, 0, grid.ny - 1, out=iy)
+    iy *= grid.nx
+    iy += ix
+    return iy.astype(np.intp)
+
+
 def _first_ticks(grid: CoverageGrid, xy: np.ndarray, never_seen: int
                  ) -> np.ndarray:
     """Index of the first position in xy [n, 2] that falls in each cell,
-    never_seen for a cell none falls in; cells as cell_index assigns them."""
-    ix = np.clip(np.floor(xy[:, 0] / grid.cell_size), 0, grid.nx - 1)
-    iy = np.clip(np.floor(xy[:, 1] / grid.cell_size), 0, grid.ny - 1)
-    cells, first = np.unique((iy * grid.nx + ix).astype(np.intp),
-                             return_index=True)
+    never_seen for a cell none falls in."""
     ticks = np.full(grid.total_cells, never_seen)
-    ticks[cells] = first
+    np.minimum.at(ticks, _cell_ids(grid, xy[:, 0], xy[:, 1]),
+                  np.arange(len(xy)))
     return ticks
 
 
@@ -508,54 +517,175 @@ def spawn_states(arena: Arena, params_per_agent: Sequence[AgentParams],
     return states
 
 
+# steps per uncommanded stretch at most: bounds a stretch's temporaries
+_STRETCH_STEPS = 1024
+# bits of 360.0: as unsigned integers, the bits of a float in [0, 360) lie
+# below these, and those of -0.0 and of every negative float above them
+_BITS_360 = int(np.float64(360.0).view(np.uint64))
+
+
+def _headings(heading: float, inc: np.ndarray) -> np.ndarray:
+    """Move headings of uncommanded steps, from the heading carried into
+    the first step and each step's diffusion increment.
+
+    A step moves along m = (h + inc) % 360 and carries m % 360 into the
+    next step.  While the running sum stays in [0, 360) both moduli leave
+    it as it is, so the sum is accumulated, and restarted from the carried
+    heading at each step that leaves that range.  The two moduli differ
+    only where m is 360.0, as for -1e-20 % 360.
+    """
+    n = len(inc)
+    acc = np.empty(n + 1)
+    acc[1:] = inc
+    out = np.empty(n + 1)
+    p, move = 0, heading
+    while p < n:
+        # slot p held the increment of the step that left the range, which
+        # is spent; the sum restarts there from the carried heading
+        acc[p] = heading
+        np.add.accumulate(acc[p:], out=out[p:])
+        out[p] = move
+        off = out[p + 1:].view(np.uint64) >= _BITS_360
+        i = int(off.argmax())
+        if not off[i]:
+            return out[1:]
+        p += i + 1
+        move = out[p].item() % 360.0
+        heading = move % 360.0
+    out[p] = move
+    return out[1:]
+
+
+def _first_blocked(arena: Arena, x: np.ndarray, y: np.ndarray) -> int | None:
+    """Index of the first position outside the walls or strictly inside an
+    obstacle, the first one _reflect_move would not pass as it is; None
+    when every position is free."""
+    x_lo, x_hi, y_lo, y_hi = x.min(), x.max(), y.min(), y.max()
+    off = np.zeros(len(x), dtype=bool)
+    if x_lo < 0.0 or x_hi > arena.width or y_lo < 0.0 or y_hi > arena.height:
+        off |= (x < 0.0) | (x > arena.width) | (y < 0.0) | (y > arena.height)
+    for r in arena.obstacles:
+        # only an obstacle that overlaps the bounding box can hold a position
+        if r.x_min < x_hi and x_lo < r.x_max and r.y_min < y_hi and y_lo < r.y_max:
+            off |= (x > r.x_min) & (x < r.x_max) & (y > r.y_min) & (y < r.y_max)
+    i = int(off.argmax())
+    return i if off[i] else None
+
+
+def _relax(speed: float, walk: float, decay: float, n: int) -> list[float]:
+    """Speeds after each of n uncommanded steps, relaxed toward walk as the
+    Euler kernel relaxes them."""
+    first = walk + (speed - walk) * decay
+    if first < 0.0:
+        # only from a negative start: relaxation keeps a speed >= 0 there
+        first = 0.0
+    if first == speed:
+        return [speed] * n
+    speed = first
+    return [first] + [speed := walk + (speed - walk) * decay
+                      for _ in range(n - 1)]
+
+
 def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
           state: AgentState, dt: float, n_steps: int, stim_steps: int,
           log_steps: int, motion_rng, cmd_rng, xy: np.ndarray,
-          first_tick: list | None) -> list[str]:
+          first_tick: np.ndarray | None) -> list[str]:
     """Integrate one agent over the whole run.
 
-    Agents never interact, so each one runs on its own, its state held in
-    plain floats.  Writes the position at every log tick into xy and
-    returns the active command name at every log tick.  When first_tick is
-    given, every cell the agent enters gets the index of the first log
-    tick that counts it.
+    Agents never interact, so each one runs on its own.  Steps with a
+    command active run one at a time on plain floats through the Euler
+    kernel.  Between commands neither speed nor heading depends on the
+    position, so each uncommanded stretch is integrated with array
+    accumulates, up to the first step that leaves free space; that step
+    goes through _reflect_move, and the stretch restarts after it.  Writes
+    the position at every log tick into xy and returns the active command
+    name at every log tick.  When first_tick is given, every cell the
+    agent enters gets the index of the first log tick that counts it.
     """
     advance = _euler(params, dt)
-    draw = _normals(motion_rng).__next__
+    walk, decay, sigma = _free_walk(params, dt)
+    diffuses = params.heading_diffusion > 0.0
     x, y, heading, speed = state.x, state.y, state.heading, state.speed
     cmd = None if state.active_command is None else replace(state.active_command)
-    cell, nx, floor = grid.cell_size, grid.nx, math.floor
-    names: list[str] = []
-    tick = 0
-    # unclamped cell of the last marked position: the clamped cell can
-    # change only when this one does, so most steps skip the marking
-    cx = cy = None
+    names = [""] * len(xy)
 
-    for k in range(n_steps + 1):
+    def record(k0, xs, ys):
+        """Log and mark the positions held at steps k0, k0 + 1, ..."""
+        first = -k0 % log_steps
+        t0 = (k0 + first) // log_steps
+        logged = xs[first::log_steps]
+        xy[t0:t0 + len(logged), 0] = logged
+        xy[t0:t0 + len(logged), 1] = ys[first::log_steps]
         if first_tick is not None:
-            ux, uy = floor(x / cell), floor(y / cell)
-            if ux != cx or uy != cy:
-                cx, cy = ux, uy
-                ix, iy = grid.cell_index(x, y)
-                c = iy * nx + ix
-                first_tick[c] = min(first_tick[c], tick)
+            # the position at step k counts from log tick ceil(k / log_steps)
+            ticks = np.arange(k0 + log_steps - 1, k0 + len(xs) + log_steps - 1)
+            np.minimum.at(first_tick, _cell_ids(grid, xs, ys),
+                          ticks // log_steps)
+
+    def stretch(k0, n, x, y, heading, speed):
+        """Integrate the uncommanded steps k0 .. k0 + n - 1; returns the
+        state at step k0 + n."""
+        inc = sigma * motion_rng.normal(size=n) if diffuses else np.zeros(n)
+        speeds = _relax(speed, walk, decay, n)
+        vdt = np.array(speeds) * dt
+        j = 0
+        while j < n:
+            deg = _headings(heading, inc[j:])
+            rad = np.radians(deg)
+            px = np.empty(n - j + 1)
+            py = np.empty(n - j + 1)
+            px[0], py[0] = x, y
+            np.multiply(vdt[j:], np.cos(rad), out=px[1:])
+            np.multiply(vdt[j:], np.sin(rad), out=py[1:])
+            np.add.accumulate(px, out=px)
+            np.add.accumulate(py, out=py)
+            i = _first_blocked(arena, px[1:], py[1:])
+            if i is None:
+                record(k0 + j, px[:-1], py[:-1])
+                return (px[-1].item(), py[-1].item(),
+                        deg[-1].item() % 360.0, speeds[-1])
+            record(k0 + j, px[:i + 1], py[:i + 1])
+            x, y, heading, _, _ = _reflect_move(
+                arena, px[i].item(), py[i].item(), px[i + 1].item(),
+                py[i + 1].item(), deg[i].item())
+            j += i + 1
+        return x, y, heading, speeds[-1]
+
+    k = 0
+    while True:
         if k and k % stim_steps == 0:
             kind = _COMMAND_KINDS[int(cmd_rng.integers(0, len(_COMMAND_KINDS)))]
             cmd = apply_command(AgentState(x, y, heading, speed), params,
                                 StimCommand(kind, params.command_duration),
                                 cmd_rng).active_command
-        if k % log_steps == 0:
-            xy[tick] = x, y
-            names.append("" if cmd is None else cmd.kind.value)
-            tick += 1
         if k == n_steps:
             break
-        new_x, new_y, heading, speed, cmd = advance(x, y, heading, speed,
-                                                    cmd, draw)
-        x, y, heading, flips_x, flips_y = _reflect_move(arena, x, y, new_x,
-                                                        new_y, heading)
-        if flips_x or flips_y:
-            cmd = _conjugate_command(cmd, flips_x, flips_y)
+        if cmd is None:
+            stop = min(k - k % stim_steps + stim_steps, n_steps,
+                       k + _STRETCH_STEPS)
+            x, y, heading, speed = stretch(k, stop - k, x, y, heading, speed)
+            k = stop
+            continue
+        k0, xs, ys = k, [], []
+        while True:
+            xs.append(x)
+            ys.append(y)
+            if k % log_steps == 0:
+                names[k // log_steps] = cmd.kind.value
+            # a step with a command active draws no heading diffusion
+            new_x, new_y, heading, speed, cmd = advance(
+                x, y, heading, speed, cmd, motion_rng.normal)
+            x, y, heading, flips_x, flips_y = _reflect_move(
+                arena, x, y, new_x, new_y, heading)
+            if flips_x or flips_y:
+                cmd = _conjugate_command(cmd, flips_x, flips_y)
+            k += 1
+            if cmd is None or k % stim_steps == 0 or k == n_steps:
+                break
+        record(k0, np.array(xs), np.array(ys))
+    record(n_steps, np.array([x]), np.array([y]))
+    if n_steps % log_steps == 0:
+        names[-1] = "" if cmd is None else cmd.kind.value
     return names
 
 
@@ -639,8 +769,8 @@ def simulate(arena: Arena, uwb: UwbSystem,
     # tick over agents, which is the OR of the agent grids at every tick.
     never_seen = n_log + 1
     mark_steps = coverage_from == "true"
-    first_tick = [[never_seen] * union_grid.total_cells if mark_steps else None
-                  for _ in range(n_agents)]
+    first_tick = [np.full(union_grid.total_cells, never_seen) if mark_steps
+                  else None for _ in range(n_agents)]
 
     true_xy = np.empty((n_agents, n_log, 2))
     commands = [_walk(arena, union_grid, params_per_agent[i], s, dt, n_steps,

@@ -262,15 +262,11 @@ def synth_pronotum(params: PronotumShapeParams, seed: int,
 
     bits = np.zeros((n, n), dtype=bool)
     cols = np.arange(n, dtype=float)
-    for y in range(y_top, y_post):
-        ry = (y - cy) / ay
-        rem = 1.0 - ry * ry
-        if rem <= 0.0:
-            continue
-        span = np.where(cols < cx,
-                        ((cols - cx) / ax_left) ** 2 <= rem,
-                        ((cols - cx) / ax_right) ** 2 <= rem)
-        bits[y] = span
+    half_axis = np.where(cols < cx, ax_left, ax_right)
+    ry = (np.arange(y_top, y_post, dtype=float) - cy) / ay
+    rem = (1.0 - ry * ry)[:, None]
+    # a row with rem <= 0 stays empty, even at a column whose ellipse term is 0
+    bits[y_top:y_post] = (((cols - cx) / half_axis) ** 2 <= rem) & (rem > 0.0)
 
     # explicit flat posterior edge: integer span, immune to float boundary ties
     ry = (y_post - cy) / ay

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biobotsim import swarm
-from biobotsim.locomotion import AUTO_PRESET, AgentState, step
+from biobotsim.locomotion import (AUTO_PRESET, MANUAL_PRESET, ActiveCommand,
+                                  AgentState, StimCommand, StimKind, _euler,
+                                  apply_command, step)
 from biobotsim.seeding import child_seed
 from biobotsim.swarm import (
     DEFAULT_OBSTACLES,
@@ -16,7 +19,9 @@ from biobotsim.swarm import (
     SwarmRun,
     UwbSystem,
     _first_ticks,
+    _conjugate_command,
     _fix_ranges,
+    _headings,
     _reflect_move,
     _solve_fixes,
     coverage_percent,
@@ -476,3 +481,205 @@ def test_initial_states_length_must_match():
     with pytest.raises(ValueError):
         simulate(Arena(), QUIET_UWB, [AUTO_PRESET] * 2, duration=10.0,
                  initial_states=[AgentState(0.05, 0.05, 0.0, 0.06)])
+
+
+# ---------- walk kernel against the scalar reference ----------
+
+def _reference_walk(arena, grid, params, state, dt, n_steps, stim_steps,
+                    log_steps, motion_rng, cmd_rng, xy, first_tick):
+    """The one-step-at-a-time walk the stretch kernel replaced: every step
+    through the Euler kernel and _reflect_move, every step's cell marked."""
+    def normals():
+        while True:
+            yield from motion_rng.normal(size=1024).tolist()
+
+    advance = _euler(params, dt)
+    draw = normals().__next__
+    x, y, heading, speed = state.x, state.y, state.heading, state.speed
+    cmd = None if state.active_command is None else replace(state.active_command)
+    names = []
+    tick = 0
+    for k in range(n_steps + 1):
+        if first_tick is not None:
+            ix, iy = grid.cell_index(x, y)
+            c = iy * grid.nx + ix
+            first_tick[c] = min(first_tick[c], tick)
+        if k and k % stim_steps == 0:
+            kind = swarm._COMMAND_KINDS[int(cmd_rng.integers(0, 3))]
+            cmd = apply_command(AgentState(x, y, heading, speed), params,
+                                StimCommand(kind, params.command_duration),
+                                cmd_rng).active_command
+        if k % log_steps == 0:
+            xy[tick] = x, y
+            names.append("" if cmd is None else cmd.kind.value)
+            tick += 1
+        if k == n_steps:
+            break
+        new_x, new_y, heading, speed, cmd = advance(x, y, heading, speed,
+                                                    cmd, draw)
+        x, y, heading, flips_x, flips_y = _reflect_move(arena, x, y, new_x,
+                                                        new_y, heading)
+        if flips_x or flips_y:
+            cmd = _conjugate_command(cmd, flips_x, flips_y)
+    return names
+
+
+def _walks(walk, arena, params, states, seed, n_steps, stim_steps, log_steps,
+           dt, mark):
+    """Run every agent through walk with simulate's streams; returns the
+    logged positions, command names, first ticks and motion rngs."""
+    grid = CoverageGrid.for_arena(arena)
+    n_log = n_steps // log_steps + 1
+    motions = [np.random.default_rng(child_seed(seed, "swarm.motion", i))
+               for i in range(len(params))]
+    if states is None:
+        states = spawn_states(arena, params, motions)
+    out = []
+    for i, (p, s, motion) in enumerate(zip(params, states, motions)):
+        cmd = np.random.default_rng(child_seed(seed, "swarm.cmd", i))
+        xy = np.empty((n_log, 2))
+        ticks = np.full(grid.total_cells, n_log + 1) if mark else None
+        if mark and walk is _reference_walk:
+            ticks = ticks.tolist()
+        names = walk(arena, grid, p, s, dt, n_steps, stim_steps, log_steps,
+                     motion, cmd, xy, ticks)
+        out.append((xy, names, None if ticks is None else list(ticks), motion))
+    return out
+
+
+CROWDED = Arena(width=1.0, height=1.0, obstacles=(
+    Rect(0.2, 0.2, 0.3, 0.8), Rect(0.35, 0.1, 0.45, 0.15),
+    Rect(0.5, 0.3, 0.9, 0.35), Rect(0.5, 0.5, 0.55, 0.95),
+    Rect(0.7, 0.45, 0.95, 0.5), Rect(0.35, 0.9, 0.45, 1.0),
+    Rect(0.6, 0.0, 0.65, 0.2), Rect(0.8, 0.8, 1.0, 1.0)))
+
+# a stream of -2-step turns: headings cross 0/360 often and the long
+# straight runs hit walls and obstacles head on
+SPINNER = replace(AUTO_PRESET, heading_diffusion=20000.0, walk_speed_mean=0.3)
+
+# 1 mm gaps between obstacles, narrower than one 3 mm SPINNER step: a
+# bounce off one face lands inside the neighbour, and the next step backs off
+GAPS = Arena(obstacles=(Rect(0.4, 0.2, 0.5, 0.8), Rect(0.501, 0.2, 0.6, 0.8),
+                        Rect(1.2, 1.0, 1.8, 1.3), Rect(1.2, 1.301, 1.8, 1.5)))
+
+ORACLE_CASES = {
+    "auto": dict(params=[AUTO_PRESET] * 3, duration=60.0),
+    "manual": dict(params=[MANUAL_PRESET] * 3, duration=60.0),
+    "no-diffusion": dict(params=[replace(AUTO_PRESET, heading_diffusion=0.0)] * 2,
+                         duration=40.0),
+    "no-spread": dict(params=[_det_params()] * 2, duration=40.0),
+    "slow-start": dict(params=[AUTO_PRESET, MANUAL_PRESET], duration=30.0,
+                       states=[AgentState(1.0, 1.0, 10.0, 0.01),
+                               AgentState(1.5, 1.9, 359.9, 0.25)]),
+    "active-command": dict(
+        params=[AUTO_PRESET, AUTO_PRESET], duration=20.0,
+        states=[AgentState(1.0, 1.0, 350.0, 0.05, ActiveCommand(
+                    StimKind.TURN_LEFT, 0.25, turn_target=380.0,
+                    turn_remaining=30.0, turn_sign=1.0)),
+                AgentState(0.2, 1.9, 90.0, 0.06, ActiveCommand(
+                    StimKind.DECELERATE, 0.3, decel_v0=0.06,
+                    decel_vmin=0.02, decel_elapsed=0.1))]),
+    "short-stim": dict(params=[replace(AUTO_PRESET, command_duration=0.4)] * 2,
+                       duration=20.0, stim_period=0.2),
+    "crowded": dict(params=[SPINNER] * 4, duration=60.0, arena=CROWDED),
+    "crowded-quiet": dict(params=[replace(SPINNER, heading_diffusion=0.0)] * 3,
+                          duration=60.0, arena=CROWDED, stim_period=2.0),
+    "gaps": dict(params=[replace(SPINNER, heading_diffusion=0.0)] * 2
+                 + [SPINNER] * 2, duration=30.0, arena=GAPS,
+                 states=[AgentState(0.5005, 0.5, 10.0, 0.3),
+                         AgentState(1.5, 1.3005, 95.0, 0.3),
+                         AgentState(0.5005, 0.3, 80.0, 0.3),
+                         AgentState(1.3, 1.3005, 265.0, 0.3)]),
+    "coarse-100hz": dict(params=[AUTO_PRESET] * 2, duration=30.0, dt=0.05,
+                         log_rate_hz=20.0),
+    "long": dict(params=[AUTO_PRESET] * 2, duration=631.0),
+}
+
+
+# the 631 s run is checked once, with step marking
+@pytest.mark.parametrize("case, coverage_from", [
+    (case, source) for case in sorted(ORACLE_CASES)
+    for source in ("true", "estimated") if (case, source) != ("long", "estimated")])
+def test_stretch_walk_equals_the_scalar_walk(case, coverage_from):
+    c = ORACLE_CASES[case]
+    arena = c.get("arena", Arena())
+    params = c["params"]
+    states = c.get("states")
+    kw = dict(dt=c.get("dt", 0.01), log_rate_hz=c.get("log_rate_hz", 10.0))
+    stim = c.get("stim_period", 10.0)
+    seed = 3
+    run = simulate(arena, QUIET_UWB, params, stim_period=stim,
+                   duration=c["duration"], seed=seed,
+                   coverage_from=coverage_from, initial_states=states, **kw)
+    n_steps, stim_steps, log_steps = swarm.check_run(
+        len(params), stim, c["duration"], kw["dt"], kw["log_rate_hz"],
+        coverage_from)
+    args = (arena, params, states, seed, n_steps,
+            stim_steps, log_steps, kw["dt"], coverage_from == "true")
+    want = _walks(_reference_walk, *args)
+    got = _walks(swarm._walk, *args)
+    for (wxy, wnames, wticks, wrng), (gxy, gnames, gticks, grng) in zip(want, got):
+        assert gxy.tobytes() == wxy.tobytes()
+        assert gnames == wnames
+        assert gticks == wticks
+    assert run.true_xy.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert run.commands == [w[1] for w in want]
+    if params[0].heading_diffusion == 0.0:
+        # no diffusion draws: the motion stream is where the spawn left it
+        fresh = np.random.default_rng(child_seed(seed, "swarm.motion", 0))
+        if states is None:
+            fresh.uniform(-45.0, 45.0)
+        assert got[0][3].bit_generator.state == fresh.bit_generator.state
+
+
+def test_crowded_oracle_cases_bounce_and_back_off(monkeypatch):
+    """The crowded cases reach the slow paths of _reflect_move: wall and
+    obstacle bounces, and corner back-offs."""
+    seen = {"bounce": 0, "backoff": 0}
+    reflect = swarm._reflect_move
+
+    def counting(arena, old_x, old_y, new_x, new_y, heading):
+        out = reflect(arena, old_x, old_y, new_x, new_y, heading)
+        if out[3] or out[4]:
+            seen["bounce"] += 1
+            if out[3] and out[4] and out[:2] == (old_x, old_y):
+                seen["backoff"] += 1
+        return out
+
+    monkeypatch.setattr(swarm, "_reflect_move", counting)
+    for case in ("crowded", "crowded-quiet", "gaps"):
+        c = ORACLE_CASES[case]
+        simulate(c["arena"], QUIET_UWB, c["params"], duration=c["duration"],
+                 stim_period=c.get("stim_period", 10.0), seed=3,
+                 initial_states=c.get("states"))
+    assert seen["bounce"] > 100
+    assert seen["backoff"] > 0
+
+
+def _scalar_headings(heading, inc):
+    moves = []
+    for d in inc:
+        heading = (heading + d) % 360.0
+        moves.append(heading)
+        heading %= 360.0
+    return moves
+
+
+# a start of 5e-21 plus -1.5e-20 sums to -1e-20, and -1e-20 % 360 is 360.0:
+# that step moves along 360.0 and carries 0.0, not 360.0, into the next
+TRAP = (5e-21, [-1.5e-20, 1e-10, -3.0, 2.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 360.0, exclude_max=True),
+       st.lists(st.one_of(st.floats(-400.0, 400.0),
+                          st.floats(-1e-18, 1e-18),
+                          st.sampled_from([0.0, -0.0, 360.0, -360.0])),
+                max_size=60))
+def test_stretch_headings_match_the_scalar_chain(heading, inc):
+    got = _headings(heading, np.array(inc, dtype=float))
+    assert got.tolist() == _scalar_headings(heading, inc)
+    for h, d in ((TRAP[0], TRAP[1]), (TRAP[0], TRAP[1][:1])):
+        want = _scalar_headings(h, d)
+        assert _headings(h, np.array(d)).tolist() == want
+    assert _scalar_headings(*TRAP)[:2] == [360.0, 1e-10]

@@ -247,6 +247,42 @@ def test_synthetic_reference_point_matches_extraction_exactly():
         assert extract_reference_point(m) == p_true, seed
 
 
+def _shield_rows_reference(params, seed):
+    """The row-by-row ellipse test the broadcast replaced: rows y_top up to
+    the posterior cut, one np.where per row."""
+    rng = np.random.default_rng(seed)
+    n = params.frame
+    ax = rng.uniform(*params.semi_axis_x)
+    ay = rng.uniform(*params.semi_axis_y)
+    wobble = rng.uniform(-params.asymmetry, params.asymmetry)
+    cx = (n - 1) / 2.0 + rng.uniform(-params.center_jitter, params.center_jitter)
+    cy = 0.46 * n + rng.uniform(-params.center_jitter, params.center_jitter)
+    cut = rng.uniform(*params.posterior_cut)
+    y_post = int(math.floor(cy + cut * ay))
+    bits = np.zeros((n, n), dtype=bool)
+    cols = np.arange(n, dtype=float)
+    for y in range(int(math.ceil(cy - ay)), y_post):
+        ry = (y - cy) / ay
+        rem = 1.0 - ry * ry
+        if rem <= 0.0:
+            continue
+        bits[y] = np.where(cols < cx,
+                           ((cols - cx) / (ax * (1.0 + wobble))) ** 2 <= rem,
+                           ((cols - cx) / (ax * (1.0 - wobble))) ** 2 <= rem)
+    return bits[:y_post], y_post
+
+
+def test_synthetic_shield_matches_the_row_loop():
+    for params in (PronotumShapeParams(),
+                   PronotumShapeParams(frame=160, semi_axis_x=(30.0, 50.0),
+                                       semi_axis_y=(35.0, 55.0), asymmetry=0.0,
+                                       center_jitter=0.0)):
+        for seed in range(40):
+            m, _ = synth_pronotum(params, seed)
+            want, y_post = _shield_rows_reference(params, seed)
+            assert np.array_equal(m.pixels[:y_post], want), seed
+
+
 def test_synthetic_generator_is_deterministic():
     params = PronotumShapeParams()
     a, pa = synth_pronotum(params, 11)
