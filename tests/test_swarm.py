@@ -553,8 +553,8 @@ CROWDED = Arena(width=1.0, height=1.0, obstacles=(
     Rect(0.7, 0.45, 0.95, 0.5), Rect(0.35, 0.9, 0.45, 1.0),
     Rect(0.6, 0.0, 0.65, 0.2), Rect(0.8, 0.8, 1.0, 1.0)))
 
-# a stream of -2-step turns: headings cross 0/360 often and the long
-# straight runs hit walls and obstacles head on
+# strong diffusion and a fast walk: headings cross 0/360 every few steps,
+# and 3 mm steps reach walls and obstacles often
 SPINNER = replace(AUTO_PRESET, heading_diffusion=20000.0, walk_speed_mean=0.3)
 
 # 1 mm gaps between obstacles, narrower than one 3 mm SPINNER step: a
@@ -590,8 +590,9 @@ ORACLE_CASES = {
                          AgentState(1.5, 1.3005, 95.0, 0.3),
                          AgentState(0.5005, 0.3, 80.0, 0.3),
                          AgentState(1.3, 1.3005, 265.0, 0.3)]),
-    "coarse-100hz": dict(params=[AUTO_PRESET] * 2, duration=30.0, dt=0.05,
-                         log_rate_hz=20.0),
+    "coarse-dt": dict(params=[AUTO_PRESET] * 2, duration=30.0, dt=0.05,
+                      log_rate_hz=20.0),
+    "100hz": dict(params=[AUTO_PRESET] * 2, duration=30.0, log_rate_hz=100.0),
     "long": dict(params=[AUTO_PRESET] * 2, duration=631.0),
 }
 
