@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 input data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -61,12 +60,31 @@ def _atomic_write_lines(path: Path, lines):
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    """Write the header and rows line by line; rows may be a generator.
-    Floats print as their repr, which str gives for a Python float."""
-    _atomic_write_lines(path, itertools.chain(
-        [",".join(header) + "\n"],
-        (",".join(map(str, row)) + "\n" for row in rows)))
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: Path, header: list[str], columns):
+    """Write the header, then one row per index of the equal-length columns
+    (lists, tuples or numpy arrays).  Rows are formatted a block at a time,
+    so a long table is never held as text at once.  A cell prints as str
+    of its Python value, so a float prints as its repr.  No columns, or
+    empty ones, write the header alone."""
+    n = len(columns[0]) if columns else 0
+    if (len(columns) not in (0, len(header))
+            or any(len(c) != n for c in columns)):
+        raise ValueError(f"{path.name}: {len(header)} header fields need "
+                         "as many columns of one length")
+    fmt = ",".join(["{}"] * len(header)) + "\n"
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for i in range(0, n, _CSV_BLOCK_ROWS):
+            cells = [c[i:i + _CSV_BLOCK_ROWS] for c in columns]
+            yield "".join(map(fmt.format, *(
+                c.tolist() if isinstance(c, np.ndarray) else c
+                for c in cells)))
+
+    _atomic_write_lines(path, lines())
 
 
 def _write_json(path: Path, payload: dict):
@@ -96,7 +114,7 @@ def run_assemble(cfg: RunConfig, out_dir: Path, batch: int | None) -> int:
 
     final, rows = asm.walk_all(proc)
     _write_csv(out_dir / "event_log.csv",
-               ["step_name", "t_start_s", "t_end_s"], rows)
+               ["step_name", "t_start_s", "t_end_s"], list(zip(*rows)))
 
     total = final.elapsed
     payload_doc = {
@@ -145,7 +163,7 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
     if sweep is not None:
         start, stop, step_v = sweep
         n_points = int(round((stop - start) / step_v)) + 1
-        rows = []
+        volts, means, sds = [], [], []
         for vi in range(n_points):
             v = start + vi * step_v
             traces = (ns.synth_neural_response(
@@ -157,9 +175,12 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
                 for si in range(sweep_seeds))
             counts = [train.count for train in
                       ns.run_spike_pipelines(traces, **pipeline_kwargs)]
-            rows.append((v, float(np.mean(counts)), float(np.std(counts))))
+            volts.append(v)
+            means.append(float(np.mean(counts)))
+            sds.append(float(np.std(counts)))
         _write_csv(out_dir / "spike_sweep.csv",
-                   ["voltage_v", "mean_spikes", "sd_spikes"], rows)
+                   ["voltage_v", "mean_spikes", "sd_spikes"],
+                   [volts, means, sds])
         print(f"sweep written: {n_points} voltages x {sweep_seeds} seeds")
         return EXIT_OK
 
@@ -209,23 +230,19 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
 
     if seeds is None:
         run = sw.simulate(arena, uwb, params, seed=cfg.seed, **common)
-        traj_rows = ((t, i, *run.true_xy[i, li].tolist(),
-                      *run.est_xy[i, li].tolist(), run.commands[i][li])
-                     for li, t in enumerate(run.log_t.tolist())
-                     for i in range(run.n_agents))
+        # rows run tick-major: every agent at one tick, then the next tick
+        true_x, true_y = run.true_xy.transpose(2, 1, 0).reshape(2, -1)
+        est_x, est_y = run.est_xy.transpose(2, 1, 0).reshape(2, -1)
         _write_csv(out_dir / "trajectory.csv",
                    ["t_s", "agent_id", "x_true_m", "y_true_m",
-                    "x_est_m", "y_est_m", "command"], traj_rows)
-        cov_rows = []
-        for li, t in enumerate(run.log_t):
-            row = [float(t)]
-            row.extend(float(run.agent_coverage_pct[i, li])
-                       for i in range(run.n_agents))
-            row.append(float(run.union_coverage_pct[li]))
-            cov_rows.append(tuple(row))
+                    "x_est_m", "y_est_m", "command"],
+                   [np.repeat(run.log_t, run.n_agents),
+                    np.tile(np.arange(run.n_agents), len(run.log_t)),
+                    true_x, true_y, est_x, est_y,
+                    [c for tick in zip(*run.commands) for c in tick]])
         _write_csv(out_dir / "coverage.csv",
                    ["t_s"] + [f"agent{i}" for i in range(run.n_agents)] + ["union"],
-                   cov_rows)
+                   [run.log_t, *run.agent_coverage_pct, run.union_coverage_pct])
         rate = sw.coverage_rate(run)
         _write_json(out_dir / "summary.json", {
             "schema_version": 1,
@@ -259,10 +276,9 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
         log_t = run.log_t
         del run
     stack = np.vstack(unions)
-    rows = [(float(t), float(m), float(s))
-            for t, m, s in zip(log_t, stack.mean(axis=0), stack.std(axis=0))]
     _write_csv(out_dir / "coverage.csv",
-               ["t_s", "union_mean_pct", "union_sd_pct"], rows)
+               ["t_s", "union_mean_pct", "union_sd_pct"],
+               [log_t, stack.mean(axis=0), stack.std(axis=0)])
     _write_json(out_dir / "summary.json", {
         "schema_version": 1,
         "seed": cfg.seed,
@@ -320,10 +336,10 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
         metrics, rows = vision.evaluate_pairs(preds, truths)
     except vision.EmptyMaskError as exc:
         raise InputDataError(str(exc)) from exc
-    out_rows = [(name, r[0], r[1], r[2]) for name, r in zip(truth_names, rows)]
-    out_rows.append(("mean", metrics.miou, metrics.mdsc, metrics.mse_pr))
-    _write_csv(out_dir / "metrics.csv",
-               ["id", "iou", "dsc", "pr_err_sq"], out_rows)
+    ious, dscs, errs = zip(*rows)
+    _write_csv(out_dir / "metrics.csv", ["id", "iou", "dsc", "pr_err_sq"],
+               [truth_names + ["mean"], ious + (metrics.miou,),
+                dscs + (metrics.mdsc,), errs + (metrics.mse_pr,)])
     print(f"pairs: {len(rows)}")
     print(f"mIoU: {metrics.miou:.4f}  mDSC: {metrics.mdsc:.4f}  "
           f"MSE(p_R): {metrics.mse_pr:.3f} px^2")

@@ -6,7 +6,9 @@ stim_period seconds.  Coverage is accounted on a square cell grid from
 true positions; position estimates from noisy anchor ranges are logged at
 a fixed rate alongside the truth.  Every fix starts from the anchor
 centroid, so all fixes of a run are solved together by one lane-wise
-Gauss-Newton kernel.
+Gauss-Newton kernel.  A run solves its fixes on first read of est_xy or
+est_converged, so a run with coverage from true positions that never
+reads them, such as every run of a seed batch, never solves them.
 """
 from __future__ import annotations
 
@@ -359,6 +361,15 @@ def _localize(true_xy: np.ndarray, uwb: UwbSystem, rng
     return est_xy, est_conv
 
 
+def _run_fixes(true_xy: np.ndarray, uwb: UwbSystem, seed: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The UWB fixes of the run with this seed.  Its swarm.uwb stream feeds
+    nothing but the ranging noise, so the fixes come out the same whenever
+    they are solved."""
+    return _localize(true_xy, uwb,
+                     np.random.default_rng(child_seed(seed, "swarm.uwb")))
+
+
 # ---------- reflection geometry ----------
 
 def _walls(arena: Arena, x: float, y: float, h: float, px: int, py: int
@@ -476,12 +487,27 @@ class SwarmRun:
     n_agents: int
     log_t: np.ndarray                 # [n_log]
     true_xy: np.ndarray               # [n_agents, n_log, 2]
-    est_xy: np.ndarray                # [n_agents, n_log, 2]
-    est_converged: np.ndarray         # [n_agents, n_log]
     commands: list                    # [n_agents][n_log] active command name or ""
     agent_coverage_pct: np.ndarray    # [n_agents, n_log]
     union_coverage_pct: np.ndarray    # [n_log]
     union_grid: CoverageGrid
+    # (est_xy, est_converged), or None until the first read solves them
+    fixes: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def _solved_fixes(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.fixes is None:
+            self.fixes = _run_fixes(self.true_xy, self.uwb, self.seed)
+        return self.fixes
+
+    @property
+    def est_xy(self) -> np.ndarray:
+        """UWB fixes [n_agents, n_log, 2], solved on first read."""
+        return self._solved_fixes()[0]
+
+    @property
+    def est_converged(self) -> np.ndarray:
+        """Converged flag of each fix [n_agents, n_log], solved on first read."""
+        return self._solved_fixes()[1]
 
     @property
     def final_union_coverage(self) -> float:
@@ -736,6 +762,8 @@ def simulate(arena: Arena, uwb: UwbSystem,
     drawn uniformly from {turn left, turn right, decelerate}.  Coverage is
     marked from true positions at every integration step (or from UWB
     estimates at the logging cadence when coverage_from="estimated").
+    Only that coverage solves the UWB fixes here; otherwise the run solves
+    them on first read of est_xy or est_converged, with the same result.
     Fully deterministic for a given seed.
     """
     n_agents = len(params_per_agent)
@@ -746,7 +774,6 @@ def simulate(arena: Arena, uwb: UwbSystem,
                    for i in range(n_agents)]
     cmd_rngs = [np.random.default_rng(child_seed(seed, "swarm.cmd", i))
                 for i in range(n_agents)]
-    uwb_rng = np.random.default_rng(child_seed(seed, "swarm.uwb"))
 
     if initial_states is None:
         states = spawn_states(arena, params_per_agent, motion_rngs)
@@ -778,12 +805,13 @@ def simulate(arena: Arena, uwb: UwbSystem,
                       true_xy[i], first_tick[i])
                 for i, s in enumerate(states)]
 
-    est_xy, est_conv = _localize(true_xy, uwb, uwb_rng)
     if mark_steps:
+        fixes = None
         ticks = np.array(first_tick)
     else:
+        fixes = _run_fixes(true_xy, uwb, seed)
         ticks = np.array([_first_ticks(union_grid, xy, never_seen)
-                          for xy in est_xy])
+                          for xy in fixes[0]])
     ticks = ticks.reshape(n_agents, union_grid.ny, union_grid.nx)
     union_ticks = ticks.min(axis=0)
 
@@ -795,8 +823,7 @@ def simulate(arena: Arena, uwb: UwbSystem,
     return SwarmRun(seed=seed, dt=dt, stim_period=stim_period,
                     duration=duration, arena=arena, uwb=uwb,
                     n_agents=n_agents, log_t=np.arange(n_log) * log_steps * dt,
-                    true_xy=true_xy, est_xy=est_xy, est_converged=est_conv,
-                    commands=commands,
+                    true_xy=true_xy, commands=commands,
                     agent_coverage_pct=np.array([curve(t) for t in ticks]),
                     union_coverage_pct=curve(union_ticks),
-                    union_grid=union_grid)
+                    union_grid=union_grid, fixes=fixes)

@@ -228,12 +228,12 @@ def test_criterion_11_coverage_accounting():
                            arena=sw.Arena(), uwb=sw.UwbSystem(), n_agents=1,
                            log_t=np.array([0.0, 631.0]),
                            true_xy=np.zeros((1, 2, 2)),
-                           est_xy=np.zeros((1, 2, 2)),
-                           est_converged=np.ones((1, 2), dtype=bool),
                            commands=[["", ""]],
                            agent_coverage_pct=np.zeros((1, 2)),
                            union_coverage_pct=np.array([0.0, 80.25]),
-                           union_grid=grid)
+                           union_grid=grid,
+                           fixes=(np.zeros((1, 2, 2)),
+                                  np.ones((1, 2), dtype=bool)))
         assert f"{sw.coverage_rate(stub):.2f}" == "50.87"
 
 

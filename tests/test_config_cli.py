@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biobotsim import cli, neurosignal as ns, vision
+from biobotsim import cli, neurosignal as ns, swarm as sw, vision
 from biobotsim.assembly import PayloadSpec, PixelToArmCalibration
 from biobotsim.config import (
     CalibrationConfig,
@@ -473,6 +473,41 @@ def test_coverage_batch_mode(tmp_path, capsys):
     assert cov[0] == "t_s,union_mean_pct,union_sd_pct"
 
 
+def _count_fix_lanes(monkeypatch):
+    """Wrap the fix kernel; the returned list gets the lane count of every
+    call."""
+    lanes = []
+    solve = sw._solve_fixes
+
+    def counted(ranges, *args, **kwargs):
+        lanes.append(len(ranges))
+        return solve(ranges, *args, **kwargs)
+
+    monkeypatch.setattr(sw, "_solve_fixes", counted)
+    return lanes
+
+
+def test_coverage_batch_solves_no_fixes(tmp_path, monkeypatch):
+    lanes = _count_fix_lanes(monkeypatch)
+    cfg = _write_cfg(tmp_path, _quick_swarm_cfg(duration=10.0))
+    rc = cli.main(["coverage", "--config", str(cfg), "--seeds", "2",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert lanes == []
+
+
+def test_estimated_coverage_run_solves_each_fix_once(tmp_path, monkeypatch):
+    lanes = _count_fix_lanes(monkeypatch)
+    data = _quick_swarm_cfg(duration=10.0)
+    data["swarm"]["coverage_from"] = "estimated"
+    cfg = _write_cfg(tmp_path, data)
+    rc = cli.main(["coverage", "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert sum(lanes) == len(traj) - 1 == 2 * 101
+
+
 def test_coverage_rejects_zero_agents(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, _quick_swarm_cfg(duration=10.0))
     with pytest.raises(SystemExit) as exc:
@@ -623,6 +658,32 @@ def test_count_flags_below_their_minimum_exit_2(tmp_path, capsys, argv, flag,
 
 
 # ---------- seeds, env, determinism ----------
+
+def test_csv_blocks_write_the_bytes_of_the_row_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+    columns = [np.arange(7),
+               ["a", "", "turn_left", "", "b c", "x", ""],
+               np.array([1e-05, 1e16, -0.0, 0.1 + 0.2, 2.5, 1.0 / 3.0, 0.0]),
+               [np.float64(v) for v in (0.1, 1e-300, -7.0, 1e22, 3.0, 0.5, 2.0)],
+               [0.7, 1e-07, 5e-324, -1.5, 123456789.0, 0.25, 9.0]]
+    header = ["id", "name", "a", "b", "c"]
+    cli._write_csv(tmp_path / "t.csv", header, columns)
+    rows = zip(*columns)
+    old = "".join(",".join(map(str, row)) + "\n"
+                  for row in [header, *rows])
+    assert (tmp_path / "t.csv").read_bytes() == old.encode()
+
+
+def test_csv_writer_takes_empty_tables_and_rejects_ragged_ones(tmp_path):
+    for name, columns in (("none.csv", []), ("empty.csv", [[], np.array([])])):
+        cli._write_csv(tmp_path / name, ["a", "b"], columns)
+        assert (tmp_path / name).read_text() == "a,b\n"
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2]])
+    assert not (tmp_path / "bad.csv").exists()
+
 
 def test_env_seed_overrides_config_and_flag_wins(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_SEED, "7")

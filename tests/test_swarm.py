@@ -145,12 +145,11 @@ def test_coverage_rate_frozen_point():
     run = SwarmRun(seed=0, dt=0.01, stim_period=10.0, duration=631.0,
                    arena=Arena(), uwb=QUIET_UWB, n_agents=1,
                    log_t=np.array([0.0, 631.0]),
-                   true_xy=np.zeros((1, 2, 2)), est_xy=np.zeros((1, 2, 2)),
-                   est_converged=np.ones((1, 2), dtype=bool),
-                   commands=[["", ""]],
+                   true_xy=np.zeros((1, 2, 2)), commands=[["", ""]],
                    agent_coverage_pct=np.zeros((1, 2)),
                    union_coverage_pct=np.array([0.0, 80.25]),
-                   union_grid=g)
+                   union_grid=g,
+                   fixes=(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool)))
     assert coverage_rate(run) == pytest.approx(50.87, abs=0.01)
     assert run.final_union_coverage == 80.25
 
@@ -283,6 +282,33 @@ def test_simulate_fixes_are_cold_started_multilateration(monkeypatch):
                 uwb)
             assert res.position == tuple(run.est_xy[i, li].tolist())
             assert res.converged == run.est_converged[i, li]
+
+
+@pytest.mark.parametrize("first", ["est_xy", "est_converged"])
+def test_fixes_are_solved_once_on_first_read(first, monkeypatch):
+    lanes = []
+    solve = swarm._solve_fixes
+
+    def counted(ranges, *args, **kwargs):
+        lanes.append(len(ranges))
+        return solve(ranges, *args, **kwargs)
+
+    monkeypatch.setattr(swarm, "_FIX_LANES", 10)
+    monkeypatch.setattr(swarm, "_solve_fixes", counted)
+    uwb = UwbSystem()
+    run = simulate(Arena(), uwb, [AUTO_PRESET] * 3, duration=5.0, seed=4,
+                   coverage_from="true")
+    assert lanes == []
+    second = "est_converged" if first == "est_xy" else "est_xy"
+    got = {first: getattr(run, first)}
+    assert sum(lanes) == 3 * 51
+    got[second] = getattr(run, second)
+    assert run.est_xy is got["est_xy"] and sum(lanes) == 3 * 51
+
+    xy, conv = swarm._localize(run.true_xy, uwb, np.random.default_rng(
+        child_seed(4, "swarm.uwb")))
+    assert got["est_xy"].tobytes() == xy.tobytes()
+    assert got["est_converged"].tobytes() == conv.tobytes()
 
 
 def test_estimated_marking_matches_cell_index_per_fix():
