@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -151,9 +150,9 @@ def _load_trace(path: Path) -> ns.Trace:
 
 
 def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
-               synth_voltage: float | None,
-               sweep: tuple[float, float, float] | None,
+               synth_voltage: float | None, sweep: list[float] | None,
                sweep_seeds: int) -> int:
+    """sweep is the voltage grid of ns.sweep_voltages."""
     nc = cfg.neurosignal
     pipeline_kwargs = dict(edge_times=nc.blank_edge_times_s,
                            blank_window=nc.blank_window_s,
@@ -161,27 +160,15 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
                            refractory=nc.refractory_s)
 
     if sweep is not None:
-        start, stop, step_v = sweep
-        n_points = int(round((stop - start) / step_v)) + 1
-        volts, means, sds = [], [], []
-        for vi in range(n_points):
-            v = start + vi * step_v
-            traces = (ns.synth_neural_response(
-                v, child_seed(cfg.seed, f"spikes.sweep.{vi}", si),
-                nc.sample_rate_hz, duration=nc.synth_duration_s,
-                noise_sd=nc.synth_noise_sd_v,
-                artifact_times=nc.blank_edge_times_s,
-                r_min=nc.r_min_hz, r_max=nc.r_max_hz)
-                for si in range(sweep_seeds))
-            counts = [train.count for train in
-                      ns.run_spike_pipelines(traces, **pipeline_kwargs)]
-            volts.append(v)
-            means.append(float(np.mean(counts)))
-            sds.append(float(np.std(counts)))
+        counts = ns.voltage_sweep(
+            sweep, sweep_seeds, cfg.seed, sample_rate=nc.sample_rate_hz,
+            duration=nc.synth_duration_s, noise_sd=nc.synth_noise_sd_v,
+            r_min=nc.r_min_hz, r_max=nc.r_max_hz, **pipeline_kwargs)
         _write_csv(out_dir / "spike_sweep.csv",
                    ["voltage_v", "mean_spikes", "sd_spikes"],
-                   [volts, means, sds])
-        print(f"sweep written: {n_points} voltages x {sweep_seeds} seeds")
+                   [sweep, [float(np.mean(c)) for c in counts],
+                    [float(np.std(c)) for c in counts]])
+        print(f"sweep written: {len(sweep)} voltages x {sweep_seeds} seeds")
         return EXIT_OK
 
     if input_path is not None:
@@ -432,12 +419,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "synth", None) is not None:
+        try:
+            ns.check_voltage(args.synth)
+        except ValueError as exc:
+            parser.error(f"argument --synth: {exc}")
     if getattr(args, "sweep", None) is not None:
-        start, stop, step_v = args.sweep
-        if not (all(map(math.isfinite, args.sweep)) and step_v > 0
-                and stop >= start):
-            parser.error(f"argument --sweep: need finite START <= STOP and "
-                         f"STEP > 0, got {start} {stop} {step_v}")
+        try:
+            args.sweep = ns.sweep_voltages(*args.sweep)
+        except ValueError as exc:
+            parser.error(f"argument --sweep: {exc}")
     config_path = getattr(args, "config", None)
     seed_flag = getattr(args, "seed", None)
     output_flag = getattr(args, "output_dir", None)
@@ -466,9 +457,8 @@ def main(argv=None) -> int:
         if args.command == "assemble":
             return run_assemble(cfg, out_dir, args.batch)
         if args.command == "spikes":
-            sweep = tuple(args.sweep) if args.sweep is not None else None
             return run_spikes(cfg, out_dir, args.input, args.synth,
-                              sweep, args.sweep_seeds)
+                              args.sweep, args.sweep_seeds)
         if args.command == "coverage":
             return run_coverage(cfg, out_dir, args.seeds, args.agents)
         if args.command == "metrics":

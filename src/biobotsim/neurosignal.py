@@ -10,17 +10,25 @@ prewarped edges (biquad_coefficients).  It runs as a direct-form-II-
 transposed filter in one kernel, bandpass_rows, which filters many traces
 at once through blocked matrix-vector products; bandpass is its one-row
 call.  The threshold takes the median from one partition.
+
+voltage_sweep is the driver of the voltage-response protocol.  It runs
+its traces a few at a time through one fused kernel, synthesis through
+detection on the rows of one buffer, with one thread per CPU.  The stage
+functions are one-row or trace-list calls of the same helpers.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .seeding import child_seed
 
 THRESHOLD_FACTOR = 5.0
 MAD_SCALE = 0.6745            # median(|x|) of a unit normal
@@ -135,6 +143,24 @@ def check_params(sample_rate: float, band: tuple[float, float] | None = None,
                                       f"got {r_max!r}")
 
 
+def _blank_spans(edge_times, window: float, sample_rate: float,
+                 n: int) -> list[slice]:
+    """The samples [edge, edge + window) of each stimulation edge in a trace
+    of n samples, clipped at its end.  Raises ValueError for an edge
+    outside the trace extent."""
+    width = int(round(window * sample_rate))
+    spans = []
+    for edge in edge_times:
+        start = int(round(edge * sample_rate))
+        if edge < 0.0 or start > n:
+            raise ValueError(
+                f"edge time {edge} s outside the trace extent "
+                f"[0, {n / sample_rate}] s"
+            )
+        spans.append(slice(start, min(start + width, n)))
+    return spans
+
+
 def blank_artifacts(t: Trace, edge_times, window: float = DEFAULT_BLANK_WINDOW) -> Trace:
     """Zero [edge, edge + window) around each stimulation edge.
 
@@ -142,17 +168,9 @@ def blank_artifacts(t: Trace, edge_times, window: float = DEFAULT_BLANK_WINDOW) 
     the trace extent (windows are clipped at the end).
     """
     check_params(t.sample_rate, blank_window=window)
-    n = len(t.samples)
     out = t.samples.copy()
-    width = int(round(window * t.sample_rate))
-    for edge in edge_times:
-        start = int(round(edge * t.sample_rate))
-        if edge < 0.0 or start > n:
-            raise ValueError(
-                f"edge time {edge} s outside the trace extent "
-                f"[0, {n / t.sample_rate}] s"
-            )
-        out[start:min(start + width, n)] = 0.0
+    for span in _blank_spans(edge_times, window, t.sample_rate, len(out)):
+        out[span] = 0.0
     return Trace(t.sample_rate, out)
 
 
@@ -253,6 +271,19 @@ def bandpass(t: Trace, low: float = DEFAULT_BAND[0],
                                               low, high)[0])
 
 
+def _thresholds(mags: np.ndarray) -> np.ndarray:
+    """threshold of each row of mags = |x| [lanes, n], from one partition."""
+    n = mags.shape[1]
+    if n == 0:
+        raise ValueError("cannot estimate a threshold from an empty trace")
+    half = n // 2
+    part = np.partition(mags, half, axis=1)
+    upper = part[:, half] / MAD_SCALE
+    median = upper if n % 2 else (part[:, :half].max(axis=1) / MAD_SCALE
+                                  + upper) / 2.0
+    return THRESHOLD_FACTOR * median
+
+
 def threshold(t: Trace) -> float:
     """Robust detection threshold, 5 x the MAD-based noise estimate.
 
@@ -260,15 +291,25 @@ def threshold(t: Trace) -> float:
     by a positive constant keeps the order of the values, so this is
     np.median's value bit for bit.
     """
-    n = len(t.samples)
-    if n == 0:
-        raise ValueError("cannot estimate a threshold from an empty trace")
-    mags = np.abs(t.samples)
-    half = n // 2
-    mags.partition(half)
-    upper = mags[half] / MAD_SCALE
-    median = upper if n % 2 else (mags[:half].max() / MAD_SCALE + upper) / 2.0
-    return THRESHOLD_FACTOR * float(median)
+    return float(_thresholds(np.abs(t.samples)[None])[0])
+
+
+def _detect_rows(mags: np.ndarray, thresholds: np.ndarray,
+                 hold: int) -> list[np.ndarray]:
+    """Upward crossings of each row of mags = |x| [lanes, n] above its
+    threshold, each kept only hold samples or more after the last kept."""
+    above = mags > thresholds[:, None]
+    rising = above.copy()
+    rising[:, 1:] &= ~above[:, :-1]
+    trains = []
+    for row in rising:
+        kept, last = [], None
+        for idx in np.flatnonzero(row).tolist():
+            if last is None or idx - last >= hold:
+                kept.append(idx)
+                last = idx
+        trains.append(np.array(kept, dtype=int))
+    return trains
 
 
 def detect_spikes(t: Trace, thresh: float,
@@ -278,21 +319,30 @@ def detect_spikes(t: Trace, thresh: float,
     if thresh < 0.0:
         raise ValueError(f"threshold must be non-negative, got {thresh!r}")
     check_params(t.sample_rate, refractory=refractory)
-    above = np.abs(t.samples) > thresh
-    crossings = np.flatnonzero(above & ~np.concatenate(([False], above[:-1])))
     hold = int(round(refractory * t.sample_rate))
-    kept = []
-    last = None
-    for idx in crossings:
-        if last is None or idx - last >= hold:
-            kept.append(int(idx))
-            last = idx
-    return SpikeTrain(np.array(kept, dtype=int), thresh)
+    return SpikeTrain(_detect_rows(np.abs(t.samples)[None],
+                                   np.array([thresh]), hold)[0], thresh)
 
 
-# traces per kernel call in run_spike_pipelines: it bounds the memory held;
-# the kernel's cost per trace barely depends on it
-_LANES = 8
+def _detect_chunk(rows: np.ndarray, sample_rate: float, spans, low: float,
+                  high: float, hold: int) -> list[SpikeTrain]:
+    """The detection chain on the rows [lanes, n] of one buffer: blank them
+    in place at spans, bandpass them in one kernel call, then give each
+    row its own threshold and refractory-held detection."""
+    for span in spans:
+        rows[:, span] = 0.0
+    filtered = bandpass_rows(rows, sample_rate, low, high)
+    if not np.isfinite(filtered).all():
+        raise ValueError("samples must be finite")
+    mags = np.abs(filtered, out=filtered)
+    thresholds = _thresholds(mags)
+    return [SpikeTrain(idx, thr) for idx, thr in
+            zip(_detect_rows(mags, thresholds, hold), thresholds.tolist())]
+
+
+# traces per kernel call: it bounds the memory each chunk holds, and the
+# sweep hands chunks of this size to its threads
+_LANES = 4
 
 
 def run_spike_pipelines(traces, *, edge_times=DEFAULT_EDGE_TIMES,
@@ -310,11 +360,12 @@ def run_spike_pipelines(traces, *, edge_times=DEFAULT_EDGE_TIMES,
         rate = chunk[0].sample_rate
         if any(t.sample_rate != rate for t in chunk[1:]):
             raise ValueError("traces must share one sample rate")
-        rows = np.stack([blank_artifacts(t, edge_times, blank_window).samples
-                         for t in chunk])
-        for row in bandpass_rows(rows, rate, low, high):
-            filtered = Trace(rate, row)
-            trains.append(detect_spikes(filtered, threshold(filtered), refractory))
+        check_params(rate, (low, high), blank_window, refractory)
+        rows = np.stack([t.samples for t in chunk])
+        trains += _detect_chunk(
+            rows, rate, _blank_spans(edge_times, blank_window, rate,
+                                     rows.shape[1]),
+            low, high, int(round(refractory * rate)))
     return trains
 
 
@@ -326,19 +377,24 @@ def run_spike_pipeline(t: Trace, **kwargs) -> SpikeTrain:
 
 # ---------- synthetic responses ----------
 
+def check_voltage(stim_voltage: float):
+    """The one check of a stimulation voltage: it must lie in
+    [0, MAX_STIM_VOLTAGE] V, which also rejects NaN."""
+    if not 0.0 <= stim_voltage <= MAX_STIM_VOLTAGE:
+        raise ValueError(f"stimulation voltage must lie in "
+                         f"[0, {MAX_STIM_VOLTAGE}] V, got {stim_voltage!r}")
+
+
 def expected_spike_rate(stim_voltage: float, r_min: float = DEFAULT_R_MIN,
                         r_max: float = DEFAULT_R_MAX) -> float:
     """Evoked event rate for a stimulation voltage, events per second.
 
     Zero below the ramp onset, linear ramp r_min to r_max on the ramp,
     flat plateau, then a linear drop to RATE_DROP_FACTOR * r_max at 4.0 V
-    (held above that; voltages beyond 5 V are rejected).
+    (held above that; voltages outside check_voltage's range are rejected).
     """
+    check_voltage(stim_voltage)
     v = stim_voltage
-    if v < 0.0:
-        raise ValueError(f"stimulation voltage must be non-negative, got {v!r}")
-    if v > MAX_STIM_VOLTAGE:
-        raise ValueError(f"stimulation voltage must be at most {MAX_STIM_VOLTAGE} V")
     if v < RATE_RAMP_START_V:
         return 0.0
     if v < RATE_PLATEAU_START_V:
@@ -351,11 +407,76 @@ def expected_spike_rate(stim_voltage: float, r_min: float = DEFAULT_R_MIN,
     return r_max * (1.0 - (1.0 - RATE_DROP_FACTOR) * frac)
 
 
+def sweep_voltages(start: float, stop: float, step: float) -> list[float]:
+    """The voltage grid of a sweep: start + i * step for i from 0 to
+    round((stop - start) / step).  A last point within 1e-9 V of stop is
+    set to stop.  Raises ValueError unless start <= stop and step > 0 are
+    finite and every point passes check_voltage."""
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0
+            and stop >= start):
+        raise ValueError(f"need finite START <= STOP and STEP > 0, got "
+                         f"{start} {stop} {step}")
+    n = int(round((stop - start) / step)) + 1
+    last = start + (n - 1) * step
+    if abs(last - stop) <= 1e-9:
+        last = stop
+    for v in (start, last):   # the grid is monotone
+        try:
+            check_voltage(v)
+        except ValueError as exc:
+            raise ValueError(f"the grid runs {start!r} to {last!r} V: "
+                             f"{exc}") from None
+    return [start + i * step for i in range(n - 1)] + [last]
+
+
 def _spikelet(sample_rate: float, width: float = 0.0005) -> np.ndarray:
     # one sine cycle: biphasic, energy centered around 1/width Hz; kept
     # narrow so the bandpassed waveform decays well inside the refractory
     n = max(int(round(width * sample_rate)), 2)
     return np.sin(2.0 * np.pi * np.arange(n) / n)
+
+
+def _artifacts(edge_times, sample_rate: float, n: int, noise_sd: float):
+    """(start, waveform) of the stimulation switching artifact at each edge
+    that starts inside n samples: a big exponential transient whose
+    polarity alternates from edge to edge."""
+    art_len = int(round(0.005 * sample_rate))
+    decay = np.exp(-np.arange(art_len) / (0.001 * sample_rate))
+    waves = []
+    for k, edge in enumerate(edge_times):
+        start = int(round(edge * sample_rate))
+        if start >= n:
+            continue
+        polarity = 1.0 if k % 2 == 0 else -1.0
+        waves.append((start, polarity * 50.0 * noise_sd
+                      * decay[:min(art_len, n - start)]))
+    return waves
+
+
+def _synth_rows(rows: np.ndarray, jobs, duration: float, noise_sd: float,
+                spike_amplitude: float, template: np.ndarray, artifacts):
+    """Write one synthetic response into each row of rows [lanes, n]; jobs
+    holds each row's (event rate, rng seed).
+
+    A row holds rng.normal(0.0, noise_sd, n) drawn in place, then the
+    spikelets added in event order, then the artifacts: the bits of a
+    loop of slice adds over the events and edges.
+    """
+    n, w = rows.shape[1], len(template)
+    offsets = np.arange(w)
+    for row, (rate, seed) in zip(rows, jobs):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=row)
+        row *= noise_sd
+        row += 0.0   # normal returns 0.0 + noise_sd * z: never -0.0
+        n_events = rng.poisson(rate * duration) if rate > 0.0 else 0
+        if n_events > 0:
+            starts = np.sort(rng.integers(0, n - w, n_events))
+            amps = spike_amplitude * rng.uniform(0.8, 1.2, n_events)
+            np.add.at(row, (starts[:, None] + offsets).ravel(),
+                      np.multiply.outer(amps, template).ravel())
+    for start, wave in artifacts:
+        rows[:, start:start + len(wave)] += wave
 
 
 def synth_neural_response(stim_voltage: float, rng_seed: int,
@@ -375,32 +496,87 @@ def synth_neural_response(stim_voltage: float, rng_seed: int,
     check_params(sample_rate, duration=duration, noise_sd=noise_sd,
                  rates=(r_min, r_max))
     rate = expected_spike_rate(stim_voltage, r_min, r_max)
-    rng = np.random.default_rng(rng_seed)
     n = int(round(duration * sample_rate))
-    trace = rng.normal(0.0, noise_sd, n)
     if spike_amplitude is None:
         spike_amplitude = 10.0 * noise_sd
+    rows = np.empty((1, n))
+    _synth_rows(rows, [(rate, rng_seed)], duration, noise_sd, spike_amplitude,
+                _spikelet(sample_rate),
+                _artifacts(artifact_times, sample_rate, n, noise_sd))
+    return Trace(sample_rate, rows[0])
 
+
+# ---------- the voltage sweep ----------
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_chunks(fn, chunks) -> list:
+    """[fn(c) for c in chunks], run on one thread per CPU, at most one per
+    chunk.  Results come back in chunk order.  The first error is raised
+    once the chunks already running finish; queued chunks never start."""
+    workers = min(_cpu_count(), len(chunks))
+    if workers <= 1:
+        return [fn(c) for c in chunks]
+    # imported here, so that loading the package does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return [f.result() for f in [pool.submit(fn, c) for c in chunks]]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def voltage_sweep(voltages, n_seeds: int, seed: int, *,
+                  sample_rate: float = DEFAULT_SAMPLE_RATE,
+                  duration: float = DEFAULT_SYNTH_DURATION,
+                  noise_sd: float = DEFAULT_SYNTH_NOISE_SD,
+                  r_min: float = DEFAULT_R_MIN,
+                  r_max: float = DEFAULT_R_MAX,
+                  edge_times=DEFAULT_EDGE_TIMES,
+                  blank_window: float = DEFAULT_BLANK_WINDOW,
+                  low: float = DEFAULT_BAND[0],
+                  high: float = DEFAULT_BAND[1],
+                  refractory: float = DEFAULT_REFRACTORY) -> np.ndarray:
+    """Spike counts [len(voltages), n_seeds] of the voltage-response
+    protocol.
+
+    Count [vi, si] is that of run_spike_pipeline on
+    synth_neural_response(voltages[vi],
+    child_seed(seed, f"spikes.sweep.{vi}", si)), with edge_times as both
+    the artifact and the blanking edges.  Every check runs first, in the
+    calling thread.  The traces then run _LANES at a time, each chunk
+    through one fused kernel: synthesis into the rows of one buffer,
+    blanking, bandpass, threshold and detection.  Chunks run on one thread
+    per CPU; every trace has its own generator and the counts are gathered
+    in order, so they do not depend on the number of CPUs.
+    """
+    check_params(sample_rate, (low, high), blank_window, refractory,
+                 duration=duration, noise_sd=noise_sd, rates=(r_min, r_max))
+    rates = [expected_spike_rate(v, r_min, r_max) for v in voltages]
+    n = int(round(duration * sample_rate))
+    spans = _blank_spans(edge_times, blank_window, sample_rate, n)
     template = _spikelet(sample_rate)
-    w = len(template)
-    n_events = rng.poisson(rate * duration) if rate > 0.0 else 0
-    if n_events > 0:
-        starts = np.sort(rng.integers(0, n - w, n_events))
-        amps = spike_amplitude * rng.uniform(0.8, 1.2, n_events)
-        for start, amp in zip(starts, amps):
-            trace[start:start + w] += amp * template
+    artifacts = _artifacts(edge_times, sample_rate, n, noise_sd)
+    hold = int(round(refractory * sample_rate))
+    jobs = [(rate, child_seed(seed, f"spikes.sweep.{vi}", si))
+            for vi, rate in enumerate(rates) for si in range(n_seeds)]
 
-    # stimulation switching artifacts: big exponential transients
-    art_len = int(round(0.005 * sample_rate))
-    decay = np.exp(-np.arange(art_len) / (0.001 * sample_rate))
-    for k, edge in enumerate(artifact_times):
-        start = int(round(edge * sample_rate))
-        if start >= n:
-            continue
-        seg = min(art_len, n - start)
-        polarity = 1.0 if k % 2 == 0 else -1.0
-        trace[start:start + seg] += polarity * 50.0 * noise_sd * decay[:seg]
-    return Trace(sample_rate, trace)
+    def chunk_counts(chunk):
+        rows = np.empty((len(chunk), n))
+        _synth_rows(rows, chunk, duration, noise_sd, 10.0 * noise_sd,
+                    template, artifacts)
+        return [train.count for train in
+                _detect_chunk(rows, sample_rate, spans, low, high, hold)]
+
+    counts = _map_chunks(chunk_counts, [jobs[i:i + _LANES]
+                                        for i in range(0, len(jobs), _LANES)])
+    return np.array([c for cs in counts for c in cs],
+                    dtype=int).reshape(len(rates), n_seeds)
 
 
 def planted_spike_trace(rng_seed: int, *, n_spikes: int = 7,

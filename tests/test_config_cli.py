@@ -249,15 +249,26 @@ def test_neurosignal_mistakes_exit_2_at_load(tmp_path, capsys, key, value):
     assert err.startswith(f"config error: neurosignal.{key}: ")
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, biobotsim.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _modules_after_cli_import(package):
+    """Modules of package loaded by `import biobotsim.cli` in a fresh
+    interpreter."""
+    code = ("import sys, biobotsim.cli; print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == {package!r}))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the sweep imports its pool when it runs, so cold start does not pay
+    assert _modules_after_cli_import("concurrent") == "[]"
 
 
 def test_load_config_reports_json_errors(tmp_path):
@@ -417,6 +428,49 @@ def test_spikes_sweep_range_faults_exit_2_at_parse_time(tmp_path, capsys,
                   "--output-dir", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "argument --sweep: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, values, text", [
+    ("--sweep", ["0", "5", "0.3"], "the grid runs 0.0 to 5.1"),
+    ("--sweep", ["-0.5", "1.0", "0.5"], "the grid runs -0.5 to 1.0"),
+    ("--synth", ["6"], "got 6.0"),
+    ("--synth", ["nan"], "got nan"),
+    ("--synth", ["-0.1"], "got -0.1"),
+], ids=["sweep-past-5V", "sweep-negative", "synth-6", "synth-nan",
+        "synth-negative"])
+def test_bad_stimulation_voltages_exit_2_at_parse_time(tmp_path, capsys,
+                                                       monkeypatch, flag,
+                                                       values, text):
+    calls = []
+    monkeypatch.setattr(ns, "_synth_rows",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spikes", flag, *values, "--sweep-seeds", "2",
+                  "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err
+    assert "stimulation voltage must lie in [0, 5.0] V" in err
+    assert text in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_blank_edge_past_the_trace_fails_before_synthesis(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ns, "_synth_rows",
+                        lambda *a, **k: calls.append(a))
+    cfg = _write_cfg(tmp_path, {"schema_version": 1,
+                                "neurosignal": {"synth_duration_s": 0.4}})
+    rc = cli.main(["spikes", "--sweep", "0.5", "4.0", "0.25",
+                   "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "runtime error: edge time 0.5 s outside the trace extent "
+        "[0, 0.4] s\n")
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 

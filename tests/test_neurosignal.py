@@ -6,11 +6,15 @@ magnitude oracle: the continuous-time second-order Butterworth bandpass
 frequency axis that the bilinear transform maps onto.
 """
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biobotsim.seeding import child_seed
+
+from biobotsim import neurosignal as ns
 from biobotsim.neurosignal import (
     DEFAULT_SAMPLE_RATE,
     MAD_SCALE,
@@ -27,8 +31,10 @@ from biobotsim.neurosignal import (
     read_trace_csv,
     run_spike_pipeline,
     run_spike_pipelines,
+    sweep_voltages,
     synth_neural_response,
     threshold,
+    voltage_sweep,
     write_trace_binary,
     write_trace_csv,
 )
@@ -328,10 +334,26 @@ def test_rate_curve_frozen_points():
 
 
 def test_rate_curve_rejects_out_of_range_voltages():
+    for v in (-0.1, 5.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must lie in"):
+            expected_spike_rate(v)
+
+
+def test_sweep_grid_ends_on_stop_within_1e_9_volts():
+    assert sweep_voltages(0.5, 4.0, 0.25) == [0.5 + i * 0.25 for i in range(15)]
+    grid = sweep_voltages(0.2, 5.0, 0.1)   # 0.2 + 48 * 0.1 is 5.000000000000001
+    assert len(grid) == 49
+    assert grid[-1] == 5.0
+    assert grid[:-1] == [0.2 + i * 0.1 for i in range(48)]
+    assert sweep_voltages(1.0, 1.0, 0.5) == [1.0]
+
+
+@pytest.mark.parametrize("grid", [(0.0, 5.0, 0.3), (-0.5, 1.0, 0.5),
+                                  (1.0, 0.5, 0.5), (0.5, 1.0, 0.0),
+                                  (0.5, math.nan, 0.5)])
+def test_sweep_grid_rejects_bad_ranges(grid):
     with pytest.raises(ValueError):
-        expected_spike_rate(-0.1)
-    with pytest.raises(ValueError):
-        expected_spike_rate(5.1)
+        sweep_voltages(*grid)
 
 
 @given(st.floats(min_value=0.5, max_value=3.0),
@@ -339,6 +361,52 @@ def test_rate_curve_rejects_out_of_range_voltages():
 def test_rate_curve_monotone_on_the_ramp(v1, v2):
     lo, hi = sorted((v1, v2))
     assert expected_spike_rate(lo) <= expected_spike_rate(hi)
+
+
+def _reference_synth(stim_voltage, rng_seed, sample_rate=FS, *,
+                     duration=1.2, noise_sd=10e-6, artifact_times=(0.0, 0.5, 1.0),
+                     r_min=2.0, r_max=40.0):
+    """The synthesis body as a loop of draws and slice adds: rng.normal for
+    the noise, one slice add per spikelet and per artifact."""
+    rate = expected_spike_rate(stim_voltage, r_min, r_max)
+    rng = np.random.default_rng(rng_seed)
+    n = int(round(duration * sample_rate))
+    trace = rng.normal(0.0, noise_sd, n)
+    spike_amplitude = 10.0 * noise_sd
+    w = max(int(round(0.0005 * sample_rate)), 2)
+    template = np.sin(2.0 * np.pi * np.arange(w) / w)
+    n_events = rng.poisson(rate * duration) if rate > 0.0 else 0
+    if n_events > 0:
+        starts = np.sort(rng.integers(0, n - w, n_events))
+        amps = spike_amplitude * rng.uniform(0.8, 1.2, n_events)
+        for start, amp in zip(starts, amps):
+            trace[start:start + w] += amp * template
+    art_len = int(round(0.005 * sample_rate))
+    decay = np.exp(-np.arange(art_len) / (0.001 * sample_rate))
+    for k, edge in enumerate(artifact_times):
+        start = int(round(edge * sample_rate))
+        if start >= n:
+            continue
+        seg = min(art_len, n - start)
+        polarity = 1.0 if k % 2 == 0 else -1.0
+        trace[start:start + seg] += polarity * 50.0 * noise_sd * decay[:seg]
+    return trace
+
+
+@pytest.mark.parametrize("kwargs", [
+    *({"stim_voltage": v} for v in (0.0, 0.5, 1.3, 2.0, 3.0, 3.25, 3.5, 3.8,
+                                    4.0, 4.6, 5.0)),
+    {"stim_voltage": 3.0, "r_min": 0.0, "r_max": 0.0},          # rate 0
+    {"stim_voltage": 3.0, "r_max": 5000.0},     # spikelets overlap
+    {"stim_voltage": 3.0, "r_max": 5000.0, "noise_sd": 0.0},
+    {"stim_voltage": 2.0, "duration": 0.3, "artifact_times": (0.0, 0.001,
+                                                              0.298, 0.5)},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_synthesis_kernel_matches_the_slice_loop_byte_for_byte(kwargs):
+    for seed in (0, 7, 2**63):
+        got = synth_neural_response(rng_seed=seed, **kwargs).samples
+        assert got.tobytes() == _reference_synth(rng_seed=seed,
+                                                 **kwargs).tobytes()
 
 
 def test_synthetic_response_is_deterministic():
@@ -411,3 +479,54 @@ def test_csv_reader_rejects_missing_header(tmp_path):
     p.write_text("1.0\n2.0\n")
     with pytest.raises(ValueError):
         read_trace_csv(p)
+
+
+# ---------- the voltage sweep ----------
+
+SWEEP_VOLTS = [0.0, 0.5, 2.0, 3.0, 4.5]
+SWEEP_SEED = 21
+
+
+@pytest.fixture(scope="module")
+def sweep_reference_counts():
+    """Counts of one run_spike_pipeline call per trace: 5 voltages x 10
+    seeds, 50 traces."""
+    return [[run_spike_pipeline(synth_neural_response(
+                v, child_seed(SWEEP_SEED, f"spikes.sweep.{vi}", si))).count
+             for si in range(10)] for vi, v in enumerate(SWEEP_VOLTS)]
+
+
+@pytest.mark.parametrize("cpus, lanes", [(1, 4), (3, 4), (1, 3), (3, 3)])
+def test_sweep_counts_do_not_depend_on_cpus_or_chunk_size(
+        monkeypatch, sweep_reference_counts, cpus, lanes):
+    monkeypatch.setattr(ns, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(ns, "_LANES", lanes)   # 3 does not divide 50
+    counts = voltage_sweep(SWEEP_VOLTS, 10, SWEEP_SEED)
+    assert counts.shape == (5, 10)
+    assert counts.tolist() == sweep_reference_counts
+
+
+def test_sweep_checks_every_voltage_before_any_synthesis(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ns, "_synth_rows", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="got 5.5"):
+        voltage_sweep([1.0, 5.5], 2, 0)
+    with pytest.raises(ValueError, match="edge time 1.0 s outside"):
+        voltage_sweep([1.0], 2, 0, duration=0.6)
+    assert calls == []
+
+
+def test_chunk_failure_cancels_the_queued_chunks(monkeypatch):
+    monkeypatch.setattr(ns, "_cpu_count", lambda: 2)
+    ran = []
+
+    def chunk(c):
+        if c == 0:
+            raise ValueError("chunk 0 failed")
+        time.sleep(0.01)
+        ran.append(c)
+        return c
+
+    with pytest.raises(ValueError, match="chunk 0 failed"):
+        ns._map_chunks(chunk, list(range(200)))
+    assert len(ran) < 20
