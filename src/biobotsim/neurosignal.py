@@ -407,28 +407,6 @@ def expected_spike_rate(stim_voltage: float, r_min: float = DEFAULT_R_MIN,
     return r_max * (1.0 - (1.0 - RATE_DROP_FACTOR) * frac)
 
 
-def sweep_voltages(start: float, stop: float, step: float) -> list[float]:
-    """The voltage grid of a sweep: start + i * step for i from 0 to
-    round((stop - start) / step).  A last point within 1e-9 V of stop is
-    set to stop.  Raises ValueError unless start <= stop and step > 0 are
-    finite and every point passes check_voltage."""
-    if not (all(map(math.isfinite, (start, stop, step))) and step > 0
-            and stop >= start):
-        raise ValueError(f"need finite START <= STOP and STEP > 0, got "
-                         f"{start} {stop} {step}")
-    n = int(round((stop - start) / step)) + 1
-    last = start + (n - 1) * step
-    if abs(last - stop) <= 1e-9:
-        last = stop
-    for v in (start, last):   # the grid is monotone
-        try:
-            check_voltage(v)
-        except ValueError as exc:
-            raise ValueError(f"the grid runs {start!r} to {last!r} V: "
-                             f"{exc}") from None
-    return [start + i * step for i in range(n - 1)] + [last]
-
-
 def _spikelet(sample_rate: float, width: float = 0.0005) -> np.ndarray:
     # one sine cycle: biphasic, energy centered around 1/width Hz; kept
     # narrow so the bandpassed waveform decays well inside the refractory
@@ -506,7 +484,69 @@ def synth_neural_response(stim_voltage: float, rng_seed: int,
     return Trace(sample_rate, rows[0])
 
 
+def planted_spike_trace(rng_seed: int, *, n_spikes: int = 7,
+                        spacing: float = 0.010,
+                        sample_rate: float = DEFAULT_SAMPLE_RATE,
+                        duration: float = 0.25,
+                        first_spike: float = 0.08,
+                        noise_sd: float = 0.1,
+                        amplitude_over_threshold: float = 4.0,
+                        low: float = DEFAULT_BAND[0],
+                        high: float = DEFAULT_BAND[1]) -> Trace:
+    """Fixture: evenly spaced biphasic spikelets planted in Gaussian noise.
+
+    The spikelet amplitude is calibrated so that the filtered spike peak
+    sits at amplitude_over_threshold times the pipeline threshold measured
+    on the noise alone; detection is then certain while post-spike filter
+    ringing stays safely below threshold.  There is no stimulation in this
+    trace, so runs against it should use empty blanking edges.
+    """
+    rng = np.random.default_rng(rng_seed)
+    n = int(round(duration * sample_rate))
+    noise = rng.normal(0.0, noise_sd, n)
+
+    t_cal = threshold(bandpass(Trace(sample_rate, noise), low, high))
+
+    template = _spikelet(sample_rate)
+    w = len(template)
+    probe = np.zeros(n)
+    probe[n // 2:n // 2 + w] = template
+    unit_peak = float(np.abs(bandpass(Trace(sample_rate, probe),
+                                      low, high).samples).max())
+    amp = amplitude_over_threshold * t_cal / unit_peak
+
+    trace = noise.copy()
+    for k in range(n_spikes):
+        start = int(round((first_spike + k * spacing) * sample_rate))
+        if start + w > n:
+            raise ValueError("fixture spikes do not fit in the trace")
+        trace[start:start + w] += amp * template
+    return Trace(sample_rate, trace)
+
+
 # ---------- the voltage sweep ----------
+
+def sweep_voltages(start: float, stop: float, step: float) -> list[float]:
+    """The voltage grid of a sweep: start + i * step for i from 0 to
+    round((stop - start) / step).  A last point within 1e-9 V of stop is
+    set to stop.  Raises ValueError unless start <= stop and step > 0 are
+    finite and every point passes check_voltage."""
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0
+            and stop >= start):
+        raise ValueError(f"need finite START <= STOP and STEP > 0, got "
+                         f"{start} {stop} {step}")
+    n = int(round((stop - start) / step)) + 1
+    last = start + (n - 1) * step
+    if abs(last - stop) <= 1e-9:
+        last = stop
+    for v in (start, last):   # the grid is monotone
+        try:
+            check_voltage(v)
+        except ValueError as exc:
+            raise ValueError(f"the grid runs {start!r} to {last!r} V: "
+                             f"{exc}") from None
+    return [start + i * step for i in range(n - 1)] + [last]
+
 
 def _cpu_count() -> int:
     """CPUs this process may run on."""
@@ -517,8 +557,9 @@ def _cpu_count() -> int:
 
 def _map_chunks(fn, chunks) -> list:
     """[fn(c) for c in chunks], run on one thread per CPU, at most one per
-    chunk.  Results come back in chunk order.  The first error is raised
-    once the chunks already running finish; queued chunks never start."""
+    chunk.  Results come back in chunk order.  On an error, the chunks
+    still queued never start; the error of the first failed chunk in
+    chunk order is raised once the running ones finish."""
     workers = min(_cpu_count(), len(chunks))
     if workers <= 1:
         return [fn(c) for c in chunks]
@@ -577,46 +618,6 @@ def voltage_sweep(voltages, n_seeds: int, seed: int, *,
                                         for i in range(0, len(jobs), _LANES)])
     return np.array([c for cs in counts for c in cs],
                     dtype=int).reshape(len(rates), n_seeds)
-
-
-def planted_spike_trace(rng_seed: int, *, n_spikes: int = 7,
-                        spacing: float = 0.010,
-                        sample_rate: float = DEFAULT_SAMPLE_RATE,
-                        duration: float = 0.25,
-                        first_spike: float = 0.08,
-                        noise_sd: float = 0.1,
-                        amplitude_over_threshold: float = 4.0,
-                        low: float = DEFAULT_BAND[0],
-                        high: float = DEFAULT_BAND[1]) -> Trace:
-    """Fixture: evenly spaced biphasic spikelets planted in Gaussian noise.
-
-    The spikelet amplitude is calibrated so that the filtered spike peak
-    sits at amplitude_over_threshold times the pipeline threshold measured
-    on the noise alone; detection is then certain while post-spike filter
-    ringing stays safely below threshold.  There is no stimulation in this
-    trace, so runs against it should use empty blanking edges.
-    """
-    rng = np.random.default_rng(rng_seed)
-    n = int(round(duration * sample_rate))
-    noise = rng.normal(0.0, noise_sd, n)
-
-    t_cal = threshold(bandpass(Trace(sample_rate, noise), low, high))
-
-    template = _spikelet(sample_rate)
-    w = len(template)
-    probe = np.zeros(n)
-    probe[n // 2:n // 2 + w] = template
-    unit_peak = float(np.abs(bandpass(Trace(sample_rate, probe),
-                                      low, high).samples).max())
-    amp = amplitude_over_threshold * t_cal / unit_peak
-
-    trace = noise.copy()
-    for k in range(n_spikes):
-        start = int(round((first_spike + k * spacing) * sample_rate))
-        if start + w > n:
-            raise ValueError("fixture spikes do not fit in the trace")
-        trace[start:start + w] += amp * template
-    return Trace(sample_rate, trace)
 
 
 # ---------- trace file I/O ----------
