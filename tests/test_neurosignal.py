@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biobotsim.seeding import child_seed
-
 from biobotsim import neurosignal as ns
 from biobotsim.neurosignal import (
     DEFAULT_SAMPLE_RATE,
@@ -38,6 +36,7 @@ from biobotsim.neurosignal import (
     write_trace_binary,
     write_trace_csv,
 )
+from biobotsim.seeding import child_seed
 
 FS = DEFAULT_SAMPLE_RATE
 
