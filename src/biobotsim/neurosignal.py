@@ -19,7 +19,6 @@ functions are one-row or trace-list calls of the same helpers.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import struct
@@ -340,39 +339,29 @@ def _detect_chunk(rows: np.ndarray, sample_rate: float, spans, low: float,
             zip(_detect_rows(mags, thresholds, hold), thresholds.tolist())]
 
 
-# traces per kernel call: it bounds the memory each chunk holds, and the
-# sweep hands chunks of this size to its threads
-_LANES = 4
-
-
-def run_spike_pipelines(traces, *, edge_times=DEFAULT_EDGE_TIMES,
-                        blank_window: float = DEFAULT_BLANK_WINDOW,
-                        low: float = DEFAULT_BAND[0],
-                        high: float = DEFAULT_BAND[1],
-                        refractory: float = DEFAULT_REFRACTORY) -> list[SpikeTrain]:
-    """Full detection chain over traces of one sample rate and length:
-    blank each, bandpass _LANES of them per kernel call, then give each its
-    own robust threshold and detection.  traces may be a generator; at most
-    _LANES of them are held at once."""
-    trains = []
-    it = iter(traces)
-    while chunk := list(itertools.islice(it, _LANES)):
-        rate = chunk[0].sample_rate
-        if any(t.sample_rate != rate for t in chunk[1:]):
-            raise ValueError("traces must share one sample rate")
-        check_params(rate, (low, high), blank_window, refractory)
-        rows = np.stack([t.samples for t in chunk])
-        trains += _detect_chunk(
-            rows, rate, _blank_spans(edge_times, blank_window, rate,
-                                     rows.shape[1]),
-            low, high, int(round(refractory * rate)))
-    return trains
-
-
-def run_spike_pipeline(t: Trace, **kwargs) -> SpikeTrain:
+def run_spike_pipeline(t: Trace, *, edge_times=DEFAULT_EDGE_TIMES,
+                       blank_window: float = DEFAULT_BLANK_WINDOW,
+                       low: float = DEFAULT_BAND[0],
+                       high: float = DEFAULT_BAND[1],
+                       refractory: float = DEFAULT_REFRACTORY) -> SpikeTrain:
     """Full detection chain on one trace: blank, bandpass, robust
-    threshold, detect.  Takes the keyword arguments of run_spike_pipelines."""
-    return run_spike_pipelines([t], **kwargs)[0]
+    threshold, detect."""
+    rate = t.sample_rate
+    check_params(rate, (low, high), blank_window, refractory)
+    rows = t.samples[None].copy()   # _detect_chunk blanks in place
+    return _detect_chunk(rows, rate,
+                         _blank_spans(edge_times, blank_window, rate,
+                                      rows.shape[1]),
+                         low, high, int(round(refractory * rate)))[0]
+
+
+def run_spike_pipelines(traces, **kwargs) -> list[SpikeTrain]:
+    """run_spike_pipeline on each of traces, which must share one sample
+    rate.  Takes the keyword arguments of run_spike_pipeline."""
+    traces = list(traces)
+    if any(t.sample_rate != traces[0].sample_rate for t in traces[1:]):
+        raise ValueError("traces must share one sample rate")
+    return [run_spike_pipeline(t, **kwargs) for t in traces]
 
 
 # ---------- synthetic responses ----------
@@ -526,16 +515,30 @@ def planted_spike_trace(rng_seed: int, *, n_spikes: int = 7,
 
 # ---------- the voltage sweep ----------
 
+# a grid of more points steps the 0-5 V range by less than 0.5 mV: a typo,
+# and a list the flags' parse would have to build
+MAX_SWEEP_POINTS = 10_001
+
+# traces per chunk: it bounds the memory each chunk holds, and chunks are
+# what the sweep hands to its threads
+_LANES = 4
+
+
 def sweep_voltages(start: float, stop: float, step: float) -> list[float]:
     """The voltage grid of a sweep: start + i * step for i from 0 to
     round((stop - start) / step).  A last point within 1e-9 V of stop is
     set to stop.  Raises ValueError unless start <= stop and step > 0 are
-    finite and every point passes check_voltage."""
+    finite, the grid has at most MAX_SWEEP_POINTS points and every point
+    passes check_voltage.  Nothing is allocated before the checks."""
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0
             and stop >= start):
         raise ValueError(f"need finite START <= STOP and STEP > 0, got "
                          f"{start} {stop} {step}")
-    n = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step   # inf when the division overflows
+    if not span < MAX_SWEEP_POINTS - 0.5:   # the grid has round(span) + 1
+        raise ValueError(f"the grid {start!r} to {stop!r} V by {step!r} V "
+                         f"has more than {MAX_SWEEP_POINTS} points")
+    n = int(round(span)) + 1
     last = start + (n - 1) * step
     if abs(last - stop) <= 1e-9:
         last = stop
@@ -557,19 +560,19 @@ def _cpu_count() -> int:
 
 def _map_chunks(fn, chunks) -> list:
     """[fn(c) for c in chunks], run on one thread per CPU, at most one per
-    chunk.  Results come back in chunk order.  On an error, the chunks
-    still queued never start; the error of the first failed chunk in
-    chunk order is raised once the running ones finish."""
-    workers = min(_cpu_count(), len(chunks))
-    if workers <= 1:
-        return [fn(c) for c in chunks]
+    chunk.  Results come back in chunk order.  As soon as any chunk fails,
+    the chunks still queued are cancelled; once the running ones finish,
+    the error of the first failed chunk in chunk order is raised."""
     # imported here, so that loading the package does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(workers)
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    pool = ThreadPoolExecutor(max(1, min(_cpu_count(), len(chunks))))
     try:
-        return [f.result() for f in [pool.submit(fn, c) for c in chunks]]
+        futures = [pool.submit(fn, c) for c in chunks]
+        wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)
+    # the queue is FIFO, so every chunk before a failed one has run
+    return [f.result() for f in futures]
 
 
 def voltage_sweep(voltages, n_seeds: int, seed: int, *,

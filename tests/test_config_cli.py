@@ -419,8 +419,9 @@ def test_spikes_bad_sweep_range(tmp_path, capsys):
 @pytest.mark.parametrize("sweep", [
     ["0.5", "1.0", "0"], ["0.5", "1.0", "-0.5"], ["nan", "1.0", "0.5"],
     ["0.5", "inf", "0.5"], ["0.5", "1.0", "nan"], ["-inf", "1.0", "0.5"],
+    ["0", "5", "1e-12"], ["0", "5", "5e-324"],
 ], ids=["zero-step", "negative-step", "nan-start", "inf-stop", "nan-step",
-        "inf-start"])
+        "inf-start", "too-many-points", "overflowing-point-count"])
 def test_spikes_sweep_range_faults_exit_2_at_parse_time(tmp_path, capsys,
                                                         sweep):
     with pytest.raises(SystemExit) as exc:

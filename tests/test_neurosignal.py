@@ -16,6 +16,7 @@ from biobotsim import neurosignal as ns
 from biobotsim.neurosignal import (
     DEFAULT_SAMPLE_RATE,
     MAD_SCALE,
+    MAX_SWEEP_POINTS,
     THRESHOLD_FACTOR,
     Trace,
     bandpass,
@@ -345,11 +346,15 @@ def test_sweep_grid_ends_on_stop_within_1e_9_volts():
     assert grid[-1] == 5.0
     assert grid[:-1] == [0.2 + i * 0.1 for i in range(48)]
     assert sweep_voltages(1.0, 1.0, 0.5) == [1.0]
+    assert len(sweep_voltages(0.0, 5.0, 0.0005)) == MAX_SWEEP_POINTS
 
 
 @pytest.mark.parametrize("grid", [(0.0, 5.0, 0.3), (-0.5, 1.0, 0.5),
                                   (1.0, 0.5, 0.5), (0.5, 1.0, 0.0),
-                                  (0.5, math.nan, 0.5)])
+                                  (0.5, math.nan, 0.5),
+                                  (0.0, 5.0, 0.00049),   # 10,205 points
+                                  (0.0, 5.0, 1e-12),
+                                  (0.0, 5.0, 5e-324)])   # 5 / step overflows
 def test_sweep_grid_rejects_bad_ranges(grid):
     with pytest.raises(ValueError):
         sweep_voltages(*grid)
@@ -516,16 +521,26 @@ def test_sweep_checks_every_voltage_before_any_synthesis(monkeypatch):
 
 
 def test_chunk_failure_cancels_the_queued_chunks(monkeypatch):
+    """Chunk 1 fails while chunk 0 still runs: the queued chunks are
+    cancelled at once, not once chunk 0 ends, and chunk 0's later error is
+    the one raised."""
     monkeypatch.setattr(ns, "_cpu_count", lambda: 2)
     ran = []
 
     def chunk(c):
         if c == 0:
+            time.sleep(0.3)
             raise ValueError("chunk 0 failed")
+        if c == 1:
+            raise ValueError("chunk 1 failed")
         time.sleep(0.01)
         ran.append(c)
         return c
 
     with pytest.raises(ValueError, match="chunk 0 failed"):
         ns._map_chunks(chunk, list(range(200)))
-    assert len(ran) < 20
+    assert len(ran) < 10   # about 30 would run in chunk 0's 0.3 s
+
+
+def test_empty_sweep_gives_an_empty_table():
+    assert voltage_sweep([], 3, 0).shape == (0, 3)
