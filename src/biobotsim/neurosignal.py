@@ -14,7 +14,7 @@ call.  The threshold takes the median from one partition.
 voltage_sweep is the driver of the voltage-response protocol.  It runs
 its traces a few at a time through one fused kernel, synthesis through
 detection on the rows of one buffer, with one thread per CPU.  The stage
-functions are one-row or trace-list calls of the same helpers.
+functions are one-row calls of the same helpers.
 """
 from __future__ import annotations
 
@@ -515,8 +515,8 @@ def planted_spike_trace(rng_seed: int, *, n_spikes: int = 7,
 
 # ---------- the voltage sweep ----------
 
-# a grid of more points steps the 0-5 V range by less than 0.5 mV: a typo,
-# and a list the flags' parse would have to build
+# a grid of more points steps the 0-5 V range by less than 0.5 mV; the
+# bound is checked before the flags' parse builds the grid's list
 MAX_SWEEP_POINTS = 10_001
 
 # traces per chunk: it bounds the memory each chunk holds, and chunks are
