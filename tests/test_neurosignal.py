@@ -305,7 +305,7 @@ def test_pipeline_equals_manual_stage_chain():
 
 def test_batched_pipeline_equals_one_trace_calls():
     traces = [synth_neural_response(3.0, seed) for seed in range(10)]
-    batched = run_spike_pipelines(iter(traces))   # more than one kernel call
+    batched = run_spike_pipelines(iter(traces))   # takes any iterable
     assert len(batched) == len(traces)
     for t, got in zip(traces, batched):
         one = run_spike_pipeline(t)
