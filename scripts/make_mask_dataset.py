@@ -47,14 +47,17 @@ def main():
     for k in range(args.count):
         mask, p_r = synth_pronotum(shape, child_seed(args.seed, "mask", k))
         name = f"m{k:04d}.pgm"
+        # the generator's reference point is exact by construction; check
+        # it against the extractor so a broken dataset never ships
+        got = extract_reference_point(mask)
+        if got != p_r:
+            raise SystemExit(f"{name}: the extractor finds {got}, the "
+                             f"generator placed {p_r}")
         write_pgm(mask, truth_dir / name)
         pred = (augment(mask, args.scale, args.scale, args.rotation_deg)
                 if perturbed else mask)
         write_pgm(pred, pred_dir / name)
         lines.append(f"m{k:04d},{p_r.x},{p_r.y}")
-        # the generator's reference point is exact by construction; check
-        # it against the extractor so a broken dataset never ships
-        assert extract_reference_point(mask) == p_r, name
     (args.output_dir / "truth_points.csv").write_text("\n".join(lines) + "\n")
 
     kind = (f"scale {args.scale}, rotation {args.rotation_deg} deg"

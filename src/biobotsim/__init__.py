@@ -26,7 +26,7 @@ from .neurosignal import (SpikeTrain, Trace, bandpass, blank_artifacts,
 from .locomotion import (AgentParams, AgentState, AUTO_PRESET, MANUAL_PRESET,
                          PRESETS, StimCommand, StimKind, apply_command, step)
 from .swarm import (Arena, CoverageGrid, MultilaterationResult, Rect, SwarmRun,
-                    UwbSystem, coverage_percent, coverage_rate, multilaterate,
-                    simulate, simulate_ranges, update_coverage)
+                    UwbSystem, coverage_percent, coverage_rate,
+                    dispersion_batch, multilaterate, simulate, simulate_ranges)
 from .config import RunConfig, ConfigError, load_config
 from .seeding import child_seed

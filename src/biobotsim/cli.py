@@ -166,8 +166,7 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
             r_min=nc.r_min_hz, r_max=nc.r_max_hz, **pipeline_kwargs)
         _write_csv(out_dir / "spike_sweep.csv",
                    ["voltage_v", "mean_spikes", "sd_spikes"],
-                   [sweep, [float(np.mean(c)) for c in counts],
-                    [float(np.std(c)) for c in counts]])
+                   [sweep, counts.mean(axis=1), counts.std(axis=1)])
         print(f"sweep written: {len(sweep)} voltages x {sweep_seeds} seeds")
         return EXIT_OK
 
@@ -249,19 +248,14 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
         print(f"coverage rate: {rate:.2f} cm^2/s")
         return EXIT_OK
 
-    # batch mode: per-seed runs merged in deterministic seed order; each
-    # run is dropped before the next starts, keeping only what is merged
-    finals = []
-    rates = []
-    unions = []
-    run_seeds = [child_seed(cfg.seed, "coverage.batch", i) for i in range(seeds)]
-    for rs in run_seeds:
-        run = sw.simulate(arena, uwb, params, seed=rs, **common)
-        finals.append(run.final_union_coverage)
-        rates.append(sw.coverage_rate(run))
+    # batch mode: runs merged in seed order, each dropped before the next
+    per_seed, unions = [], []
+    for run in sw.dispersion_batch(arena, uwb, params, seeds, cfg.seed, **common):
+        per_seed.append((run.seed, run.final_union_coverage, sw.coverage_rate(run)))
         unions.append(run.union_coverage_pct)
         log_t = run.log_t
         del run
+    run_seeds, finals, rates = zip(*per_seed)
     stack = np.vstack(unions)
     _write_csv(out_dir / "coverage.csv",
                ["t_s", "union_mean_pct", "union_sd_pct"],
@@ -279,7 +273,7 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
         "mean_coverage_rate_cm2_per_s": float(np.mean(rates)),
         "per_seed": [
             {"seed": rs, "final_union_coverage_pct": f, "coverage_rate_cm2_per_s": r}
-            for rs, f, r in zip(run_seeds, finals, rates)
+            for rs, f, r in per_seed
         ],
     })
     print(f"mean union coverage over {seeds} seeds: "
@@ -319,10 +313,7 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
             raise InputDataError(f"{name}: empty mask has no reference point")
         preds.append(pm)
         truths.append(tm)
-    try:
-        metrics, rows = vision.evaluate_pairs(preds, truths)
-    except vision.EmptyMaskError as exc:
-        raise InputDataError(str(exc)) from exc
+    metrics, rows = vision.evaluate_pairs(preds, truths)   # empty masks exit above
     ious, dscs, errs = zip(*rows)
     _write_csv(out_dir / "metrics.csv", ["id", "iou", "dsc", "pr_err_sq"],
                [truth_names + ["mean"], ious + (metrics.miou,),

@@ -19,9 +19,11 @@ functions are one-row calls of the same helpers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -355,15 +357,6 @@ def run_spike_pipeline(t: Trace, *, edge_times=DEFAULT_EDGE_TIMES,
                          low, high, int(round(refractory * rate)))[0]
 
 
-def run_spike_pipelines(traces, **kwargs) -> list[SpikeTrain]:
-    """run_spike_pipeline on each of traces, which must share one sample
-    rate.  Takes the keyword arguments of run_spike_pipeline."""
-    traces = list(traces)
-    if any(t.sample_rate != traces[0].sample_rate for t in traces[1:]):
-        raise ValueError("traces must share one sample rate")
-    return [run_spike_pipeline(t, **kwargs) for t in traces]
-
-
 # ---------- synthetic responses ----------
 
 def check_voltage(stim_voltage: float):
@@ -559,20 +552,32 @@ def _cpu_count() -> int:
 
 
 def _map_chunks(fn, chunks) -> list:
-    """[fn(c) for c in chunks], run on one thread per CPU, at most one per
-    chunk.  Results come back in chunk order.  As soon as any chunk fails,
-    the chunks still queued are cancelled; once the running ones finish,
-    the error of the first failed chunk in chunk order is raised."""
-    # imported here, so that loading the package does not pay for it
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-    pool = ThreadPoolExecutor(max(1, min(_cpu_count(), len(chunks))))
-    try:
-        futures = [pool.submit(fn, c) for c in chunks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    # the queue is FIFO, so every chunk before a failed one has run
-    return [f.result() for f in futures]
+    """[fn(c) for c in chunks] on one thread per CPU, in chunk order.  Each
+    thread reads its next chunk when it finishes one, so one chunk per
+    thread is in flight.  Once a chunk fails no more are read, and once the
+    running ones finish the first failure in chunk order is raised."""
+    jobs, lock, results, errors = enumerate(chunks), threading.Lock(), {}, {}
+
+    def take():
+        with lock:   # a generator must not run on two threads at once
+            return (None, None) if errors else next(jobs, (None, None))
+
+    def work():
+        for i, c in iter(take, (None, None)):
+            try:
+                results[i] = fn(c)
+            except BaseException as exc:   # raised below, in chunk order
+                with lock:   # so that no chunk is taken after it
+                    errors[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(_cpu_count())]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(len(results))]
 
 
 def voltage_sweep(voltages, n_seeds: int, seed: int, *,
@@ -595,9 +600,9 @@ def voltage_sweep(voltages, n_seeds: int, seed: int, *,
     the artifact and the blanking edges.  Every check runs first, in the
     calling thread.  The traces then run _LANES at a time, each chunk
     through one fused kernel: synthesis into the rows of one buffer,
-    blanking, bandpass, threshold and detection.  Chunks run on one thread
-    per CPU; every trace has its own generator and the counts are gathered
-    in order, so they do not depend on the number of CPUs.
+    blanking, bandpass, threshold and detection.  _map_chunks's threads
+    build each chunk as they take it; every trace has its own generator and
+    the counts are gathered in order, so they do not depend on the CPU count.
     """
     check_params(sample_rate, (low, high), blank_window, refractory,
                  duration=duration, noise_sd=noise_sd, rates=(r_min, r_max))
@@ -607,8 +612,8 @@ def voltage_sweep(voltages, n_seeds: int, seed: int, *,
     template = _spikelet(sample_rate)
     artifacts = _artifacts(edge_times, sample_rate, n, noise_sd)
     hold = int(round(refractory * sample_rate))
-    jobs = [(rate, child_seed(seed, f"spikes.sweep.{vi}", si))
-            for vi, rate in enumerate(rates) for si in range(n_seeds)]
+    jobs = ((rate, child_seed(seed, f"spikes.sweep.{vi}", si))
+            for vi, rate in enumerate(rates) for si in range(n_seeds))
 
     def chunk_counts(chunk):
         rows = np.empty((len(chunk), n))
@@ -617,8 +622,8 @@ def voltage_sweep(voltages, n_seeds: int, seed: int, *,
         return [train.count for train in
                 _detect_chunk(rows, sample_rate, spans, low, high, hold)]
 
-    counts = _map_chunks(chunk_counts, [jobs[i:i + _LANES]
-                                        for i in range(0, len(jobs), _LANES)])
+    chunks = iter(lambda: list(itertools.islice(jobs, _LANES)), [])
+    counts = _map_chunks(chunk_counts, chunks)
     return np.array([c for cs in counts for c in cs],
                     dtype=int).reshape(len(rates), n_seeds)
 

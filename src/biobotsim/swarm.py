@@ -2,19 +2,20 @@
 
 Agents follow the locomotion dynamics, reflect specularly off arena walls
 and obstacle faces, and receive a random stimulation command every
-stim_period seconds.  Coverage is accounted on a square cell grid from
-true positions; position estimates from noisy anchor ranges are logged at
-a fixed rate alongside the truth.  Every fix starts from the anchor
-centroid, so all fixes of a run are solved together by one lane-wise
-Gauss-Newton kernel.  A run solves its fixes on first read of est_xy or
-est_converged, so a run with coverage from true positions that never
-reads them, such as every run of a seed batch, never solves them.
+stim_period seconds.  Coverage is accounted on a square cell grid, in
+percents by coverage_percent; position estimates from noisy anchor ranges
+are logged at a fixed rate alongside the truth.  Every fix starts from
+the anchor centroid, so all fixes of a run are solved together by one
+lane-wise Gauss-Newton kernel.  A run solves its fixes on first read of
+est_xy or est_converged, so a run with coverage from true positions that
+never reads them, such as every run of dispersion_batch, the one driver
+of a seed batch, never solves them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -197,15 +198,9 @@ def _first_ticks(grid: CoverageGrid, xy: np.ndarray, never_seen: int
     return ticks
 
 
-def update_coverage(grid: CoverageGrid, pos: tuple[float, float]) -> CoverageGrid:
-    """Mark the cell containing pos; returns the same grid, updated."""
-    ix, iy = grid.cell_index(pos[0], pos[1])
-    grid.visited[iy, ix] = True
-    return grid
-
-
-def coverage_percent(grid: CoverageGrid) -> float:
-    return 100.0 * grid.visited_count / grid.total_cells
+def coverage_percent(visited_cells, total_cells):
+    """Percent of total_cells that visited_cells covers; ints or arrays."""
+    return 100.0 * visited_cells / total_cells
 
 
 # ---------- UWB localization ----------
@@ -817,7 +812,7 @@ def simulate(arena: Arena, uwb: UwbSystem,
 
     def curve(t):
         counts = np.bincount(t.ravel(), minlength=never_seen + 1).cumsum()
-        return 100.0 * counts[:n_log] / union_grid.total_cells
+        return coverage_percent(counts[:n_log], union_grid.total_cells)
 
     union_grid.visited = union_ticks <= n_log
     return SwarmRun(seed=seed, dt=dt, stim_period=stim_period,
@@ -827,3 +822,12 @@ def simulate(arena: Arena, uwb: UwbSystem,
                     agent_coverage_pct=np.array([curve(t) for t in ticks]),
                     union_coverage_pct=curve(union_ticks),
                     union_grid=union_grid, fixes=fixes)
+
+
+def dispersion_batch(arena: Arena, uwb: UwbSystem, params_per_agent, n_seeds: int,
+                     seed: int, **run_kwargs) -> Iterator[SwarmRun]:
+    """Yield simulate(..., seed=child_seed(seed, "coverage.batch", i), **run_kwargs)
+    for i < n_seeds.  It keeps no run: a consumer that drops each holds one."""
+    for i in range(n_seeds):
+        yield simulate(arena, uwb, params_per_agent,
+                       seed=child_seed(seed, "coverage.batch", i), **run_kwargs)

@@ -21,7 +21,6 @@ from biobotsim import vision
 from biobotsim.locomotion import (AUTO_PRESET, MANUAL_PRESET, AgentState,
                                   StimCommand, StimKind, apply_command, step)
 from biobotsim.morphology import FixationRig, lifting_height
-from biobotsim.seeding import child_seed
 
 FS = 25000.0
 
@@ -92,16 +91,10 @@ def test_criterion_03_planted_spike_recovery():
 def test_criterion_04_voltage_response_shape():
     with _verdict(4, "mean detected counts: monotone 0.5-3.0 V, flat "
                      "3.0-3.5 V, 23.5 +- 5 pp drop at 4.0 V"):
-        voltages = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
-        means = []
-        for vi, v in enumerate(voltages):
-            counts = [
-                ns.run_spike_pipeline(
-                    ns.synth_neural_response(v, child_seed(4, f"sweep.{vi}", si))
-                ).count
-                for si in range(50)
-            ]
-            means.append(float(np.mean(counts)))
+        # the CLI's sweep: 0.5-4.0 V by 0.5 V, 200 traces per voltage,
+        # since the bounds lie within the sampling noise of 50 traces
+        counts = ns.voltage_sweep(ns.sweep_voltages(0.5, 4.0, 0.5), 200, 4)
+        means = counts.mean(axis=1).tolist()
         ramp = means[:6]
         assert all(ramp[i] <= ramp[i + 1] for i in range(5)), ramp
         m30, m35, m40 = means[5], means[6], means[7]
@@ -220,10 +213,11 @@ def test_criterion_11_coverage_accounting():
             x += vdt * math.cos(r)
             y += vdt * math.sin(r)
         assert np.array_equal(run.union_grid.visited, expected)
+        assert run.final_union_coverage == sw.coverage_percent(expected.sum(), 400)
 
+        assert sw.coverage_percent(321, 400) == 80.25
         grid = sw.CoverageGrid.for_arena(sw.Arena())
         grid.visited.ravel()[:321] = True
-        assert sw.coverage_percent(grid) == 80.25
         stub = sw.SwarmRun(seed=0, dt=0.01, stim_period=10.0, duration=631.0,
                            arena=sw.Arena(), uwb=sw.UwbSystem(), n_agents=1,
                            log_t=np.array([0.0, 631.0]),
@@ -246,9 +240,7 @@ def test_criterion_12_dispersion_experiment():
         params = [AUTO_PRESET] * 4
         finals = []
         t0 = time.perf_counter()
-        for i in range(20):
-            run = sw.simulate(arena, uwb, params,
-                              seed=child_seed(42, "coverage.batch", i))
+        for run in sw.dispersion_batch(arena, uwb, params, 20, seed=42):
             finals.append(run.final_union_coverage)
             union = run.union_coverage_pct
             assert (np.diff(union) >= 0.0).all()
@@ -257,6 +249,7 @@ def test_criterion_12_dispersion_experiment():
             # strictly exceed every individual once dispersed
             assert (union >= run.agent_coverage_pct.max(axis=0)).all()
             assert (run.agent_coverage_pct[:, -1] < union[-1]).all()
+            del run
         elapsed = time.perf_counter() - t0
         mean_final = float(np.mean(finals))
         assert 70.0 <= mean_final <= 90.0, finals

@@ -7,6 +7,7 @@ import copy
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -254,12 +255,17 @@ def _modules_after_cli_import(package):
     interpreter."""
     code = ("import sys, biobotsim.cli; print(sorted(m for m in sys.modules "
             f"if m.split('.')[0] == {package!r}))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
+                         check=True, capture_output=True, text=True).stdout
     return out.strip()
+
+
+def _env_with_src():
+    """The environment with the package's source on PYTHONPATH, for a
+    child interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_cli_import_loads_no_scipy():
@@ -528,6 +534,23 @@ def test_coverage_batch_mode(tmp_path, capsys):
     assert cov[0] == "t_s,union_mean_pct,union_sd_pct"
 
 
+def test_coverage_batch_runs_the_dispersion_batch(tmp_path):
+    cfg_path = _write_cfg(tmp_path, _quick_swarm_cfg(duration=10.0))
+    rc = cli.main(["coverage", "--config", str(cfg_path), "--seeds", "3",
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+    cfg = load_config(cfg_path)
+    runs = sw.dispersion_batch(
+        arena_from_config(cfg.swarm.arena), uwb_from_config(cfg.swarm.uwb),
+        [agent_params_from_config(cfg.locomotion)] * 2, 3, cfg.seed,
+        duration=10.0)
+    finals = [(run.seed, run.final_union_coverage) for run in runs]
+    assert [s for s, _ in finals] == doc["run_seeds"]
+    assert finals == [(p["seed"], p["final_union_coverage_pct"])
+                      for p in doc["per_seed"]]
+
+
 def _count_fix_lanes(monkeypatch):
     """Wrap the fix kernel; the returned list gets the lane count of every
     call."""
@@ -597,6 +620,34 @@ def test_metrics_identical_dirs_score_perfectly(tmp_path, capsys):
     assert lines[0] == "id,iou,dsc,pr_err_sq"
     assert len(lines) == 7    # 5 pairs + mean row
     assert lines[-1].startswith("mean,1.0,1.0,0.0")
+
+
+MASK_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_mask_dataset.py"
+
+
+def test_mask_script_dataset_feeds_metrics(tmp_path, capsys):
+    subprocess.run([sys.executable, str(MASK_SCRIPT), "--count", "3",
+                    "--rotation-deg", "2", "--output-dir", str(tmp_path / "ds")],
+                   env=_env_with_src(), check=True, capture_output=True)
+    rc = cli.main(["metrics", "--pred", str(tmp_path / "ds" / "pred"),
+                   "--truth", str(tmp_path / "ds" / "truth"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 + 1    # header, 3 pairs, mean row
+    assert [ln.split(",")[0] for ln in lines[1:]] == [
+        "m0000.pgm", "m0001.pgm", "m0002.pgm", "mean"]
+
+
+def test_mask_script_exits_naming_a_mask_the_extractor_misreads(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(vision, "extract_reference_point",
+                        lambda mask: vision.ReferencePoint(-1, -1))
+    monkeypatch.setattr(sys, "argv", [str(MASK_SCRIPT), "--count", "2",
+                                      "--output-dir", str(tmp_path)])
+    with pytest.raises(SystemExit, match="^m0000.pgm: "):
+        runpy.run_path(str(MASK_SCRIPT), run_name="__main__")
+    assert not (tmp_path / "truth" / "m0000.pgm").exists()
 
 
 def test_metrics_one_pixel_offset_gives_unit_mse(tmp_path, capsys):

@@ -6,6 +6,8 @@ magnitude oracle: the continuous-time second-order Butterworth bandpass
 frequency axis that the bilinear transform maps onto.
 """
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -29,7 +31,6 @@ from biobotsim.neurosignal import (
     read_trace_binary,
     read_trace_csv,
     run_spike_pipeline,
-    run_spike_pipelines,
     sweep_voltages,
     synth_neural_response,
     threshold,
@@ -303,22 +304,6 @@ def test_pipeline_equals_manual_stage_chain():
     assert auto.threshold_used == st_.threshold_used
 
 
-def test_batched_pipeline_equals_one_trace_calls():
-    traces = [synth_neural_response(3.0, seed) for seed in range(10)]
-    batched = run_spike_pipelines(iter(traces))   # takes any iterable
-    assert len(batched) == len(traces)
-    for t, got in zip(traces, batched):
-        one = run_spike_pipeline(t)
-        assert got.indices.tolist() == one.indices.tolist()
-        assert got.threshold_used == one.threshold_used
-
-
-def test_batched_pipeline_rejects_mixed_sample_rates():
-    x = np.zeros(3000)
-    with pytest.raises(ValueError):
-        run_spike_pipelines([Trace(FS, x), Trace(FS / 2, x)], edge_times=())
-
-
 # ---------- voltage-response curve ----------
 
 def test_rate_curve_frozen_points():
@@ -521,11 +506,16 @@ def test_sweep_checks_every_voltage_before_any_synthesis(monkeypatch):
 
 
 def test_chunk_failure_cancels_the_queued_chunks(monkeypatch):
-    """Chunk 1 fails while chunk 0 still runs: the queued chunks are
-    cancelled at once, not once chunk 0 ends, and chunk 0's later error is
-    the one raised."""
+    """Chunk 1 fails while chunk 0 still runs: no further chunk is read or
+    run, and chunk 0's later error, the first in chunk order, is the one
+    raised."""
     monkeypatch.setattr(ns, "_cpu_count", lambda: 2)
-    ran = []
+    read, ran = [], []
+
+    def chunks():
+        for c in range(200):
+            read.append(c)
+            yield c
 
     def chunk(c):
         if c == 0:
@@ -538,8 +528,63 @@ def test_chunk_failure_cancels_the_queued_chunks(monkeypatch):
         return c
 
     with pytest.raises(ValueError, match="chunk 0 failed"):
-        ns._map_chunks(chunk, list(range(200)))
-    assert len(ran) < 10   # about 30 would run in chunk 0's 0.3 s
+        ns._map_chunks(chunk, chunks())
+    assert read == [0, 1]
+    assert ran == []   # about 30 would run in chunk 0's 0.3 s
+
+
+def test_sweep_holds_at_most_two_chunks_per_thread(monkeypatch,
+                                                   sweep_reference_counts):
+    """Chunks are built as the threads take them: chunks pulled from the
+    sweep minus chunks finished never exceeds 2 x 2 threads."""
+    monkeypatch.setattr(ns, "_cpu_count", lambda: 2)
+    map_chunks = ns._map_chunks
+    lock = threading.Lock()
+    pulled = finished = peak = 0
+
+    def counting(chunks):
+        nonlocal pulled, peak
+        for c in chunks:
+            with lock:
+                pulled += 1
+                peak = max(peak, pulled - finished)
+            yield c
+
+    def spy(fn, chunks):
+        def counted_fn(c):
+            nonlocal finished
+            out = fn(c)
+            with lock:
+                finished += 1
+            return out
+        return map_chunks(counted_fn, counting(chunks))
+
+    monkeypatch.setattr(ns, "_map_chunks", spy)
+    counts = voltage_sweep(SWEEP_VOLTS, 10, SWEEP_SEED)
+    assert counts.tolist() == sweep_reference_counts
+    assert pulled == finished == 13   # 50 traces in chunks of 4
+    assert 1 <= peak <= 4
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_chunk_reader_takes_each_chunk_once_under_fast_thread_switching(
+        monkeypatch):
+    """The threads share one chunk generator, which yields the GIL while it
+    runs: every chunk is still taken exactly once."""
+    monkeypatch.setattr(ns, "_cpu_count", lambda: 2)
+
+    def chunks():
+        for c in range(500):
+            time.sleep(0)   # another thread may ask for a chunk meanwhile
+            yield c
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = ns._map_chunks(lambda c: c * c, chunks())
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [c * c for c in range(500)]
 
 
 def test_empty_sweep_gives_an_empty_table():

@@ -1,5 +1,6 @@
 """Arena geometry, coverage accounting, localization, and dispersion runs."""
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +28,11 @@ from biobotsim.swarm import (
     coverage_percent,
     coverage_rate,
     default_anchors,
+    dispersion_batch,
     multilaterate,
     simulate,
     simulate_ranges,
     spawn_states,
-    update_coverage,
 )
 
 QUIET_UWB = UwbSystem(range_noise_sd=0.0)
@@ -121,22 +122,10 @@ def test_cell_index_conventions():
     assert g.cell_index(-0.5, 3.0) == (0, 19)
 
 
-def test_update_marks_once_and_never_unmarks():
-    g = CoverageGrid.for_arena(Arena())
-    update_coverage(g, (0.05, 0.05))
-    update_coverage(g, (0.06, 0.04))
-    assert g.visited_count == 1
-    assert g.visited[0, 0]
-    update_coverage(g, (1.55, 0.35))
-    assert g.visited_count == 2
-    assert g.visited[3, 15]
-
-
 def test_coverage_percent_frozen_point():
-    g = CoverageGrid.for_arena(Arena())
-    flat = g.visited.ravel()
-    flat[:321] = True
-    assert coverage_percent(g) == 80.25
+    assert coverage_percent(321, 400) == 80.25
+    assert coverage_percent(np.array([0, 321, 400]), 400).tolist() == [
+        0.0, 80.25, 100.0]
 
 
 def test_coverage_rate_frozen_point():
@@ -432,6 +421,29 @@ def test_run_is_seed_deterministic():
     assert np.array_equal(a.est_xy, b.est_xy)
     assert np.array_equal(a.union_coverage_pct, b.union_coverage_pct)
     assert not np.array_equal(a.true_xy, c.true_xy)
+
+
+def test_dispersion_batch_holds_one_run_at_a_time(monkeypatch):
+    """With the consumer dropping each run, no earlier run is alive when
+    the next one starts, nor when it is yielded."""
+    refs, alive_at_start = [], []
+    simulate_one = swarm.simulate
+
+    def tracked(*args, **kwargs):
+        alive_at_start.append(sum(r() is not None for r in refs))
+        run = simulate_one(*args, **kwargs)
+        refs.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(swarm, "simulate", tracked)
+    seeds = []
+    for run in dispersion_batch(Arena(), QUIET_UWB, [AUTO_PRESET] * 2, 3, 7,
+                                duration=5.0):
+        assert sum(r() is not None for r in refs) == 1
+        seeds.append(run.seed)
+        del run
+    assert alive_at_start == [0, 0, 0]
+    assert len(set(seeds)) == 3
 
 
 def test_union_dominates_individuals_and_grows():
