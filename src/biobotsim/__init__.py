@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .morphology import (FixationRig, exposure_safety_margin,
                          exposure_sufficient, lifting_height)
 from .vision import (Mask, PronotumShapeParams, ReferencePoint, SegMetrics,
-                     augment, dsc, extract_reference_point, iou, mse_pr,
-                     read_pgm, synth_pronotum, write_pgm)
+                     augment, dsc, extract_reference_point, iou, read_pgm,
+                     synth_pronotum, write_pgm)
 from .assembly import (AssemblyProcess, AssemblyState, ImplantPose,
                        PayloadSpec, PixelToArmCalibration, Workspace, advance,
                        batch_assemble, check_exposure, check_payload,
@@ -25,8 +25,8 @@ from .neurosignal import (SpikeTrain, Trace, bandpass, blank_artifacts,
                           threshold)
 from .locomotion import (AgentParams, AgentState, AUTO_PRESET, MANUAL_PRESET,
                          PRESETS, StimCommand, StimKind, apply_command, step)
-from .swarm import (Arena, CoverageGrid, MultilaterationResult, Rect, SwarmRun,
-                    UwbSystem, coverage_percent, coverage_rate,
-                    dispersion_batch, multilaterate, simulate, simulate_ranges)
+from .swarm import (Arena, CoverageGrid, Rect, SwarmRun, UwbSystem,
+                    coverage_percent, coverage_rate, dispersion_batch,
+                    simulate)
 from .config import RunConfig, ConfigError, load_config
 from .seeding import child_seed

@@ -4,12 +4,13 @@ Agents follow the locomotion dynamics, reflect specularly off arena walls
 and obstacle faces, and receive a random stimulation command every
 stim_period seconds.  Coverage is accounted on a square cell grid, in
 percents by coverage_percent; position estimates from noisy anchor ranges
-are logged at a fixed rate alongside the truth.  Every fix starts from
-the anchor centroid, so all fixes of a run are solved together by one
-lane-wise Gauss-Newton kernel.  A run solves its fixes on first read of
-est_xy or est_converged, so a run with coverage from true positions that
-never reads them, such as every run of dispersion_batch, the one driver
-of a seed batch, never solves them.
+are logged at a fixed rate alongside the truth, with a tick at the start
+and one at the end of the run.  Every fix starts from the anchor
+centroid, so all fixes of a run are solved together by one lane-wise
+Gauss-Newton kernel, the only position solver.  A run solves its fixes
+on first read of est_xy or est_converged, so a run with coverage from
+true positions that never reads them, such as every run of
+dispersion_batch, the one driver of a seed batch, never solves them.
 """
 from __future__ import annotations
 
@@ -208,6 +209,8 @@ def coverage_percent(visited_cells, total_cells):
 # lanes per Gauss-Newton block: bounds the kernel's temporaries, and
 # 1,024-4,096 lanes ran fastest on a 2-vCPU Xeon
 _FIX_LANES = 4096
+_FIX_TOL = 1e-9        # m, the step norm below which a lane has converged
+_FIX_MAX_ITER = 50
 
 
 def _fix_ranges(xy: np.ndarray, uwb: UwbSystem, rng) -> np.ndarray:
@@ -221,44 +224,28 @@ def _fix_ranges(xy: np.ndarray, uwb: UwbSystem, rng) -> np.ndarray:
     return np.maximum(d, 0.0, out=d)
 
 
-def simulate_ranges(true_pos: tuple[float, float], uwb: UwbSystem,
-                    rng=None) -> list[float]:
-    """Anchor distances with additive Gaussian noise, clamped at zero."""
-    if uwb.range_noise_sd > 0.0 and rng is None:
-        raise ValueError("range_noise_sd > 0 requires an rng")
-    return _fix_ranges(np.array([true_pos], dtype=float), uwb, rng)[0].tolist()
-
-
-@dataclass(frozen=True)
-class MultilaterationResult:
-    position: tuple[float, float]
-    rms_residual: float
-    converged: bool
-    iterations: int
-
-
 def _solve_fixes(ranges: np.ndarray, anchors, start: np.ndarray,
-                 tol: float = 1e-9, max_iter: int = 50,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Newton least squares for many fixes at once, one lane per row
-    of ranges [m, k], from start [m, 2].
+    of ranges [m, k], from start [m, 2]: each lane minimizes
+    sum_i (r_i - |p - a_i|)^2.
 
     Each lane follows its own iteration: a lane whose normal matrix is
     singular stops where it is, unconverged, and a lane whose step norm
-    drops below tol has converged.  Lanes still moving after max_iter return their last
-    iterate.  Lanes leave the working set as they finish, and every lane's
-    arithmetic is independent of the others, so a lane gives the same bits
-    alone or in any batch.  Returns positions [m, 2], converged [m] and
-    iteration counts [m].
+    drops below _FIX_TOL has converged.  Lanes still moving after
+    _FIX_MAX_ITER steps return their last iterate.  Lanes leave the working
+    set as they finish, and every lane's arithmetic is independent of the
+    others, so a lane gives the same bits alone or in any batch.  Returns
+    positions [m, 2], converged [m] and iteration counts [m].
     """
     m = len(ranges)
     xy = np.empty((m, 2))
     converged = np.zeros(m, dtype=bool)
-    iterations = np.full(m, max_iter)
+    iterations = np.full(m, _FIX_MAX_ITER)
     lane = np.arange(m)
     x, y = start[:, 0].copy(), start[:, 1].copy()
     r = ranges.T.copy()
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FIX_MAX_ITER + 1):
         if not lane.size:
             break
         jtj00 = jtj01 = jtj11 = rhs0 = rhs1 = 0.0
@@ -280,7 +267,7 @@ def _solve_fixes(ranges: np.ndarray, anchors, start: np.ndarray,
         sy = (rhs1 * jtj00 - rhs0 * jtj01) / det
         x += sx
         y += sy
-        done = flat | (np.hypot(sx, sy) < tol)
+        done = flat | (np.hypot(sx, sy) < _FIX_TOL)
         if done.any():
             gone = lane[done]
             xy[gone, 0] = x[done]
@@ -297,37 +284,6 @@ def _solve_fixes(ranges: np.ndarray, anchors, start: np.ndarray,
 def _centroid(anchors) -> tuple[float, float]:
     return (sum(a[0] for a in anchors) / len(anchors),
             sum(a[1] for a in anchors) / len(anchors))
-
-
-def multilaterate(ranges: Sequence[float], uwb: UwbSystem,
-                  initial_guess: tuple[float, float] | None = None,
-                  *, tol: float = 1e-9, max_iter: int = 50,
-                  ) -> MultilaterationResult:
-    """Planar position from anchor ranges by Gauss-Newton least squares.
-
-    Minimizes sum_i (r_i - |p - a_i|)^2 from the anchor centroid (or the
-    given guess), stopping when the step norm drops below tol.  If the
-    iteration cap is hit first the best iterate is returned flagged as
-    unconverged.  This is the one-fix call of the kernel that solves all
-    fixes of a run.
-    """
-    anchors = uwb.anchors
-    if len(ranges) != len(anchors):
-        raise ValueError(
-            f"got {len(ranges)} ranges for {len(anchors)} anchors"
-        )
-    if any(r < 0.0 for r in ranges):
-        raise ValueError("ranges must be non-negative")
-    start = _centroid(anchors) if initial_guess is None else initial_guess
-    xy, converged, iterations = _solve_fixes(
-        np.array([ranges], dtype=float), anchors,
-        np.array([start], dtype=float), tol, max_iter)
-    x, y = xy[0].tolist()
-    ssq = 0.0
-    for (ax, ay), r in zip(anchors, ranges):
-        ssq += (r - math.hypot(x - ax, y - ay)) ** 2
-    return MultilaterationResult((x, y), math.sqrt(ssq / len(anchors)),
-                                 bool(converged[0]), int(iterations[0]))
 
 
 def _localize(true_xy: np.ndarray, uwb: UwbSystem, rng
@@ -471,13 +427,9 @@ def _conjugate_command(cmd, fx: int, fy: int):
 
 @dataclass(eq=False)
 class SwarmRun:
-    """Complete record of one dispersion run."""
+    """Record of one dispersion run."""
 
     seed: int
-    dt: float
-    stim_period: float
-    duration: float
-    arena: Arena
     uwb: UwbSystem
     n_agents: int
     log_t: np.ndarray                 # [n_log]
@@ -510,12 +462,11 @@ class SwarmRun:
 
 
 def coverage_rate(run: SwarmRun) -> float:
-    """Covered area over elapsed time at the final timestamp, cm^2/s."""
+    """Covered area over elapsed time at the final timestamp, cm^2/s.  The
+    last log tick of a simulated run falls at its duration, which
+    check_run keeps positive."""
     cell_cm2 = (run.union_grid.cell_size * 100.0) ** 2
-    elapsed = float(run.log_t[-1])
-    if elapsed <= 0.0:
-        raise ValueError("run has no elapsed time")
-    return run.union_grid.visited_count * cell_cm2 / elapsed
+    return run.union_grid.visited_count * cell_cm2 / float(run.log_t[-1])
 
 
 def spawn_states(arena: Arena, params_per_agent: Sequence[AgentParams],
@@ -705,8 +656,7 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
                 break
         record(k0, np.array(xs), np.array(ys))
     record(n_steps, np.array([x]), np.array([y]))
-    if n_steps % log_steps == 0:
-        names[-1] = "" if cmd is None else cmd.kind.value
+    names[-1] = "" if cmd is None else cmd.kind.value
     return names
 
 
@@ -714,9 +664,11 @@ def check_run(n_agents: int, stim_period: float, duration: float, dt: float,
               log_rate_hz: float, coverage_from: str) -> tuple[int, int, int]:
     """Check the set-up of a run before any step is taken.
 
-    Raises ValueError for a bad agent count, coverage source or timing, or
-    a dt that does not divide the duration, the stim period and the log
-    interval exactly.  Returns the integration step counts of the three.
+    Raises ValueError for a bad agent count, coverage source or timing, a
+    dt that does not divide the duration, the stim period and the log
+    interval exactly, or a log interval that does not divide the duration,
+    so the last log tick falls at the end of the run.  Returns the
+    integration step counts of the duration, stim period and log interval.
     """
     if n_agents < 1:
         raise ValueError(f"need at least one agent, got n_agents = {n_agents}")
@@ -729,7 +681,7 @@ def check_run(n_agents: int, stim_period: float, duration: float, dt: float,
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
     n_steps = int(round(duration / dt))
-    if abs(n_steps * dt - duration) > 1e-9:
+    if n_steps < 1 or abs(n_steps * dt - duration) > 1e-9:
         raise ValueError(f"dt {dt} does not divide the duration {duration}")
     stim_steps = int(round(stim_period / dt))
     if stim_steps < 1 or abs(stim_steps * dt - stim_period) > 1e-9:
@@ -737,6 +689,9 @@ def check_run(n_agents: int, stim_period: float, duration: float, dt: float,
     log_steps = int(round(1.0 / (log_rate_hz * dt)))
     if log_steps < 1 or abs(log_steps * dt - 1.0 / log_rate_hz) > 1e-9:
         raise ValueError(f"dt {dt} does not divide the log interval {1.0 / log_rate_hz}")
+    if n_steps % log_steps:
+        raise ValueError(f"the log interval {1.0 / log_rate_hz} does not "
+                         f"divide the duration {duration}")
     return n_steps, stim_steps, log_steps
 
 
@@ -786,12 +741,11 @@ def simulate(arena: Arena, uwb: UwbSystem,
     union_grid = CoverageGrid.for_arena(arena, cell_size)
     n_log = n_steps // log_steps + 1
     # first_tick[i][c]: index of the first log tick whose coverage counts
-    # cell c for agent i; n_log for a cell entered after the last tick,
-    # never_seen for a cell never entered.  The union takes the earliest
-    # tick over agents, which is the OR of the agent grids at every tick.
-    never_seen = n_log + 1
+    # cell c for agent i, n_log for a cell never entered.  The union takes
+    # the earliest tick over agents, which is the OR of the agent grids at
+    # every tick.
     mark_steps = coverage_from == "true"
-    first_tick = [np.full(union_grid.total_cells, never_seen) if mark_steps
+    first_tick = [np.full(union_grid.total_cells, n_log) if mark_steps
                   else None for _ in range(n_agents)]
 
     true_xy = np.empty((n_agents, n_log, 2))
@@ -805,19 +759,18 @@ def simulate(arena: Arena, uwb: UwbSystem,
         ticks = np.array(first_tick)
     else:
         fixes = _run_fixes(true_xy, uwb, seed)
-        ticks = np.array([_first_ticks(union_grid, xy, never_seen)
+        ticks = np.array([_first_ticks(union_grid, xy, n_log)
                           for xy in fixes[0]])
     ticks = ticks.reshape(n_agents, union_grid.ny, union_grid.nx)
     union_ticks = ticks.min(axis=0)
 
     def curve(t):
-        counts = np.bincount(t.ravel(), minlength=never_seen + 1).cumsum()
+        counts = np.bincount(t.ravel(), minlength=n_log).cumsum()
         return coverage_percent(counts[:n_log], union_grid.total_cells)
 
-    union_grid.visited = union_ticks <= n_log
-    return SwarmRun(seed=seed, dt=dt, stim_period=stim_period,
-                    duration=duration, arena=arena, uwb=uwb,
-                    n_agents=n_agents, log_t=np.arange(n_log) * log_steps * dt,
+    union_grid.visited = union_ticks < n_log
+    return SwarmRun(seed=seed, uwb=uwb, n_agents=n_agents,
+                    log_t=np.arange(n_log) * log_steps * dt,
                     true_xy=true_xy, commands=commands,
                     agent_coverage_pct=np.array([curve(t) for t in ticks]),
                     union_coverage_pct=curve(union_ticks),

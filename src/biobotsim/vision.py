@@ -2,8 +2,9 @@
 affine augmentation, synthetic mask generation, and PGM file I/O.
 
 Masks are row-major binary grids.  Pixel coordinates are (x, y) with x the
-column index and y the row index; the posterior direction defaults to +y
-(row index increasing).
+column index and y the row index; the posterior direction is +y (row index
+increasing).  evaluate_pairs scores mask pairs: mean IoU, mean DSC and the
+mean squared reference-point error.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
@@ -81,21 +81,16 @@ def _round_half_away(v: float) -> int:
     return int(math.floor(v + 0.5)) if v >= 0.0 else -int(math.floor(-v + 0.5))
 
 
-def extract_reference_point(mask: Mask,
-                            posterior_direction: Literal["+y", "-y"] = "+y",
-                            ) -> ReferencePoint:
+def extract_reference_point(mask: Mask) -> ReferencePoint:
     """Posterior-edge midpoint of a pronotum mask.
 
-    y is the extreme occupied row along the posterior direction; x is the
-    mean column index of the foreground pixels in that row, rounded half
-    away from zero.
+    y is the last occupied row; x is the mean column index of the
+    foreground pixels in that row, rounded half away from zero.
     """
-    if posterior_direction not in ("+y", "-y"):
-        raise ValueError(f"posterior_direction must be '+y' or '-y', got {posterior_direction!r}")
     rows = np.flatnonzero(mask.pixels.any(axis=1))
     if rows.size == 0:
         raise EmptyMaskError("cannot extract a reference point from an empty mask")
-    y = int(rows[-1]) if posterior_direction == "+y" else int(rows[0])
+    y = int(rows[-1])
     cols = np.flatnonzero(mask.pixels[y])
     x = _round_half_away(float(cols.mean()))
     return ReferencePoint(x=x, y=y)
@@ -128,20 +123,6 @@ def dsc(a: Mask, b: Mask) -> float:
     if total == 0:
         return 1.0
     return 2.0 * inter / total
-
-
-def mse_pr(predicted: list[ReferencePoint], truth: list[ReferencePoint]) -> float:
-    """Mean squared Euclidean pixel distance between paired reference points."""
-    if len(predicted) != len(truth):
-        raise ValueError(
-            f"length mismatch: {len(predicted)} predicted vs {len(truth)} truth"
-        )
-    if not predicted:
-        raise ValueError("mse_pr needs at least one pair")
-    total = 0.0
-    for p, t in zip(predicted, truth):
-        total += (p.x - t.x) ** 2 + (p.y - t.y) ** 2
-    return total / len(predicted)
 
 
 # ---------- affine augmentation ----------
@@ -283,7 +264,6 @@ def synth_pronotum(params: PronotumShapeParams, seed: int,
 
 
 def evaluate_pairs(predicted: list[Mask], truth: list[Mask],
-                   posterior_direction: Literal["+y", "-y"] = "+y",
                    ) -> tuple[SegMetrics, list[tuple[float, float, float]]]:
     """Score prediction/truth mask pairs.
 
@@ -297,8 +277,8 @@ def evaluate_pairs(predicted: list[Mask], truth: list[Mask],
         raise ValueError("evaluate_pairs needs at least one pair")
     rows = []
     for p, t in zip(predicted, truth):
-        rp = extract_reference_point(p, posterior_direction)
-        rt = extract_reference_point(t, posterior_direction)
+        rp = extract_reference_point(p)
+        rt = extract_reference_point(t)
         err = float((rp.x - rt.x) ** 2 + (rp.y - rt.y) ** 2)
         rows.append((iou(p, t), dsc(p, t), err))
     arr = np.asarray(rows)

@@ -177,22 +177,23 @@ def _walk(state, params, n):
 def test_criterion_10_multilateration_accuracy():
     with _verdict(10, "position solver: < 1e-6 m noiseless, RMSE < 0.08 m "
                       "with 5 cm range noise, always <= 50 iterations"):
-        quiet = sw.UwbSystem(range_noise_sd=0.0)
+        # the two kernels _localize runs, on 100 noiseless then 1,000 noisy
+        # positions, each block solved from the anchor centroid
         rng = np.random.default_rng(10)
-        for _ in range(100):
-            p = (rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
-            res = sw.multilaterate(sw.simulate_ranges(p, quiet), quiet)
-            assert res.converged and res.iterations <= 50
-            assert math.hypot(res.position[0] - p[0],
-                              res.position[1] - p[1]) < 1e-6
 
-        noisy = sw.UwbSystem()
-        sq = 0.0
-        for _ in range(1000):
-            p = (rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
-            res = sw.multilaterate(sw.simulate_ranges(p, noisy, rng), noisy)
-            sq += (res.position[0] - p[0]) ** 2 + (res.position[1] - p[1]) ** 2
-        assert math.sqrt(sq / 1000.0) < 0.08
+        def solve(n, uwb):
+            p = rng.uniform(0.0, 2.0, (n, 2))
+            start = np.broadcast_to(sw._centroid(uwb.anchors), p.shape)
+            xy, conv, its = sw._solve_fixes(sw._fix_ranges(p, uwb, rng),
+                                            uwb.anchors, start)
+            return np.hypot(*(xy - p).T), conv, its
+
+        err, conv, its = solve(100, sw.UwbSystem(range_noise_sd=0.0))
+        assert conv.all() and (its <= 50).all()
+        assert err.max() < 1e-6
+
+        err, _, _ = solve(1000, sw.UwbSystem())
+        assert math.sqrt(np.mean(err ** 2)) < 0.08
 
 
 def test_criterion_11_coverage_accounting():
@@ -218,8 +219,7 @@ def test_criterion_11_coverage_accounting():
         assert sw.coverage_percent(321, 400) == 80.25
         grid = sw.CoverageGrid.for_arena(sw.Arena())
         grid.visited.ravel()[:321] = True
-        stub = sw.SwarmRun(seed=0, dt=0.01, stim_period=10.0, duration=631.0,
-                           arena=sw.Arena(), uwb=sw.UwbSystem(), n_agents=1,
+        stub = sw.SwarmRun(seed=0, uwb=sw.UwbSystem(), n_agents=1,
                            log_t=np.array([0.0, 631.0]),
                            true_xy=np.zeros((1, 2, 2)),
                            commands=[["", ""]],

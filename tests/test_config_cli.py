@@ -10,10 +10,12 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biobotsim import cli, neurosignal as ns, swarm as sw, vision
 from biobotsim.assembly import PayloadSpec, PixelToArmCalibration
@@ -192,10 +194,15 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
 
 @pytest.mark.parametrize("data, path, text", [
     ({"swarm": {"dt_s": 0.03, "duration_s": 20.0}}, "swarm", "duration"),
+    ({"swarm": {"duration_s": 1e-10}}, "swarm", "duration"),
     ({"swarm": {"dt_s": 0.1}}, "swarm", "dt must lie in"),
     ({"swarm": {"cell_size_m": 0.3}}, "swarm", "does not tile"),
     ({"swarm": {"stim_period_s": 10.005}}, "swarm", "stim period"),
     ({"swarm": {"log_rate_hz": 30.0}}, "swarm", "log interval"),
+    ({"swarm": {"duration_s": 0.5, "log_rate_hz": 1.0}}, "swarm",
+     "log interval 1.0 does not divide the duration 0.5"),
+    ({"swarm": {"duration_s": 30.9, "log_rate_hz": 1.0}}, "swarm",
+     "log interval 1.0 does not divide the duration 30.9"),
     ({"rig": {"rod_a_initial_clearance_m": -1.0}}, "rig", "lowered_distance_d"),
     ({"swarm": {"arena": {"width_m": 0.5}}}, "swarm.arena", "outside the arena"),
     ({"assembly": {"step_durations_s": dict(_STEPS, fix=True)}},
@@ -224,8 +231,10 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "must be at least r_min"),
     ({"neurosignal": {"r_min_hz": -5.0}}, "neurosignal.r_min_hz",
      "must be non-negative"),
-], ids=["duration", "dt-bound", "tiling", "stim-period", "log-interval",
-        "rig", "arena", "step-bool", "step-string", "step-zero", "corridor",
+], ids=["duration", "duration-under-one-step", "dt-bound", "tiling",
+        "stim-period", "log-interval", "log-past-the-end",
+        "log-short-of-the-end", "rig", "arena", "step-bool", "step-string",
+        "step-zero", "corridor",
         "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
         "synth-duration", "synth-too-short", "r-max", "r-min"])
 def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
@@ -584,6 +593,33 @@ def test_estimated_coverage_run_solves_each_fix_once(tmp_path, monkeypatch):
     assert rc == 0
     traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert sum(lanes) == len(traj) - 1 == 2 * 101
+
+
+@settings(max_examples=40, deadline=None)
+@given(dt=st.sampled_from([0.005, 0.01, 0.02, 0.05]),
+       k=st.integers(1, 200),
+       log_rate_hz=st.sampled_from([1.0, 2.0, 5.0, 10.0, 100.0]),
+       stim_period_s=st.sampled_from([0.5, 1.0, 10.0]),
+       n_agents=st.integers(1, 2))
+def test_coverage_timing_is_rejected_at_load_or_summarized_consistently(
+        dt, k, log_rate_hz, stim_period_s, n_agents):
+    """A timing block either exits 2 at load or gives a summary whose rate
+    times the duration is the area its final coverage implies."""
+    duration = k * dt
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_cfg(Path(tmp), {"schema_version": 1, "swarm": {
+            "dt_s": dt, "duration_s": duration, "log_rate_hz": log_rate_hz,
+            "stim_period_s": stim_period_s, "n_agents": n_agents}})
+        out = Path(tmp) / "out"
+        rc = cli.main(["coverage", "--config", str(cfg),
+                       "--output-dir", str(out)])
+        assert rc in (0, 2)
+        if rc == 0:
+            doc = json.loads((out / "summary.json").read_text())
+            # the default arena is 2 m x 2 m, 40,000 cm^2
+            area = doc["final_union_coverage_pct"] / 100.0 * 40000.0
+            assert doc["coverage_rate_cm2_per_s"] * doc["duration_s"] == (
+                pytest.approx(area, rel=1e-9, abs=0))
 
 
 def test_coverage_rejects_zero_agents(tmp_path, capsys):

@@ -29,13 +29,12 @@ from biobotsim.swarm import (
     coverage_rate,
     default_anchors,
     dispersion_batch,
-    multilaterate,
     simulate,
-    simulate_ranges,
     spawn_states,
 )
 
 QUIET_UWB = UwbSystem(range_noise_sd=0.0)
+CENTROID = (1.8, 1.8)     # of the default anchors
 
 
 def _det_params():
@@ -131,8 +130,7 @@ def test_coverage_percent_frozen_point():
 def test_coverage_rate_frozen_point():
     g = CoverageGrid.for_arena(Arena())
     g.visited.ravel()[:321] = True
-    run = SwarmRun(seed=0, dt=0.01, stim_period=10.0, duration=631.0,
-                   arena=Arena(), uwb=QUIET_UWB, n_agents=1,
+    run = SwarmRun(seed=0, uwb=QUIET_UWB, n_agents=1,
                    log_t=np.array([0.0, 631.0]),
                    true_xy=np.zeros((1, 2, 2)), commands=[["", ""]],
                    agent_coverage_pct=np.zeros((1, 2)),
@@ -145,63 +143,30 @@ def test_coverage_rate_frozen_point():
 
 # ---------- localization ----------
 
+def _solve(ranges, anchors, starts):
+    return _solve_fixes(np.array(ranges, dtype=float), anchors,
+                        np.array(starts, dtype=float))
+
+
 def test_noiseless_ranges_are_exact_distances():
-    ranges = simulate_ranges((1.2, 0.7), QUIET_UWB)
+    ranges = _fix_ranges(np.array([[1.2, 0.7]]), QUIET_UWB, None)
     expected = [math.hypot(1.2 - ax, 0.7 - ay) for ax, ay in QUIET_UWB.anchors]
-    assert ranges == pytest.approx(expected, abs=0.0)
-
-
-def test_noisy_ranges_require_rng_and_stay_nonnegative():
-    with pytest.raises(ValueError):
-        simulate_ranges((1.0, 1.0), UwbSystem())
-    big = UwbSystem(range_noise_sd=5.0)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        assert min(simulate_ranges((0.1, 0.1), big, rng)) >= 0.0
+    assert ranges.tolist() == [expected]
 
 
 def test_multilateration_recovers_noiseless_positions():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        p = (rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
-        res = multilaterate(simulate_ranges(p, QUIET_UWB), QUIET_UWB)
-        assert res.converged
-        assert res.iterations <= 50
-        assert math.hypot(res.position[0] - p[0], res.position[1] - p[1]) < 1e-6
-        assert res.rms_residual < 1e-6
-
-
-def test_multilateration_error_under_ranging_noise():
-    uwb = UwbSystem()   # 5 cm range noise
-    rng = np.random.default_rng(3)
-    sq = 0.0
-    n = 300
-    for _ in range(n):
-        p = (rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0))
-        res = multilaterate(simulate_ranges(p, uwb, rng), uwb)
-        sq += (res.position[0] - p[0]) ** 2 + (res.position[1] - p[1]) ** 2
-    assert math.sqrt(sq / n) < 0.08
-
-
-def test_multilateration_input_validation():
-    with pytest.raises(ValueError):
-        multilaterate([1.0, 2.0], QUIET_UWB)
-    with pytest.raises(ValueError):
-        multilaterate([1.0, -0.5, 1.0, 1.0], QUIET_UWB)
-
-
-def test_multilateration_flags_degenerate_geometry():
-    line = UwbSystem(anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
-                     range_noise_sd=0.0)
-    res = multilaterate(simulate_ranges((1.0, 0.0), line), line)
-    assert not res.converged
+    p = np.random.default_rng(11).uniform(0.0, 2.0, (100, 2))
+    xy, conv, _ = _solve(_fix_ranges(p, QUIET_UWB, None), QUIET_UWB.anchors,
+                         [CENTROID] * 100)
+    assert conv.all()
+    assert np.hypot(*(xy - p).T).max() < 1e-6
 
 
 def test_warm_start_converges_fast():
-    ranges = simulate_ranges((0.4, 1.6), QUIET_UWB)
-    res = multilaterate(ranges, QUIET_UWB, initial_guess=(0.4, 1.6))
-    assert res.converged
-    assert res.iterations <= 3
+    ranges = _fix_ranges(np.array([[0.4, 1.6]]), QUIET_UWB, None)
+    _, conv, its = _solve(ranges, QUIET_UWB.anchors, [(0.4, 1.6)])
+    assert conv[0]
+    assert its[0] <= 3
 
 
 # noisy ranges 4 cm from the anchor at (0, 0) that hit the 50-iteration cap
@@ -210,26 +175,28 @@ CAPPED_RANGES = [0.021413335492545683, 3.5287300647154427, 5.00106074650553,
 
 
 def _one_row_calls_agree(uwb, ranges, starts):
-    """Solve the lanes as one batch; assert each equals its own
-    multilaterate call bit for bit; return (converged, iterations)."""
-    xy, conv, its = _solve_fixes(np.array(ranges), uwb.anchors,
-                                 np.array(starts))
-    for row, start, pos, c, n in zip(ranges, starts, xy.tolist(), conv, its):
-        res = multilaterate(row, uwb, start)
-        assert res.position == tuple(pos)
-        assert (res.converged, res.iterations) == (c, n)
+    """Solve the lanes as one batch; assert each equals its own one-row
+    _solve_fixes call bit for bit; return (converged, iterations)."""
+    xy, conv, its = _solve(ranges, uwb.anchors, starts)
+    for row, start, pos, c, n in zip(ranges, starts, xy, conv, its):
+        one = _solve([row], uwb.anchors, [start])
+        assert one[0].tobytes() == pos.tobytes()
+        assert (one[1][0], one[2][0]) == (c, n)
     return conv.tolist(), its.tolist()
 
 
 def test_fix_kernel_lanes_equal_one_row_calls():
     rng = np.random.default_rng(4)
-    centroid = (1.8, 1.8)
-    square = [simulate_ranges((0.7, 1.3), QUIET_UWB),           # noiseless
-              simulate_ranges((1.1, 0.2), UwbSystem(), rng),    # noisy
-              simulate_ranges((0.0, 0.0), QUIET_UWB),           # on an anchor
-              [0.0, 3.6, 5.0, 3.6],                              # zero range
-              CAPPED_RANGES]                                     # iteration cap
-    starts = [centroid] * 5
+
+    def ranges(uwb, x, y):
+        return _fix_ranges(np.array([[x, y]]), uwb, rng)[0].tolist()
+
+    square = [ranges(QUIET_UWB, 0.7, 1.3),           # noiseless
+              ranges(UwbSystem(), 1.1, 0.2),         # noisy
+              ranges(QUIET_UWB, 0.0, 0.0),           # on an anchor
+              [0.0, 3.6, 5.0, 3.6],                  # zero range
+              CAPPED_RANGES]                         # iteration cap
+    starts = [CENTROID] * 5
     square.append(CAPPED_RANGES)                  # started on an anchor
     starts.append((0.0, 0.0))
     conv, its = _one_row_calls_agree(QUIET_UWB, square, starts)
@@ -238,9 +205,10 @@ def test_fix_kernel_lanes_equal_one_row_calls():
 
     line = UwbSystem(anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
                      range_noise_sd=0.0)
-    rows = [simulate_ranges((1.0, 0.0), line), simulate_ranges((0.5, 0.4), line),
-            simulate_ranges((1.5, 0.0), line)]
-    # on the anchor line every unit vector is horizontal: det == 0 at once
+    rows = [ranges(line, 1.0, 0.0), ranges(line, 0.5, 0.4),
+            ranges(line, 1.5, 0.0)]
+    # on the anchor line every unit vector is horizontal: det == 0 at once,
+    # also from the line's centroid (1, 0)
     conv, its = _one_row_calls_agree(line, rows,
                                      [(1.0, 0.0), (1.0, 0.5), (0.3, 0.0)])
     assert conv == [False, True, False]
@@ -258,7 +226,7 @@ def test_block_ranging_noise_is_the_scalar_draw_stream():
     assert (got == 0.0).any()      # some noisy ranges clamp at zero
 
 
-def test_simulate_fixes_are_cold_started_multilateration(monkeypatch):
+def test_simulate_fixes_are_cold_started_one_row_solves(monkeypatch):
     # small kernel blocks, so the run crosses several block boundaries
     monkeypatch.setattr(swarm, "_FIX_LANES", 10)
     uwb = UwbSystem()
@@ -266,11 +234,13 @@ def test_simulate_fixes_are_cold_started_multilateration(monkeypatch):
     rng = np.random.default_rng(child_seed(2, "swarm.uwb"))
     for li in range(len(run.log_t)):       # ranging order: tick, agent
         for i in range(3):
-            res = multilaterate(
-                simulate_ranges(tuple(run.true_xy[i, li].tolist()), uwb, rng),
-                uwb)
-            assert res.position == tuple(run.est_xy[i, li].tolist())
-            assert res.converged == run.est_converged[i, li]
+            x, y = run.true_xy[i, li].tolist()
+            row = [max(np.hypot(x - ax, y - ay)
+                       + uwb.range_noise_sd * rng.normal(), 0.0)
+                   for ax, ay in uwb.anchors]
+            xy, conv, _ = _solve([row], uwb.anchors, [CENTROID])
+            assert xy[0].tobytes() == run.est_xy[i, li].tobytes()
+            assert conv[0] == run.est_converged[i, li]
 
 
 @pytest.mark.parametrize("first", ["est_xy", "est_converged"])

@@ -15,7 +15,6 @@ from biobotsim.vision import (
     evaluate_pairs,
     extract_reference_point,
     iou,
-    mse_pr,
     read_pgm,
     synth_pronotum,
     write_pgm,
@@ -45,24 +44,9 @@ def test_reference_point_single_pixel():
     assert extract_reference_point(Mask(arr)) == ReferencePoint(x=2, y=5)
 
 
-def test_reference_point_opposite_posterior_direction():
-    m = _mask([
-        [0, 0, 1, 0],
-        [0, 1, 1, 1],
-    ])
-    assert extract_reference_point(m, "-y") == ReferencePoint(x=2, y=0)
-    assert extract_reference_point(m, "+y") == ReferencePoint(x=2, y=1)
-
-
 def test_reference_point_rejects_empty_mask():
     with pytest.raises(EmptyMaskError):
         extract_reference_point(Mask.zeros(4, 4))
-
-
-def test_reference_point_rejects_bad_direction():
-    m = _mask([[1]])
-    with pytest.raises(ValueError):
-        extract_reference_point(m, "+x")
 
 
 # ---------- overlap metrics ----------
@@ -144,21 +128,23 @@ def test_overlap_metrics_lie_in_unit_interval(pair):
 
 # ---------- reference point MSE ----------
 
+def _dot(x, y):
+    """8 x 8 mask whose one pixel, and so its reference point, is (x, y)."""
+    pixels = np.zeros((8, 8), dtype=bool)
+    pixels[y, x] = True
+    return Mask(pixels)
+
+
 def test_mse_single_unit_offset():
-    assert mse_pr([ReferencePoint(1, 0)], [ReferencePoint(0, 0)]) == 1.0
+    metrics, _ = evaluate_pairs([_dot(1, 0)], [_dot(0, 0)])
+    assert metrics.mse_pr == 1.0
 
 
 def test_mse_averages_squared_distances():
-    pred = [ReferencePoint(3, 4), ReferencePoint(0, 0)]
-    true = [ReferencePoint(0, 0), ReferencePoint(0, 0)]
-    assert mse_pr(pred, true) == 12.5  # (25 + 0) / 2
-
-
-def test_mse_rejects_length_mismatch_and_empty():
-    with pytest.raises(ValueError):
-        mse_pr([ReferencePoint(0, 0)], [])
-    with pytest.raises(ValueError):
-        mse_pr([], [])
+    metrics, rows = evaluate_pairs([_dot(3, 4), _dot(0, 0)],
+                                   [_dot(0, 0), _dot(0, 0)])
+    assert [r[2] for r in rows] == [25.0, 0.0]
+    assert metrics.mse_pr == 12.5  # (25 + 0) / 2
 
 
 # ---------- augmentation ----------
@@ -324,6 +310,8 @@ def test_evaluate_pairs_rejects_mismatched_lengths():
     m, _ = synth_pronotum(PronotumShapeParams(), 0)
     with pytest.raises(ValueError):
         evaluate_pairs([m], [m, m])
+    with pytest.raises(ValueError):
+        evaluate_pairs([], [])
 
 
 # ---------- PGM I/O ----------
