@@ -11,6 +11,7 @@ center).  The pair of directories feeds the metrics subcommand directly:
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 
 from biobotsim.seeding import child_seed
@@ -19,14 +20,36 @@ from biobotsim.vision import (PronotumShapeParams, augment,
                               write_pgm)
 
 
+def count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def positive(text: str) -> float:
+    value = finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def parse_args():
+    # bad flags exit 2 here, before any file is written
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=50,
+    ap.add_argument("--count", type=count, default=50,
                     help="number of mask pairs (default 50)")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--scale", type=float, default=1.0,
+    ap.add_argument("--scale", type=positive, default=1.0,
                     help="isotropic scale applied to the pred copies")
-    ap.add_argument("--rotation-deg", type=float, default=0.0,
+    ap.add_argument("--rotation-deg", type=finite, default=0.0,
                     help="rotation applied to the pred copies")
     ap.add_argument("--output-dir", type=Path, default=Path("out/masks"))
     return ap.parse_args()
@@ -34,8 +57,6 @@ def parse_args():
 
 def main():
     args = parse_args()
-    if args.count < 1:
-        raise SystemExit(f"need at least one mask, got {args.count}")
     truth_dir = args.output_dir / "truth"
     pred_dir = args.output_dir / "pred"
     truth_dir.mkdir(parents=True, exist_ok=True)

@@ -127,6 +127,12 @@ def dsc(a: Mask, b: Mask) -> float:
 
 # ---------- affine augmentation ----------
 
+# cells per band of augment's resampling.  A band temporary is 32 KB of
+# float64, which the allocator reuses from call to call; a 256 x 256 frame
+# temporary (512 KB) is mapped fresh and page-faulted on every call.
+_AUGMENT_BAND_CELLS = 4096
+
+
 def augment(mask: Mask, scale_x: float, scale_y: float,
             rotation_deg: float) -> Mask:
     """Scale then rotate a mask about its center.
@@ -135,7 +141,15 @@ def augment(mask: Mask, scale_x: float, scale_y: float,
     inverse-mapped grid and thresholded at 0.5.  Output dimensions equal
     input dimensions; content mapped from outside the frame is background.
     Identity parameters (1, 1, 0) reproduce the input bit for bit.
+
+    The output is computed one band of rows at a time, each band at most
+    ``_AUGMENT_BAND_CELLS`` cells or one row, so no float temporary spans
+    the frame.  A pixel's arithmetic does not depend on its band.
     """
+    for name, value in (("scale_x", scale_x), ("scale_y", scale_y),
+                        ("rotation_deg", rotation_deg)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if scale_x <= 0.0 or scale_y <= 0.0:
         raise ValueError(f"scale factors must be positive, got ({scale_x}, {scale_y})")
     h, w = mask.pixels.shape
@@ -146,15 +160,8 @@ def augment(mask: Mask, scale_x: float, scale_y: float,
 
     dx = np.arange(w, dtype=float) - cx
     dy = (np.arange(h, dtype=float) - cy)[:, None]
-    # inverse map: undo rotation, then undo scaling.  The full-frame arrays
-    # are updated in place, in the operation order of the plain expressions,
-    # so that each call allocates few of them.
-    fx = c * dx + s * dy
-    fx /= scale_x
-    fx += cx
-    fy = -s * dx + c * dy
-    fy /= scale_y
-    fy += cy
+    c_dx = c * dx
+    ms_dx = -s * dx
 
     # a 2-pixel zero border stands in for everything outside the frame:
     # the floor of the source x clipped to [-2, w] keeps both x neighbours
@@ -164,38 +171,52 @@ def augment(mask: Mask, scale_x: float, scale_y: float,
     field = np.zeros((h + 4, pw))
     field[2:-2, 2:-2] = mask.pixels
     flat = field.ravel()
-    row = np.floor(fy)
-    fy -= row
-    col = np.floor(fx)
-    fx -= col
-    # flat index of the top-left neighbour; integers this small are exact
-    # in float64
-    np.clip(row, -2, h, out=row)
-    row += 2
-    row *= pw
-    np.clip(col, -2, w, out=col)
-    row += col
-    row += 2
-    base = row.astype(np.intp)
-    v00 = flat[base]
-    v01 = flat[1:][base]
-    v10 = flat[pw:][base]
-    v11 = flat[pw + 1:][base]
-    # v00 (1-fx)(1-fy) + v01 fx (1-fy) + v10 (1-fx) fy + v11 fx fy
-    gx = 1 - fx
-    gy = 1 - fy
-    v00 *= gx
-    v00 *= gy
-    v01 *= fx
-    v01 *= gy
-    v00 += v01
-    v10 *= gx
-    v10 *= fy
-    v00 += v10
-    v11 *= fx
-    v11 *= fy
-    v00 += v11
-    return Mask(v00 >= 0.5)
+    out = np.empty((h, w), dtype=bool)
+    rows = max(1, _AUGMENT_BAND_CELLS // max(w, 1))
+    for y0 in range(0, h, rows):
+        dy_band = dy[y0:y0 + rows]
+        # inverse map: undo rotation, then undo scaling.  The band arrays
+        # are updated in place, in the operation order of the plain
+        # expressions.
+        fx = c_dx + s * dy_band
+        fx /= scale_x
+        fx += cx
+        fy = ms_dx + c * dy_band
+        fy /= scale_y
+        fy += cy
+        row = np.floor(fy)
+        fy -= row
+        col = np.floor(fx)
+        fx -= col
+        # flat index of the top-left neighbour; integers this small are
+        # exact in float64
+        np.clip(row, -2, h, out=row)
+        row += 2
+        row *= pw
+        np.clip(col, -2, w, out=col)
+        row += col
+        row += 2
+        base = row.astype(np.intp)
+        v00 = flat[base]
+        v01 = flat[1:][base]
+        v10 = flat[pw:][base]
+        v11 = flat[pw + 1:][base]
+        # v00 (1-fx)(1-fy) + v01 fx (1-fy) + v10 (1-fx) fy + v11 fx fy
+        gx = 1 - fx
+        gy = 1 - fy
+        v00 *= gx
+        v00 *= gy
+        v01 *= fx
+        v01 *= gy
+        v00 += v01
+        v10 *= gx
+        v10 *= fy
+        v00 += v10
+        v11 *= fx
+        v11 *= fy
+        v00 += v11
+        np.greater_equal(v00, 0.5, out=out[y0:y0 + rows])
+    return Mask(out)
 
 
 # ---------- synthetic pronotum generator ----------
@@ -290,9 +311,9 @@ def evaluate_pairs(predicted: list[Mask], truth: list[Mask],
 
 # ---------- PGM I/O ----------
 
-# PGM whitespace: the six ASCII bytes that `bytes.split()` and C isspace() use
-_PGM_SPACE = np.zeros(256, dtype=bool)
-_PGM_SPACE[list(b" \t\n\v\f\r")] = True
+# PGM whitespace: the six ASCII bytes that `bytes.split()` and C isspace()
+# use, space and the run \t \n \v \f \r (9-13)
+_PGM_SPACE = b" \t\n\v\f\r"
 _PGM_COMMENT = re.compile(rb"#[^\n\r]*")
 
 
@@ -307,9 +328,11 @@ def write_pgm(mask: Mask, path: str | Path):
     if h == 0 or w == 0:
         raise ValueError(f"cannot write an empty {w}x{h} mask as PGM")
     body = np.full((h, 2 * w), ord(" "), dtype=np.uint8)
-    body[:, 0::2] = mask.pixels + ord("0")
+    np.add(mask.pixels.view(np.uint8), ord("0"), out=body[:, 0::2])
     body[:, -1] = ord("\n")
-    Path(path).write_bytes(f"P2\n{w} {h}\n1\n".encode() + body.tobytes())
+    with Path(path).open("wb") as f:
+        f.write(f"P2\n{w} {h}\n1\n".encode())
+        f.write(body)
 
 
 def _pgm_header_int(path, name: str, token: bytes) -> int:
@@ -332,7 +355,9 @@ def read_pgm(path: str | Path) -> Mask:
     Every violation raises ValueError with a message that starts with the
     path.
     """
-    data = _PGM_COMMENT.sub(b"", Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    if b"#" in data:
+        data = _PGM_COMMENT.sub(b"", data)
     if not data.isascii():
         bad = next(b for b in data if b > 0x7F)
         raise ValueError(f"{path}: not an ASCII PGM (P2) file: byte 0x{bad:02x}")
@@ -346,14 +371,17 @@ def read_pgm(path: str | Path) -> Mask:
     maxval = _pgm_header_int(path, "maxval", parts[3])
     if maxval != 1:
         raise ValueError(f"{path}: expected maxval 1, got {maxval}")
-    body = np.frombuffer(parts[4] if len(parts) == 5 else b"", dtype=np.uint8)
-    space = _PGM_SPACE[body]
+    body = parts[4] if len(parts) == 5 else b""
+    codes = np.frombuffer(body, dtype=np.uint8)
+    space = codes == ord(" ")
+    space |= codes - 9 <= 4
     starts = ~space
     starts[1:] &= space[:-1]
-    count = int(starts.sum())
+    count = int(np.count_nonzero(starts))
     if count != width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, got {count}")
-    bits = body[~space] - np.uint8(ord("0"))
+    bits = np.frombuffer(body.translate(None, _PGM_SPACE), dtype=np.uint8)
+    bits = bits - np.uint8(ord("0"))
     # more non-space bytes than tokens means a token longer than one byte
     if bits.size != count or (bits > 1).any():
         raise ValueError(f"{path}: pixel values must be 0 or 1")

@@ -675,6 +675,21 @@ def test_mask_script_dataset_feeds_metrics(tmp_path, capsys):
         "m0000.pgm", "m0001.pgm", "m0002.pgm", "mean"]
 
 
+@pytest.mark.parametrize("flag", [["--scale", "0"], ["--scale", "nan"],
+                                  ["--rotation-deg", "nan"],
+                                  ["--rotation-deg", "inf"], ["--count", "0"]],
+                         ids=" ".join)
+def test_mask_script_rejects_bad_flags_before_writing(flag, tmp_path):
+    out = tmp_path / "ds"
+    proc = subprocess.run([sys.executable, str(MASK_SCRIPT), *flag,
+                           "--output-dir", str(out)],
+                          env=_env_with_src(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ")
+    assert f"error: argument {flag[0]}: " in proc.stderr
+    assert not out.exists()
+
+
 def test_mask_script_exits_naming_a_mask_the_extractor_misreads(
         tmp_path, monkeypatch):
     monkeypatch.setattr(vision, "extract_reference_point",

@@ -1,10 +1,14 @@
 """Mask metrics, reference-point geometry, augmentation, and PGM I/O."""
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biobotsim import vision
 from biobotsim.vision import (
     EmptyMaskError,
     Mask,
@@ -163,6 +167,21 @@ def test_augment_rejects_nonpositive_scales():
         augment(m, 1.0, -2.0, 0.0)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("scale_x", (math.nan, 1.0, 0.0)),
+    ("scale_x", (math.inf, 1.0, 0.0)),
+    ("scale_y", (1.0, math.nan, 0.0)),
+    ("scale_y", (1.0, -math.inf, 0.0)),
+    ("rotation_deg", (1.0, 1.0, math.nan)),
+    ("rotation_deg", (1.0, 1.0, math.inf)),
+    ("rotation_deg", (1.0, 1.0, -math.inf)),
+])
+def test_augment_rejects_non_finite_parameters(name, params):
+    m, _ = synth_pronotum(PronotumShapeParams(), seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        augment(m, *params)
+
+
 def test_uniform_scaling_scales_area():
     m, _ = synth_pronotum(PronotumShapeParams(), seed=3)
     grown = augment(m, 1.3, 1.3, 0.0)
@@ -212,16 +231,36 @@ def _augment_reference(mask, scale_x, scale_y, rotation_deg):
     return Mask(out)
 
 
-@pytest.mark.parametrize("params", [
+AUGMENT_CASES = [
     (1.0, 1.0, 0.0), (1.0, 1.0, 2.0), (0.8, 1.2, -25.0), (0.1, 0.1, 45.0),
     (5.0, 5.0, 10.0), (1e-3, 1e-3, 0.0), (0.5, 3.0, 180.0), (2.0, 0.7, -180.0),
     (1.0, 1.0, 90.0), (0.9, 0.9, -135.0),
-])
+]
+
+
+@pytest.mark.parametrize("params", AUGMENT_CASES)
 def test_augment_matches_per_pixel_reference_bit_for_bit(params):
     rng = np.random.default_rng(5)
     for shape in ((9, 6), (6, 9), (1, 1), (7, 7)):
         m = Mask(rng.random(shape) < 0.5)
         assert augment(m, *params).same_bits(_augment_reference(m, *params))
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize("params", AUGMENT_CASES)
+def test_augment_band_seams_match_the_per_pixel_reference(params, cells,
+                                                          monkeypatch):
+    # 40 cells make bands of 6, 4, 5 and 8 rows for these shapes, so each
+    # frame spans two bands and ends on a partial one; 1 cell makes one
+    # row per band
+    monkeypatch.setattr(vision, "_AUGMENT_BAND_CELLS", cells)
+    rng = np.random.default_rng(5)
+    for shape in ((9, 6), (6, 9), (7, 7), (13, 5)):
+        m = Mask(rng.random(shape) < 0.5)
+        assert augment(m, *params).same_bits(_augment_reference(m, *params))
+    for shape in ((0, 0), (3, 0), (0, 3)):
+        assert augment(Mask(np.zeros(shape, dtype=bool)),
+                       *params).pixels.shape == shape
 
 
 # ---------- synthetic generator ----------
@@ -359,12 +398,65 @@ def test_pgm_reader_rejects_wrong_magic(tmp_path):
                  id="comments-in-the-body"),
     pytest.param(b"P2 3 2 1 1 0 1 0 1 1", id="one-line"),
     pytest.param(b"P2 # caf\xc3\xa9\n3 2 1 1 0 1 0 1 1", id="non-ascii-comment"),
+    pytest.param(b"P2\v3\v2\v1\v1\v0\v1\v0\v1\v1\v", id="vertical-tabs"),
+    pytest.param(b"P2\f3 2\f1\f\f1 0 1\f0 1 1", id="form-feeds"),
+    pytest.param(b"P2\r3 2\r1\r1 0 1\r0\r1\r1\r", id="lone-carriage-returns"),
 ])
 def test_pgm_reader_grammar(text, tmp_path):
     p = tmp_path / "g.pgm"
     p.write_bytes(text)
     assert read_pgm(p).pixels.tolist() == [[True, False, True],
                                            [False, True, True]]
+
+
+_PGM_SPACE_RUNS = st.text(alphabet=" \t\n\v\f\r", min_size=1, max_size=4)
+_PGM_COMMENTS = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_characters="\n\r"),
+    max_size=6)
+
+
+@st.composite
+def p2_files(draw):
+    """A P2 file of random 0/1 tokens joined by random whitespace runs and
+    comments, and the same file with one token replaced by a bad one."""
+    h = draw(st.integers(min_value=1, max_value=4))
+    w = draw(st.integers(min_value=1, max_value=4))
+    tokens = draw(st.lists(st.sampled_from([b"0", b"1"]),
+                           min_size=h * w, max_size=h * w))
+
+    def gap():
+        run = draw(_PGM_SPACE_RUNS).encode()
+        if draw(st.booleans()):
+            run += (b"#" + draw(_PGM_COMMENTS).encode()
+                    + draw(st.sampled_from([b"\n", b"\r"])))
+        return run
+
+    header = [str(w).encode(), str(h).encode(), b"1"]
+    gaps = [gap() for _ in range(len(header) + len(tokens))]
+    tail = gap() if draw(st.booleans()) else b""
+    bad = list(tokens)
+    bad[draw(st.integers(min_value=0, max_value=h * w - 1))] = draw(
+        st.sampled_from([b"2", b"00", b"+1"]))
+
+    def join(body):
+        return b"P2" + b"".join(g + t for g, t in zip(gaps, header + body)) + tail
+
+    return join(tokens), join(bad), h, w, tokens
+
+
+@settings(max_examples=60, deadline=None)
+@given(p2_files())
+def test_pgm_reader_reads_tokens_across_every_whitespace_byte(case):
+    good, bad, h, w, tokens = case
+    want = np.array([t == b"1" for t in tokens]).reshape(h, w)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "h.pgm"
+        p.write_bytes(good)
+        assert np.array_equal(read_pgm(p).pixels, want)
+        p.write_bytes(bad)
+        with pytest.raises(ValueError) as exc:
+            read_pgm(p)
+        assert str(exc.value).startswith(f"{p}: ")
 
 
 @pytest.mark.parametrize("text", [
@@ -392,3 +484,21 @@ def test_pgm_reader_rejects_malformed_files_naming_the_path(text, tmp_path):
 def test_pgm_writer_rejects_an_empty_mask(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         write_pgm(Mask(np.zeros((2, 0), dtype=bool)), tmp_path / "e.pgm")
+
+
+def test_mask_kernels_allocate_no_full_frame_float_temporaries(tmp_path):
+    # a 256 x 256 float64 frame is 512 KB; augment keeps its padded field
+    # and its bool output, read_pgm its byte-sized buffers
+    m, _ = synth_pronotum(PronotumShapeParams(), seed=4)
+    p = tmp_path / "m.pgm"
+    write_pgm(m, p)
+    for call, limit in ((lambda: augment(m, 1.1, 0.9, 12.0), 2_000_000),
+                        (lambda: read_pgm(p), 1_000_000)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
