@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 
 from biobotsim.seeding import child_seed
-from biobotsim.vision import (PronotumShapeParams, augment,
+from biobotsim.vision import (PronotumShapeParams, augment, check_augment,
                               extract_reference_point, synth_pronotum,
                               write_pgm)
 
@@ -52,7 +52,13 @@ def parse_args():
     ap.add_argument("--rotation-deg", type=finite, default=0.0,
                     help="rotation applied to the pred copies")
     ap.add_argument("--output-dir", type=Path, default=Path("out/masks"))
-    return ap.parse_args()
+    args = ap.parse_args()
+    frame = PronotumShapeParams().frame
+    try:
+        check_augment((frame, frame), args.scale, args.scale, args.rotation_deg)
+    except ValueError as exc:   # finite flags: only --scale can be too small
+        ap.error(f"argument --scale: {exc}")
+    return args
 
 
 def main():

@@ -8,13 +8,13 @@ The bandpass needs numpy only.  It is a single-biquad Butterworth whose
 coefficients come in closed form from the bilinear transform with
 prewarped edges (biquad_coefficients).  It runs as a direct-form-II-
 transposed filter in one kernel, bandpass_rows, which filters many traces
-at once through blocked matrix-vector products; bandpass is its one-row
-call.  The threshold takes the median from one partition.
+at once through blocked matrix-vector products.  The threshold takes the
+median from one partition.
 
-voltage_sweep is the driver of the voltage-response protocol.  It runs
-its traces a few at a time through one fused kernel, synthesis through
-detection on the rows of one buffer, with one thread per CPU.  The stage
-functions are one-row calls of the same helpers.
+The stages run as one chain, _detect_chunk, on the rows of one buffer.
+run_spike_pipeline is its call on one trace.  voltage_sweep is the driver
+of the voltage-response protocol.  It runs its traces a few at a time
+through the same chain, synthesis first, with one thread per CPU.
 """
 from __future__ import annotations
 
@@ -106,8 +106,9 @@ def check_params(sample_rate: float, band: tuple[float, float] | None = None,
                  noise_sd: float | None = None,
                  rates: tuple[float, float] | None = None):
     """The one check of the pipeline's and the synthesizer's parameters,
-    shared by the stages, synth_neural_response and config loading.  A
-    parameter left as None is not checked.  Raises ParamError naming the
+    shared by run_spike_pipeline, voltage_sweep, bandpass_rows,
+    synth_neural_response and config loading.  A parameter left as None
+    is not checked.  Raises ParamError naming the
     first bad one: sample_rate, low, high, blank_window, refractory,
     duration, noise_sd, r_min or r_max."""
     if not sample_rate > 0.0:
@@ -160,19 +161,6 @@ def _blank_spans(edge_times, window: float, sample_rate: float,
             )
         spans.append(slice(start, min(start + width, n)))
     return spans
-
-
-def blank_artifacts(t: Trace, edge_times, window: float = DEFAULT_BLANK_WINDOW) -> Trace:
-    """Zero [edge, edge + window) around each stimulation edge.
-
-    Idempotent; an empty edge list is the identity.  Edges must lie within
-    the trace extent (windows are clipped at the end).
-    """
-    check_params(t.sample_rate, blank_window=window)
-    out = t.samples.copy()
-    for span in _blank_spans(edge_times, window, t.sample_rate, len(out)):
-        out[span] = 0.0
-    return Trace(t.sample_rate, out)
 
 
 def biquad_coefficients(sample_rate: float, low: float, high: float):
@@ -264,16 +252,11 @@ def bandpass_rows(x: np.ndarray, sample_rate: float,
     return np.matvec(step[:L], z).reshape(lanes, groups * G * L)[:, :n]
 
 
-def bandpass(t: Trace, low: float = DEFAULT_BAND[0],
-             high: float = DEFAULT_BAND[1]) -> Trace:
-    """Butterworth bandpass via bilinear transform with prewarped edges:
-    the one-row call of bandpass_rows."""
-    return Trace(t.sample_rate, bandpass_rows(t.samples[None], t.sample_rate,
-                                              low, high)[0])
-
-
 def _thresholds(mags: np.ndarray) -> np.ndarray:
-    """threshold of each row of mags = |x| [lanes, n], from one partition."""
+    """Detection threshold of each row of mags = |x| [lanes, n]: 5 x the
+    MAD-based noise estimate median(|x|) / MAD_SCALE.  The median comes
+    from one partition; division by a positive constant keeps the order of
+    the values, so it is np.median's value bit for bit."""
     n = mags.shape[1]
     if n == 0:
         raise ValueError("cannot estimate a threshold from an empty trace")
@@ -283,16 +266,6 @@ def _thresholds(mags: np.ndarray) -> np.ndarray:
     median = upper if n % 2 else (part[:, :half].max(axis=1) / MAD_SCALE
                                   + upper) / 2.0
     return THRESHOLD_FACTOR * median
-
-
-def threshold(t: Trace) -> float:
-    """Robust detection threshold, 5 x the MAD-based noise estimate.
-
-    The median of |x| / MAD_SCALE comes from one partition of |x|.  Division
-    by a positive constant keeps the order of the values, so this is
-    np.median's value bit for bit.
-    """
-    return float(_thresholds(np.abs(t.samples)[None])[0])
 
 
 def _detect_rows(mags: np.ndarray, thresholds: np.ndarray,
@@ -311,18 +284,6 @@ def _detect_rows(mags: np.ndarray, thresholds: np.ndarray,
                 last = idx
         trains.append(np.array(kept, dtype=int))
     return trains
-
-
-def detect_spikes(t: Trace, thresh: float,
-                  refractory: float = DEFAULT_REFRACTORY) -> SpikeTrain:
-    """Indices where |sample| crosses above the threshold from below,
-    suppressing any crossing within the refractory window of the last."""
-    if thresh < 0.0:
-        raise ValueError(f"threshold must be non-negative, got {thresh!r}")
-    check_params(t.sample_rate, refractory=refractory)
-    hold = int(round(refractory * t.sample_rate))
-    return SpikeTrain(_detect_rows(np.abs(t.samples)[None],
-                                   np.array([thresh]), hold)[0], thresh)
 
 
 def _detect_chunk(rows: np.ndarray, sample_rate: float, spans, low: float,
@@ -464,46 +425,6 @@ def synth_neural_response(stim_voltage: float, rng_seed: int,
                 _spikelet(sample_rate),
                 _artifacts(artifact_times, sample_rate, n, noise_sd))
     return Trace(sample_rate, rows[0])
-
-
-def planted_spike_trace(rng_seed: int, *, n_spikes: int = 7,
-                        spacing: float = 0.010,
-                        sample_rate: float = DEFAULT_SAMPLE_RATE,
-                        duration: float = 0.25,
-                        first_spike: float = 0.08,
-                        noise_sd: float = 0.1,
-                        amplitude_over_threshold: float = 4.0,
-                        low: float = DEFAULT_BAND[0],
-                        high: float = DEFAULT_BAND[1]) -> Trace:
-    """Fixture: evenly spaced biphasic spikelets planted in Gaussian noise.
-
-    The spikelet amplitude is calibrated so that the filtered spike peak
-    sits at amplitude_over_threshold times the pipeline threshold measured
-    on the noise alone; detection is then certain while post-spike filter
-    ringing stays safely below threshold.  There is no stimulation in this
-    trace, so runs against it should use empty blanking edges.
-    """
-    rng = np.random.default_rng(rng_seed)
-    n = int(round(duration * sample_rate))
-    noise = rng.normal(0.0, noise_sd, n)
-
-    t_cal = threshold(bandpass(Trace(sample_rate, noise), low, high))
-
-    template = _spikelet(sample_rate)
-    w = len(template)
-    probe = np.zeros(n)
-    probe[n // 2:n // 2 + w] = template
-    unit_peak = float(np.abs(bandpass(Trace(sample_rate, probe),
-                                      low, high).samples).max())
-    amp = amplitude_over_threshold * t_cal / unit_peak
-
-    trace = noise.copy()
-    for k in range(n_spikes):
-        start = int(round((first_spike + k * spacing) * sample_rate))
-        if start + w > n:
-            raise ValueError("fixture spikes do not fit in the trace")
-        trace[start:start + w] += amp * template
-    return Trace(sample_rate, trace)
 
 
 # ---------- the voltage sweep ----------

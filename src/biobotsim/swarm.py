@@ -359,7 +359,9 @@ def _reflect_move(arena: Arena, old_x: float, old_y: float,
     """Specular reflection of one step off walls and obstacle faces.
 
     Returns the corrected position and heading plus the mirror parities
-    (x-flips, y-flips) so active turn commands can be conjugated.
+    (x-flips, y-flips) so active turn commands can be conjugated.  The
+    position returned is free whenever the old one is: inside the walls
+    and strictly inside no obstacle.
     """
     if 0.0 <= new_x <= arena.width and 0.0 <= new_y <= arena.height:
         for rect in arena.obstacles:
@@ -402,6 +404,14 @@ def _reflect_move(arena: Arena, old_x: float, old_y: float,
                 fy += 1
             break
     new_x, new_y, heading, fx, fy = _walls(arena, new_x, new_y, heading, fx, fy)
+    if (not (0.0 <= new_x <= arena.width and 0.0 <= new_y <= arena.height)
+            or any(rect.contains(new_x, new_y) for rect in arena.obstacles)):
+        # a mirror landed in a neighbouring obstacle or past a wall: back
+        # off to the old position, which is free, and turn around
+        new_x, new_y = old_x, old_y
+        heading += 180.0
+        fx += 1
+        fy += 1
     return new_x, new_y, heading % 360.0, fx, fy
 
 

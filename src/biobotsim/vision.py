@@ -48,17 +48,6 @@ class Mask:
     def foreground_count(self) -> int:
         return int(self.pixels.sum())
 
-    @classmethod
-    def zeros(cls, width: int = DEFAULT_FRAME, height: int = DEFAULT_FRAME) -> "Mask":
-        return cls(np.zeros((height, width), dtype=bool))
-
-    @classmethod
-    def from_array(cls, arr) -> "Mask":
-        return cls(np.asarray(arr, dtype=bool))
-
-    def same_bits(self, other: "Mask") -> bool:
-        return bool(np.array_equal(self.pixels, other.pixels))
-
 
 @dataclass(frozen=True)
 class ReferencePoint:
@@ -133,6 +122,33 @@ def dsc(a: Mask, b: Mask) -> float:
 _AUGMENT_BAND_CELLS = 4096
 
 
+def check_augment(shape: tuple[int, int], scale_x: float, scale_y: float,
+                  rotation_deg: float):
+    """The one check of augment's parameters for a mask of shape (h, w).
+
+    Raises ValueError naming the parameter unless all three are finite, the
+    scales are positive, and each scale is large enough that the inverse
+    map stays finite.  That map divides offsets from the frame center by
+    the scales, and the largest offset is a corner's, so the test is the
+    kernel's own arithmetic at that corner.
+    """
+    for name, value in (("scale_x", scale_x), ("scale_y", scale_y),
+                        ("rotation_deg", rotation_deg)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if scale_x <= 0.0 or scale_y <= 0.0:
+        raise ValueError(f"scale factors must be positive, got ({scale_x}, {scale_y})")
+    h, w = shape
+    theta = math.radians(rotation_deg)
+    c, s = abs(math.cos(theta)), abs(math.sin(theta))
+    half_w, half_h = max(w - 1, 0) / 2.0, max(h - 1, 0) / 2.0
+    for name, scale, reach in (("scale_x", scale_x, c * half_w + s * half_h),
+                               ("scale_y", scale_y, s * half_w + c * half_h)):
+        if not math.isfinite(reach / scale):
+            raise ValueError(f"{name} {scale!r} is too small for a {w}x{h} "
+                             f"mask: the inverse map overflows")
+
+
 def augment(mask: Mask, scale_x: float, scale_y: float,
             rotation_deg: float) -> Mask:
     """Scale then rotate a mask about its center.
@@ -141,17 +157,13 @@ def augment(mask: Mask, scale_x: float, scale_y: float,
     inverse-mapped grid and thresholded at 0.5.  Output dimensions equal
     input dimensions; content mapped from outside the frame is background.
     Identity parameters (1, 1, 0) reproduce the input bit for bit.
+    Parameters that check_augment rejects raise ValueError.
 
     The output is computed one band of rows at a time, each band at most
     ``_AUGMENT_BAND_CELLS`` cells or one row, so no float temporary spans
     the frame.  A pixel's arithmetic does not depend on its band.
     """
-    for name, value in (("scale_x", scale_x), ("scale_y", scale_y),
-                        ("rotation_deg", rotation_deg)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if scale_x <= 0.0 or scale_y <= 0.0:
-        raise ValueError(f"scale factors must be positive, got ({scale_x}, {scale_y})")
+    check_augment(mask.pixels.shape, scale_x, scale_y, rotation_deg)
     h, w = mask.pixels.shape
     cy = (h - 1) / 2.0
     cx = (w - 1) / 2.0

@@ -373,8 +373,9 @@ def test_spikes_zero_trace_detects_nothing(tmp_path, capsys):
     assert doc["threshold_v"] == 0.0
 
 
-def test_spikes_planted_fixture_binary_input(tmp_path, capsys):
-    ns.write_trace_binary(ns.planted_spike_trace(3), tmp_path / "planted.btrc")
+def test_spikes_planted_fixture_binary_input(tmp_path, capsys,
+                                            planted_spike_trace):
+    ns.write_trace_binary(planted_spike_trace(3), tmp_path / "planted.btrc")
     cfg = _write_cfg(tmp_path, {"schema_version": 1,
                                 "neurosignal": {"blank_edge_times_s": []}})
     rc = cli.main(["spikes", "--config", str(cfg),
@@ -676,6 +677,7 @@ def test_mask_script_dataset_feeds_metrics(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [["--scale", "0"], ["--scale", "nan"],
+                                  ["--scale", "1e-307"],
                                   ["--rotation-deg", "nan"],
                                   ["--rotation-deg", "inf"], ["--count", "0"]],
                          ids=" ".join)

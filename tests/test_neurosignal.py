@@ -1,9 +1,12 @@
 """Stimulus, filtering, threshold, and spike-detection behavior.
 
-The bandpass checks compare the implemented filter against a closed-form
-magnitude oracle: the continuous-time second-order Butterworth bandpass
-|H| = B*w / hypot(w0^2 - w^2, B*w) evaluated on the prewarped (tan-domain)
-frequency axis that the bilinear transform maps onto.
+The stage checks call the kernels the pipeline runs: _blank_spans,
+bandpass_rows, _thresholds and _detect_rows, chained by
+run_spike_pipeline.  The bandpass checks compare the implemented filter
+against a closed-form magnitude oracle: the continuous-time second-order
+Butterworth bandpass |H| = B*w / hypot(w0^2 - w^2, B*w) evaluated on the
+prewarped (tan-domain) frequency axis that the bilinear transform maps
+onto.
 """
 import math
 import sys
@@ -16,24 +19,25 @@ from hypothesis import given, settings, strategies as st
 
 from biobotsim import neurosignal as ns
 from biobotsim.neurosignal import (
+    DEFAULT_BLANK_WINDOW,
+    DEFAULT_EDGE_TIMES,
+    DEFAULT_REFRACTORY,
     DEFAULT_SAMPLE_RATE,
     MAD_SCALE,
     MAX_SWEEP_POINTS,
     THRESHOLD_FACTOR,
     Trace,
-    bandpass,
+    _blank_spans,
+    _detect_rows,
+    _thresholds,
     bandpass_rows,
     biquad_coefficients,
-    blank_artifacts,
-    detect_spikes,
     expected_spike_rate,
-    planted_spike_trace,
     read_trace_binary,
     read_trace_csv,
     run_spike_pipeline,
     sweep_voltages,
     synth_neural_response,
-    threshold,
     voltage_sweep,
     write_trace_binary,
     write_trace_csv,
@@ -66,7 +70,7 @@ def _measured_gain_db(freq: float) -> float:
     n = int(2.0 * FS)
     t = np.arange(n) / FS
     x = np.sin(2.0 * np.pi * freq * t)
-    y = bandpass(Trace(FS, x)).samples
+    y = bandpass_rows(x[None], FS)[0]
     tail = slice(n // 2, None)
     gain = float(np.sqrt(np.mean(y[tail] ** 2) / np.mean(x[tail] ** 2)))
     return 20.0 * math.log10(gain)
@@ -92,18 +96,17 @@ def test_band_edges_sit_near_minus_three_db():
 
 
 def test_bandpass_validates_edges_and_order():
-    t = Trace(FS, np.zeros(100))
+    x = np.zeros((1, 100))
     with pytest.raises(ValueError):
-        bandpass(t, 500.0, 400.0)
+        bandpass_rows(x, FS, 500.0, 400.0)
     with pytest.raises(ValueError):
-        bandpass(t, 300.0, 13000.0)  # above Nyquist
+        bandpass_rows(x, FS, 300.0, 13000.0)  # above Nyquist
 
 
 def test_bandpass_is_linear():
     rng = np.random.default_rng(0)
     x = rng.normal(size=2000)
-    a = bandpass(Trace(FS, x)).samples
-    b = bandpass(Trace(FS, 3.0 * x)).samples
+    a, b = bandpass_rows(np.stack([x, 3.0 * x]), FS)
     assert np.allclose(b, 3.0 * a, rtol=1e-12, atol=1e-15)
 
 
@@ -155,7 +158,6 @@ def test_batched_rows_equal_one_row_calls_bit_for_bit():
     x = rng.normal(size=(7, 3001)) * 1e-5
     batched = bandpass_rows(x, FS)
     for row, out in zip(x, batched):
-        assert np.array_equal(out, bandpass(Trace(FS, row)).samples)
         assert np.array_equal(out, bandpass_rows(row[None], FS)[0])
 
 
@@ -163,145 +165,169 @@ def test_kernel_uses_the_requested_band():
     rng = np.random.default_rng(6)
     x = rng.normal(size=3000)
     b, a = biquad_coefficients(10000.0, 100.0, 2000.0)
-    y = bandpass(Trace(10000.0, x), 100.0, 2000.0).samples
+    y = bandpass_rows(x[None], 10000.0, 100.0, 2000.0)[0]
     ref = _df2t_reference(x, b, a)
     assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 # ---------- threshold ----------
 
+def _threshold(x):
+    """The pipeline's threshold of one trace x."""
+    return float(_thresholds(np.abs(x)[None])[0])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 101, 1000, 29999, 30000])
 def test_threshold_equals_the_median_formula_bit_for_bit(n):
     rng = np.random.default_rng(n)
-    x = rng.normal(size=n) * 1e-5
-    x[::7] = 0.0          # ties at the median
-    median = float(np.median(np.abs(x) / MAD_SCALE))
-    assert threshold(Trace(FS, x)) == THRESHOLD_FACTOR * median
+    x = rng.normal(size=(3, n)) * 1e-5
+    x[:, ::7] = 0.0          # ties at the median
+    got = _thresholds(np.abs(x))
+    for row, level in zip(x, got.tolist()):
+        median = float(np.median(np.abs(row) / MAD_SCALE))
+        assert level == THRESHOLD_FACTOR * median
 
 
 def test_threshold_tracks_five_sigma_for_gaussian_noise():
     rng = np.random.default_rng(42)
-    t = Trace(FS, rng.normal(0.0, 1.0, 100000))
-    assert 4.75 <= threshold(t) <= 5.25
+    assert 4.75 <= _threshold(rng.normal(0.0, 1.0, 100000)) <= 5.25
 
 
 def test_threshold_of_silence_is_zero():
-    assert threshold(Trace(FS, np.zeros(1000))) == 0.0
+    assert _threshold(np.zeros(1000)) == 0.0
 
 
 def test_threshold_rejects_empty_trace():
     with pytest.raises(ValueError):
-        threshold(Trace(FS, np.zeros(0)))
+        _thresholds(np.zeros((1, 0)))
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_threshold_scales_with_the_signal(c):
     rng = np.random.default_rng(7)
     x = rng.normal(size=4000)
-    t0 = threshold(Trace(FS, x))
-    t1 = threshold(Trace(FS, c * x))
+    t0 = _threshold(x)
+    t1 = _threshold(c * x)
     assert t1 == pytest.approx(c * t0, rel=1e-12)
 
 
 # ---------- blanking ----------
 
+def _blanked(x, edges, window=DEFAULT_BLANK_WINDOW, fs=FS):
+    """x with the pipeline's blank spans zeroed, as _detect_chunk zeroes
+    them in place."""
+    rows = np.array(x, dtype=float)[None]
+    for span in _blank_spans(edges, window, fs, rows.shape[1]):
+        rows[:, span] = 0.0
+    return rows[0]
+
+
 def test_blanking_zeroes_the_documented_ranges():
-    t = Trace(FS, np.ones(30000))
-    out = blank_artifacts(t, (0.0, 0.5, 1.0)).samples
-    for start, stop in ((0, 1250), (12500, 13750), (25000, 26250)):
+    ranges = ((0, 1250), (12500, 13750), (25000, 26250))
+    assert _blank_spans((0.0, 0.5, 1.0), DEFAULT_BLANK_WINDOW, FS, 30000) == [
+        slice(start, stop) for start, stop in ranges]
+    out = _blanked(np.ones(30000), (0.0, 0.5, 1.0))
+    for start, stop in ranges:
         assert not out[start:stop].any()
     # everything else untouched
     mask = np.ones(30000, dtype=bool)
-    for start, stop in ((0, 1250), (12500, 13750), (25000, 26250)):
+    for start, stop in ranges:
         mask[start:stop] = False
     assert (out[mask] == 1.0).all()
 
 
 def test_blanking_removes_exactly_one_window_of_mass():
-    t = Trace(FS, np.ones(50000))  # 2 s
-    out = blank_artifacts(t, (0.0,))
-    assert t.samples.sum() - out.samples.sum() == 1250.0
+    x = np.ones(50000)  # 2 s
+    assert x.sum() - _blanked(x, (0.0,)).sum() == 1250.0
 
 
 def test_blanking_with_no_edges_is_identity():
+    assert _blank_spans((), DEFAULT_BLANK_WINDOW, FS, 5000) == []
     rng = np.random.default_rng(1)
-    t = Trace(FS, rng.normal(size=5000))
-    assert np.array_equal(blank_artifacts(t, ()).samples, t.samples)
+    x = rng.normal(size=5000)
+    assert np.array_equal(_blanked(x, ()), x)
 
 
 def test_blanking_rejects_out_of_range_edges():
-    t = Trace(FS, np.zeros(2500))  # 0.1 s
-    with pytest.raises(ValueError):
-        blank_artifacts(t, (-0.01,))
-    with pytest.raises(ValueError):
-        blank_artifacts(t, (0.2,))
+    for edge in (-0.01, 0.2):   # the trace is 0.1 s
+        with pytest.raises(ValueError, match="outside the trace extent"):
+            _blank_spans((edge,), DEFAULT_BLANK_WINDOW, FS, 2500)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=0.15), max_size=4))
 def test_blanking_is_idempotent(edges):
     rng = np.random.default_rng(3)
-    t = Trace(FS, rng.normal(size=5000))  # 0.2 s
-    once = blank_artifacts(t, edges)
-    twice = blank_artifacts(once, edges)
-    assert np.array_equal(once.samples, twice.samples)
+    x = rng.normal(size=5000)  # 0.2 s
+    once = _blanked(x, edges)
+    twice = _blanked(once, edges)
+    assert np.array_equal(once, twice)
+    # each span starts at its edge and runs one window, clipped at the end
+    for edge, span in zip(edges, _blank_spans(edges, DEFAULT_BLANK_WINDOW,
+                                              FS, 5000)):
+        assert span.start == round(edge * FS)
+        assert span.stop == min(span.start + 1250, 5000)
 
 
 # ---------- detection ----------
 
+def _detect(x, thresh, hold):
+    """_detect_rows on one trace x, the way _detect_chunk calls it."""
+    return _detect_rows(np.abs(x)[None], np.array([thresh]), hold)[0].tolist()
+
+
 def test_detection_counts_upward_crossings_only():
-    # 1 kHz: indices in samples; refractory 3 ms = 3 samples
+    # indices and the 3-sample hold in samples
     x = np.array([0.0, 6.0, 6.0, 0.0, 0.0, 0.0, -6.0, 0.0])
-    st_ = detect_spikes(Trace(1000.0, x), 5.0, refractory=0.003)
-    assert st_.indices.tolist() == [1, 6]  # negative excursions count via |x|
+    assert _detect(x, 5.0, 3) == [1, 6]  # negative excursions count via |x|
 
 
 def test_detection_first_sample_above_counts():
-    x = np.array([6.0, 0.0, 0.0])
-    st_ = detect_spikes(Trace(1000.0, x), 5.0, refractory=0.0)
-    assert st_.indices.tolist() == [0]
+    assert _detect(np.array([6.0, 0.0, 0.0]), 5.0, 0) == [0]
 
 
 def test_detection_refractory_suppresses_close_events():
     x = np.zeros(20)
     x[[2, 4, 9]] = 10.0
-    st_ = detect_spikes(Trace(1000.0, x), 5.0, refractory=0.005)
-    assert st_.indices.tolist() == [2, 9]   # index 4 falls inside the hold
+    assert _detect(x, 5.0, 5) == [2, 9]   # index 4 falls inside the hold
+    # rows are independent: each has its own threshold
+    rows = _detect_rows(np.abs(np.stack([x, 0.5 * x])), np.array([5.0, 5.0]), 5)
+    assert [r.tolist() for r in rows] == [[2, 9], []]
 
 
 def test_detection_threshold_is_strict():
-    x = np.array([0.0, 5.0, 0.0])
-    assert detect_spikes(Trace(1000.0, x), 5.0).count == 0
+    assert _detect(np.array([0.0, 5.0, 0.0]), 5.0, 0) == []
 
 
 def test_detection_rejects_negative_parameters():
-    t = Trace(1000.0, np.zeros(10))
-    with pytest.raises(ValueError):
-        detect_spikes(t, -1.0)
-    with pytest.raises(ValueError):
-        detect_spikes(t, 1.0, refractory=-0.001)
+    with pytest.raises(ValueError, match="refractory"):
+        run_spike_pipeline(Trace(FS, np.zeros(10)), refractory=-0.001)
 
 
 # ---------- pipeline on the planted fixture ----------
 
-def test_pipeline_recovers_planted_spike_count():
+def test_pipeline_recovers_planted_spike_count(planted_spike_trace):
     for seed in range(20):
         train = run_spike_pipeline(planted_spike_trace(seed), edge_times=())
         assert train.count == 7, seed
 
 
-def test_pipeline_spike_times_land_near_plants():
+def test_pipeline_spike_times_land_near_plants(planted_spike_trace):
     train = run_spike_pipeline(planted_spike_trace(0), edge_times=())
     expected = np.array([int(round((0.08 + k * 0.010) * FS)) for k in range(7)])
     assert (np.abs(train.indices - expected) <= 5).all()
 
 
-def test_pipeline_equals_manual_stage_chain():
-    t = planted_spike_trace(4)
-    manual = bandpass(blank_artifacts(t, ()))
-    st_ = detect_spikes(manual, threshold(manual))
-    auto = run_spike_pipeline(t, edge_times=())
-    assert auto.indices.tolist() == st_.indices.tolist()
-    assert auto.threshold_used == st_.threshold_used
+def test_pipeline_equals_manual_stage_chain(planted_spike_trace):
+    hold = int(round(DEFAULT_REFRACTORY * FS))
+    for t, edges in ((planted_spike_trace(4), ()),
+                     (synth_neural_response(3.0, 4), DEFAULT_EDGE_TIMES)):
+        mags = np.abs(bandpass_rows(_blanked(t.samples, edges)[None], FS))
+        level = _thresholds(mags)
+        manual = _detect_rows(mags, level, hold)[0]
+        auto = run_spike_pipeline(t, edge_times=edges)
+        assert auto.count > 0
+        assert auto.indices.tolist() == manual.tolist()
+        assert auto.threshold_used == level[0]
 
 
 # ---------- voltage-response curve ----------
@@ -416,9 +442,9 @@ def test_synthetic_response_rate_tracks_the_curve():
 
 def test_artifacts_are_confined_to_blank_windows():
     t = synth_neural_response(0.0, 5)
-    filtered = bandpass(blank_artifacts(t, (0.0, 0.5, 1.0)))
+    filtered = bandpass_rows(_blanked(t.samples, (0.0, 0.5, 1.0))[None], FS)
     # after blanking the trace is pure filtered noise: bounded near 5 sigma
-    assert np.abs(filtered.samples).max() < 10.0 * filtered.samples.std()
+    assert np.abs(filtered).max() < 10.0 * filtered.std()
 
 
 # ---------- trace container and I/O ----------
@@ -436,7 +462,7 @@ def test_trace_duration():
     assert Trace(FS, np.zeros(25000)).duration == 1.0
 
 
-def test_csv_round_trip_is_bitwise(tmp_path):
+def test_csv_round_trip_is_bitwise(tmp_path, planted_spike_trace):
     t = planted_spike_trace(8)
     p = tmp_path / "t.csv"
     write_trace_csv(t, p)
@@ -445,7 +471,7 @@ def test_csv_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(back.samples, t.samples)
 
 
-def test_binary_round_trip_is_bitwise(tmp_path):
+def test_binary_round_trip_is_bitwise(tmp_path, planted_spike_trace):
     t = planted_spike_trace(8)
     p = tmp_path / "t.btrc"
     write_trace_binary(t, p)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biobotsim import swarm
 from biobotsim.locomotion import (AUTO_PRESET, MANUAL_PRESET, ActiveCommand,
@@ -663,6 +663,73 @@ def test_crowded_oracle_cases_bounce_and_back_off(monkeypatch):
                  initial_states=c.get("states"))
     assert seen["bounce"] > 100
     assert seen["backoff"] > 0
+
+
+def _free(arena, x, y):
+    return (0.0 <= x <= arena.width and 0.0 <= y <= arena.height
+            and not any(r.contains(x, y) for r in arena.obstacles))
+
+
+@st.composite
+def tight_layouts(draw):
+    """An arena whose obstacles form a grid of cells that touch, sit 1 mm
+    apart or leave corridors narrower than one 3 mm SPINNER step, some
+    touching a wall, and up to 4 free start states in those gaps and
+    around the grid."""
+    gaps = st.sampled_from([0.0, 0.001, 0.002, 0.0025])
+
+    def spans(lo):
+        out, a = [], lo
+        for _ in range(draw(st.integers(1, 3))):
+            b = a + draw(st.floats(0.01, 0.3))
+            out.append((a, b))
+            a = b + draw(gaps)
+        if draw(st.booleans()):
+            out[-1] = (out[-1][0], 2.0)   # up to the far wall
+        return out
+
+    near = st.sampled_from([0.0]) | st.floats(0.15, 0.6)
+    xs = spans(draw(near))
+    # the release cell [0, 0.1]^2 stays clear
+    ys = spans(draw(near if xs[0][0] > 0.0 else st.floats(0.15, 0.6)))
+    arena = Arena(obstacles=tuple(Rect(x0, y0, x1, y1)
+                                  for x0, x1 in xs for y0, y1 in ys))
+    across_x = st.floats(ys[0][0], ys[-1][1])
+    across_y = st.floats(xs[0][0], xs[-1][1])
+    points = [((b + a) / 2.0, draw(across_x))
+              for (_, b), (a, _) in zip(xs, xs[1:]) if a > b]
+    points += [(draw(across_y), (b + a) / 2.0)
+               for (_, b), (a, _) in zip(ys, ys[1:]) if a > b]
+    points += [(xs[-1][1] + 0.001, draw(across_x)),
+               (draw(across_y), ys[-1][1] + 0.001), (0.05, 0.05)]
+    points = [p for p in points if _free(arena, *p)][:4]
+    return arena, [AgentState(x, y, draw(st.floats(0.0, 359.0)), 0.3)
+                   for x, y in points]
+
+
+@settings(max_examples=40, deadline=None)
+@given(tight_layouts(), st.integers(0, 2**32))
+@example((GAPS, ORACLE_CASES["gaps"]["states"]), 3)
+def test_reflection_never_leaves_an_agent_inside_an_obstacle(case, seed):
+    """Every step lands in free space: every logged position, with a tick
+    at every step, and every _reflect_move result."""
+    arena, states = case
+    reflect = swarm._reflect_move
+    results = []
+
+    def recording(*args):
+        out = reflect(*args)
+        results.append(out[:2])
+        return out
+
+    params = ([replace(SPINNER, heading_diffusion=0.0), SPINNER] * 2)[:len(states)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(swarm, "_reflect_move", recording)
+        run = simulate(arena, QUIET_UWB, params, stim_period=0.5, duration=2.0,
+                       log_rate_hz=100.0, seed=seed, initial_states=states)
+    assert [p for p in results if not _free(arena, *p)] == []
+    assert [p for p in run.true_xy.reshape(-1, 2).tolist()
+            if not _free(arena, *p)] == []
 
 
 def _scalar_headings(heading, inc):
