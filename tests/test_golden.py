@@ -6,7 +6,8 @@ single byte of trajectory.csv, coverage.csv or summary.json fails here,
 and so does any change to the spike chain that alters spikes.json or
 spike_sweep.csv, or any change to `synth_pronotum`, `augment`,
 `write_pgm` or `read_pgm` that alters a written mask or the `metrics`
-table.
+table, or any change to the assembly line that alters `assemble --batch 3`'s
+event_log.csv or assembly.json.
 A change that alters the numbers on purpose must say so and update the
 digests below.
 """
@@ -205,3 +206,26 @@ def test_spike_sweep_csv_matches_golden_digest(tmp_path, monkeypatch):
                   "--sweep-seeds", "50")
     got = hashlib.sha256((out / "spike_sweep.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_SPIKE_SWEEP_CSV
+
+
+# ---------- assembly path ----------
+
+ASSEMBLE_SEED = 11
+
+GOLDEN_ASSEMBLE_BATCH3 = {
+    "event_log.csv":
+        "b4346d49746253d2743fed7388ccc4ad33926c405e136aed26b0be46be88d830",
+    "assembly.json":
+        "1ae8b004342271594c2cb48fe988e4805a654485051ee70cba5342eed2aeb306",
+}
+
+
+def test_assemble_batch_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+    out = tmp_path / "out"
+    assert cli.main(["assemble", "--batch", "3", "--seed", str(ASSEMBLE_SEED),
+                     "--output-dir", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_ASSEMBLE_BATCH3}
+    assert got == GOLDEN_ASSEMBLE_BATCH3
