@@ -62,26 +62,29 @@ def _atomic_write_lines(path: Path, lines):
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: list[str], columns):
+def _write_csv(path: Path, header: list[str], columns, formats=None):
     """Write the header, then one row per index of the equal-length columns
-    (lists, tuples or numpy arrays).  Rows are formatted a block at a time,
-    so a long table is never held as text at once.  A cell prints as str
-    of its Python value, so a float prints as its repr.  No columns, or
-    empty ones, write the header alone."""
+    (lists, tuples or numpy arrays).  formats holds one %-style spec per
+    column; the default "%s" prints a cell as str of its Python value, so
+    a float prints as its shortest round-trip repr.  Rows are formatted a
+    block at a time, so a long table is never held as text at once.  No
+    columns, or empty ones, write the header alone."""
+    if formats is None:
+        formats = ["%s"] * len(header)
     n = len(columns[0]) if columns else 0
-    if (len(columns) not in (0, len(header))
+    if (len(columns) not in (0, len(header)) or len(formats) != len(header)
             or any(len(c) != n for c in columns)):
         raise ValueError(f"{path.name}: {len(header)} header fields need "
-                         "as many columns of one length")
-    fmt = ",".join(["{}"] * len(header)) + "\n"
+                         "as many formats and columns of one length")
+    fmt = ",".join(formats) + "\n"
 
     def lines():
         yield ",".join(header) + "\n"
         for i in range(0, n, _CSV_BLOCK_ROWS):
             cells = [c[i:i + _CSV_BLOCK_ROWS] for c in columns]
-            yield "".join(map(fmt.format, *(
+            yield "".join(map(fmt.__mod__, zip(*(
                 c.tolist() if isinstance(c, np.ndarray) else c
-                for c in cells)))
+                for c in cells))))
 
     _atomic_write_lines(path, lines())
 
@@ -219,13 +222,16 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
         # rows run tick-major: every agent at one tick, then the next tick
         true_x, true_y = run.true_xy.transpose(2, 1, 0).reshape(2, -1)
         est_x, est_y = run.est_xy.transpose(2, 1, 0).reshape(2, -1)
+        ticks = [t for t in map(str, run.log_t.tolist())
+                 for _ in range(run.n_agents)]
         _write_csv(out_dir / "trajectory.csv",
                    ["t_s", "agent_id", "x_true_m", "y_true_m",
                     "x_est_m", "y_est_m", "command"],
-                   [np.repeat(run.log_t, run.n_agents),
-                    np.tile(np.arange(run.n_agents), len(run.log_t)),
+                   [ticks, np.tile(np.arange(run.n_agents), len(run.log_t)),
                     true_x, true_y, est_x, est_y,
-                    [c for tick in zip(*run.commands) for c in tick]])
+                    [c for tick in zip(*run.commands) for c in tick]],
+                   # positions to 1 um, against 5 cm of ranging noise
+                   ["%s", "%d"] + ["%.6f"] * 4 + ["%s"])
         _write_csv(out_dir / "coverage.csv",
                    ["t_s"] + [f"agent{i}" for i in range(run.n_agents)] + ["union"],
                    [run.log_t, *run.agent_coverage_pct, run.union_coverage_pct])

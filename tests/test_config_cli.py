@@ -596,6 +596,34 @@ def test_estimated_coverage_run_solves_each_fix_once(tmp_path, monkeypatch):
     assert sum(lanes) == len(traj) - 1 == 2 * 101
 
 
+def test_trajectory_csv_rows_run_tick_major_with_positions_to_1_um(tmp_path):
+    data = _quick_swarm_cfg(duration=25.0, n_agents=3)
+    data["swarm"]["coverage_from"] = "estimated"
+    cfg_path = _write_cfg(tmp_path, data)
+    assert cli.main(["coverage", "--config", str(cfg_path),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    cfg = load_config(cfg_path)
+    sc = cfg.swarm
+    run = sw.simulate(
+        arena_from_config(sc.arena), uwb_from_config(sc.uwb),
+        [agent_params_from_config(cfg.locomotion)] * 3, seed=cfg.seed,
+        stim_period=sc.stim_period_s, duration=sc.duration_s, dt=sc.dt_s,
+        log_rate_hz=sc.log_rate_hz, coverage_from=sc.coverage_from,
+        cell_size=sc.cell_size_m)
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    n = run.n_agents
+    assert len(rows) == len(run.log_t) * n
+    for j, (t_s, agent_id, *_, command) in enumerate(rows):
+        k, i = divmod(j, n)
+        assert (t_s, agent_id) == (str(run.log_t[k]), str(i))
+        assert command == run.commands[i][k]
+    assert any(row[-1] for row in rows)
+    got = np.array([[float(v) for v in row[2:6]] for row in rows])
+    want = np.concatenate([run.true_xy, run.est_xy], axis=2)
+    assert np.abs(got - want.transpose(1, 0, 2).reshape(-1, 4)).max() <= 5e-7
+
+
 @settings(max_examples=40, deadline=None)
 @given(dt=st.sampled_from([0.005, 0.01, 0.02, 0.05]),
        k=st.integers(1, 200),
@@ -842,6 +870,35 @@ def test_csv_writer_takes_empty_tables_and_rejects_ragged_ones(tmp_path):
     with pytest.raises(ValueError):
         cli._write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2]])
     assert not (tmp_path / "bad.csv").exists()
+
+
+def test_csv_default_format_writes_the_bytes_of_str_format(tmp_path):
+    floats = np.array([0.1, 1e-05, 1e16, -0.0, 1.0 / 3.0, np.inf, np.nan])
+    ints = np.array([0, -1, 2**40, 7, 3, 2**62, -2**63], dtype=np.int64)
+    columns = [[0.1 + 0.2, 5e-324, -7.5, 1e22, 2.0, 1e-07, 123456789.0],
+               [0, -3, 10**20, 1, 2, 3, 4],
+               [True, False, True, True, False, False, True],
+               ["a", "", "turn_left", "b c", "%s", "%d", "100%"],
+               floats.tolist(), ints.tolist(), floats, ints]
+    header = ["f", "i", "b", "s", "f64", "i64", "f64_array", "i64_array"]
+    cli._write_csv(tmp_path / "t.csv", header, columns)
+    fmt = ",".join(["{}"] * len(header)) + "\n"
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    old = ",".join(header) + "\n" + "".join(
+        fmt.format(*row) for row in zip(*values))
+    assert (tmp_path / "t.csv").read_bytes() == old.encode()
+
+
+def test_csv_writer_rejects_formats_unlike_the_header(tmp_path):
+    for columns in ([[1.5], [2]], []):
+        for formats in (["%s"], ["%.6f", "%d", "%s"], []):
+            with pytest.raises(ValueError, match="^bad.csv: 2 header fields"):
+                cli._write_csv(tmp_path / "bad.csv", ["a", "b"], columns,
+                               formats)
+    assert not (tmp_path / "bad.csv").exists()
+    cli._write_csv(tmp_path / "ok.csv", ["a", "b"], [[1.5], [2]],
+                   ["%.6f", "%d"])
+    assert (tmp_path / "ok.csv").read_text() == "a,b\n1.500000,2\n"
 
 
 def test_env_seed_overrides_config_and_flag_wins(tmp_path, monkeypatch):

@@ -22,10 +22,12 @@ from biobotsim import cli, vision
 SEED = 11
 DURATION_S = 60.0
 
+# trajectory.csv writes positions at %.6f (1 um); before that they were
+# reprs (8531cbb2...), and the t_s, agent_id and command cells are unchanged.
 GOLDEN = {
     "true": {
         "trajectory.csv":
-            "8531cbb21fab7a6a74f308945b49aefc7b67f3a732f2f10d200229c2c296c14d",
+            "feffcda8bebae61cf7ab94ef5bd582c5b5ebeedce3bb0f434b73300bce849d99",
         "coverage.csv":
             "78b72f8ce66c0b90843739511a20f488f9c99b8a1b6b409604f27f0f3762062d",
         "summary.json":
@@ -33,7 +35,7 @@ GOLDEN = {
     },
     "estimated": {
         "trajectory.csv":
-            "8531cbb21fab7a6a74f308945b49aefc7b67f3a732f2f10d200229c2c296c14d",
+            "feffcda8bebae61cf7ab94ef5bd582c5b5ebeedce3bb0f434b73300bce849d99",
         "coverage.csv":
             "40f04abc18e941ef0be5cef3a0a0f9b0f1421991801e148e7d9d18a18e2a7710",
         "summary.json":
