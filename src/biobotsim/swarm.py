@@ -2,15 +2,15 @@
 
 Agents follow the locomotion dynamics, reflect specularly off arena walls
 and obstacle faces, and receive a random stimulation command every
-stim_period seconds.  Coverage is accounted on a square cell grid, in
-percents by coverage_percent; position estimates from noisy anchor ranges
-are logged at a fixed rate alongside the truth, with a tick at the start
-and one at the end of the run.  Every fix starts from the anchor
-centroid, so all fixes of a run are solved together by one lane-wise
-Gauss-Newton kernel, the only position solver.  A run solves its fixes
-on first read of est_xy or est_converged, so a run with coverage from
-true positions that never reads them, such as every run of
-dispersion_batch, the one driver of a seed batch, never solves them.
+stim_period seconds.  One array engine integrates every step.  Coverage is
+accounted on a square cell grid, in percents by coverage_percent; position
+estimates from noisy anchor ranges are logged at a fixed rate alongside
+the truth, with a tick at the start and one at the end of the run.  Every
+fix starts from the anchor centroid, so all fixes of a run are solved
+together by one lane-wise Gauss-Newton kernel, the only position solver.
+A run solves its fixes on first read of est_xy or est_converged, so a run
+with coverage from true positions that never reads them, such as every run
+of dispersion_batch, the one driver of a seed batch, never solves them.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .locomotion import (MAX_DT, AgentParams, AgentState, StimCommand,
-                         StimKind, _euler, _free_walk, apply_command)
+from .locomotion import (_TINY, MAX_DT, AgentParams, AgentState,
+                         StimCommand, StimKind, _free_walk, apply_command)
 from .seeding import child_seed
 
 DEFAULT_CELL_SIZE = 0.10      # m
@@ -363,15 +363,6 @@ def _reflect_move(arena: Arena, old_x: float, old_y: float,
     position returned is free whenever the old one is: inside the walls
     and strictly inside no obstacle.
     """
-    if 0.0 <= new_x <= arena.width and 0.0 <= new_y <= arena.height:
-        for rect in arena.obstacles:
-            if (rect.x_min < new_x < rect.x_max
-                    and rect.y_min < new_y < rect.y_max):
-                break
-        else:
-            # free space; Rect.contains is inlined because this runs every step
-            return new_x, new_y, heading % 360.0, 0, 0
-
     new_x, new_y, heading, fx, fy = _walls(arena, new_x, new_y, heading, 0, 0)
     for rect in arena.obstacles:
         if rect.contains(new_x, new_y):
@@ -499,22 +490,24 @@ def spawn_states(arena: Arena, params_per_agent: Sequence[AgentParams],
     return states
 
 
-# steps per uncommanded stretch at most: bounds a stretch's temporaries
+# steps per walk segment at most: bounds a segment's temporaries
 _STRETCH_STEPS = 1024
 # bits of 360.0: as unsigned integers, the bits of a float in [0, 360) lie
 # below these, and those of -0.0 and of every negative float above them
 _BITS_360 = int(np.float64(360.0).view(np.uint64))
 
 
-def _headings(heading: float, inc: np.ndarray) -> np.ndarray:
-    """Move headings of uncommanded steps, from the heading carried into
-    the first step and each step's diffusion increment.
+def _headings(heading: float, inc: np.ndarray, snap: int = -1,
+              target: float = 0.0) -> np.ndarray:
+    """Move headings of steps, from the heading carried into the first
+    step and each step's increment: a diffusion draw, a turn's step or 0.
 
     A step moves along m = (h + inc) % 360 and carries m % 360 into the
     next step.  While the running sum stays in [0, 360) both moduli leave
     it as it is, so the sum is accumulated, and restarted from the carried
     heading at each step that leaves that range.  The two moduli differ
-    only where m is 360.0, as for -1e-20 % 360.
+    only where m is 360.0, as for -1e-20 % 360.  Step snap >= 0 moves
+    along target % 360 instead and restarts the sum, as a turn's last step.
     """
     n = len(inc)
     acc = np.empty(n + 1)
@@ -528,11 +521,13 @@ def _headings(heading: float, inc: np.ndarray) -> np.ndarray:
         np.add.accumulate(acc[p:], out=out[p:])
         out[p] = move
         off = out[p + 1:].view(np.uint64) >= _BITS_360
+        if p <= snap:
+            off[snap - p] = True
         i = int(off.argmax())
         if not off[i]:
             return out[1:]
         p += i + 1
-        move = out[p].item() % 360.0
+        move = (target if p == snap + 1 else out[p].item()) % 360.0
         heading = move % 360.0
     out[p] = move
     return out[1:]
@@ -561,11 +556,18 @@ def _relax(speed: float, walk: float, decay: float, n: int) -> list[float]:
     if first < 0.0:
         # only from a negative start: relaxation keeps a speed >= 0 there
         first = 0.0
-    if first == speed:
+    if first == speed or not n:
         return [speed] * n
     speed = first
     return [first] + [speed := walk + (speed - walk) * decay
                       for _ in range(n - 1)]
+
+
+def _running(start: float, step: float, n: int) -> np.ndarray:
+    """The n + 1 values start, start + step, (start + step) + step, ..."""
+    out = np.full(n + 1, step)
+    out[0] = start
+    return np.add.accumulate(out, out=out)
 
 
 def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
@@ -574,19 +576,22 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
           first_tick: np.ndarray | None) -> list[str]:
     """Integrate one agent over the whole run.
 
-    Agents never interact, so each one runs on its own.  Steps with a
-    command active run one at a time on plain floats through the Euler
-    kernel.  Between commands neither speed nor heading depends on the
-    position, so each uncommanded stretch is integrated with array
-    accumulates, up to the first step that leaves free space; that step
-    goes through _reflect_move, and the stretch restarts after it.  Writes
-    the position at every log tick into xy and returns the active command
-    name at every log tick.  When first_tick is given, every cell the
-    agent enters gets the index of the first log tick that counts it.
+    Agents never interact, so each one runs on its own, in segments that
+    end at each stim time and after at most _STRETCH_STEPS steps.  Until a
+    step leaves free space, neither speed nor heading depends on the
+    position, so both are built as arrays: an active command's counters
+    are running sums and its steps draw no diffusion.  Positions are
+    accumulated up to the first step that leaves free space; that step goes
+    through _reflect_move, which may mirror an active turn, and the segment
+    restarts after it.  Writes the position at every log tick into xy and
+    returns the active command name at every log tick.  When first_tick is
+    given, every cell the agent enters gets the index of the first log
+    tick that counts it.
     """
-    advance = _euler(params, dt)
     walk, decay, sigma = _free_walk(params, dt)
     diffuses = params.heading_diffusion > 0.0
+    turn_steps = {StimKind.TURN_LEFT: params.max_ang_speed_left * dt,
+                  StimKind.TURN_RIGHT: params.max_ang_speed_right * dt}
     x, y, heading, speed = state.x, state.y, state.heading, state.speed
     cmd = None if state.active_command is None else replace(state.active_command)
     names = [""] * len(xy)
@@ -604,15 +609,45 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
             np.minimum.at(first_tick, _cell_ids(grid, xs, ys),
                           ticks // log_steps)
 
-    def stretch(k0, n, x, y, heading, speed):
-        """Integrate the uncommanded steps k0 .. k0 + n - 1; returns the
-        state at step k0 + n."""
-        inc = sigma * motion_rng.normal(size=n) if diffuses else np.zeros(n)
-        speeds = _relax(speed, walk, decay, n)
+    def segment(k0, n, x, y, heading, speed, cmd):
+        """Integrate the steps k0 .. k0 + n - 1, the first m of which carry
+        the command cmd; returns the state and command at step k0 + n."""
+        inc = np.zeros(n)
+        m, turn_end, snap, target, after = 0, 0, -1, 0.0, cmd
+        if cmd is not None:
+            time_left = _running(cmd.time_remaining, -dt, n)[1:]
+            expired = time_left <= _TINY
+            m = int(expired.argmax()) + 1 if expired.any() else n
+            cmd.time_remaining = time_left[m - 1].item()
+            after = None if expired[m - 1] else cmd
+            lo, hi = -(-k0 // log_steps), -(-(k0 + m) // log_steps)
+            names[lo:hi] = [cmd.kind.value] * (hi - lo)
+            if cmd.kind == StimKind.DECELERATE:
+                elapsed = _running(cmd.decel_elapsed, dt, m)[1:]
+                cmd.decel_elapsed = elapsed[-1].item()
+                ratio = np.minimum(elapsed / params.decel_time, 1.0)
+                ramp = np.where(ratio == 1.0, cmd.decel_vmin, cmd.decel_v0
+                                + (cmd.decel_vmin - cmd.decel_v0) * ratio)
+                ramp[ramp < 0.0] = 0.0
+                speeds = ramp.tolist() + _relax(ramp[-1].item(), walk, decay, n - m)
+            else:
+                # the turn steps while more than step_max is left (the fold
+                # only falls), then snaps to its target unless <= _TINY is left
+                step_max = turn_steps[cmd.kind]
+                left = _running(cmd.turn_remaining, -step_max, m)
+                turn_end = int((left[:m] > max(step_max, _TINY)).sum())
+                cmd.turn_remaining = left[m].item() if turn_end == m else 0.0
+                snap = turn_end if turn_end < m and left[turn_end] > _TINY else -1
+                inc[:turn_end] = cmd.turn_sign * step_max
+                target = cmd.turn_target
+        if cmd is None or cmd.kind != StimKind.DECELERATE:
+            speeds = _relax(speed, walk, decay, n)
+        if diffuses:
+            inc[m:] = sigma * motion_rng.normal(size=n - m)
         vdt = np.array(speeds) * dt
         j = 0
         while j < n:
-            deg = _headings(heading, inc[j:])
+            deg = _headings(heading, inc[j:], snap - j, target)
             rad = np.radians(deg)
             px = np.empty(n - j + 1)
             py = np.empty(n - j + 1)
@@ -625,13 +660,18 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
             if i is None:
                 record(k0 + j, px[:-1], py[:-1])
                 return (px[-1].item(), py[-1].item(),
-                        deg[-1].item() % 360.0, speeds[-1])
+                        deg[-1].item() % 360.0, speeds[-1], after)
             record(k0 + j, px[:i + 1], py[:i + 1])
-            x, y, heading, _, _ = _reflect_move(
+            x, y, heading, flips_x, flips_y = _reflect_move(
                 arena, px[i].item(), py[i].item(), px[i + 1].item(),
                 py[i + 1].item(), deg[i].item())
             j += i + 1
-        return x, y, heading, speeds[-1]
+            if j <= turn_end:
+                # the blocked step turned: mirror the rest of the turn
+                _conjugate_command(cmd, flips_x, flips_y)
+                inc[j:turn_end] = cmd.turn_sign * step_max
+                target = cmd.turn_target
+        return x, y, heading, speeds[-1], after
 
     k = 0
     while True:
@@ -642,29 +682,9 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
                                 cmd_rng).active_command
         if k == n_steps:
             break
-        if cmd is None:
-            stop = min(k - k % stim_steps + stim_steps, n_steps,
-                       k + _STRETCH_STEPS)
-            x, y, heading, speed = stretch(k, stop - k, x, y, heading, speed)
-            k = stop
-            continue
-        k0, xs, ys = k, [], []
-        while True:
-            xs.append(x)
-            ys.append(y)
-            if k % log_steps == 0:
-                names[k // log_steps] = cmd.kind.value
-            # a step with a command active draws no heading diffusion
-            new_x, new_y, heading, speed, cmd = advance(
-                x, y, heading, speed, cmd, motion_rng.normal)
-            x, y, heading, flips_x, flips_y = _reflect_move(
-                arena, x, y, new_x, new_y, heading)
-            if flips_x or flips_y:
-                cmd = _conjugate_command(cmd, flips_x, flips_y)
-            k += 1
-            if cmd is None or k % stim_steps == 0 or k == n_steps:
-                break
-        record(k0, np.array(xs), np.array(ys))
+        stop = min(k - k % stim_steps + stim_steps, n_steps, k + _STRETCH_STEPS)
+        x, y, heading, speed, cmd = segment(k, stop - k, x, y, heading, speed, cmd)
+        k = stop
     record(n_steps, np.array([x]), np.array([y]))
     names[-1] = "" if cmd is None else cmd.kind.value
     return names
@@ -742,6 +762,9 @@ def simulate(arena: Arena, uwb: UwbSystem,
             raise ValueError("initial_states length must match params_per_agent")
         states = list(initial_states)
     for s in states:
+        if not (math.isfinite(s.heading) and math.isfinite(s.speed)):
+            raise ValueError(f"initial heading {s.heading} and speed {s.speed} "
+                             "must be finite")
         if not (0.0 <= s.x <= arena.width and 0.0 <= s.y <= arena.height):
             raise ValueError(f"initial position ({s.x}, {s.y}) outside the arena")
         for rect in arena.obstacles:

@@ -483,6 +483,14 @@ def test_simulate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=10.0,
                  initial_states=[AgentState(0.75, 0.45, 0.0, 0.06)])
+    for heading, speed in ((math.nan, 0.06), (math.inf, 0.06),
+                           (0.0, math.inf), (0.0, -math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
+                     initial_states=[AgentState(1.0, 1.0, heading, speed)])
+    # a negative speed is clamped by the first step, as step clamps it
+    simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
+             initial_states=[AgentState(1.0, 1.0, 0.0, -0.5)])
 
 
 def test_initial_states_length_must_match():
@@ -570,6 +578,10 @@ SPINNER = replace(AUTO_PRESET, heading_diffusion=20000.0, walk_speed_mean=0.3)
 GAPS = Arena(obstacles=(Rect(0.4, 0.2, 0.5, 0.8), Rect(0.501, 0.2, 0.6, 0.8),
                         Rect(1.2, 1.0, 1.8, 1.3), Rect(1.2, 1.301, 1.8, 1.5)))
 
+LONG_COMMAND = replace(AUTO_PRESET, command_duration=15.0,
+                       max_ang_speed_left=4.0, max_ang_speed_right=4.0,
+                       decel_time=12.0, turn_angle_sd=40.0)
+
 ORACLE_CASES = {
     "auto": dict(params=[AUTO_PRESET] * 3, duration=60.0),
     "manual": dict(params=[MANUAL_PRESET] * 3, duration=60.0),
@@ -598,6 +610,13 @@ ORACLE_CASES = {
                          AgentState(1.5, 1.3005, 95.0, 0.3),
                          AgentState(0.5005, 0.3, 80.0, 0.3),
                          AgentState(1.3, 1.3005, 265.0, 0.3)]),
+    # 15 s commands outlast a 1,024-step segment (10.24 s): a turn snaps to
+    # its target only if it is 60 deg or less, and a decelerate ramps for 12 s
+    "long-command": dict(params=[LONG_COMMAND] * 4, duration=80.0,
+                         stim_period=20.0),
+    "long-command-crowded": dict(
+        params=[replace(LONG_COMMAND, walk_speed_mean=0.3)] * 4, duration=80.0,
+        stim_period=20.0, arena=CROWDED),
     "coarse-dt": dict(params=[AUTO_PRESET] * 2, duration=30.0, dt=0.05,
                       log_rate_hz=20.0),
     "100hz": dict(params=[AUTO_PRESET] * 2, duration=30.0, log_rate_hz=100.0),
@@ -641,28 +660,45 @@ def test_stretch_walk_equals_the_scalar_walk(case, coverage_from):
         assert got[0][3].bit_generator.state == fresh.bit_generator.state
 
 
-def test_crowded_oracle_cases_bounce_and_back_off(monkeypatch):
-    """The crowded cases reach the slow paths of _reflect_move: wall and
-    obstacle bounces, and corner back-offs."""
-    seen = {"bounce": 0, "backoff": 0}
+def _record_reflections(monkeypatch):
+    """Wrap swarm._reflect_move; each call appends (flips_x, flips_y,
+    backed off) to the list returned."""
+    seen = []
     reflect = swarm._reflect_move
 
-    def counting(arena, old_x, old_y, new_x, new_y, heading):
+    def recording(arena, old_x, old_y, new_x, new_y, heading):
         out = reflect(arena, old_x, old_y, new_x, new_y, heading)
-        if out[3] or out[4]:
-            seen["bounce"] += 1
-            if out[3] and out[4] and out[:2] == (old_x, old_y):
-                seen["backoff"] += 1
+        seen.append((out[3], out[4], out[:2] == (old_x, old_y)))
         return out
 
-    monkeypatch.setattr(swarm, "_reflect_move", counting)
+    monkeypatch.setattr(swarm, "_reflect_move", recording)
+    return seen
+
+
+def test_crowded_oracle_cases_bounce_and_back_off(monkeypatch):
+    """The crowded cases reach the slow paths of _reflect_move: wall and
+    obstacle bounces, and corner back-offs.  The walk calls it only at a
+    step that leaves free space, so every call flips."""
+    seen = _record_reflections(monkeypatch)
     for case in ("crowded", "crowded-quiet", "gaps"):
         c = ORACLE_CASES[case]
         simulate(c["arena"], QUIET_UWB, c["params"], duration=c["duration"],
                  stim_period=c.get("stim_period", 10.0), seed=3,
                  initial_states=c.get("states"))
-    assert seen["bounce"] > 100
-    assert seen["backoff"] > 0
+    assert len(seen) > 100
+    assert all(fx or fy for fx, fy, _ in seen)
+    assert any(fx and fy and back for fx, fy, back in seen)
+
+
+def test_default_batch_reflects_only_blocked_steps(monkeypatch):
+    """The default coverage --seeds 3 --seed 11 batch calls _reflect_move
+    at blocked steps only: 604 calls in 757,200 agent-steps, each one a
+    bounce or a back-off."""
+    seen = _record_reflections(monkeypatch)
+    for _ in dispersion_batch(Arena(), UwbSystem(), [AUTO_PRESET] * 4, 3, 11):
+        pass
+    assert seen
+    assert all(fx or fy for fx, fy, _ in seen)
 
 
 def _free(arena, x, y):
@@ -746,16 +782,56 @@ def _scalar_headings(heading, inc):
 TRAP = (5e-21, [-1.5e-20, 1e-10, -3.0, 2.5])
 
 
+def _turn_headings(heading, ang_speed, sign, n_turn, hold, target, inc):
+    """Move headings of the Euler kernel under a turn that steps n_turn
+    times, snaps to target and holds for hold steps, then of free steps
+    whose diffusion increments are inc; with the heading carried from
+    step to step mod 360, as _reflect_move carries it."""
+    params = replace(AUTO_PRESET, max_ang_speed_left=ang_speed,
+                     max_ang_speed_right=ang_speed, heading_diffusion=100.0)
+    advance = _euler(params, 0.01)      # diffusion step sd: exactly 1.0
+    step_max = ang_speed * 0.01
+    kind = StimKind.TURN_LEFT if sign > 0.0 else StimKind.TURN_RIGHT
+    cmd = ActiveCommand(kind, (n_turn + hold + 0.5) * 0.01, turn_target=target,
+                        turn_remaining=(n_turn + 0.5) * step_max, turn_sign=sign)
+    draw = iter(inc).__next__
+    moves = []
+    for _ in range(n_turn + hold + 1 + len(inc)):
+        _, _, heading, _, cmd = advance(0.0, 0.0, heading, 0.0, cmd, draw)
+        moves.append(heading)
+        heading %= 360.0
+    assert cmd is None
+    return step_max, moves
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.0, 360.0, exclude_max=True),
        st.lists(st.one_of(st.floats(-400.0, 400.0),
                           st.floats(-1e-18, 1e-18),
                           st.sampled_from([0.0, -0.0, 360.0, -360.0])),
-                max_size=60))
-def test_stretch_headings_match_the_scalar_chain(heading, inc):
+                max_size=60),
+       st.floats(1.0, 30000.0), st.sampled_from([1.0, -1.0]),
+       st.integers(0, 30), st.integers(0, 3),
+       st.one_of(st.floats(-1000.0, 1000.0),
+                 st.sampled_from([-1e-20, -360.0, 360.0, 720.0])))
+def test_stretch_headings_match_the_scalar_chain(heading, inc, ang_speed, sign,
+                                                 n_turn, hold, target):
     got = _headings(heading, np.array(inc, dtype=float))
     assert got.tolist() == _scalar_headings(heading, inc)
     for h, d in ((TRAP[0], TRAP[1]), (TRAP[0], TRAP[1][:1])):
         want = _scalar_headings(h, d)
         assert _headings(h, np.array(d)).tolist() == want
     assert _scalar_headings(*TRAP)[:2] == [360.0, 1e-10]
+
+    # a turn: steps of sign * step_max, the snap to an unnormalized target,
+    # steps that hold it, then free diffusion steps
+    step_max, want = _turn_headings(heading, ang_speed, sign, n_turn, hold,
+                                    target, inc)
+    turn = np.array([sign * step_max] * n_turn + [0.0] * (hold + 1) + inc)
+    assert _headings(heading, turn, n_turn, target).tolist() == want
+    # a snap to -1e-20 moves along 360.0 and carries 0.0, into the trap
+    step_max, want = _turn_headings(TRAP[0], ang_speed, sign, n_turn, hold,
+                                    -1e-20, TRAP[1])
+    turn = np.array([sign * step_max] * n_turn + [0.0] * (hold + 1) + TRAP[1])
+    assert _headings(TRAP[0], turn, n_turn, -1e-20).tolist() == want
+    assert want[n_turn] == 360.0
