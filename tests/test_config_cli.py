@@ -231,12 +231,19 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "must be at least r_min"),
     ({"neurosignal": {"r_min_hz": -5.0}}, "neurosignal.r_min_hz",
      "must be non-negative"),
+    ({"neurosignal": {"sample_rate_hz": 0}}, "neurosignal.sample_rate_hz",
+     "must be positive"),
+    ({"neurosignal": {"bandpass_low_hz": 0}}, "neurosignal.bandpass_low_hz",
+     "must be positive"),
+    ({"neurosignal": {"bandpass_high_hz": 200.0}},
+     "neurosignal.bandpass_high_hz", "must be above"),
 ], ids=["duration", "duration-under-one-step", "dt-bound", "tiling",
         "stim-period", "log-interval", "log-past-the-end",
         "log-short-of-the-end", "rig", "arena", "step-bool", "step-string",
         "step-zero", "corridor",
         "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
-        "synth-duration", "synth-too-short", "r-max", "r-min"])
+        "synth-duration", "synth-too-short", "r-max", "r-min",
+        "sample-rate", "band-low", "band-high-below-low"])
 def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
                                                 path, text):
     err = _exit_2_message(tmp_path, capsys, dict(data, schema_version=1))
@@ -409,6 +416,16 @@ def test_spikes_sweep_writes_table(tmp_path, capsys):
     assert volts == [1.0, 1.5, 2.0]
     means = [float(l.split(",")[1]) for l in lines[1:]]
     assert means[0] < means[-1]
+
+
+def test_spikes_input_band_is_checked_at_the_trace_rate(tmp_path, capsys):
+    # the default 5 kHz upper edge lies above an 8 kHz trace's Nyquist
+    ns.write_trace_csv(ns.Trace(8000.0, np.zeros(8000)), tmp_path / "slow.csv")
+    rc = cli.main(["spikes", "--input", str(tmp_path / "slow.csv"),
+                   "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert "Nyquist" in err
 
 
 def test_spikes_missing_input_file(tmp_path, capsys):
