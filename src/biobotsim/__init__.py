@@ -19,7 +19,7 @@ from .assembly import (AssemblyProcess, AssemblyState, ImplantPose,
                        PayloadSpec, PixelToArmCalibration, Workspace, advance,
                        batch_assemble, check_exposure, check_payload,
                        check_workspace, plan_assembly, solve_pitch, walk_all)
-from .neurosignal import (SpikeTrain, Trace, expected_spike_rate,
+from .neurosignal import (SpikeParams, SpikeTrain, Trace, expected_spike_rate,
                           run_spike_pipeline, synth_neural_response)
 from .locomotion import (AgentParams, AgentState, AUTO_PRESET, MANUAL_PRESET,
                          PRESETS, StimCommand, StimKind, apply_command, step)

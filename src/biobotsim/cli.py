@@ -157,16 +157,9 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
                sweep_seeds: int) -> int:
     """sweep is the voltage grid of ns.sweep_voltages."""
     nc = cfg.neurosignal
-    pipeline_kwargs = dict(edge_times=nc.blank_edge_times_s,
-                           blank_window=nc.blank_window_s,
-                           low=nc.bandpass_low_hz, high=nc.bandpass_high_hz,
-                           refractory=nc.refractory_s)
 
     if sweep is not None:
-        counts = ns.voltage_sweep(
-            sweep, sweep_seeds, cfg.seed, sample_rate=nc.sample_rate_hz,
-            duration=nc.synth_duration_s, noise_sd=nc.synth_noise_sd_v,
-            r_min=nc.r_min_hz, r_max=nc.r_max_hz, **pipeline_kwargs)
+        counts = ns.voltage_sweep(sweep, sweep_seeds, cfg.seed, nc)
         _write_csv(out_dir / "spike_sweep.csv",
                    ["voltage_v", "mean_spikes", "sd_spikes"],
                    [sweep, counts.mean(axis=1), counts.std(axis=1)])
@@ -177,15 +170,11 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
         trace = _load_trace(input_path)
     elif synth_voltage is not None:
         trace = ns.synth_neural_response(
-            synth_voltage, child_seed(cfg.seed, "spikes.synth"),
-            nc.sample_rate_hz, duration=nc.synth_duration_s,
-            noise_sd=nc.synth_noise_sd_v,
-            artifact_times=nc.blank_edge_times_s,
-            r_min=nc.r_min_hz, r_max=nc.r_max_hz)
+            synth_voltage, child_seed(cfg.seed, "spikes.synth"), nc)
     else:
         raise InputDataError("spikes needs --input, --synth, or --sweep")
 
-    train = ns.run_spike_pipeline(trace, **pipeline_kwargs)
+    train = ns.run_spike_pipeline(trace, nc)
     _write_json(out_dir / "spikes.json", {
         "schema_version": 1,
         "seed": cfg.seed,

@@ -5,7 +5,8 @@ strict: unknown keys anywhere in the tree are rejected with their full
 path, so typos fail loudly instead of silently using defaults.  The
 schema is thin: every default is read from the domain object or module
 constant that owns it, and load-time validation runs the domain code's
-own checks, reporting each failure at its config path.
+own checks, reporting each failure at its config path.  The neurosignal
+block is the domain object itself, neurosignal.SpikeParams.
 """
 from __future__ import annotations
 
@@ -77,20 +78,6 @@ class AssemblyConfig:
 
 
 @dataclass(frozen=True)
-class NeuroConfig:
-    sample_rate_hz: float = ns.DEFAULT_SAMPLE_RATE
-    bandpass_low_hz: float = ns.DEFAULT_BAND[0]
-    bandpass_high_hz: float = ns.DEFAULT_BAND[1]
-    blank_window_s: float = ns.DEFAULT_BLANK_WINDOW
-    blank_edge_times_s: tuple[float, ...] = ns.DEFAULT_EDGE_TIMES
-    refractory_s: float = ns.DEFAULT_REFRACTORY
-    synth_duration_s: float = ns.DEFAULT_SYNTH_DURATION
-    synth_noise_sd_v: float = ns.DEFAULT_SYNTH_NOISE_SD
-    r_min_hz: float = ns.DEFAULT_R_MIN
-    r_max_hz: float = ns.DEFAULT_R_MAX
-
-
-@dataclass(frozen=True)
 class LocomotionConfig:
     preset: str = "auto"
     turn_angle_sd_deg: Optional[float] = None
@@ -133,7 +120,7 @@ class RunConfig:
     output_dir: str = "out"
     rig: RigConfig = field(default_factory=RigConfig)
     assembly: AssemblyConfig = field(default_factory=AssemblyConfig)
-    neurosignal: NeuroConfig = field(default_factory=NeuroConfig)
+    neurosignal: ns.SpikeParams = field(default_factory=ns.SpikeParams)
     locomotion: LocomotionConfig = field(default_factory=LocomotionConfig)
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
 
@@ -200,20 +187,24 @@ def _coerce(tp, value, path: str):
     raise ConfigError(f"{path}: unsupported config field type {_type_name(tp)}")
 
 
+def _key_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _build_dataclass(cls, data: dict, path: str):
+    """cls built from data; a ParamError that cls raises is reported at
+    the path of the field it names."""
     hints = get_type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(data) - set(fields)
     if unknown:
-        key = sorted(unknown)[0]
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"{where}: unknown key")
-    kwargs = {}
-    for name, f in fields.items():
-        if name in data:
-            sub = f"{path}.{name}" if path else name
-            kwargs[name] = _coerce(hints[name], data[name], sub)
-    return cls(**kwargs)
+        raise ConfigError(f"{_key_path(path, sorted(unknown)[0])}: unknown key")
+    kwargs = {name: _coerce(hints[name], data[name], _key_path(path, name))
+              for name in fields if name in data}
+    try:
+        return cls(**kwargs)
+    except ns.ParamError as exc:
+        raise ConfigError(f"{_key_path(path, exc.name)}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -221,11 +212,12 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("top level: expected a JSON object")
     if "schema_version" not in data:
         raise ConfigError("schema_version: required key is missing")
-    cfg = _build_dataclass(RunConfig, data, "")
-    if cfg.schema_version != SCHEMA_VERSION:
+    # checked first: the other keys are read under this version's schema
+    version = _coerce(int, data["schema_version"], "schema_version")
+    if version != SCHEMA_VERSION:
         raise ConfigError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {cfg.schema_version}"
-        )
+            f"schema_version: expected {SCHEMA_VERSION}, got {version}")
+    cfg = _build_dataclass(RunConfig, data, "")
     _validate(cfg)
     return cfg
 
@@ -253,27 +245,10 @@ def _at(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# config key of each neurosignal.check_params parameter
-_NEURO_KEYS = {"sample_rate": "sample_rate_hz", "low": "bandpass_low_hz",
-               "high": "bandpass_high_hz", "blank_window": "blank_window_s",
-               "refractory": "refractory_s", "duration": "synth_duration_s",
-               "noise_sd": "synth_noise_sd_v", "r_min": "r_min_hz",
-               "r_max": "r_max_hz"}
-
-
 def _validate(cfg: RunConfig):
-    """Run every block through the domain code that owns its rules."""
-    ac, sc, nc = cfg.assembly, cfg.swarm, cfg.neurosignal
-    try:
-        ns.check_params(nc.sample_rate_hz,
-                        (nc.bandpass_low_hz, nc.bandpass_high_hz),
-                        nc.blank_window_s, nc.refractory_s,
-                        duration=nc.synth_duration_s,
-                        noise_sd=nc.synth_noise_sd_v,
-                        rates=(nc.r_min_hz, nc.r_max_hz))
-    except ns.ParamError as exc:
-        raise ConfigError(
-            f"neurosignal.{_NEURO_KEYS[exc.name]}: {exc}") from exc
+    """Run every block through the domain code that owns its rules.  The
+    neurosignal block ran its own when it was built."""
+    ac, sc = cfg.assembly, cfg.swarm
     with _at("rig"):
         asm.check_exposure(from_config(FixationRig, cfg.rig))
     with _at("assembly.payload"):

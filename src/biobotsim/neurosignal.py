@@ -4,6 +4,11 @@ The pipeline is: blank stimulation artifacts, bandpass 300-5000 Hz,
 estimate a robust threshold from the filtered trace, then detect upward
 threshold crossings of the absolute value with a refractory hold-off.
 
+SpikeParams holds the ten parameters of synthesis and detection.  Its
+fields are the config's neurosignal keys, it is the config's neurosignal
+block, and its construction runs every rule on them.  The synthesizer,
+the pipeline and the sweep each take one.
+
 The bandpass needs numpy only.  It is a single-biquad Butterworth whose
 coefficients come in closed form from the bilinear transform with
 prewarped edges (biquad_coefficients).  It runs as a direct-form-II-
@@ -33,13 +38,6 @@ from .seeding import child_seed
 
 THRESHOLD_FACTOR = 5.0
 MAD_SCALE = 0.6745            # median(|x|) of a unit normal
-DEFAULT_SAMPLE_RATE = 25000.0
-DEFAULT_BLANK_WINDOW = 0.050  # s
-DEFAULT_REFRACTORY = 0.001    # s
-DEFAULT_BAND = (300.0, 5000.0)
-DEFAULT_EDGE_TIMES = (0.0, 0.5, 1.0)  # s, stimulation edges
-DEFAULT_SYNTH_DURATION = 1.2  # s
-DEFAULT_SYNTH_NOISE_SD = 10e-6  # V
 
 # synthetic voltage-response curve, events per second
 RATE_RAMP_START_V = 0.5
@@ -47,8 +45,6 @@ RATE_PLATEAU_START_V = 3.0
 RATE_PLATEAU_END_V = 3.5
 RATE_DROP_END_V = 4.0
 RATE_DROP_FACTOR = 0.765      # rate at 4.0 V relative to the plateau
-DEFAULT_R_MIN = 2.0
-DEFAULT_R_MAX = 40.0
 MAX_STIM_VOLTAGE = 5.0
 
 
@@ -89,61 +85,69 @@ class SpikeTrain:
         return len(self.indices)
 
 
-# ---------- pipeline stages ----------
+# ---------- parameters ----------
+
+def _spikelet(sample_rate: float, width: float = 0.0005) -> np.ndarray:
+    # one sine cycle: biphasic, energy centered around 1/width Hz; kept
+    # narrow so the bandpassed waveform decays well inside the refractory
+    n = max(int(round(width * sample_rate)), 2)
+    return np.sin(2.0 * np.pi * np.arange(n) / n)
+
 
 class ParamError(ValueError):
-    """A bad pipeline parameter; name is the parameter's name."""
+    """A bad SpikeParams field; name is the field's name."""
 
     def __init__(self, name: str, problem: str):
         super().__init__(f"{name} {problem}")
         self.name = name
 
 
-def check_params(sample_rate: float, band: tuple[float, float] | None = None,
-                 blank_window: float | None = None,
-                 refractory: float | None = None, *,
-                 duration: float | None = None,
-                 noise_sd: float | None = None,
-                 rates: tuple[float, float] | None = None):
-    """The one check of the pipeline's and the synthesizer's parameters,
-    shared by run_spike_pipeline, voltage_sweep, bandpass_rows,
-    synth_neural_response and config loading.  A parameter left as None
-    is not checked.  Raises ParamError naming the
-    first bad one: sample_rate, low, high, blank_window, refractory,
-    duration, noise_sd, r_min or r_max."""
-    if not sample_rate > 0.0:
-        raise ParamError("sample_rate", f"must be positive, got {sample_rate!r}")
-    if band is not None:
-        low, high = band
-        if not low > 0.0:
-            raise ParamError("low", f"must be positive, got {low!r}")
-        if not high > low:
-            raise ParamError("high", f"must be above low ({low} Hz), got {high!r}")
-        if high >= sample_rate / 2.0:
-            raise ParamError("high", f"edge {high} Hz must be below Nyquist "
-                                     f"({sample_rate / 2.0} Hz)")
-    if blank_window is not None and not blank_window >= 0.0:
-        raise ParamError("blank_window",
-                         f"must be non-negative, got {blank_window!r}")
-    if refractory is not None and not refractory >= 0.0:
-        raise ParamError("refractory", f"must be non-negative, got {refractory!r}")
-    if duration is not None:
-        if not duration > 0.0:
-            raise ParamError("duration", f"must be positive, got {duration!r}")
-        w = len(_spikelet(sample_rate))
-        if int(round(duration * sample_rate)) <= w:
-            raise ParamError("duration", f"{duration!r} s is too short to hold "
-                                         f"one {w}-sample spikelet")
-    if noise_sd is not None and not noise_sd >= 0.0:
-        raise ParamError("noise_sd", f"must be non-negative, got {noise_sd!r}")
-    if rates is not None:
-        r_min, r_max = rates
-        if not r_min >= 0.0:
-            raise ParamError("r_min", f"must be non-negative, got {r_min!r}")
-        if not r_max >= r_min:
-            raise ParamError("r_max", f"must be at least r_min ({r_min} Hz), "
-                                      f"got {r_max!r}")
+@dataclass(frozen=True)
+class SpikeParams:
+    """The parameters of synthesis and detection, under the config's
+    neurosignal keys.  Construction checks every one and raises ParamError
+    naming the first bad field.  The band is checked against
+    sample_rate_hz, the rate of synthesized traces; bandpass_rows checks
+    it again against the rate of each trace it filters."""
 
+    sample_rate_hz: float = 25000.0
+    bandpass_low_hz: float = 300.0
+    bandpass_high_hz: float = 5000.0
+    blank_window_s: float = 0.050
+    blank_edge_times_s: tuple[float, ...] = (0.0, 0.5, 1.0)  # stimulation edges
+    refractory_s: float = 0.001
+    synth_duration_s: float = 1.2
+    synth_noise_sd_v: float = 10e-6
+    r_min_hz: float = 2.0      # evoked event rates, events per second
+    r_max_hz: float = 40.0
+
+    def __post_init__(self):
+        def need(ok: bool, name: str, rule: str):
+            if not ok:
+                raise ParamError(name, f"{rule}, got {getattr(self, name)!r}")
+
+        rate, low, high = (self.sample_rate_hz, self.bandpass_low_hz,
+                           self.bandpass_high_hz)
+        need(rate > 0.0, "sample_rate_hz", "must be positive")
+        need(low > 0.0, "bandpass_low_hz", "must be positive")
+        need(high > low, "bandpass_high_hz",
+             f"must be above bandpass_low_hz ({low} Hz)")
+        need(high < rate / 2.0, "bandpass_high_hz",
+             f"must be below Nyquist ({rate / 2.0} Hz)")
+        need(self.blank_window_s >= 0.0, "blank_window_s", "must be non-negative")
+        need(self.refractory_s >= 0.0, "refractory_s", "must be non-negative")
+        need(self.synth_duration_s > 0.0, "synth_duration_s", "must be positive")
+        w = len(_spikelet(rate))
+        need(int(round(self.synth_duration_s * rate)) > w, "synth_duration_s",
+             f"is too short to hold one {w}-sample spikelet")
+        need(self.synth_noise_sd_v >= 0.0, "synth_noise_sd_v",
+             "must be non-negative")
+        need(self.r_min_hz >= 0.0, "r_min_hz", "must be non-negative")
+        need(self.r_max_hz >= self.r_min_hz, "r_max_hz",
+             f"must be at least r_min_hz ({self.r_min_hz} Hz)")
+
+
+# ---------- pipeline stages ----------
 
 def _blank_spans(edge_times, window: float, sample_rate: float,
                  n: int) -> list[slice]:
@@ -220,8 +224,8 @@ def _block_matrices(sample_rate: float, low: float, high: float):
 
 
 def bandpass_rows(x: np.ndarray, sample_rate: float,
-                  low: float = DEFAULT_BAND[0],
-                  high: float = DEFAULT_BAND[1]) -> np.ndarray:
+                  low: float = SpikeParams.bandpass_low_hz,
+                  high: float = SpikeParams.bandpass_high_hz) -> np.ndarray:
     """Filter every row of x [lanes, n] with the bandpass biquad.
 
     The one filter kernel.  Filtering is causal with zero initial state.
@@ -229,8 +233,11 @@ def bandpass_rows(x: np.ndarray, sample_rate: float,
     per block gives its outputs from its inputs and start state.  The
     2-value state is carried from block to block, 32 blocks per product.
     Rows never mix, so a row's result does not depend on the other rows.
+    Raises ValueError unless 0 < low < high < sample_rate / 2.
     """
-    check_params(sample_rate, band=(low, high))
+    if not 0.0 < low < high < sample_rate / 2.0:
+        raise ValueError(f"band {low}-{high} Hz must lie between 0 Hz and "
+                         f"Nyquist ({sample_rate / 2.0} Hz)")
     step, carry = _block_matrices(float(sample_rate), float(low), float(high))
     L, G = _BLOCK, _GROUP
     lanes, n = x.shape
@@ -286,36 +293,34 @@ def _detect_rows(mags: np.ndarray, thresholds: np.ndarray,
     return trains
 
 
-def _detect_chunk(rows: np.ndarray, sample_rate: float, spans, low: float,
-                  high: float, hold: int) -> list[SpikeTrain]:
+def _detect_chunk(rows: np.ndarray, sample_rate: float, spans,
+                  params: SpikeParams) -> list[SpikeTrain]:
     """The detection chain on the rows [lanes, n] of one buffer: blank them
     in place at spans, bandpass them in one kernel call, then give each
     row its own threshold and refractory-held detection."""
     for span in spans:
         rows[:, span] = 0.0
-    filtered = bandpass_rows(rows, sample_rate, low, high)
+    filtered = bandpass_rows(rows, sample_rate, params.bandpass_low_hz,
+                             params.bandpass_high_hz)
     if not np.isfinite(filtered).all():
         raise ValueError("samples must be finite")
     mags = np.abs(filtered, out=filtered)
     thresholds = _thresholds(mags)
+    hold = int(round(params.refractory_s * sample_rate))
     return [SpikeTrain(idx, thr) for idx, thr in
             zip(_detect_rows(mags, thresholds, hold), thresholds.tolist())]
 
 
-def run_spike_pipeline(t: Trace, *, edge_times=DEFAULT_EDGE_TIMES,
-                       blank_window: float = DEFAULT_BLANK_WINDOW,
-                       low: float = DEFAULT_BAND[0],
-                       high: float = DEFAULT_BAND[1],
-                       refractory: float = DEFAULT_REFRACTORY) -> SpikeTrain:
-    """Full detection chain on one trace: blank, bandpass, robust
-    threshold, detect."""
+def run_spike_pipeline(t: Trace,
+                       params: SpikeParams = SpikeParams()) -> SpikeTrain:
+    """Full detection chain on one trace: blank at params' edges,
+    bandpass, robust threshold, detect.  The trace's own sample rate
+    is used, not params.sample_rate_hz."""
     rate = t.sample_rate
-    check_params(rate, (low, high), blank_window, refractory)
     rows = t.samples[None].copy()   # _detect_chunk blanks in place
-    return _detect_chunk(rows, rate,
-                         _blank_spans(edge_times, blank_window, rate,
-                                      rows.shape[1]),
-                         low, high, int(round(refractory * rate)))[0]
+    spans = _blank_spans(params.blank_edge_times_s, params.blank_window_s,
+                         rate, rows.shape[1])
+    return _detect_chunk(rows, rate, spans, params)[0]
 
 
 # ---------- synthetic responses ----------
@@ -328,16 +333,17 @@ def check_voltage(stim_voltage: float):
                          f"[0, {MAX_STIM_VOLTAGE}] V, got {stim_voltage!r}")
 
 
-def expected_spike_rate(stim_voltage: float, r_min: float = DEFAULT_R_MIN,
-                        r_max: float = DEFAULT_R_MAX) -> float:
+def expected_spike_rate(stim_voltage: float,
+                        params: SpikeParams = SpikeParams()) -> float:
     """Evoked event rate for a stimulation voltage, events per second.
 
-    Zero below the ramp onset, linear ramp r_min to r_max on the ramp,
-    flat plateau, then a linear drop to RATE_DROP_FACTOR * r_max at 4.0 V
-    (held above that; voltages outside check_voltage's range are rejected).
+    Zero below the ramp onset, linear ramp r_min_hz to r_max_hz on the
+    ramp, flat plateau, then a linear drop to RATE_DROP_FACTOR * r_max_hz
+    at 4.0 V (held above that; voltages outside check_voltage's range are
+    rejected).
     """
     check_voltage(stim_voltage)
-    v = stim_voltage
+    v, r_min, r_max = stim_voltage, params.r_min_hz, params.r_max_hz
     if v < RATE_RAMP_START_V:
         return 0.0
     if v < RATE_PLATEAU_START_V:
@@ -348,13 +354,6 @@ def expected_spike_rate(stim_voltage: float, r_min: float = DEFAULT_R_MIN,
     frac = (v - RATE_PLATEAU_END_V) / (RATE_DROP_END_V - RATE_PLATEAU_END_V)
     frac = min(frac, 1.0)
     return r_max * (1.0 - (1.0 - RATE_DROP_FACTOR) * frac)
-
-
-def _spikelet(sample_rate: float, width: float = 0.0005) -> np.ndarray:
-    # one sine cycle: biphasic, energy centered around 1/width Hz; kept
-    # narrow so the bandpassed waveform decays well inside the refractory
-    n = max(int(round(width * sample_rate)), 2)
-    return np.sin(2.0 * np.pi * np.arange(n) / n)
 
 
 def _artifacts(edge_times, sample_rate: float, n: int, noise_sd: float):
@@ -374,16 +373,18 @@ def _artifacts(edge_times, sample_rate: float, n: int, noise_sd: float):
     return waves
 
 
-def _synth_rows(rows: np.ndarray, jobs, duration: float, noise_sd: float,
-                spike_amplitude: float, template: np.ndarray, artifacts):
+def _synth_rows(rows: np.ndarray, jobs, params: SpikeParams,
+                template: np.ndarray, artifacts):
     """Write one synthetic response into each row of rows [lanes, n]; jobs
-    holds each row's (event rate, rng seed).
+    holds each row's (event rate, rng seed).  Spikelets peak at 10 x the
+    noise level, scaled by a uniform draw in [0.8, 1.2].
 
     A row holds rng.normal(0.0, noise_sd, n) drawn in place, then the
     spikelets added in event order, then the artifacts: the bits of a
     loop of slice adds over the events and edges.
     """
     n, w = rows.shape[1], len(template)
+    duration, noise_sd = params.synth_duration_s, params.synth_noise_sd_v
     offsets = np.arange(w)
     for row, (rate, seed) in zip(rows, jobs):
         rng = np.random.default_rng(seed)
@@ -393,7 +394,7 @@ def _synth_rows(rows: np.ndarray, jobs, duration: float, noise_sd: float,
         n_events = rng.poisson(rate * duration) if rate > 0.0 else 0
         if n_events > 0:
             starts = np.sort(rng.integers(0, n - w, n_events))
-            amps = spike_amplitude * rng.uniform(0.8, 1.2, n_events)
+            amps = 10.0 * noise_sd * rng.uniform(0.8, 1.2, n_events)
             np.add.at(row, (starts[:, None] + offsets).ravel(),
                       np.multiply.outer(amps, template).ravel())
     for start, wave in artifacts:
@@ -401,30 +402,21 @@ def _synth_rows(rows: np.ndarray, jobs, duration: float, noise_sd: float,
 
 
 def synth_neural_response(stim_voltage: float, rng_seed: int,
-                          sample_rate: float = DEFAULT_SAMPLE_RATE, *,
-                          duration: float = DEFAULT_SYNTH_DURATION,
-                          noise_sd: float = DEFAULT_SYNTH_NOISE_SD,
-                          spike_amplitude: float | None = None,
-                          artifact_times=DEFAULT_EDGE_TIMES,
-                          r_min: float = DEFAULT_R_MIN,
-                          r_max: float = DEFAULT_R_MAX) -> Trace:
+                          params: SpikeParams = SpikeParams()) -> Trace:
     """Noise plus Poisson spike events at the voltage-dependent rate.
 
     Events are biphasic spikelets well above the noise floor; large decaying
     artifacts are placed at the stimulation edges so the blanking stage has
     something real to remove.  Deterministic per seed.
     """
-    check_params(sample_rate, duration=duration, noise_sd=noise_sd,
-                 rates=(r_min, r_max))
-    rate = expected_spike_rate(stim_voltage, r_min, r_max)
-    n = int(round(duration * sample_rate))
-    if spike_amplitude is None:
-        spike_amplitude = 10.0 * noise_sd
+    rate = expected_spike_rate(stim_voltage, params)
+    fs = params.sample_rate_hz
+    n = int(round(params.synth_duration_s * fs))
     rows = np.empty((1, n))
-    _synth_rows(rows, [(rate, rng_seed)], duration, noise_sd, spike_amplitude,
-                _spikelet(sample_rate),
-                _artifacts(artifact_times, sample_rate, n, noise_sd))
-    return Trace(sample_rate, rows[0])
+    _synth_rows(rows, [(rate, rng_seed)], params, _spikelet(fs),
+                _artifacts(params.blank_edge_times_s, fs, n,
+                           params.synth_noise_sd_v))
+    return Trace(fs, rows[0])
 
 
 # ---------- the voltage sweep ----------
@@ -501,47 +493,34 @@ def _map_chunks(fn, chunks) -> list:
     return [results[i] for i in range(len(results))]
 
 
-def voltage_sweep(voltages, n_seeds: int, seed: int, *,
-                  sample_rate: float = DEFAULT_SAMPLE_RATE,
-                  duration: float = DEFAULT_SYNTH_DURATION,
-                  noise_sd: float = DEFAULT_SYNTH_NOISE_SD,
-                  r_min: float = DEFAULT_R_MIN,
-                  r_max: float = DEFAULT_R_MAX,
-                  edge_times=DEFAULT_EDGE_TIMES,
-                  blank_window: float = DEFAULT_BLANK_WINDOW,
-                  low: float = DEFAULT_BAND[0],
-                  high: float = DEFAULT_BAND[1],
-                  refractory: float = DEFAULT_REFRACTORY) -> np.ndarray:
+def voltage_sweep(voltages, n_seeds: int, seed: int,
+                  params: SpikeParams = SpikeParams()) -> np.ndarray:
     """Spike counts [len(voltages), n_seeds] of the voltage-response
     protocol.
 
-    Count [vi, si] is that of run_spike_pipeline on
-    synth_neural_response(voltages[vi],
-    child_seed(seed, f"spikes.sweep.{vi}", si)), with edge_times as both
-    the artifact and the blanking edges.  Every check runs first, in the
-    calling thread.  The traces then run _LANES at a time, each chunk
-    through one fused kernel: synthesis into the rows of one buffer,
-    blanking, bandpass, threshold and detection.  _map_chunks's threads
-    build each chunk as they take it; every trace has its own generator and
-    the counts are gathered in order, so they do not depend on the CPU count.
+    Count [vi, si] is that of run_spike_pipeline(synth_neural_response(
+    voltages[vi], child_seed(seed, f"spikes.sweep.{vi}", si), params),
+    params).  Every check runs first, in the calling thread.  The traces
+    then run _LANES at a time, each chunk through one fused kernel:
+    synthesis into the rows of one buffer, blanking, bandpass, threshold
+    and detection.  _map_chunks's threads build each chunk as they take
+    it; every trace has its own generator and the counts are gathered in
+    order, so they do not depend on the CPU count.
     """
-    check_params(sample_rate, (low, high), blank_window, refractory,
-                 duration=duration, noise_sd=noise_sd, rates=(r_min, r_max))
-    rates = [expected_spike_rate(v, r_min, r_max) for v in voltages]
-    n = int(round(duration * sample_rate))
-    spans = _blank_spans(edge_times, blank_window, sample_rate, n)
-    template = _spikelet(sample_rate)
-    artifacts = _artifacts(edge_times, sample_rate, n, noise_sd)
-    hold = int(round(refractory * sample_rate))
+    fs, edges = params.sample_rate_hz, params.blank_edge_times_s
+    rates = [expected_spike_rate(v, params) for v in voltages]
+    n = int(round(params.synth_duration_s * fs))
+    spans = _blank_spans(edges, params.blank_window_s, fs, n)
+    template = _spikelet(fs)
+    artifacts = _artifacts(edges, fs, n, params.synth_noise_sd_v)
     jobs = ((rate, child_seed(seed, f"spikes.sweep.{vi}", si))
             for vi, rate in enumerate(rates) for si in range(n_seeds))
 
     def chunk_counts(chunk):
         rows = np.empty((len(chunk), n))
-        _synth_rows(rows, chunk, duration, noise_sd, 10.0 * noise_sd,
-                    template, artifacts)
+        _synth_rows(rows, chunk, params, template, artifacts)
         return [train.count for train in
-                _detect_chunk(rows, sample_rate, spans, low, high, hold)]
+                _detect_chunk(rows, fs, spans, params)]
 
     chunks = iter(lambda: list(itertools.islice(jobs, _LANES)), [])
     counts = _map_chunks(chunk_counts, chunks)

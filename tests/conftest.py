@@ -7,21 +7,22 @@ from biobotsim import neurosignal as ns
 
 def _planted_spike_trace(rng_seed: int, *, n_spikes: int = 7,
                          spacing: float = 0.010,
-                         sample_rate: float = ns.DEFAULT_SAMPLE_RATE,
                          duration: float = 0.25,
                          first_spike: float = 0.08,
                          noise_sd: float = 0.1,
                          amplitude_over_threshold: float = 4.0,
-                         low: float = ns.DEFAULT_BAND[0],
-                         high: float = ns.DEFAULT_BAND[1]) -> ns.Trace:
+                         params: ns.SpikeParams = ns.SpikeParams()) -> ns.Trace:
     """Evenly spaced biphasic spikelets planted in Gaussian noise.
 
     The spikelet amplitude is calibrated so that the filtered spike peak
     sits at amplitude_over_threshold times the pipeline threshold measured
     on the noise alone; detection is then certain while post-spike filter
     ringing stays safely below threshold.  There is no stimulation in this
-    trace, so runs against it should use empty blanking edges.
+    trace, so runs against it should use empty blanking edges.  The trace
+    has params' sample rate and is calibrated against params' band.
     """
+    sample_rate = params.sample_rate_hz
+    low, high = params.bandpass_low_hz, params.bandpass_high_hz
     rng = np.random.default_rng(rng_seed)
     n = int(round(duration * sample_rate))
     noise = rng.normal(0.0, noise_sd, n)

@@ -83,8 +83,8 @@ def test_criterion_03_planted_spike_recovery(planted_spike_trace):
                      ">= 99 of 100 seeds"):
         exact = 0
         for seed in range(100):
-            train = ns.run_spike_pipeline(planted_spike_trace(seed),
-                                          edge_times=())
+            train = ns.run_spike_pipeline(
+                planted_spike_trace(seed), ns.SpikeParams(blank_edge_times_s=()))
             if train.count == 7:
                 exact += 1
         assert exact >= 99, f"exactly-7 in {exact}/100 seeds"

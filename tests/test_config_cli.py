@@ -95,6 +95,10 @@ def test_schema_version_is_required_and_checked():
         config_from_dict({})
     with pytest.raises(ConfigError, match="schema_version"):
         config_from_dict({"schema_version": 2})
+    # reported before the neurosignal rules that run while the block builds
+    with pytest.raises(ConfigError, match="^schema_version: expected 1"):
+        config_from_dict({"schema_version": 2,
+                          "neurosignal": {"sample_rate_hz": 0}})
 
 
 def test_unknown_keys_are_reported_with_their_path():

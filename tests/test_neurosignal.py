@@ -12,6 +12,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,13 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from biobotsim import neurosignal as ns
 from biobotsim.neurosignal import (
-    DEFAULT_BLANK_WINDOW,
-    DEFAULT_EDGE_TIMES,
-    DEFAULT_REFRACTORY,
-    DEFAULT_SAMPLE_RATE,
     MAD_SCALE,
     MAX_SWEEP_POINTS,
     THRESHOLD_FACTOR,
+    ParamError,
+    SpikeParams,
     Trace,
     _blank_spans,
     _detect_rows,
@@ -44,7 +43,9 @@ from biobotsim.neurosignal import (
 )
 from biobotsim.seeding import child_seed
 
-FS = DEFAULT_SAMPLE_RATE
+P = SpikeParams()
+FS = P.sample_rate_hz
+NO_EDGES = SpikeParams(blank_edge_times_s=())   # for traces without stimulation
 
 # frozen oracle gains for the default 300-5000 Hz band at 25 kHz, dB
 GAIN_DB_50HZ = -16.12
@@ -74,6 +75,38 @@ def _measured_gain_db(freq: float) -> float:
     tail = slice(n // 2, None)
     gain = float(np.sqrt(np.mean(y[tail] ** 2) / np.mean(x[tail] ** 2)))
     return 20.0 * math.log10(gain)
+
+
+# ---------- parameters ----------
+
+@pytest.mark.parametrize("fields, name, text", [
+    ({"sample_rate_hz": 0.0}, "sample_rate_hz", "must be positive"),
+    ({"sample_rate_hz": math.nan}, "sample_rate_hz", "must be positive"),
+    ({"bandpass_low_hz": 0.0}, "bandpass_low_hz", "must be positive"),
+    ({"bandpass_high_hz": 300.0}, "bandpass_high_hz", "must be above"),
+    ({"bandpass_high_hz": 12500.0}, "bandpass_high_hz", "below Nyquist"),
+    ({"blank_window_s": -0.1}, "blank_window_s", "must be non-negative"),
+    ({"refractory_s": -0.001}, "refractory_s", "must be non-negative"),
+    ({"synth_duration_s": 0.0}, "synth_duration_s", "must be positive"),
+    ({"synth_duration_s": 0.0004}, "synth_duration_s",
+     "too short to hold one 12-sample spikelet"),
+    ({"synth_noise_sd_v": -1e-6}, "synth_noise_sd_v", "must be non-negative"),
+    ({"r_min_hz": -1.0, "r_max_hz": 0.0}, "r_min_hz", "must be non-negative"),
+    ({"r_max_hz": 1.0}, "r_max_hz", "must be at least r_min_hz"),
+], ids=["rate", "rate-nan", "low", "high-order", "high-nyquist", "blank",
+        "refractory", "duration", "duration-spikelet", "noise", "r-min",
+        "r-max"])
+def test_spike_params_name_the_field_that_breaks_a_rule(fields, name, text):
+    with pytest.raises(ParamError, match=text) as info:
+        SpikeParams(**fields)
+    assert info.value.name == name
+    assert str(info.value).startswith(f"{name} ")
+
+
+def test_spike_params_edge_cases_that_pass():
+    SpikeParams(blank_window_s=0.0, refractory_s=0.0, synth_noise_sd_v=0.0,
+                r_min_hz=0.0, r_max_hz=0.0, blank_edge_times_s=())
+    SpikeParams(sample_rate_hz=10000.0, bandpass_high_hz=4999.0)
 
 
 # ---------- bandpass ----------
@@ -213,7 +246,7 @@ def test_threshold_scales_with_the_signal(c):
 
 # ---------- blanking ----------
 
-def _blanked(x, edges, window=DEFAULT_BLANK_WINDOW, fs=FS):
+def _blanked(x, edges, window=P.blank_window_s, fs=FS):
     """x with the pipeline's blank spans zeroed, as _detect_chunk zeroes
     them in place."""
     rows = np.array(x, dtype=float)[None]
@@ -224,7 +257,7 @@ def _blanked(x, edges, window=DEFAULT_BLANK_WINDOW, fs=FS):
 
 def test_blanking_zeroes_the_documented_ranges():
     ranges = ((0, 1250), (12500, 13750), (25000, 26250))
-    assert _blank_spans((0.0, 0.5, 1.0), DEFAULT_BLANK_WINDOW, FS, 30000) == [
+    assert _blank_spans((0.0, 0.5, 1.0), P.blank_window_s, FS, 30000) == [
         slice(start, stop) for start, stop in ranges]
     out = _blanked(np.ones(30000), (0.0, 0.5, 1.0))
     for start, stop in ranges:
@@ -242,7 +275,7 @@ def test_blanking_removes_exactly_one_window_of_mass():
 
 
 def test_blanking_with_no_edges_is_identity():
-    assert _blank_spans((), DEFAULT_BLANK_WINDOW, FS, 5000) == []
+    assert _blank_spans((), P.blank_window_s, FS, 5000) == []
     rng = np.random.default_rng(1)
     x = rng.normal(size=5000)
     assert np.array_equal(_blanked(x, ()), x)
@@ -251,7 +284,7 @@ def test_blanking_with_no_edges_is_identity():
 def test_blanking_rejects_out_of_range_edges():
     for edge in (-0.01, 0.2):   # the trace is 0.1 s
         with pytest.raises(ValueError, match="outside the trace extent"):
-            _blank_spans((edge,), DEFAULT_BLANK_WINDOW, FS, 2500)
+            _blank_spans((edge,), P.blank_window_s, FS, 2500)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=0.15), max_size=4))
@@ -262,7 +295,7 @@ def test_blanking_is_idempotent(edges):
     twice = _blanked(once, edges)
     assert np.array_equal(once, twice)
     # each span starts at its edge and runs one window, clipped at the end
-    for edge, span in zip(edges, _blank_spans(edges, DEFAULT_BLANK_WINDOW,
+    for edge, span in zip(edges, _blank_spans(edges, P.blank_window_s,
                                               FS, 5000)):
         assert span.start == round(edge * FS)
         assert span.stop == min(span.start + 1250, 5000)
@@ -299,32 +332,34 @@ def test_detection_threshold_is_strict():
 
 
 def test_detection_rejects_negative_parameters():
-    with pytest.raises(ValueError, match="refractory"):
-        run_spike_pipeline(Trace(FS, np.zeros(10)), refractory=-0.001)
+    with pytest.raises(ParamError, match="refractory_s"):
+        run_spike_pipeline(Trace(FS, np.zeros(10)),
+                           SpikeParams(refractory_s=-0.001))
 
 
 # ---------- pipeline on the planted fixture ----------
 
 def test_pipeline_recovers_planted_spike_count(planted_spike_trace):
     for seed in range(20):
-        train = run_spike_pipeline(planted_spike_trace(seed), edge_times=())
+        train = run_spike_pipeline(planted_spike_trace(seed), NO_EDGES)
         assert train.count == 7, seed
 
 
 def test_pipeline_spike_times_land_near_plants(planted_spike_trace):
-    train = run_spike_pipeline(planted_spike_trace(0), edge_times=())
+    train = run_spike_pipeline(planted_spike_trace(0), NO_EDGES)
     expected = np.array([int(round((0.08 + k * 0.010) * FS)) for k in range(7)])
     assert (np.abs(train.indices - expected) <= 5).all()
 
 
 def test_pipeline_equals_manual_stage_chain(planted_spike_trace):
-    hold = int(round(DEFAULT_REFRACTORY * FS))
-    for t, edges in ((planted_spike_trace(4), ()),
-                     (synth_neural_response(3.0, 4), DEFAULT_EDGE_TIMES)):
+    hold = int(round(P.refractory_s * FS))
+    for t, params in ((planted_spike_trace(4), NO_EDGES),
+                      (synth_neural_response(3.0, 4), P)):
+        edges = params.blank_edge_times_s
         mags = np.abs(bandpass_rows(_blanked(t.samples, edges)[None], FS))
         level = _thresholds(mags)
         manual = _detect_rows(mags, level, hold)[0]
-        auto = run_spike_pipeline(t, edge_times=edges)
+        auto = run_spike_pipeline(t, params)
         assert auto.count > 0
         assert auto.indices.tolist() == manual.tolist()
         assert auto.threshold_used == level[0]
@@ -378,12 +413,12 @@ def test_rate_curve_monotone_on_the_ramp(v1, v2):
     assert expected_spike_rate(lo) <= expected_spike_rate(hi)
 
 
-def _reference_synth(stim_voltage, rng_seed, sample_rate=FS, *,
-                     duration=1.2, noise_sd=10e-6, artifact_times=(0.0, 0.5, 1.0),
-                     r_min=2.0, r_max=40.0):
+def _reference_synth(stim_voltage, rng_seed, params):
     """The synthesis body as a loop of draws and slice adds: rng.normal for
     the noise, one slice add per spikelet and per artifact."""
-    rate = expected_spike_rate(stim_voltage, r_min, r_max)
+    sample_rate, duration = params.sample_rate_hz, params.synth_duration_s
+    noise_sd = params.synth_noise_sd_v
+    rate = expected_spike_rate(stim_voltage, params)
     rng = np.random.default_rng(rng_seed)
     n = int(round(duration * sample_rate))
     trace = rng.normal(0.0, noise_sd, n)
@@ -398,7 +433,7 @@ def _reference_synth(stim_voltage, rng_seed, sample_rate=FS, *,
             trace[start:start + w] += amp * template
     art_len = int(round(0.005 * sample_rate))
     decay = np.exp(-np.arange(art_len) / (0.001 * sample_rate))
-    for k, edge in enumerate(artifact_times):
+    for k, edge in enumerate(params.blank_edge_times_s):
         start = int(round(edge * sample_rate))
         if start >= n:
             continue
@@ -411,17 +446,20 @@ def _reference_synth(stim_voltage, rng_seed, sample_rate=FS, *,
 @pytest.mark.parametrize("kwargs", [
     *({"stim_voltage": v} for v in (0.0, 0.5, 1.3, 2.0, 3.0, 3.25, 3.5, 3.8,
                                     4.0, 4.6, 5.0)),
-    {"stim_voltage": 3.0, "r_min": 0.0, "r_max": 0.0},          # rate 0
-    {"stim_voltage": 3.0, "r_max": 5000.0},     # spikelets overlap
-    {"stim_voltage": 3.0, "r_max": 5000.0, "noise_sd": 0.0},
-    {"stim_voltage": 2.0, "duration": 0.3, "artifact_times": (0.0, 0.001,
-                                                              0.298, 0.5)},
+    {"stim_voltage": 3.0, "r_min_hz": 0.0, "r_max_hz": 0.0},    # rate 0
+    {"stim_voltage": 3.0, "r_max_hz": 5000.0},     # spikelets overlap
+    {"stim_voltage": 3.0, "r_max_hz": 5000.0, "synth_noise_sd_v": 0.0},
+    {"stim_voltage": 2.0, "synth_duration_s": 0.3,
+     "blank_edge_times_s": (0.0, 0.001, 0.298, 0.5)},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_synthesis_kernel_matches_the_slice_loop_byte_for_byte(kwargs):
+    fields = dict(kwargs)
+    stim_voltage = fields.pop("stim_voltage")
+    params = SpikeParams(**fields)
     for seed in (0, 7, 2**63):
-        got = synth_neural_response(rng_seed=seed, **kwargs).samples
-        assert got.tobytes() == _reference_synth(rng_seed=seed,
-                                                 **kwargs).tobytes()
+        got = synth_neural_response(stim_voltage, seed, params).samples
+        assert got.tobytes() == _reference_synth(stim_voltage, seed,
+                                                 params).tobytes()
 
 
 def test_synthetic_response_is_deterministic():
@@ -527,7 +565,7 @@ def test_sweep_checks_every_voltage_before_any_synthesis(monkeypatch):
     with pytest.raises(ValueError, match="got 5.5"):
         voltage_sweep([1.0, 5.5], 2, 0)
     with pytest.raises(ValueError, match="edge time 1.0 s outside"):
-        voltage_sweep([1.0], 2, 0, duration=0.6)
+        voltage_sweep([1.0], 2, 0, SpikeParams(synth_duration_s=0.6))
     assert calls == []
 
 

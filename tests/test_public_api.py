@@ -43,7 +43,8 @@ def test_every_exported_function_runs_on_a_pipeline(tmp_path, monkeypatch,
     cfg.write_text(json.dumps({"schema_version": 1, "swarm": {
         "n_agents": 2, "duration_s": 20.0}}))
     trace = tmp_path / "trace.csv"
-    ns.write_trace_csv(ns.Trace(ns.DEFAULT_SAMPLE_RATE, np.zeros(30000)), trace)
+    ns.write_trace_csv(ns.Trace(ns.SpikeParams.sample_rate_hz, np.zeros(30000)),
+                       trace)
     data, out = tmp_path / "masks", str(tmp_path / "out")
     monkeypatch.setattr(sys, "argv", [str(MASK_SCRIPT), "--count", "2",
                                       "--scale", "0.9", "--rotation-deg", "2",
