@@ -15,7 +15,7 @@ of dispersion_batch, the one driver of a seed batch, never solves them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -366,39 +366,29 @@ def _reflect_move(arena: Arena, old_x: float, old_y: float,
     new_x, new_y, heading, fx, fy = _walls(arena, new_x, new_y, heading, 0, 0)
     for rect in arena.obstacles:
         if rect.contains(new_x, new_y):
-            crossed = False
             if old_x <= rect.x_min < new_x:
                 new_x = 2.0 * rect.x_min - new_x
                 heading = 180.0 - heading
                 fx += 1
-                crossed = True
             elif old_x >= rect.x_max > new_x:
                 new_x = 2.0 * rect.x_max - new_x
                 heading = 180.0 - heading
                 fx += 1
-                crossed = True
             if old_y <= rect.y_min < new_y:
                 new_y = 2.0 * rect.y_min - new_y
                 heading = -heading
                 fy += 1
-                crossed = True
             elif old_y >= rect.y_max > new_y:
                 new_y = 2.0 * rect.y_max - new_y
                 heading = -heading
-                fy += 1
-                crossed = True
-            if not crossed or rect.contains(new_x, new_y):
-                # grazing corner or boundary start: back off and turn around
-                new_x, new_y = old_x, old_y
-                heading += 180.0
-                fx += 1
                 fy += 1
             break
     new_x, new_y, heading, fx, fy = _walls(arena, new_x, new_y, heading, fx, fy)
     if (not (0.0 <= new_x <= arena.width and 0.0 <= new_y <= arena.height)
             or any(rect.contains(new_x, new_y) for rect in arena.obstacles)):
-        # a mirror landed in a neighbouring obstacle or past a wall: back
-        # off to the old position, which is free, and turn around
+        # a grazed corner, a start on a face, or a mirror that landed in
+        # an obstacle or past a wall: back off to the old position, which
+        # is free, and turn around
         new_x, new_y = old_x, old_y
         heading += 180.0
         fx += 1
@@ -765,6 +755,12 @@ def simulate(arena: Arena, uwb: UwbSystem,
         if not (math.isfinite(s.heading) and math.isfinite(s.speed)):
             raise ValueError(f"initial heading {s.heading} and speed {s.speed} "
                              "must be finite")
+        cmd = s.active_command
+        if cmd is not None and not all(
+                math.isfinite(getattr(cmd, f.name))
+                for f in fields(cmd) if f.name != "kind"):
+            raise ValueError(f"initial active command {cmd} must have finite "
+                             "fields")
         if not (0.0 <= s.x <= arena.width and 0.0 <= s.y <= arena.height):
             raise ValueError(f"initial position ({s.x}, {s.y}) outside the arena")
         for rect in arena.obstacles:

@@ -488,6 +488,15 @@ def test_simulate_rejects_bad_arguments():
         with pytest.raises(ValueError, match="must be finite"):
             simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
                      initial_states=[AgentState(1.0, 1.0, heading, speed)])
+    for cmd in (ActiveCommand(StimKind.DECELERATE, 0.3, decel_v0=math.nan,
+                              decel_vmin=0.02),
+                ActiveCommand(StimKind.TURN_LEFT, 0.3, turn_target=math.inf,
+                              turn_remaining=30.0, turn_sign=1.0),
+                ActiveCommand(StimKind.TURN_RIGHT, math.inf, turn_target=-30.0,
+                              turn_remaining=30.0, turn_sign=-1.0)):
+        with pytest.raises(ValueError, match="must have finite fields"):
+            simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
+                     initial_states=[AgentState(1.0, 1.0, 0.0, 0.06, cmd)])
     # a negative speed is clamped by the first step, as step clamps it
     simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
              initial_states=[AgentState(1.0, 1.0, 0.0, -0.5)])
