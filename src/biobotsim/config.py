@@ -195,12 +195,12 @@ def _build_dataclass(cls, data: dict, path: str):
     """cls built from data; a ParamError that cls raises is reported at
     the path of the field it names."""
     hints = get_type_hints(cls)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = set(data) - set(names)
     if unknown:
         raise ConfigError(f"{_key_path(path, sorted(unknown)[0])}: unknown key")
     kwargs = {name: _coerce(hints[name], data[name], _key_path(path, name))
-              for name in fields if name in data}
+              for name in names if name in data}
     try:
         return cls(**kwargs)
     except ns.ParamError as exc:
