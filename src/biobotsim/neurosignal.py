@@ -87,11 +87,20 @@ class SpikeTrain:
 
 # ---------- parameters ----------
 
-def _spikelet(sample_rate: float, width: float = 0.0005) -> np.ndarray:
+def _spikelet_samples(sample_rate: float, width: float = 0.0005) -> int:
+    return max(int(round(width * sample_rate)), 2)
+
+
+def _spikelet(sample_rate: float) -> np.ndarray:
     # one sine cycle: biphasic, energy centered around 1/width Hz; kept
     # narrow so the bandpassed waveform decays well inside the refractory
-    n = max(int(round(width * sample_rate)), 2)
+    n = _spikelet_samples(sample_rate)
     return np.sin(2.0 * np.pi * np.arange(n) / n)
+
+
+# samples in one synthesized trace at most: 80 MB a trace, and a sweep
+# holds _LANES of them, with their filter's temporaries, on each thread
+MAX_TRACE_SAMPLES = 10_000_000
 
 
 class ParamError(ValueError):
@@ -137,7 +146,11 @@ class SpikeParams:
         need(self.blank_window_s >= 0.0, "blank_window_s", "must be non-negative")
         need(self.refractory_s >= 0.0, "refractory_s", "must be non-negative")
         need(self.synth_duration_s > 0.0, "synth_duration_s", "must be positive")
-        w = len(_spikelet(rate))
+        samples = self.synth_duration_s * rate
+        need(math.isfinite(samples) and round(samples) <= MAX_TRACE_SAMPLES,
+             "synth_duration_s", f"gives more than {MAX_TRACE_SAMPLES} samples "
+             f"at sample_rate_hz ({rate} Hz)")
+        w = _spikelet_samples(rate)
         need(int(round(self.synth_duration_s * rate)) > w, "synth_duration_s",
              f"is too short to hold one {w}-sample spikelet")
         need(self.synth_noise_sd_v >= 0.0, "synth_noise_sd_v",

@@ -485,6 +485,14 @@ _STRETCH_STEPS = 1024
 # bits of 360.0: as unsigned integers, the bits of a float in [0, 360) lie
 # below these, and those of -0.0 and of every negative float above them
 _BITS_360 = int(np.float64(360.0).view(np.uint64))
+# in-range steps in a row that end a stepped window in _headings, and the
+# steps it reads at a time; at least 1.  Wraps come in clusters: gaps
+# between them had quartiles of 1, 4 and 18 steps in the default batch
+_WRAP_RUN = 16
+# diffusion normals an agent draws at a time
+_DRAW_BLOCK = 4096
+# positions per np.minimum.at call when the steps' cells are marked
+_MARK_STEPS = 16384
 
 
 def _headings(heading: float, inc: np.ndarray, snap: int = -1,
@@ -493,33 +501,47 @@ def _headings(heading: float, inc: np.ndarray, snap: int = -1,
     step and each step's increment: a diffusion draw, a turn's step or 0.
 
     A step moves along m = (h + inc) % 360 and carries m % 360 into the
-    next step.  While the running sum stays in [0, 360) both moduli leave
-    it as it is, so the sum is accumulated, and restarted from the carried
-    heading at each step that leaves that range.  The two moduli differ
-    only where m is 360.0, as for -1e-20 % 360.  Step snap >= 0 moves
-    along target % 360 instead and restarts the sum, as a turn's last step.
+    next step.  Step snap >= 0 moves along target % 360 instead, as a
+    turn's last step.  While the running sum stays in [0, 360) both
+    moduli leave it as it is, so the sum is accumulated.  The two moduli
+    differ only where m is 360.0, as for -1e-20 % 360.  From a step that
+    leaves the range, the chain is stepped one step at a time until
+    _WRAP_RUN steps in a row stay in range; the sum restarts after them
+    from the carried heading, which is also their last move.
     """
     n = len(inc)
+    if 0 <= snap < n:
+        move = target % 360.0
+        return np.concatenate((_headings(heading, inc[:snap]), [move],
+                               _headings(move % 360.0, inc[snap + 1:])))
     acc = np.empty(n + 1)
     acc[1:] = inc
     out = np.empty(n + 1)
-    p, move = 0, heading
+    p = 0
     while p < n:
-        # slot p held the increment of the step that left the range, which
-        # is spent; the sum restarts there from the carried heading
+        # slot p holds the heading carried into step p, and out[p + 1:]
+        # the moves of the steps from p
         acc[p] = heading
         np.add.accumulate(acc[p:], out=out[p:])
-        out[p] = move
         off = out[p + 1:].view(np.uint64) >= _BITS_360
-        if p <= snap:
-            off[snap - p] = True
         i = int(off.argmax())
         if not off[i]:
-            return out[1:]
-        p += i + 1
-        move = (target if p == snap + 1 else out[p].item()) % 360.0
-        heading = move % 360.0
-    out[p] = move
+            break
+        p += i
+        heading = out[p].item()
+        run = 0
+        while run < _WRAP_RUN and p < n:
+            moves = []
+            for d in inc[p:p + _WRAP_RUN].tolist():
+                s = heading + d
+                move = s % 360.0
+                heading = move % 360.0
+                moves.append(move)
+                run = run + 1 if move == s else 0
+                if run == _WRAP_RUN:
+                    break
+            out[p + 1:p + 1 + len(moves)] = moves
+            p += len(moves)
     return out[1:]
 
 
@@ -539,7 +561,7 @@ def _first_blocked(arena: Arena, x: np.ndarray, y: np.ndarray) -> int | None:
     return i if off[i] else None
 
 
-def _relax(speed: float, walk: float, decay: float, n: int) -> list[float]:
+def _relax(speed: float, walk: float, decay: float, n: int) -> np.ndarray:
     """Speeds after each of n uncommanded steps, relaxed toward walk as the
     Euler kernel relaxes them."""
     first = walk + (speed - walk) * decay
@@ -547,10 +569,11 @@ def _relax(speed: float, walk: float, decay: float, n: int) -> list[float]:
         # only from a negative start: relaxation keeps a speed >= 0 there
         first = 0.0
     if first == speed or not n:
-        return [speed] * n
-    speed = first
-    return [first] + [speed := walk + (speed - walk) * decay
-                      for _ in range(n - 1)]
+        return np.full(n, speed)
+    out = np.empty(n)
+    out[0] = speed = first
+    out[1:] = [speed := walk + (speed - walk) * decay for _ in range(n - 1)]
+    return out
 
 
 def _running(start: float, step: float, n: int) -> np.ndarray:
@@ -571,12 +594,13 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
     step leaves free space, neither speed nor heading depends on the
     position, so both are built as arrays: an active command's counters
     are running sums and its steps draw no diffusion.  Positions are
-    accumulated up to the first step that leaves free space; that step goes
-    through _reflect_move, which may mirror an active turn, and the segment
+    accumulated, into one buffer that holds every step of the run, up to
+    the first step that leaves free space; that step goes through
+    _reflect_move, which may mirror an active turn, and the segment
     restarts after it.  Writes the position at every log tick into xy and
     returns the active command name at every log tick.  When first_tick is
     given, every cell the agent enters gets the index of the first log
-    tick that counts it.
+    tick that counts it: ceil(k / log_steps) for the first step k there.
     """
     walk, decay, sigma = _free_walk(params, dt)
     diffuses = params.heading_diffusion > 0.0
@@ -585,23 +609,16 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
     x, y, heading, speed = state.x, state.y, state.heading, state.speed
     cmd = None if state.active_command is None else replace(state.active_command)
     names = [""] * len(xy)
-
-    def record(k0, xs, ys):
-        """Log and mark the positions held at steps k0, k0 + 1, ..."""
-        first = -k0 % log_steps
-        t0 = (k0 + first) // log_steps
-        logged = xs[first::log_steps]
-        xy[t0:t0 + len(logged), 0] = logged
-        xy[t0:t0 + len(logged), 1] = ys[first::log_steps]
-        if first_tick is not None:
-            # the position at step k counts from log tick ceil(k / log_steps)
-            ticks = np.arange(k0 + log_steps - 1, k0 + len(xs) + log_steps - 1)
-            np.minimum.at(first_tick, _cell_ids(grid, xs, ys),
-                          ticks // log_steps)
+    # the position at every step; a blocked step's slot is overwritten by
+    # the position _reflect_move gives it
+    xs = np.empty(n_steps + 1)
+    ys = np.empty(n_steps + 1)
+    noise, used = np.empty(0), 0
 
     def segment(k0, n, x, y, heading, speed, cmd):
         """Integrate the steps k0 .. k0 + n - 1, the first m of which carry
         the command cmd; returns the state and command at step k0 + n."""
+        nonlocal noise, used
         inc = np.zeros(n)
         m, turn_end, snap, target, after = 0, 0, -1, 0.0, cmd
         if cmd is not None:
@@ -619,7 +636,8 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
                 ramp = np.where(ratio == 1.0, cmd.decel_vmin, cmd.decel_v0
                                 + (cmd.decel_vmin - cmd.decel_v0) * ratio)
                 ramp[ramp < 0.0] = 0.0
-                speeds = ramp.tolist() + _relax(ramp[-1].item(), walk, decay, n - m)
+                speeds = np.concatenate(
+                    (ramp, _relax(ramp[-1].item(), walk, decay, n - m)))
             else:
                 # the turn steps while more than step_max is left (the fold
                 # only falls), then snaps to its target unless <= _TINY is left
@@ -632,15 +650,23 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
                 target = cmd.turn_target
         if cmd is None or cmd.kind != StimKind.DECELERATE:
             speeds = _relax(speed, walk, decay, n)
-        if diffuses:
-            inc[m:] = sigma * motion_rng.normal(size=n - m)
-        vdt = np.array(speeds) * dt
+        if diffuses and m < n:
+            # a Generator's normal stream does not depend on how the
+            # draws are grouped
+            left = len(noise) - used
+            if left < n - m:
+                noise = np.concatenate((noise[used:], sigma * motion_rng.normal(
+                    size=max(_DRAW_BLOCK, n - m - left))))
+                used = 0
+            inc[m:] = noise[used:used + n - m]
+            used += n - m
+        vdt = speeds * dt
         j = 0
         while j < n:
             deg = _headings(heading, inc[j:], snap - j, target)
             rad = np.radians(deg)
-            px = np.empty(n - j + 1)
-            py = np.empty(n - j + 1)
+            px = xs[k0 + j:k0 + n + 1]
+            py = ys[k0 + j:k0 + n + 1]
             px[0], py[0] = x, y
             np.multiply(vdt[j:], np.cos(rad), out=px[1:])
             np.multiply(vdt[j:], np.sin(rad), out=py[1:])
@@ -648,10 +674,8 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
             np.add.accumulate(py, out=py)
             i = _first_blocked(arena, px[1:], py[1:])
             if i is None:
-                record(k0 + j, px[:-1], py[:-1])
                 return (px[-1].item(), py[-1].item(),
-                        deg[-1].item() % 360.0, speeds[-1], after)
-            record(k0 + j, px[:i + 1], py[:i + 1])
+                        deg[-1].item() % 360.0, speeds[-1].item(), after)
             x, y, heading, flips_x, flips_y = _reflect_move(
                 arena, px[i].item(), py[i].item(), px[i + 1].item(),
                 py[i + 1].item(), deg[i].item())
@@ -661,7 +685,7 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
                 _conjugate_command(cmd, flips_x, flips_y)
                 inc[j:turn_end] = cmd.turn_sign * step_max
                 target = cmd.turn_target
-        return x, y, heading, speeds[-1], after
+        return x, y, heading, speeds[-1].item(), after
 
     k = 0
     while True:
@@ -675,8 +699,21 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
         stop = min(k - k % stim_steps + stim_steps, n_steps, k + _STRETCH_STEPS)
         x, y, heading, speed, cmd = segment(k, stop - k, x, y, heading, speed, cmd)
         k = stop
-    record(n_steps, np.array([x]), np.array([y]))
+    xs[n_steps], ys[n_steps] = x, y
+    xy[:, 0] = xs[::log_steps]
+    xy[:, 1] = ys[::log_steps]
     names[-1] = "" if cmd is None else cmd.kind.value
+    if first_tick is not None:
+        # the first step in each cell; ceil is monotone, so its tick is the
+        # first tick that counts the cell
+        first = np.full(grid.total_cells, n_steps + 1)
+        for k in range(0, n_steps + 1, _MARK_STEPS):
+            np.minimum.at(first, _cell_ids(grid, xs[k:k + _MARK_STEPS],
+                                           ys[k:k + _MARK_STEPS]),
+                          np.arange(k, min(k + _MARK_STEPS, n_steps + 1)))
+        seen = first <= n_steps
+        first_tick[seen] = np.minimum(first_tick[seen],
+                                      -(-first[seen] // log_steps))
     return names
 
 

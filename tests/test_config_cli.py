@@ -231,6 +231,8 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
     ({"neurosignal": {"synth_duration_s": 0.0004, "blank_edge_times_s": [],
                       "r_max_hz": 100000.0}},
      "neurosignal.synth_duration_s", "too short to hold one 12-sample spikelet"),
+    ({"neurosignal": {"sample_rate_hz": 1e10, "synth_duration_s": 1000.0}},
+     "neurosignal.synth_duration_s", "gives more than 10000000 samples"),
     ({"neurosignal": {"r_max_hz": -5.0}}, "neurosignal.r_max_hz",
      "must be at least r_min"),
     ({"neurosignal": {"r_min_hz": -5.0}}, "neurosignal.r_min_hz",
@@ -246,7 +248,7 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
         "log-short-of-the-end", "rig", "arena", "step-bool", "step-string",
         "step-zero", "corridor",
         "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
-        "synth-duration", "synth-too-short", "r-max", "r-min",
+        "synth-duration", "synth-too-short", "synth-too-long", "r-max", "r-min",
         "sample-rate", "band-low", "band-high-below-low"])
 def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
                                                 path, text):

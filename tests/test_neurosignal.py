@@ -90,12 +90,16 @@ def _measured_gain_db(freq: float) -> float:
     ({"synth_duration_s": 0.0}, "synth_duration_s", "must be positive"),
     ({"synth_duration_s": 0.0004}, "synth_duration_s",
      "too short to hold one 12-sample spikelet"),
+    ({"synth_duration_s": 400.00004}, "synth_duration_s",
+     "gives more than 10000000 samples"),
+    ({"sample_rate_hz": math.inf}, "synth_duration_s",
+     "gives more than 10000000 samples"),
     ({"synth_noise_sd_v": -1e-6}, "synth_noise_sd_v", "must be non-negative"),
     ({"r_min_hz": -1.0, "r_max_hz": 0.0}, "r_min_hz", "must be non-negative"),
     ({"r_max_hz": 1.0}, "r_max_hz", "must be at least r_min_hz"),
 ], ids=["rate", "rate-nan", "low", "high-order", "high-nyquist", "blank",
-        "refractory", "duration", "duration-spikelet", "noise", "r-min",
-        "r-max"])
+        "refractory", "duration", "duration-spikelet", "duration-samples",
+        "rate-inf", "noise", "r-min", "r-max"])
 def test_spike_params_name_the_field_that_breaks_a_rule(fields, name, text):
     with pytest.raises(ParamError, match=text) as info:
         SpikeParams(**fields)
@@ -107,6 +111,9 @@ def test_spike_params_edge_cases_that_pass():
     SpikeParams(blank_window_s=0.0, refractory_s=0.0, synth_noise_sd_v=0.0,
                 r_min_hz=0.0, r_max_hz=0.0, blank_edge_times_s=())
     SpikeParams(sample_rate_hz=10000.0, bandpass_high_hz=4999.0)
+    # 400 s at 25 kHz is MAX_TRACE_SAMPLES samples
+    assert ns.MAX_TRACE_SAMPLES == 10_000_000
+    SpikeParams(synth_duration_s=400.0)
 
 
 # ---------- bandpass ----------
