@@ -492,7 +492,7 @@ _WRAP_RUN = 16
 # diffusion normals an agent draws at a time
 _DRAW_BLOCK = 4096
 # positions per np.minimum.at call when the steps' cells are marked
-_MARK_STEPS = 16384
+_MARK_STEPS = 4096
 
 
 def _headings(heading: float, inc: np.ndarray, snap: int = -1,
@@ -622,8 +622,15 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
         inc = np.zeros(n)
         m, turn_end, snap, target, after = 0, 0, -1, 0.0, cmd
         if cmd is not None:
-            time_left = _running(cmd.time_remaining, -dt, n)[1:]
+            # fold the time left over the command's own steps and a spare;
+            # the fold runs on over the segment only if it has not expired
+            # by then.  A prefix of a left fold is the fold of the prefix
+            c = min(n, max(1, int(cmd.time_remaining / dt) + 2))
+            time_left = _running(cmd.time_remaining, -dt, c)[1:]
             expired = time_left <= _TINY
+            if c < n and not expired.any():
+                time_left = _running(cmd.time_remaining, -dt, n)[1:]
+                expired = time_left <= _TINY
             m = int(expired.argmax()) + 1 if expired.any() else n
             cmd.time_remaining = time_left[m - 1].item()
             after = None if expired[m - 1] else cmd

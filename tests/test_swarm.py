@@ -629,6 +629,9 @@ ORACLE_CASES = {
     "coarse-dt": dict(params=[AUTO_PRESET] * 2, duration=30.0, dt=0.05,
                       log_rate_hz=20.0),
     "100hz": dict(params=[AUTO_PRESET] * 2, duration=30.0, log_rate_hz=100.0),
+    # a 25-step log interval over 20,000 steps: the marks' chunks of
+    # _MARK_STEPS steps and the blocks of _DRAW_BLOCK draws end between ticks
+    "4hz": dict(params=[AUTO_PRESET] * 2, duration=200.0, log_rate_hz=4.0),
     "long": dict(params=[AUTO_PRESET] * 2, duration=631.0),
 }
 
@@ -710,6 +713,30 @@ def test_default_batch_reflects_only_blocked_steps(monkeypatch):
     assert all(fx or fy for fx, fy, _ in seen)
 
 
+@pytest.mark.parametrize("case", ["crowded", "long-command"])
+@pytest.mark.parametrize("draw, mark, wrap", [(1, 3, 7), (3, 7, 1), (7, 1, 3)])
+def test_outputs_do_not_depend_on_block_sizes(monkeypatch, case, draw, mark,
+                                              wrap):
+    """The diffusion draw block, the marking chunk and the wrap window
+    only group work: a run is byte for byte the same at any sizes."""
+    c = ORACLE_CASES[case]
+
+    def run():
+        return simulate(c.get("arena", Arena()), QUIET_UWB, c["params"],
+                        stim_period=c.get("stim_period", 10.0),
+                        duration=c["duration"], seed=3)
+
+    want = run()
+    monkeypatch.setattr(swarm, "_DRAW_BLOCK", draw)
+    monkeypatch.setattr(swarm, "_MARK_STEPS", mark)
+    monkeypatch.setattr(swarm, "_WRAP_RUN", wrap)
+    got = run()
+    assert got.true_xy.tobytes() == want.true_xy.tobytes()
+    assert got.commands == want.commands
+    assert got.agent_coverage_pct.tobytes() == want.agent_coverage_pct.tobytes()
+    assert got.union_coverage_pct.tobytes() == want.union_coverage_pct.tobytes()
+
+
 def _free(arena, x, y):
     return (0.0 <= x <= arena.width and 0.0 <= y <= arena.height
             and not any(r.contains(x, y) for r in arena.obstacles))
@@ -777,10 +804,10 @@ def test_reflection_never_leaves_an_agent_inside_an_obstacle(case, seed):
             if not _free(arena, *p)] == []
 
 
-def _scalar_headings(heading, inc):
+def _scalar_headings(heading, inc, snap=-1, target=0.0):
     moves = []
-    for d in inc:
-        heading = (heading + d) % 360.0
+    for k, d in enumerate(inc):
+        heading = (target if k == snap else heading + d) % 360.0
         moves.append(heading)
         heading %= 360.0
     return moves
@@ -844,3 +871,56 @@ def test_stretch_headings_match_the_scalar_chain(heading, inc, ang_speed, sign,
     turn = np.array([sign * step_max] * n_turn + [0.0] * (hold + 1) + TRAP[1])
     assert _headings(TRAP[0], turn, n_turn, -1e-20).tolist() == want
     assert want[n_turn] == 360.0
+
+
+@st.composite
+def wrap_clusters(draw):
+    """A start heading, up to ~400 increments and a snap step with its
+    target.  The increments come in blocks: clusters of wraps around
+    0/360, in-range runs one step shorter than, as long as and one step
+    longer than the run that ends a stepped window in _headings, or longer,
+    and the TRAP pair.  A snap, if any, falls at the start of a block or
+    _WRAP_RUN - 1 to _WRAP_RUN + 1 steps into it."""
+    w = swarm._WRAP_RUN
+    heading = h = draw(st.floats(0.0, 360.0, exclude_max=True))
+    target = draw(st.one_of(st.floats(-1000.0, 1000.0),
+                            st.sampled_from([-1e-20, 360.0, -360.0, 720.0])))
+    snap = -1
+    inc = []
+    for _ in range(draw(st.integers(4, 20))):
+        if snap < 0 and draw(st.booleans()):
+            snap = len(inc) + draw(st.sampled_from([0, w - 1, w, w + 1]))
+        kind = draw(st.sampled_from(["wraps", "quiet", "trap"]))
+        if kind == "wraps":
+            # to beside 0/360, then small steps either way
+            first = [-h + draw(st.floats(-0.5, 0.5))]
+            block = draw(st.lists(st.one_of(
+                st.floats(-1.0, 1.0),
+                st.sampled_from([-1e-18, 1e-18, -0.0, 360.0, -360.0])),
+                min_size=1, max_size=30))
+        elif kind == "quiet":
+            # to 180, then steps that stay in range
+            first = [180.0 - h]
+            n = draw(st.one_of(st.sampled_from([w - 1, w, w + 1]),
+                               st.integers(w, 3 * w)))
+            block = draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                  max_size=n))
+        else:
+            # to 0.0 exactly, then 5e-21 and the TRAP pair
+            first = [-h]
+            block = [TRAP[0]] + TRAP[1]
+        for d in first + block:
+            h = (target if len(inc) == snap else h + d) % 360.0 % 360.0
+            inc.append(d)
+    return heading, inc, snap, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(wrap_clusters())
+def test_long_heading_sequences_match_the_scalar_chain(case):
+    """Long sequences, in which _headings hands back from the stepped window
+    to the accumulate several times, give the scalar chain bit for bit."""
+    heading, inc, snap, target = case
+    want = np.array(_scalar_headings(heading, inc, snap, target))
+    got = _headings(heading, np.array(inc, dtype=float), snap, target)
+    assert got.tobytes() == want.tobytes()
