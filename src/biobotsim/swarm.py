@@ -625,7 +625,7 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
             # fold the time left over the command's own steps and a spare;
             # the fold runs on over the segment only if it has not expired
             # by then.  A prefix of a left fold is the fold of the prefix
-            c = min(n, max(1, int(cmd.time_remaining / dt) + 2))
+            c = min(n, max(1, int(min(cmd.time_remaining / dt, n)) + 2))
             time_left = _running(cmd.time_remaining, -dt, c)[1:]
             expired = time_left <= _TINY
             if c < n and not expired.any():

@@ -500,6 +500,12 @@ def test_simulate_rejects_bad_arguments():
     # a negative speed is clamped by the first step, as step clamps it
     simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
              initial_states=[AgentState(1.0, 1.0, 0.0, -0.5)])
+    # a finite time left past any step count keeps the command to the end
+    cmd = ActiveCommand(StimKind.TURN_RIGHT, 1e307, turn_target=-30.0,
+                        turn_remaining=30.0, turn_sign=-1.0)
+    run = simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
+                   initial_states=[AgentState(1.0, 1.0, 0.0, 0.06, cmd)])
+    assert set(run.commands[0]) == {"turn_right"}
 
 
 def test_initial_states_length_must_match():
@@ -875,7 +881,7 @@ def test_stretch_headings_match_the_scalar_chain(heading, inc, ang_speed, sign,
 
 @st.composite
 def wrap_clusters(draw):
-    """A start heading, up to ~400 increments and a snap step with its
+    """A start heading, 8 to ~1,000 increments and a snap step with its
     target.  The increments come in blocks: clusters of wraps around
     0/360, in-range runs one step shorter than, as long as and one step
     longer than the run that ends a stepped window in _headings, or longer,
