@@ -622,16 +622,9 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
         inc = np.zeros(n)
         m, turn_end, snap, target, after = 0, 0, -1, 0.0, cmd
         if cmd is not None:
-            # fold the time left over the command's own steps and a spare;
-            # the fold runs on over the segment only if it has not expired
-            # by then.  A prefix of a left fold is the fold of the prefix
-            c = min(n, max(1, int(min(cmd.time_remaining / dt, n)) + 2))
-            time_left = _running(cmd.time_remaining, -dt, c)[1:]
+            time_left = _running(cmd.time_remaining, -dt, n)[1:]
             expired = time_left <= _TINY
-            if c < n and not expired.any():
-                time_left = _running(cmd.time_remaining, -dt, n)[1:]
-                expired = time_left <= _TINY
-            m = int(expired.argmax()) + 1 if expired.any() else n
+            m =int(expired.argmax()) + 1 if expired.any() else n
             cmd.time_remaining = time_left[m - 1].item()
             after = None if expired[m - 1] else cmd
             lo, hi = -(-k0 // log_steps), -(-(k0 + m) // log_steps)

@@ -506,6 +506,12 @@ def test_simulate_rejects_bad_arguments():
     run = simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
                    initial_states=[AgentState(1.0, 1.0, 0.0, 0.06, cmd)])
     assert set(run.commands[0]) == {"turn_right"}
+    # and one far below zero expires it at the first step
+    cmd = replace(cmd, time_remaining=-1e307)
+    run = simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
+                   initial_states=[AgentState(1.0, 1.0, 0.0, 0.06, cmd)])
+    assert run.commands[0][0] == "turn_right"
+    assert set(run.commands[0][1:]) == {""}
 
 
 def test_initial_states_length_must_match():
