@@ -47,16 +47,30 @@ GOLDEN = {
         "summary.json":
             "3967d442c6128d30ab8a14aa352a38119fdb62ff1ab79a27a25c0b881f2b55c4",
     },
+    # 30 s logged at 100 Hz: trajectory.csv's 12,004 rows span three of
+    # the writer's 4,096-row blocks
+    "estimated_100hz": {
+        "trajectory.csv":
+            "6a1dbc7c6f504e03452f0c632e0fbb21b5080bb011fb4af560171ec551a093e4",
+        "coverage.csv":
+            "7d963d45aac1e89f7d59e99e53152453e01bfb44476a4040b674f225273c52d8",
+        "summary.json":
+            "6d298e4be66bf030e287c423a35d3d57075f93feb3ed66f1d208a4388de1df17",
+    },
+}
+
+SWARM = {
+    "true": {"duration_s": DURATION_S, "coverage_from": "true"},
+    "estimated": {"duration_s": DURATION_S, "coverage_from": "estimated"},
+    "seeds3": {"duration_s": DURATION_S, "coverage_from": "true"},
+    "estimated_100hz": {"duration_s": 30.0, "log_rate_hz": 100.0,
+                        "coverage_from": "estimated"},
 }
 
 
 def _run(tmp_path, case):
-    coverage_from = "true" if case == "seeds3" else case
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "schema_version": 1,
-        "swarm": {"duration_s": DURATION_S, "coverage_from": coverage_from},
-    }))
+    cfg.write_text(json.dumps({"schema_version": 1, "swarm": SWARM[case]}))
     out = tmp_path / "out"
     argv = ["coverage", "--config", str(cfg), "--seed", str(SEED),
             "--output-dir", str(out)]
