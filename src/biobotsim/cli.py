@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +46,14 @@ class InputDataError(Exception):
 
 # ---------- deterministic, atomic output ----------
 
-def _atomic_write_lines(path: Path, lines):
-    """Write an iterable of text lines to path through a temp file, so the
+def _atomic_write(path: Path, chunks):
+    """Write an iterable of byte strings to path through a temp file, so the
     path holds either the old file or the whole new one."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.writelines(lines)
+        with os.fdopen(fd, "wb") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,15 +62,108 @@ def _atomic_write_lines(path: Path, lines):
 
 
 _CSV_BLOCK_ROWS = 4096
+_FIXED_POINT = re.compile(r"%\.(\d+)f")
+# what a cell of these unquoted tables cannot hold; NUL pads cells as well
+_CSV_UNSAFE = ',"\r\n'
+
+
+def _text_cells(texts: list[str], where: str) -> np.ndarray:
+    """The UTF-8 bytes of each text as one row of a NUL-padded uint8 matrix."""
+    joined = "\0".join(texts) + "\0"      # a NUL ends each text
+    if (joined.count("\0") != len(texts)
+            or any(ch in joined for ch in _CSV_UNSAFE)):
+        bad = next(t for t in texts if any(ch in t for ch in _CSV_UNSAFE + "\0"))
+        raise ValueError(f"{where}: cell {bad!r} holds a comma, quote, CR, "
+                         "LF or NUL")
+    data = np.frombuffer(joined.encode(), np.uint8)
+    sizes = np.diff(np.flatnonzero(data == 0), prepend=-1) - 1
+    cells = np.zeros((len(texts), sizes.max()), np.uint8)
+    cells[np.arange(cells.shape[1]) < sizes[:, None]] = data[data != 0]
+    return cells
+
+
+def _fixed_point_cells(x: np.ndarray, decimals: int, where: str) -> np.ndarray:
+    """The cells "%.<decimals>f" % v for each float64 v in x, as the rows of
+    a NUL-padded uint8 matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(x) * 10.0 ** decimals
+        q = np.rint(scaled)
+        exact = (scaled < 2.0 ** 52) & (
+            0.5 - np.abs(scaled - q) > scaled * 2.0 ** -50)
+    fallback = np.flatnonzero(~exact)
+    q[fallback] = 0
+    top = int(q.max())
+    q = q.astype(np.int32 if top < 2 ** 31 else np.int64)
+    digits = max(len(str(top)), decimals + 1)
+    cells = np.empty((len(x), 1 + digits + (decimals > 0)), np.uint8)
+    col = cells.shape[1]
+    rest = q
+    for j in range(digits):
+        col -= 1 + (j == decimals > 0)
+        tens = rest // 10       # a scalar divisor is fast; % and divmod are not
+        cells[:, col] = rest - 10 * tens
+        rest = tens
+    cells += ord("0")
+    cells[:, 0] = np.signbit(x) * ord("-")
+    if decimals:
+        cells[:, -1 - decimals] = ord(".")
+    # leading zeros of the whole part, whose last digit always prints
+    cells[:, 1:digits - decimals][
+        q[:, None] < 10 ** np.arange(digits - 1, decimals, -1)] = 0
+    if len(fallback):
+        fmt = f"%.{decimals}f"
+        text = _text_cells([fmt % v for v in x[fallback].tolist()], where)
+        if text.shape[1] > cells.shape[1]:
+            cells = np.pad(cells, ((0, 0), (0, text.shape[1] - cells.shape[1])))
+        cells[fallback] = 0
+        cells[fallback, :text.shape[1]] = text
+    return cells
+
+
+def _column_cells(column, fmt: str, where: str) -> np.ndarray:
+    """fmt % v for each cell of one column, as the rows of a NUL-padded
+    uint8 matrix."""
+    if (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
+            and column.itemsize <= 8):
+        fixed = _FIXED_POINT.fullmatch(fmt)
+        if fixed and column.dtype == np.float64 and int(fixed[1]) <= 22:
+            return _fixed_point_cells(column, int(fixed[1]), where)
+        # a float by its bit pattern, so 0.0 and -0.0, and NaNs with
+        # different payloads, stay apart
+        keys = (column.view(f"u{column.itemsize}")
+                if column.dtype.kind == "f" else column)
+        distinct, index = np.unique(keys, return_inverse=True)
+        cells = _text_cells(list(map(fmt.__mod__, distinct.view(
+            column.dtype).tolist())), where)
+        return np.take(cells, index, axis=0)
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    # "%s" % (v,) is str(v), and map(str, ...) is the faster of the two
+    return _text_cells(list(map(str, column)) if fmt == "%s"
+                       else [fmt % (v,) for v in column], where)
 
 
 def _write_csv(path: Path, header: list[str], columns, formats=None):
     """Write the header, then one row per index of the equal-length columns
     (lists, tuples or numpy arrays).  formats holds one %-style spec per
     column; the default "%s" prints a cell as str of its Python value, so
-    a float prints as its shortest round-trip repr.  Rows are formatted a
-    block at a time, so a long table is never held as text at once.  No
-    columns, or empty ones, write the header alone."""
+    a float prints as its shortest round-trip repr.  No columns, or empty
+    ones, write the header alone.
+
+    Rows are built a block of _CSV_BLOCK_ROWS at a time, column by column,
+    so a long table is never held as text at once, and every cell's bytes
+    are those of fmt % v.  A float64 array column under "%.Nf" is written
+    from the integer q = rint(|v| * 10**N) and the sign bit of v.  That is
+    exact when the scaled value s is below 2**52 and farther than
+    s * 2**-50 (at least four ulps) from a half-integer: the product's
+    rounding error, at most half an ulp since 10**N is exact for N <= 22,
+    cannot then move it across the tie, so q is the correctly rounded value
+    that fmt % v prints.  Every other cell of such a column, non-finite
+    ones included, falls back to fmt % v.  Any other numeric array column
+    formats each distinct value once (a float by its bit pattern); lists,
+    tuples and other arrays format cell by cell.  A formatted cell holding
+    a comma, a double quote, CR, LF or NUL raises ValueError, since the
+    table does no quoting."""
     if formats is None:
         formats = ["%s"] * len(header)
     n = len(columns[0]) if columns else 0
@@ -76,21 +171,27 @@ def _write_csv(path: Path, header: list[str], columns, formats=None):
             or any(len(c) != n for c in columns)):
         raise ValueError(f"{path.name}: {len(header)} header fields need "
                          "as many formats and columns of one length")
-    fmt = ",".join(formats) + "\n"
 
-    def lines():
-        yield ",".join(header) + "\n"
+    def blocks():
+        yield (",".join(header) + "\n").encode()
         for i in range(0, n, _CSV_BLOCK_ROWS):
-            cells = [c[i:i + _CSV_BLOCK_ROWS] for c in columns]
-            yield "".join(map(fmt.__mod__, zip(*(
-                c.tolist() if isinstance(c, np.ndarray) else c
-                for c in cells))))
+            rows = min(_CSV_BLOCK_ROWS, n - i)
+            comma, newline = (np.full((rows, 1), ord(ch), np.uint8)
+                              for ch in ",\n")
+            parts = []
+            for name, column, fmt in zip(header, columns, formats):
+                parts += [_column_cells(column[i:i + rows], fmt,
+                                        f"{path.name}: column {name!r}"),
+                          comma]
+            parts[-1] = newline
+            yield np.hstack(parts).tobytes().translate(None, b"\0")
 
-    _atomic_write_lines(path, lines())
+    _atomic_write(path, blocks())
 
 
 def _write_json(path: Path, payload: dict):
-    _atomic_write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _atomic_write(path, [(json.dumps(payload, sort_keys=True, indent=2)
+                          + "\n").encode()])
 
 
 # ---------- subcommands ----------
@@ -211,14 +312,12 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
         # rows run tick-major: every agent at one tick, then the next tick
         true_x, true_y = run.true_xy.transpose(2, 1, 0).reshape(2, -1)
         est_x, est_y = run.est_xy.transpose(2, 1, 0).reshape(2, -1)
-        ticks = [t for t in map(str, run.log_t.tolist())
-                 for _ in range(run.n_agents)]
         _write_csv(out_dir / "trajectory.csv",
                    ["t_s", "agent_id", "x_true_m", "y_true_m",
                     "x_est_m", "y_est_m", "command"],
-                   [ticks, np.tile(np.arange(run.n_agents), len(run.log_t)),
+                   [np.repeat(run.log_t, run.n_agents), np.tile(np.arange(run.n_agents), len(run.log_t)),
                     true_x, true_y, est_x, est_y,
-                    [c for tick in zip(*run.commands) for c in tick]],
+                    list(chain.from_iterable(zip(*run.commands)))],
                    # positions to 1 um, against 5 cm of ranging noise
                    ["%s", "%d"] + ["%.6f"] * 4 + ["%s"])
         _write_csv(out_dir / "coverage.csv",
@@ -293,6 +392,11 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
             f"missing from predictions: {missing}; "
             f"unmatched predictions: {extra}"
         )
+    for name in truth_names:
+        if any(ch in name for ch in _CSV_UNSAFE):
+            raise InputDataError(
+                f"{str(truth_dir / name)!r}: a mask name holding a comma, "
+                "quote, CR or LF cannot be an id in metrics.csv")
     preds, truths = [], []
     for name in truth_names:
         try:

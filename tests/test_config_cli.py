@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -793,6 +794,22 @@ def test_metrics_name_mismatch_lists_files(tmp_path, capsys):
     assert "a.pgm" in err and "b.pgm" in err
 
 
+@pytest.mark.parametrize("name", ["a,b.pgm", 'q"x.pgm', "cr\rx.pgm",
+                                  "line\nbreak.pgm"])
+def test_metrics_mask_name_metrics_csv_cannot_hold_exits_3(tmp_path, capsys,
+                                                           name):
+    for d in ("pred", "truth"):
+        (tmp_path / d).mkdir()
+        for mask_name in ("m.pgm", name):
+            write_pgm(_rect_mask(), tmp_path / d / mask_name)
+    rc = cli.main(["metrics", "--pred", str(tmp_path / "pred"),
+                   "--truth", str(tmp_path / "truth"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert repr(str(tmp_path / "truth" / name)) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_metrics_mismatched_mask_sizes_exit_3(tmp_path, capsys):
     for d in ("pred", "truth"):
         (tmp_path / d).mkdir()
@@ -922,6 +939,81 @@ def test_csv_writer_rejects_formats_unlike_the_header(tmp_path):
     cli._write_csv(tmp_path / "ok.csv", ["a", "b"], [[1.5], [2]],
                    ["%.6f", "%d"])
     assert (tmp_path / "ok.csv").read_text() == "a,b\n1.500000,2\n"
+
+
+FIXED_FORMATS = ["%.0f", "%.1f", "%.3f", "%.6f", "%.9f"]
+
+
+def _csv_text(columns, formats, block_rows):
+    """What _write_csv writes for these columns at one block size."""
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+        path = Path(d) / "t.csv"
+        cli._write_csv(path, [f"c{j}" for j in range(len(columns))],
+                       columns, formats)
+        return path.read_bytes()
+
+
+def _cell_by_cell(columns, formats):
+    """The same table formatted one cell at a time by fmt % v."""
+    header = ",".join(f"c{j}" for j in range(len(columns))) + "\n"
+    rows = zip(*(c.tolist() for c in columns))
+    return (header + "".join(
+        ",".join(f % v for f, v in zip(formats, row)) + "\n"
+        for row in rows)).encode()
+
+
+def _fixed_point_edges():
+    k = np.arange(-256, 257, dtype=np.float64)
+    ties = np.concatenate([k / 128, k * 5e-7])
+    big = 2.0 ** 52 / 10.0 ** np.array([0, 1, 3, 6, 9])
+    near = np.concatenate([ties, big])
+    values = np.concatenate([near, np.nextafter(near, np.inf),
+                             np.nextafter(near, -np.inf),
+                             [0.0, np.inf, np.nan, 5e-324, 1e300]])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_fixed_point_columns_write_the_bytes_of_percent_format(block_rows):
+    x = _fixed_point_edges()
+    columns = [x] * len(FIXED_FORMATS)
+    assert (_csv_text(columns, FIXED_FORMATS, block_rows)
+            == _cell_by_cell(columns, FIXED_FORMATS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(width=64), min_size=1, max_size=40),
+       block_rows=st.sampled_from([1, 3, 7]))
+def test_fixed_point_columns_match_percent_format_on_any_float(values,
+                                                               block_rows):
+    x = np.array(values, dtype=np.float64)
+    columns = [x] * len(FIXED_FORMATS)
+    assert (_csv_text(columns, FIXED_FORMATS, block_rows)
+            == _cell_by_cell(columns, FIXED_FORMATS))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_distinct_values_keep_signed_zeros_and_nan_payloads_apart(block_rows):
+    payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                         0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+    floats = np.array([0.0, -0.0, *payloads, -0.0, 0.0, *payloads[::-1], 1.5])
+    ints = np.arange(len(floats)) % 3 - 1
+    flags = ints > 0
+    columns = [floats, floats, ints, flags]
+    formats = ["%s", "%r", "%d", "%s"]
+    assert (_csv_text(columns, formats, block_rows)
+            == _cell_by_cell(columns, formats))
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "cr\rx", "lf\nx",
+                                  "nul\0x"])
+def test_csv_writer_rejects_a_cell_it_cannot_write_unquoted(tmp_path, cell):
+    for columns in ([["ok", cell]], [np.array(["ok", cell])]):
+        with pytest.raises(ValueError, match="^bad.csv: column 'id': cell"):
+            cli._write_csv(tmp_path / "bad.csv", ["id"], columns)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_env_seed_overrides_config_and_flag_wins(tmp_path, monkeypatch):
