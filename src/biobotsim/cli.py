@@ -72,7 +72,8 @@ def _text_cells(texts: list[str], where: str) -> np.ndarray:
     joined = "\0".join(texts) + "\0"      # a NUL ends each text
     if (joined.count("\0") != len(texts)
             or any(ch in joined for ch in _CSV_UNSAFE)):
-        bad = next(t for t in texts if any(ch in t for ch in _CSV_UNSAFE + "\0"))
+        bad = next(t for t in texts
+                   if any(ch in t for ch in _CSV_UNSAFE + "\0"))
         raise ValueError(f"{where}: cell {bad!r} holds a comma, quote, CR, "
                          "LF or NUL")
     data = np.frombuffer(joined.encode(), np.uint8)
@@ -100,7 +101,7 @@ def _fixed_point_cells(x: np.ndarray, decimals: int, where: str) -> np.ndarray:
     rest = q
     for j in range(digits):
         col -= 1 + (j == decimals > 0)
-        tens = rest // 10       # a scalar divisor is fast; % and divmod are not
+        tens = rest // 10   # a scalar divisor is fast; % and divmod are not
         cells[:, col] = rest - 10 * tens
         rest = tens
     cells += ord("0")
@@ -114,7 +115,8 @@ def _fixed_point_cells(x: np.ndarray, decimals: int, where: str) -> np.ndarray:
         fmt = f"%.{decimals}f"
         text = _text_cells([fmt % v for v in x[fallback].tolist()], where)
         if text.shape[1] > cells.shape[1]:
-            cells = np.pad(cells, ((0, 0), (0, text.shape[1] - cells.shape[1])))
+            cells = np.pad(cells,
+                           ((0, 0), (0, text.shape[1] - cells.shape[1])))
         cells[fallback] = 0
         cells[fallback, :text.shape[1]] = text
     return cells
@@ -315,7 +317,8 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
         _write_csv(out_dir / "trajectory.csv",
                    ["t_s", "agent_id", "x_true_m", "y_true_m",
                     "x_est_m", "y_est_m", "command"],
-                   [np.repeat(run.log_t, run.n_agents), np.tile(np.arange(run.n_agents), len(run.log_t)),
+                   [np.repeat(run.log_t, run.n_agents),
+                    np.tile(np.arange(run.n_agents), len(run.log_t)),
                     true_x, true_y, est_x, est_y,
                     list(chain.from_iterable(zip(*run.commands)))],
                    # positions to 1 um, against 5 cm of ranging noise
