@@ -1007,6 +1007,14 @@ def test_distinct_values_keep_signed_zeros_and_nan_payloads_apart(block_rows):
             == _cell_by_cell(columns, formats))
 
 
+def test_text_cells_are_written_as_utf8(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 2)
+    names = ["\u00b5m", "", "x", "\u00e9t\u00e9", "\u65e5\u672c"]
+    cli._write_csv(tmp_path / "t.csv", ["id", "n"], [names, np.arange(5)])
+    want = "id,n\n" + "".join(f"{a},{b}\n" for b, a in enumerate(names))
+    assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
+
+
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "cr\rx", "lf\nx",
                                   "nul\0x"])
 def test_csv_writer_rejects_a_cell_it_cannot_write_unquoted(tmp_path, cell):
