@@ -116,9 +116,14 @@ def dsc(a: Mask, b: Mask) -> float:
 
 # ---------- affine augmentation ----------
 
-# cells per band of augment's resampling.  A band temporary is 32 KB of
-# float64, which the allocator reuses from call to call; a 256 x 256 frame
-# temporary (512 KB) is mapped fresh and page-faulted on every call.
+# cells per band of augment's output window, and pixels per batch of its
+# blends.  A band's float temporaries are 32 KB each, which the allocator
+# reuses from call to call; a 256 x 256 frame temporary (512 KB) is mapped
+# fresh and page-faulted on every call.  Only the window, the image of the
+# foreground's widened box, can hold foreground, and only a pixel whose four
+# source neighbours mix foreground and background needs a blend: four zeros
+# blend to exactly 0.0, and four ones to 1 within a few ulps, since the
+# bilinear weights sum to 1.
 _AUGMENT_BAND_CELLS = 4096
 
 
@@ -149,6 +154,13 @@ def check_augment(shape: tuple[int, int], scale_x: float, scale_y: float,
                              f"mask: the inverse map overflows")
 
 
+def _unscale(f: np.ndarray, scale: float, center: float):
+    """f / scale + center in place, the last steps of augment's inverse map."""
+    if scale != 1.0:   # x / 1.0 == x
+        f /= scale
+    f += center
+
+
 def augment(mask: Mask, scale_x: float, scale_y: float,
             rotation_deg: float) -> Mask:
     """Scale then rotate a mask about its center.
@@ -159,75 +171,134 @@ def augment(mask: Mask, scale_x: float, scale_y: float,
     Identity parameters (1, 1, 0) reproduce the input bit for bit.
     Parameters that check_augment rejects raise ValueError.
 
-    The output is computed one band of rows at a time, each band at most
-    ``_AUGMENT_BAND_CELLS`` cells or one row, so no float temporary spans
-    the frame.  A pixel's arithmetic does not depend on its band.
+    Only a window of the output is resampled: the source foreground's
+    bounding box, widened by 2 px, mapped forward through scale and then
+    rotation, plus a 1-2 px margin, clipped to the frame.  Every pixel
+    outside it has four background source neighbours and is background.
+    Inside it, a pixel's code is the number of foreground pixels among its
+    four source neighbours.  Code 0 is background and code 4 is foreground,
+    because the four bilinear weights sum to 1 within a few ulps.  Only
+    codes 1-3 are blended.  The window is computed one band of rows at a
+    time, each band at most ``_AUGMENT_BAND_CELLS`` cells or one row, so no
+    float temporary spans the frame.  A pixel's arithmetic depends neither
+    on its band nor on the window.
     """
     check_augment(mask.pixels.shape, scale_x, scale_y, rotation_deg)
+    scale_x, scale_y = float(scale_x), float(scale_y)
     h, w = mask.pixels.shape
+    out = np.zeros((h, w), dtype=bool)
+    fg_rows = np.flatnonzero(mask.pixels.any(axis=1))
+    if fg_rows.size == 0:
+        return Mask(out)
+    fg_cols = np.flatnonzero(mask.pixels.any(axis=0))
     cy = (h - 1) / 2.0
     cx = (w - 1) / 2.0
     theta = math.radians(rotation_deg)
     c, s = math.cos(theta), math.sin(theta)
 
-    dx = np.arange(w, dtype=float) - cx
-    dy = (np.arange(h, dtype=float) - cy)[:, None]
-    c_dx = c * dx
-    ms_dx = -s * dx
+    # the window: map the widened box's corners forward on Python floats,
+    # which overflow to inf where numpy scalars would warn.  A corner that
+    # is not finite leaves the whole frame.
+    xs, ys = [], []
+    for u in (int(fg_cols[0]) - 2 - cx, int(fg_cols[-1]) + 2 - cx):
+        for v in (int(fg_rows[0]) - 2 - cy, int(fg_rows[-1]) + 2 - cy):
+            su, sv = u * scale_x, v * scale_y
+            xs.append(c * su - s * sv + cx)
+            ys.append(s * su + c * sv + cy)
+    if all(map(math.isfinite, xs + ys)):
+        x0, x1 = max(0, math.floor(min(xs)) - 1), min(w, math.floor(max(xs)) + 3)
+        y0, y1 = max(0, math.floor(min(ys)) - 1), min(h, math.floor(max(ys)) + 3)
+        if x0 >= x1 or y0 >= y1:
+            return Mask(out)
+    else:
+        x0, x1, y0, y1 = 0, w, 0, h
 
     # a 2-pixel zero border stands in for everything outside the frame:
     # the floor of the source x clipped to [-2, w] keeps both x neighbours
     # in the padded field, and a pair wholly outside the frame still reads
     # two zeros
     pw = w + 4
-    field = np.zeros((h + 4, pw))
-    field[2:-2, 2:-2] = mask.pixels
-    flat = field.ravel()
-    out = np.empty((h, w), dtype=bool)
-    rows = max(1, _AUGMENT_BAND_CELLS // max(w, 1))
-    for y0 in range(0, h, rows):
-        dy_band = dy[y0:y0 + rows]
-        # inverse map: undo rotation, then undo scaling.  The band arrays
-        # are updated in place, in the operation order of the plain
-        # expressions.
-        fx = c_dx + s * dy_band
-        fx /= scale_x
-        fx += cx
-        fy = ms_dx + c * dy_band
-        fy /= scale_y
-        fy += cy
+    padded = np.zeros((h + 4, pw), dtype=np.uint8)
+    padded[2:-2, 2:-2] = mask.pixels
+    flat = padded.ravel()
+    # code[k]: foreground count of the four neighbours whose top-left is flat[k]
+    code = flat[:-pw - 1] + flat[1:-pw]
+    code += flat[pw:-1]
+    code += flat[pw + 1:]
+
+    # the map is affine, so if the window's corners map inside
+    # [-1, w-1] x [-1, h-1] every floor lies in the clip range already
+    clip = False
+    for x in (x0 - cx, x1 - 1 - cx):
+        for y in (y0 - cy, y1 - 1 - cy):
+            sx = (c * x + s * y) / scale_x + cx
+            sy = (-s * x + c * y) / scale_y + cy
+            clip |= not (-1.0 <= sx <= w - 1 and -1.0 <= sy <= h - 1)
+
+    dx = np.arange(x0, x1, dtype=float) - cx
+    dy = np.arange(y0, y1, dtype=float) - cy
+    c_dx = c * dx
+    ms_dx = -s * dx
+    s_dy = s * dy
+    c_dy = c * dy
+    width = x1 - x0
+    rows = max(1, _AUGMENT_BAND_CELLS // width)
+    codes = np.empty((y1 - y0, width), dtype=np.uint8)
+    for r0 in range(0, y1 - y0, rows):
+        r1 = min(r0 + rows, y1 - y0)
+        fx = c_dx + s_dy[r0:r1, None]
+        _unscale(fx, scale_x, cx)
+        fy = ms_dx + c_dy[r0:r1, None]
+        _unscale(fy, scale_y, cy)
+        row = np.floor(fy)
+        col = np.floor(fx)
+        if clip:
+            np.clip(row, -2, h, out=row)
+            np.clip(col, -2, w, out=col)
+        # flat index of the top-left neighbour; integers this small are
+        # exact in float64
+        row *= pw
+        row += col
+        row += 2 * pw + 2
+        code.take(row.astype(np.intp), out=codes[r0:r1])
+    window = codes == 4
+
+    # codes 1-3 are blended, at most a band's worth of pixels at a time,
+    # after the same inverse map.  A clipped pixel reads four zeros, so
+    # none of these was clipped.
+    mixed = np.flatnonzero((codes > 0) & (codes < 4))
+    for m0 in range(0, mixed.size, _AUGMENT_BAND_CELLS):
+        m = mixed[m0:m0 + _AUGMENT_BAND_CELLS]
+        i, j = np.divmod(m, width)
+        fx = c_dx.take(j) + s_dy.take(i)
+        _unscale(fx, scale_x, cx)
+        fy = ms_dx.take(j) + c_dy.take(i)
+        _unscale(fy, scale_y, cy)
         row = np.floor(fy)
         fy -= row
         col = np.floor(fx)
         fx -= col
-        # flat index of the top-left neighbour; integers this small are
-        # exact in float64
-        np.clip(row, -2, h, out=row)
-        row += 2
         row *= pw
-        np.clip(col, -2, w, out=col)
         row += col
-        row += 2
+        row += 2 * pw + 2
         base = row.astype(np.intp)
-        v00 = flat[base]
-        v01 = flat[1:][base]
-        v10 = flat[pw:][base]
-        v11 = flat[pw + 1:][base]
-        # v00 (1-fx)(1-fy) + v01 fx (1-fy) + v10 (1-fx) fy + v11 fx fy
+        # v00 (1-fx)(1-fy) + v01 fx (1-fy) + v10 (1-fx) fy + v11 fx fy, in
+        # the operation order of the plain expression
         gx = 1 - fx
         gy = 1 - fy
-        v00 *= gx
-        v00 *= gy
-        v01 *= fx
-        v01 *= gy
-        v00 += v01
-        v10 *= gx
-        v10 *= fy
-        v00 += v10
-        v11 *= fx
-        v11 *= fy
-        v00 += v11
-        np.greater_equal(v00, 0.5, out=out[y0:y0 + rows])
+        v = flat.take(base) * gx
+        v *= gy
+        t = flat[1:].take(base) * fx
+        t *= gy
+        v += t
+        t = flat[pw:].take(base) * gx
+        t *= fy
+        v += t
+        t = flat[pw + 1:].take(base) * fx
+        t *= fy
+        v += t
+        window.put(m, v >= 0.5)
+    out[y0:y1, x0:x1] = window
     return Mask(out)
 
 

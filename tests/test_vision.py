@@ -2,6 +2,7 @@
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,58 @@ def test_augment_band_seams_match_the_per_pixel_reference(params, cells,
                        *params).pixels.shape == shape
 
 
+@st.composite
+def _blob_masks(draw):
+    """Frames of up to 24 x 24 holding 1-3 blobs of 1-3 px a side, each
+    placed anywhere, flush with an edge or in a corner."""
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    px = np.zeros((h, w), dtype=bool)
+    for _ in range(draw(st.integers(1, 3))):
+        bh, bw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        y = draw(st.one_of(st.sampled_from([0, max(h - bh, 0)]),
+                           st.integers(0, h - 1)))
+        x = draw(st.one_of(st.sampled_from([0, max(w - bw, 0)]),
+                           st.integers(0, w - 1)))
+        px[y:y + bh, x:x + bw] = True
+    return Mask(px)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_blob_masks(),
+       scale_x=st.floats(0.05, 20.0), scale_y=st.floats(0.05, 20.0),
+       rotation_deg=st.floats(-180.0, 180.0))
+def test_augment_window_holds_every_foreground_pixel(m, scale_x, scale_y,
+                                                     rotation_deg):
+    # small blobs anywhere in the frame put the window's edges, its clip
+    # test and the mixed-neighbour blends at every side of the frame
+    params = (scale_x, scale_y, rotation_deg)
+    assert _same(augment(m, *params), _augment_reference(m, *params))
+
+
+@pytest.mark.parametrize("params", [
+    (1e308, 1.0, 30.0), (1.0, 1e308, -120.0), (1e308, 1e308, 0.0),
+    (np.float64(1e308), 1.0, 60.0), (1e-306, 1e-306, 0.0),
+    (1e-306, 1e-306, 135.0),
+])
+def test_augment_matches_the_reference_at_extreme_scales_and_sizes(params):
+    # a forward-mapped corner overflows at 1e308, also when the scale is a
+    # numpy scalar, and the inverse map reaches ~1e307 at 1e-306; none of
+    # them may warn
+    rng = np.random.default_rng(9)
+    corner = np.zeros((7, 5), dtype=bool)
+    corner[-2:, -2:] = True
+    for px in (rng.random((9, 6)) < 0.5, np.ones((3, 4), dtype=bool), corner,
+               np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),
+               np.zeros((5, 7), dtype=bool), np.zeros((0, 0), dtype=bool),
+               np.zeros((3, 0), dtype=bool)):
+        m = Mask(px)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = augment(m, *params)
+        assert _same(got, _augment_reference(m, *params))
+
+
 # ---------- synthetic generator ----------
 
 def test_synthetic_reference_point_matches_extraction_exactly():
@@ -514,12 +567,13 @@ def test_pgm_writer_rejects_an_empty_mask(tmp_path):
 
 
 def test_mask_kernels_allocate_no_full_frame_float_temporaries(tmp_path):
-    # a 256 x 256 float64 frame is 512 KB; augment keeps its padded field
-    # and its bool output, read_pgm its byte-sized buffers
+    # a 256 x 256 float64 frame is 512 KB; augment keeps byte-sized frames
+    # and band-sized floats, read_pgm its byte-sized buffers
     m, _ = synth_pronotum(PronotumShapeParams(), seed=4)
     p = tmp_path / "m.pgm"
     write_pgm(m, p)
-    for call, limit in ((lambda: augment(m, 1.1, 0.9, 12.0), 2_000_000),
+    for call, limit in ((lambda: augment(m, 1.1, 0.9, 12.0), 1_000_000),
+                        (lambda: augment(m, 1.1, 0.9, 45.0), 1_000_000),
                         (lambda: read_pgm(p), 1_000_000)):
         call()
         tracemalloc.start()
