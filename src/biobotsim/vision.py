@@ -46,7 +46,7 @@ class Mask:
 
     @property
     def foreground_count(self) -> int:
-        return int(self.pixels.sum())
+        return int(np.count_nonzero(self.pixels))
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ def _check_same_shape(a: Mask, b: Mask):
 def iou(a: Mask, b: Mask) -> float:
     """Intersection over union; 1.0 when both masks are empty."""
     _check_same_shape(a, b)
-    inter = int(np.logical_and(a.pixels, b.pixels).sum())
-    union = int(np.logical_or(a.pixels, b.pixels).sum())
+    inter = int(np.count_nonzero(a.pixels & b.pixels))
+    union = int(np.count_nonzero(a.pixels | b.pixels))
     if union == 0:
         return 1.0
     return inter / union
@@ -107,8 +107,8 @@ def iou(a: Mask, b: Mask) -> float:
 def dsc(a: Mask, b: Mask) -> float:
     """Dice similarity coefficient; 1.0 when both masks are empty."""
     _check_same_shape(a, b)
-    inter = int(np.logical_and(a.pixels, b.pixels).sum())
-    total = int(a.pixels.sum()) + int(b.pixels.sum())
+    inter = int(np.count_nonzero(a.pixels & b.pixels))
+    total = int(np.count_nonzero(a.pixels)) + int(np.count_nonzero(b.pixels))
     if total == 0:
         return 1.0
     return 2.0 * inter / total
