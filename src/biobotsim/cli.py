@@ -400,6 +400,12 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
             raise InputDataError(
                 f"{str(truth_dir / name)!r}: a mask name holding a comma, "
                 "quote, CR or LF cannot be an id in metrics.csv")
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            raise InputDataError(
+                f"{str(truth_dir / name)!r}: a mask name that is not valid "
+                "UTF-8 cannot be an id in metrics.csv") from None
     preds, truths = [], []
     for name in truth_names:
         try:

@@ -810,6 +810,27 @@ def test_metrics_mask_name_metrics_csv_cannot_hold_exits_3(tmp_path, capsys,
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+def test_metrics_mask_name_that_is_not_utf8_exits_3_before_reading(
+        tmp_path, capsys, monkeypatch):
+    name = os.fsdecode(b"m\xff.pgm")
+    if name.isprintable():
+        pytest.skip("the filesystem encoding decodes byte 0xff")
+    for d in ("pred", "truth"):
+        (tmp_path / d).mkdir()
+        try:
+            write_pgm(_rect_mask(), tmp_path / d / name)
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+    monkeypatch.setattr(vision, "read_pgm",
+                        lambda path: pytest.fail(f"read {path!r}"))
+    rc = cli.main(["metrics", "--pred", str(tmp_path / "pred"),
+                   "--truth", str(tmp_path / "truth"),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert repr(str(tmp_path / "truth" / name)) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_metrics_mismatched_mask_sizes_exit_3(tmp_path, capsys):
     for d in ("pred", "truth"):
         (tmp_path / d).mkdir()
