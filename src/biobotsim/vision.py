@@ -246,6 +246,7 @@ def augment(mask: Mask, scale_x: float, scale_y: float,
     codes = np.empty((y1 - y0, width), dtype=np.uint8)
     for r0 in range(0, y1 - y0, rows):
         r1 = min(r0 + rows, y1 - y0)
+        # inverse map: undo rotation, then undo scaling
         fx = c_dx + s_dy[r0:r1, None]
         _unscale(fx, scale_x, cx)
         fy = ms_dx + c_dy[r0:r1, None]
