@@ -22,7 +22,7 @@ from .assembly import (AssemblyProcess, AssemblyState, ImplantPose,
 from .neurosignal import (SpikeParams, SpikeTrain, Trace, expected_spike_rate,
                           run_spike_pipeline, synth_neural_response)
 from .locomotion import (AgentParams, AgentState, AUTO_PRESET, MANUAL_PRESET,
-                         PRESETS, StimCommand, StimKind, apply_command, step)
+                         PRESETS, StimCommand, StimKind, apply_command)
 from .swarm import (Arena, CoverageGrid, Rect, SwarmRun, UwbSystem,
                     coverage_percent, coverage_rate, dispersion_batch,
                     simulate)

@@ -1,22 +1,21 @@
-"""Stochastic kinematic agent with calibrated stimulation responses.
+"""Stochastic kinematic agent: calibrated presets, samplers and commands.
 
 Stimulation commands are turns (heading tracks a sampled target angle at a
 capped angular rate, left positive) or decelerations (speed ramps linearly
 to a sampled minimum, then recovers after the command ends).  Between
-commands the heading performs a diffusion random walk.  Integration is
-explicit Euler; with all spread parameters at zero the dynamics are fully
-deterministic.
+commands the heading performs a diffusion random walk.  This module holds
+the response parameters, their samplers and command activation; the one
+integrator of these dynamics is swarm._walk.  With all spread parameters at
+zero the dynamics are fully deterministic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
-MAX_DT = 0.05
 DEFAULT_COMMAND_DURATION = 0.4  # s
-_TINY = 1e-12
 
 
 class StimKind(str, Enum):
@@ -31,7 +30,7 @@ class StimCommand:
     duration: float = DEFAULT_COMMAND_DURATION
 
     def __post_init__(self):
-        if self.duration <= 0.0:
+        if not self.duration > 0.0:
             raise ValueError(f"command duration must be positive, got {self.duration!r}")
 
 
@@ -40,7 +39,7 @@ class AgentParams:
     """Calibrated response parameters for one stimulation mode.
 
     Angles in degrees, speeds in m/s, times in seconds, heading diffusion
-    in degrees^2 per second.
+    in degrees^2 per second.  Every field must be finite.
     """
 
     turn_angle_left_mean: float
@@ -57,6 +56,10 @@ class AgentParams:
     command_duration: float = DEFAULT_COMMAND_DURATION
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("max_ang_speed_left", "max_ang_speed_right",
                      "walk_speed_mean", "decel_time", "recovery_tau",
                      "command_duration"):
@@ -163,91 +166,3 @@ def apply_command(state: AgentState, params: AgentParams, command: StimCommand,
             turn_sign=sign,
         )
     return replace(state, active_command=active)
-
-
-def _free_walk(params: AgentParams, dt: float) -> tuple[float, float, float]:
-    """Per-step constants of the uncommanded dynamics: the walking speed,
-    the speed's relaxation factor and the heading diffusion's step sd."""
-    return (params.walk_speed_mean, math.exp(-dt / params.recovery_tau),
-            math.sqrt(params.heading_diffusion * dt))
-
-
-def _euler(params: AgentParams, dt: float):
-    """Build the explicit-Euler update of one agent for one step size.
-
-    Checks dt and computes the per-step constants once.  The returned
-    kernel, ``advance(x, y, heading, speed, cmd, draw)``, returns the new
-    ``(x, y, heading, speed, cmd)``.  It advances ``cmd`` in place and
-    returns None for it once it expires.  ``draw()`` gives the next
-    standard normal for the heading diffusion, which runs only while no
-    command is active.  Heading and speed are updated first, then the
-    position advances with the updated values; heading is renormalized to
-    [0, 360).
-    """
-    if not 0.0 < dt <= MAX_DT:
-        raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
-    walk, decay, sigma = _free_walk(params, dt)
-    step_left = params.max_ang_speed_left * dt
-    step_right = params.max_ang_speed_right * dt
-    diffuses = params.heading_diffusion > 0.0
-    decel_time = params.decel_time
-    radians, cos, sin = math.radians, math.cos, math.sin
-
-    def advance(x, y, heading, speed, cmd, draw):
-        if cmd is None:
-            if diffuses:
-                heading += sigma * draw()
-            if speed != walk:
-                speed = walk + (speed - walk) * decay
-        elif cmd.kind != StimKind.DECELERATE:
-            step_max = step_left if cmd.kind == StimKind.TURN_LEFT else step_right
-            if cmd.turn_remaining > _TINY:
-                if cmd.turn_remaining <= step_max:
-                    heading = cmd.turn_target   # final snap: turn completes exactly
-                    cmd.turn_remaining = 0.0
-                else:
-                    heading += cmd.turn_sign * step_max
-                    cmd.turn_remaining -= step_max
-            else:
-                cmd.turn_remaining = 0.0
-            if speed != walk:
-                speed = walk + (speed - walk) * decay
-        else:
-            cmd.decel_elapsed += dt
-            ratio = min(cmd.decel_elapsed / decel_time, 1.0)
-            if ratio == 1.0:
-                speed = cmd.decel_vmin   # ramp done: land on the minimum exactly
-            else:
-                speed = cmd.decel_v0 + (cmd.decel_vmin - cmd.decel_v0) * ratio
-        if cmd is not None:
-            cmd.time_remaining -= dt
-            if cmd.time_remaining <= _TINY:
-                cmd = None
-        if speed < 0.0:
-            speed = 0.0
-        heading %= 360.0
-        r = radians(heading)
-        return (x + speed * dt * cos(r), y + speed * dt * sin(r),
-                heading, speed, cmd)
-
-    return advance
-
-
-def _no_rng():
-    raise ValueError("heading_diffusion > 0 requires an rng")
-
-
-def step(state: AgentState, params: AgentParams, dt: float, rng=None) -> AgentState:
-    """One explicit-Euler update; returns a new state.
-
-    Heading and speed are updated first, then the position advances with
-    the updated values.  Heading is renormalized to [0, 360).
-    """
-    advance = _euler(params, dt)
-    cmd = state.active_command
-    if cmd is not None:
-        cmd = replace(cmd)   # the kernel advances its command in place
-    x, y, heading, speed, cmd = advance(
-        state.x, state.y, state.heading, state.speed, cmd,
-        _no_rng if rng is None else rng.normal)
-    return AgentState(x, y, heading, speed, cmd)

@@ -2,15 +2,17 @@
 
 Agents follow the locomotion dynamics, reflect specularly off arena walls
 and obstacle faces, and receive a random stimulation command every
-stim_period seconds.  One array engine integrates every step.  Coverage is
-accounted on a square cell grid, in percents by coverage_percent; position
-estimates from noisy anchor ranges are logged at a fixed rate alongside
-the truth, with a tick at the start and one at the end of the run.  Every
-fix starts from the anchor centroid, so all fixes of a run are solved
-together by one lane-wise Gauss-Newton kernel, the only position solver.
-A run solves its fixes on first read of est_xy or est_converged, so a run
-with coverage from true positions that never reads them, such as every run
-of dispersion_batch, the one driver of a seed batch, never solves them.
+stim_period seconds.  One array engine, _walk, integrates every step; it
+is the package's only integrator.  Coverage is accounted on a square cell
+grid, in percents by coverage_percent; position estimates from noisy
+anchor ranges are logged at a fixed rate alongside the true position,
+heading and speed, with a tick at the start and one at the end of the
+run.  Every fix starts from the anchor centroid, so all fixes of a run are
+solved together by one lane-wise Gauss-Newton kernel, the only position
+solver.  A run solves its fixes on first read of est_xy or est_converged,
+so a run with coverage from true positions that never reads them, such as
+every run of dispersion_batch, the one driver of a seed batch, never
+solves them.
 """
 from __future__ import annotations
 
@@ -20,14 +22,15 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .locomotion import (_TINY, MAX_DT, AgentParams, AgentState,
-                         StimCommand, StimKind, _free_walk, apply_command)
+from .locomotion import (AgentParams, AgentState, StimCommand, StimKind,
+                         apply_command)
 from .seeding import child_seed
 
 DEFAULT_CELL_SIZE = 0.10      # m
 DEFAULT_STIM_PERIOD = 10.0    # s
 DEFAULT_DURATION = 631.0      # s
 DEFAULT_DT = 0.01             # s
+MAX_DT = 0.05                 # s
 DEFAULT_LOG_RATE = 10.0       # Hz
 DEFAULT_COVERAGE_FROM = "true"  # or "estimated"
 DEFAULT_RANGE_NOISE_SD = 0.05  # m
@@ -49,10 +52,6 @@ class Rect:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate rectangle {self}")
-
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
     def contains(self, x: float, y: float) -> bool:
         # strict interior: boundary contact is not penetration
@@ -167,19 +166,12 @@ class CoverageGrid:
     def visited_count(self) -> int:
         return int(self.visited.sum())
 
-    def cell_index(self, x: float, y: float) -> tuple[int, int]:
-        """Cell (ix, iy) containing a position; boundary and outside
-        positions clamp to the nearest cell."""
-        ix = int(math.floor(x / self.cell_size))
-        iy = int(math.floor(y / self.cell_size))
-        ix = min(max(ix, 0), self.nx - 1)
-        iy = min(max(iy, 0), self.ny - 1)
-        return ix, iy
-
 
 def _cell_ids(grid: CoverageGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Flat ids iy * nx + ix of the cells holding positions x, y, with
-    boundary and outside positions clamped as cell_index clamps them."""
+    """Flat ids iy * nx + ix of the cells holding positions x, y: the
+    floor of each coordinate over the cell size, with boundary and outside
+    positions clamped to the nearest cell, as the scalar rule _cell_index
+    of tests/test_swarm.py does it one position at a time."""
     ix = np.floor(x / grid.cell_size)
     iy = np.floor(y / grid.cell_size)
     np.clip(ix, 0, grid.nx - 1, out=ix)
@@ -425,6 +417,8 @@ class SwarmRun:
     n_agents: int
     log_t: np.ndarray                 # [n_log]
     true_xy: np.ndarray               # [n_agents, n_log, 2]
+    heading_deg: np.ndarray           # [n_agents, n_log] carried heading
+    speed: np.ndarray                 # [n_agents, n_log] m/s
     commands: list                    # [n_agents][n_log] active command name or ""
     agent_coverage_pct: np.ndarray    # [n_agents, n_log]
     union_coverage_pct: np.ndarray    # [n_log]
@@ -482,6 +476,8 @@ def spawn_states(arena: Arena, params_per_agent: Sequence[AgentParams],
 
 # steps per walk segment at most: bounds a segment's temporaries
 _STRETCH_STEPS = 1024
+# a command's time left, or a turn's degrees left, at or below this is spent
+_TINY = 1e-12
 # bits of 360.0: as unsigned integers, the bits of a float in [0, 360) lie
 # below these, and those of -0.0 and of every negative float above them
 _BITS_360 = int(np.float64(360.0).view(np.uint64))
@@ -562,8 +558,8 @@ def _first_blocked(arena: Arena, x: np.ndarray, y: np.ndarray) -> int | None:
 
 
 def _relax(speed: float, walk: float, decay: float, n: int) -> np.ndarray:
-    """Speeds after each of n uncommanded steps, relaxed toward walk as the
-    Euler kernel relaxes them."""
+    """Speeds after each of n uncommanded steps, relaxed toward walk one
+    explicit-Euler step at a time."""
     first = walk + (speed - walk) * decay
     if first < 0.0:
         # only from a negative start: relaxation keeps a speed >= 0 there
@@ -586,6 +582,7 @@ def _running(start: float, step: float, n: int) -> np.ndarray:
 def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
           state: AgentState, dt: float, n_steps: int, stim_steps: int,
           log_steps: int, motion_rng, cmd_rng, xy: np.ndarray,
+          heading_log: np.ndarray, speed_log: np.ndarray,
           first_tick: np.ndarray | None) -> list[str]:
     """Integrate one agent over the whole run.
 
@@ -597,23 +594,36 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
     accumulated, into one buffer that holds every step of the run, up to
     the first step that leaves free space; that step goes through
     _reflect_move, which may mirror an active turn, and the segment
-    restarts after it.  Writes the position at every log tick into xy and
-    returns the active command name at every log tick.  When first_tick is
+    restarts after it.  Writes the position at every log tick into xy, the
+    heading carried into the next step and the speed into heading_log and
+    speed_log, and returns the active command name at every log tick.
+    Heading and speed at tick 0 are the initial state's.  When first_tick is
     given, every cell the agent enters gets the index of the first log
     tick that counts it: ceil(k / log_steps) for the first step k there.
     """
-    walk, decay, sigma = _free_walk(params, dt)
+    walk = params.walk_speed_mean
+    decay = math.exp(-dt / params.recovery_tau)
+    sigma = math.sqrt(params.heading_diffusion * dt)
     diffuses = params.heading_diffusion > 0.0
     turn_steps = {StimKind.TURN_LEFT: params.max_ang_speed_left * dt,
                   StimKind.TURN_RIGHT: params.max_ang_speed_right * dt}
     x, y, heading, speed = state.x, state.y, state.heading, state.speed
     cmd = None if state.active_command is None else replace(state.active_command)
     names = [""] * len(xy)
+    heading_log[0], speed_log[0] = heading, speed
     # the position at every step; a blocked step's slot is overwritten by
     # the position _reflect_move gives it
     xs = np.empty(n_steps + 1)
     ys = np.empty(n_steps + 1)
     noise, used = np.empty(0), 0
+
+    def log(k, deg, speeds):
+        """Log the steps whose positions land at k, k + 1, ...: the heading
+        each carries, deg % 360, and its speed, at the log ticks only."""
+        lo, hi = -(-k // log_steps), -(-(k + len(deg)) // log_steps)
+        first = lo * log_steps - k
+        heading_log[lo:hi] = deg[first::log_steps] % 360.0
+        speed_log[lo:hi] = speeds[first::log_steps]
 
     def segment(k0, n, x, y, heading, speed, cmd):
         """Integrate the steps k0 .. k0 + n - 1, the first m of which carry
@@ -674,11 +684,14 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
             np.add.accumulate(py, out=py)
             i = _first_blocked(arena, px[1:], py[1:])
             if i is None:
+                log(k0 + j + 1, deg, speeds[j:])
                 return (px[-1].item(), py[-1].item(),
                         deg[-1].item() % 360.0, speeds[-1].item(), after)
             x, y, heading, flips_x, flips_y = _reflect_move(
                 arena, px[i].item(), py[i].item(), px[i + 1].item(),
                 py[i + 1].item(), deg[i].item())
+            deg[i] = heading    # the blocked step carries the mirrored heading
+            log(k0 + j + 1, deg[:i + 1], speeds[j:j + i + 1])
             j += i + 1
             if j <= turn_end:
                 # the blocked step turned: mirror the rest of the turn
@@ -815,9 +828,11 @@ def simulate(arena: Arena, uwb: UwbSystem,
                   else None for _ in range(n_agents)]
 
     true_xy = np.empty((n_agents, n_log, 2))
+    heading_deg = np.empty((n_agents, n_log))
+    speed = np.empty((n_agents, n_log))
     commands = [_walk(arena, union_grid, params_per_agent[i], s, dt, n_steps,
                       stim_steps, log_steps, motion_rngs[i], cmd_rngs[i],
-                      true_xy[i], first_tick[i])
+                      true_xy[i], heading_deg[i], speed[i], first_tick[i])
                 for i, s in enumerate(states)]
 
     if mark_steps:
@@ -837,7 +852,8 @@ def simulate(arena: Arena, uwb: UwbSystem,
     union_grid.visited = union_ticks < n_log
     return SwarmRun(seed=seed, uwb=uwb, n_agents=n_agents,
                     log_t=np.arange(n_log) * log_steps * dt,
-                    true_xy=true_xy, commands=commands,
+                    true_xy=true_xy, heading_deg=heading_deg, speed=speed,
+                    commands=commands,
                     agent_coverage_pct=np.array([curve(t) for t in ticks]),
                     union_coverage_pct=curve(union_ticks),
                     union_grid=union_grid, fixes=fixes)

@@ -19,7 +19,7 @@ from biobotsim import neurosignal as ns
 from biobotsim import swarm as sw
 from biobotsim import vision
 from biobotsim.locomotion import (AUTO_PRESET, MANUAL_PRESET, AgentState,
-                                  StimCommand, StimKind, apply_command, step)
+                                  StimCommand, StimKind, apply_command)
 from biobotsim.morphology import FixationRig, lifting_height
 
 FS = 25000.0
@@ -132,48 +132,43 @@ def test_criterion_07_assembly_timing():
         assert asm.batch_assemble(4) == 468.0
 
 
+def _stimulated(params, kind, n):
+    """One agent in simulate, the production walk: n steps of 0.01 s, each
+    logged, on an obstacle-free arena from (0.5, 0.5) at heading 0 and the
+    walking speed, under the command kind applied at the start and no
+    other command."""
+    start = apply_command(AgentState(0.5, 0.5, 0.0, params.walk_speed_mean),
+                          params, StimCommand(kind))
+    return sw.simulate(sw.Arena(obstacles=()), sw.UwbSystem(), [params],
+                       stim_period=10.0, duration=n * 0.01, log_rate_hz=100.0,
+                       initial_states=[start])
+
+
 def test_criterion_08_deterministic_stimulation_responses():
     with _verdict(8, "auto turn-left lands exactly 70.9 deg under the 240 "
                      "deg/s cap; manual deceleration hits 1.5 cm/s at 0.33 s"):
         auto = _zero_spread(AUTO_PRESET)
-        s = AgentState(0.5, 0.5, 0.0, auto.walk_speed_mean)
-        s = apply_command(s, auto, StimCommand(StimKind.TURN_LEFT))
-        prev = s.heading
-        for _ in range(40):
-            s = step(s, auto, 0.01)
-            assert abs(s.heading - prev) / 0.01 <= 240.0 + 1e-9
-            prev = s.heading
-        assert s.heading == 70.9
-        assert s.active_command is None
+        run = _stimulated(auto, StimKind.TURN_LEFT, 40)
+        headings = run.heading_deg[0].tolist()
+        for prev, heading in zip(headings, headings[1:]):
+            assert abs(heading - prev) / 0.01 <= 240.0 + 1e-9
+        assert headings[40] == 70.9
+        assert run.commands[0][40] == ""
 
         manual = _zero_spread(MANUAL_PRESET)
-        s = AgentState(0.5, 0.5, 0.0, manual.walk_speed_mean)
-        s = apply_command(s, manual, StimCommand(StimKind.DECELERATE))
-        for _ in range(33):   # 0.33 s of the ramp
-            s = step(s, manual, 0.01)
-        assert s.speed == pytest.approx(0.015, abs=1e-12)
-        s = step(s, manual, 0.01)
-        assert s.speed == 0.015
+        speeds = _stimulated(manual, StimKind.DECELERATE, 34).speed[0].tolist()
+        assert speeds[33] == pytest.approx(0.015, abs=1e-12)   # 0.33 s of the ramp
+        assert speeds[34] == 0.015
 
 
 def test_criterion_09_deceleration_ratio():
     with _verdict(9, "auto-preset speed reduction is 68.25%, within 0.1 pp "
                      "of 68.2%"):
         auto = _zero_spread(AUTO_PRESET)
-        s = AgentState(0.5, 0.5, 0.0, auto.walk_speed_mean)
-        s = apply_command(s, auto, StimCommand(StimKind.DECELERATE))
-        low = min(step_state.speed for step_state in _walk(s, auto, 40))
+        low = _stimulated(auto, StimKind.DECELERATE, 40).speed[0, 1:].min()
         reduction = 100.0 * (1.0 - low / auto.walk_speed_mean)
         assert reduction == pytest.approx(68.25, abs=0.005)
         assert abs(reduction - 68.2) <= 0.1
-
-
-def _walk(state, params, n):
-    out = []
-    for _ in range(n):
-        state = step(state, params, 0.01)
-        out.append(state)
-    return out
 
 
 def test_criterion_10_multilateration_accuracy():
@@ -224,6 +219,8 @@ def test_criterion_11_coverage_accounting():
         stub = sw.SwarmRun(seed=0, uwb=sw.UwbSystem(), n_agents=1,
                            log_t=np.array([0.0, 631.0]),
                            true_xy=np.zeros((1, 2, 2)),
+                           heading_deg=np.zeros((1, 2)),
+                           speed=np.zeros((1, 2)),
                            commands=[["", ""]],
                            agent_coverage_pct=np.zeros((1, 2)),
                            union_coverage_pct=np.array([0.0, 80.25]),

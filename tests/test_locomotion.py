@@ -1,6 +1,9 @@
-"""Agent kinematics: calibrated presets, turn and deceleration mechanics."""
+"""Agent kinematics: calibrated presets, turn and deceleration mechanics.
+
+The dynamics tests run one agent through swarm.simulate, the package's
+only integrator, and read its logged heading, speed and position."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from biobotsim.locomotion import (
     AUTO_PRESET,
     MANUAL_PRESET,
-    MAX_DT,
     PRESETS,
     AgentParams,
     AgentState,
@@ -18,8 +20,12 @@ from biobotsim.locomotion import (
     apply_command,
     sample_decel_minimum,
     sample_turn_angle,
-    step,
 )
+from biobotsim.swarm import MAX_DT, Arena, UwbSystem, simulate
+
+# an obstacle-free 10 m x 10 m arena, entered at its centre
+ARENA = Arena(width=10.0, height=10.0, obstacles=())
+START = (5.0, 5.0)
 
 
 def _det(preset: AgentParams) -> AgentParams:
@@ -28,12 +34,16 @@ def _det(preset: AgentParams) -> AgentParams:
                    heading_diffusion=0.0)
 
 
-def _walk(state, params, n, dt=0.01, rng=None):
-    states = [state]
-    for _ in range(n):
-        state = step(state, params, dt, rng)
-        states.append(state)
-    return states
+def _run(params, n, heading, kind=None, dt=0.01):
+    """One agent in simulate for n steps of dt, with a log tick at every
+    step: from START at the walking speed along heading, under the command
+    kind applied at the start if one is given, and no other command."""
+    state = AgentState(*START, heading, params.walk_speed_mean)
+    if kind is not None:
+        state = apply_command(state, params, StimCommand(kind))
+    return simulate(ARENA, UwbSystem(), [params], stim_period=(n + 1) * dt,
+                    duration=n * dt, dt=dt, log_rate_hz=1.0 / dt,
+                    initial_states=[state])
 
 
 # ---------- presets ----------
@@ -87,9 +97,17 @@ def test_params_validation():
         replace(MANUAL_PRESET, heading_diffusion=-5.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(AgentParams)])
+def test_params_reject_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        replace(MANUAL_PRESET, **{name: value})
+
+
 def test_command_duration_must_be_positive():
-    with pytest.raises(ValueError):
-        StimCommand(StimKind.TURN_LEFT, duration=0.0)
+    for duration in (0.0, -0.4, math.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            StimCommand(StimKind.TURN_LEFT, duration=duration)
 
 
 def test_command_kind_wire_names():
@@ -144,41 +162,27 @@ def test_decel_sampler_zero_spread_and_missing_rng():
 
 def test_left_turn_completes_at_exact_mean_angle():
     p = _det(AUTO_PRESET)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.TURN_LEFT))
-    for _ in range(40):
-        s = step(s, p, 0.01)
-    assert s.heading == 70.9
-    assert s.active_command is None
+    run = _run(p, 40, 0.0, StimKind.TURN_LEFT)
+    assert run.heading_deg[0, 40] == 70.9
+    assert run.commands[0][40] == ""
 
 
 def test_right_turn_wraps_below_zero():
     p = _det(AUTO_PRESET)
-    s = AgentState(0.0, 0.0, 10.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.TURN_RIGHT))
-    for _ in range(40):
-        s = step(s, p, 0.01)
-    assert s.heading == 290.5   # 10 - 79.5, renormalized
+    run = _run(p, 40, 10.0, StimKind.TURN_RIGHT)
+    assert run.heading_deg[0, 40] == 290.5   # 10 - 79.5, renormalized
 
 
 def test_turn_rate_never_exceeds_the_cap():
     p = _det(AUTO_PRESET)
-    s = AgentState(0.0, 0.0, 180.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.TURN_LEFT))
-    dt = 0.01
-    prev = s.heading
-    for _ in range(40):
-        s = step(s, p, dt)
-        rate = abs(s.heading - prev) / dt
-        assert rate <= p.max_ang_speed_left + 1e-9
-        prev = s.heading
+    headings = _run(p, 40, 180.0, StimKind.TURN_LEFT).heading_deg[0]
+    rates = np.abs(np.diff(headings)) / 0.01
+    assert (rates <= p.max_ang_speed_left + 1e-9).all()
 
 
 def test_heading_holds_target_until_command_expires():
     p = _det(AUTO_PRESET)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.TURN_LEFT))
-    headings = [st_.heading for st_ in _walk(s, p, 40)[1:]]
+    headings = _run(p, 40, 0.0, StimKind.TURN_LEFT).heading_deg[0, 1:].tolist()
     # the rotation needs ~0.30 s at 240 deg/s; the tail stays pinned
     assert headings[-1] == 70.9
     assert all(h == 70.9 for h in headings[31:])
@@ -188,20 +192,17 @@ def test_heading_holds_target_until_command_expires():
 def test_turn_uses_per_side_rate_caps():
     p = replace(_det(AUTO_PRESET), max_ang_speed_left=100.0,
                 max_ang_speed_right=400.0)
-    s0 = AgentState(0.0, 0.0, 180.0, p.walk_speed_mean)
-    left = step(apply_command(s0, p, StimCommand(StimKind.TURN_LEFT)), p, 0.05)
-    right = step(apply_command(s0, p, StimCommand(StimKind.TURN_RIGHT)), p, 0.05)
-    assert left.heading - 180.0 == pytest.approx(5.0)
-    assert 180.0 - right.heading == pytest.approx(20.0)
+    left = _run(p, 1, 180.0, StimKind.TURN_LEFT, dt=0.05).heading_deg[0, 1]
+    right = _run(p, 1, 180.0, StimKind.TURN_RIGHT, dt=0.05).heading_deg[0, 1]
+    assert left - 180.0 == pytest.approx(5.0)
+    assert 180.0 - right == pytest.approx(20.0)
 
 
 # ---------- deceleration ----------
 
 def test_decel_reaches_exact_minimum_and_holds():
     p = _det(MANUAL_PRESET)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.DECELERATE))
-    speeds = [st_.speed for st_ in _walk(s, p, 40)[1:]]
+    speeds = _run(p, 40, 0.0, StimKind.DECELERATE).speed[0, 1:].tolist()
     assert speeds[-1] == 0.015
     # ramp is non-increasing, then flat at the sampled minimum
     assert all(speeds[i + 1] <= speeds[i] + 1e-15 for i in range(39))
@@ -210,22 +211,18 @@ def test_decel_reaches_exact_minimum_and_holds():
 
 def test_decel_ramp_is_linear_in_time():
     p = _det(MANUAL_PRESET)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.DECELERATE))
-    for _ in range(11):   # 0.11 s = 1/3 of the ramp
-        s = step(s, p, 0.01)
+    # 0.11 s = 1/3 of the ramp
+    speed = _run(p, 11, 0.0, StimKind.DECELERATE).speed[0, 11]
     expected = 0.062 + (0.015 - 0.062) * (0.11 / 0.33)
-    assert s.speed == pytest.approx(expected, rel=1e-9)
+    assert speed == pytest.approx(expected, rel=1e-9)
 
 
 def test_speed_recovers_toward_walk_mean_after_command():
     p = _det(MANUAL_PRESET)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.DECELERATE))
-    for _ in range(40):
-        s = step(s, p, 0.01)
-    assert s.speed == 0.015
-    trace = [st_.speed for st_ in _walk(s, p, 300)[1:]]  # 3 s = 3 recovery taus
+    # the 0.4 s command, then 3 s = 3 recovery taus
+    speeds = _run(p, 340, 0.0, StimKind.DECELERATE).speed[0].tolist()
+    assert speeds[40] == 0.015
+    trace = speeds[41:]
     assert all(trace[i + 1] >= trace[i] for i in range(299))
     assert trace[-1] > 0.9 * p.walk_speed_mean
     assert trace[-1] < p.walk_speed_mean
@@ -233,65 +230,39 @@ def test_speed_recovers_toward_walk_mean_after_command():
 
 def test_decel_to_zero_keeps_speed_nonnegative():
     p = replace(_det(MANUAL_PRESET), decel_min_speed_mean=0.0)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.DECELERATE))
-    for st_ in _walk(s, p, 40)[1:]:
-        assert st_.speed >= 0.0
+    assert (_run(p, 40, 0.0, StimKind.DECELERATE).speed >= 0.0).all()
 
 
 # ---------- free walking ----------
 
 def test_straight_walk_integrates_position():
     p = _det(MANUAL_PRESET)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    for _ in range(100):
-        s = step(s, p, 0.01)
-    assert s.x == pytest.approx(0.062, rel=1e-9)
-    assert s.y == pytest.approx(0.0, abs=1e-15)
+    x, y = _run(p, 100, 0.0).true_xy[0, 100]
+    assert x - START[0] == pytest.approx(0.062, rel=1e-9)
+    assert y == START[1]
 
 
 def test_heading_diffusion_magnitude():
     d, dt = 400.0, 0.01
     p = replace(_det(MANUAL_PRESET), heading_diffusion=d)
-    rng = np.random.default_rng(0)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    increments = []
-    for _ in range(4000):
-        nxt = step(s, p, dt, rng)
-        increments.append((nxt.heading - s.heading + 180.0) % 360.0 - 180.0)
-        s = nxt
+    # 40 s at 0.062 m/s travels at most 2.48 m: no wall reflects it
+    headings = _run(p, 4000, 0.0).heading_deg[0]
+    increments = (np.diff(headings) + 180.0) % 360.0 - 180.0
     assert np.std(increments) == pytest.approx(math.sqrt(d * dt), rel=0.08)
-
-
-def test_diffusion_requires_rng():
-    p = replace(_det(MANUAL_PRESET), heading_diffusion=10.0)
-    with pytest.raises(ValueError):
-        step(AgentState(0.0, 0.0, 0.0, 0.05), p, 0.01)
 
 
 def test_no_diffusion_while_commanded():
     p = replace(_det(AUTO_PRESET), heading_diffusion=5000.0)
-    s = AgentState(0.0, 0.0, 0.0, p.walk_speed_mean)
-    s = apply_command(s, p, StimCommand(StimKind.TURN_LEFT))
-    for _ in range(40):
-        s = step(s, p, 0.01, rng=None)  # would raise if diffusion applied
-    assert s.heading == 70.9
+    headings = _run(p, 40, 0.0, StimKind.TURN_LEFT).heading_deg[0]
+    # any diffusion draw would move the heading off the snapped target
+    assert (headings[31:] == 70.9).all()
 
 
-def test_step_rejects_bad_dt():
+def test_simulate_rejects_bad_dt():
     p = _det(MANUAL_PRESET)
-    s = AgentState(0.0, 0.0, 0.0, 0.05)
     for dt in (0.0, -0.01, MAX_DT * 1.01):
-        with pytest.raises(ValueError):
-            step(s, p, dt)
-
-
-def test_step_returns_new_state():
-    p = _det(MANUAL_PRESET)
-    s = AgentState(1.0, 2.0, 30.0, 0.05)
-    out = step(s, p, 0.01)
-    assert out is not s
-    assert (s.x, s.y, s.heading, s.speed) == (1.0, 2.0, 30.0, 0.05)
+        with pytest.raises(ValueError, match="dt must lie in"):
+            simulate(ARENA, UwbSystem(), [p], duration=1.0, dt=dt)
 
 
 def test_apply_command_returns_new_state():
@@ -304,30 +275,26 @@ def test_apply_command_returns_new_state():
 
 def test_trajectory_is_seed_reproducible():
     def run(seed):
-        rng = np.random.default_rng(seed)
-        s = AgentState(0.0, 0.0, 0.0, MANUAL_PRESET.walk_speed_mean)
-        for k in range(200):
-            if k % 50 == 10:
-                s = apply_command(s, MANUAL_PRESET,
-                                  StimCommand(StimKind.TURN_LEFT), rng)
-            s = step(s, MANUAL_PRESET, 0.02, rng)
-        return s.x, s.y, s.heading, s.speed
+        r = simulate(ARENA, UwbSystem(), [MANUAL_PRESET], stim_period=0.5,
+                     duration=4.0, seed=seed, dt=0.02,
+                     initial_states=[AgentState(*START, 0.0,
+                                                MANUAL_PRESET.walk_speed_mean)])
+        return r.true_xy.tobytes(), r.heading_deg.tobytes(), r.speed.tobytes()
 
     assert run(123) == run(123)
     assert run(123) != run(124)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=3), max_size=25),
-       st.integers(min_value=0, max_value=2 ** 31))
+@given(st.integers(min_value=0, max_value=2 ** 31),
+       st.integers(min_value=1, max_value=60),
+       st.sampled_from(sorted(PRESETS)))
 @settings(max_examples=40, deadline=None)
-def test_state_invariants_under_arbitrary_commands(actions, seed):
-    rng = np.random.default_rng(seed)
-    s = AgentState(0.0, 0.0, 0.0, MANUAL_PRESET.walk_speed_mean)
-    kinds = (StimKind.TURN_LEFT, StimKind.TURN_RIGHT, StimKind.DECELERATE)
-    for a in actions:
-        if a < 3:
-            s = apply_command(s, MANUAL_PRESET, StimCommand(kinds[a]), rng)
-        s = step(s, MANUAL_PRESET, 0.02, rng)
-        assert 0.0 <= s.heading < 360.0
-        assert s.speed >= 0.0
-        assert math.isfinite(s.x) and math.isfinite(s.y)
+def test_state_invariants_under_arbitrary_commands(seed, stim_steps, preset):
+    """Commands every 1 to 60 steps of 0.02 s, with every spread drawn."""
+    p = PRESETS[preset]
+    run = simulate(ARENA, UwbSystem(), [p], stim_period=stim_steps * 0.02,
+                   duration=2.4, seed=seed, dt=0.02, log_rate_hz=50.0,
+                   initial_states=[AgentState(*START, 0.0, p.walk_speed_mean)])
+    assert ((run.heading_deg >= 0.0) & (run.heading_deg < 360.0)).all()
+    assert (run.speed >= 0.0).all()
+    assert np.isfinite(run.true_xy).all()

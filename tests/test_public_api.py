@@ -15,19 +15,10 @@ from pathlib import Path
 import numpy as np
 
 import biobotsim
-from biobotsim import cli, locomotion
+from biobotsim import cli
 from biobotsim import neurosignal as ns
 
 MASK_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_mask_dataset.py"
-
-# exported functions that no pipeline runs, each with its reason
-OFF_PIPELINE = {
-    locomotion.step: "the one-step call of the Euler kernel: the scalar "
-                     "reference that criteria 08-09 state the paper's turn "
-                     "and deceleration claims on, and that the walk is "
-                     "pinned against",
-}
-
 
 def _exported_functions():
     return {name: obj for name, obj in vars(biobotsim).items()
@@ -73,9 +64,6 @@ def test_every_exported_function_runs_on_a_pipeline(tmp_path, monkeypatch,
         threading.setprofile(None)
     assert codes == [0] * len(runs), capsys.readouterr().err
 
-    exported = _exported_functions()
-    assert set(OFF_PIPELINE) <= set(exported.values())
-    unrun = sorted(name for name, fn in exported.items()
-                   if fn.__code__ not in called and fn not in OFF_PIPELINE)
+    unrun = sorted(name for name, fn in _exported_functions().items()
+                   if fn.__code__ not in called)
     assert unrun == []
-    assert not [fn.__name__ for fn in OFF_PIPELINE if fn.__code__ in called]

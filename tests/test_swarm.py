@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from biobotsim import swarm
 from biobotsim.locomotion import (AUTO_PRESET, MANUAL_PRESET, ActiveCommand,
-                                  AgentState, StimCommand, StimKind, _euler,
-                                  apply_command, step)
+                                  AgentState, StimCommand, StimKind,
+                                  apply_command)
 from biobotsim.seeding import child_seed
 from biobotsim.swarm import (
     DEFAULT_OBSTACLES,
@@ -44,9 +44,13 @@ def _det_params():
 
 # ---------- geometry ----------
 
+def _area(r):
+    return (r.x_max - r.x_min) * (r.y_max - r.y_min)
+
+
 def test_rect_validation_and_area():
     r = Rect(0.0, 0.0, 0.3, 0.25)
-    assert r.area == pytest.approx(0.075)
+    assert _area(r) == pytest.approx(0.075)
     with pytest.raises(ValueError):
         Rect(0.5, 0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
@@ -61,7 +65,7 @@ def test_rect_contains_is_strict_interior():
 
 
 def test_default_obstacles_cover_nine_percent():
-    total = sum(r.area for r in DEFAULT_OBSTACLES)
+    total = sum(_area(r) for r in DEFAULT_OBSTACLES)
     assert total / (2.0 * 2.0) == pytest.approx(0.09375)
     for i, a in enumerate(DEFAULT_OBSTACLES):
         for b in DEFAULT_OBSTACLES[i + 1:]:
@@ -112,13 +116,24 @@ def test_grid_requires_exact_tiling():
         CoverageGrid.for_arena(Arena(), cell_size=0.3)
 
 
+def _cell_index(grid, x, y):
+    """Cell (ix, iy) containing a position; boundary and outside positions
+    clamp to the nearest cell.  The scalar rule that swarm._cell_ids
+    applies to arrays of positions."""
+    ix = int(math.floor(x / grid.cell_size))
+    iy = int(math.floor(y / grid.cell_size))
+    ix = min(max(ix, 0), grid.nx - 1)
+    iy = min(max(iy, 0), grid.ny - 1)
+    return ix, iy
+
+
 def test_cell_index_conventions():
     g = CoverageGrid.for_arena(Arena())
-    assert g.cell_index(0.0, 0.0) == (0, 0)
-    assert g.cell_index(0.05, 0.15) == (0, 1)
-    assert g.cell_index(0.10, 0.0) == (1, 0)    # boundary belongs to the right cell
-    assert g.cell_index(2.0, 2.0) == (19, 19)   # far edge clamps inward
-    assert g.cell_index(-0.5, 3.0) == (0, 19)
+    assert _cell_index(g, 0.0, 0.0) == (0, 0)
+    assert _cell_index(g, 0.05, 0.15) == (0, 1)
+    assert _cell_index(g, 0.10, 0.0) == (1, 0)    # boundary belongs to the right cell
+    assert _cell_index(g, 2.0, 2.0) == (19, 19)   # far edge clamps inward
+    assert _cell_index(g, -0.5, 3.0) == (0, 19)
 
 
 def test_coverage_percent_frozen_point():
@@ -132,7 +147,8 @@ def test_coverage_rate_frozen_point():
     g.visited.ravel()[:321] = True
     run = SwarmRun(seed=0, uwb=QUIET_UWB, n_agents=1,
                    log_t=np.array([0.0, 631.0]),
-                   true_xy=np.zeros((1, 2, 2)), commands=[["", ""]],
+                   true_xy=np.zeros((1, 2, 2)), heading_deg=np.zeros((1, 2)),
+                   speed=np.zeros((1, 2)), commands=[["", ""]],
                    agent_coverage_pct=np.zeros((1, 2)),
                    union_coverage_pct=np.array([0.0, 80.25]),
                    union_grid=g,
@@ -279,7 +295,7 @@ def test_estimated_marking_matches_cell_index_per_fix():
     never_seen = len(xy) + 1
     want = [never_seen] * g.total_cells
     for k, (x, y) in enumerate(xy.tolist()):
-        ix, iy = g.cell_index(x, y)
+        ix, iy = _cell_index(g, x, y)
         c = iy * g.nx + ix
         want[c] = min(want[c], k)
     assert _first_ticks(g, xy, never_seen).tolist() == want
@@ -357,29 +373,6 @@ def test_straight_line_run_matches_hand_rasterization():
         y += vdt * math.sin(r)
     assert np.array_equal(run.union_grid.visited, expected)
     assert run.final_union_coverage == 100.0 * expected.sum() / 400.0
-
-
-def test_simulate_and_step_share_the_kinematics():
-    """A free, uncommanded agent in simulate follows repeated step calls
-    fed the same motion stream, bit for bit."""
-    seed = 3
-    start = AgentState(1.0, 1.0, 30.0, 0.04)   # speed relaxes toward the mean
-    run = simulate(Arena(obstacles=()), QUIET_UWB, [AUTO_PRESET],
-                   stim_period=20.0, duration=10.0, seed=seed,
-                   initial_states=[start])
-    assert run.commands[0] == [""] * 101
-
-    rng = np.random.default_rng(child_seed(seed, "swarm.motion", 0))
-    s = start
-    expected = [(s.x, s.y)]
-    for k in range(1, 1001):
-        s = step(s, AUTO_PRESET, 0.01, rng)
-        if k % 10 == 0:
-            expected.append((s.x, s.y))
-    expected = np.array(expected)
-    # 10 s at walking speed cannot reach a wall 1 m away
-    assert (np.abs(expected - 1.0) < 0.7).all()
-    assert np.array_equal(run.true_xy[0], expected)
 
 
 def test_run_is_seed_deterministic():
@@ -497,7 +490,7 @@ def test_simulate_rejects_bad_arguments():
         with pytest.raises(ValueError, match="must have finite fields"):
             simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
                      initial_states=[AgentState(1.0, 1.0, 0.0, 0.06, cmd)])
-    # a negative speed is clamped by the first step, as step clamps it
+    # a negative speed is clamped by the first step, as _euler clamps it
     simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
              initial_states=[AgentState(1.0, 1.0, 0.0, -0.5)])
     # a finite time left past any step count keeps the command to the end
@@ -522,10 +515,76 @@ def test_initial_states_length_must_match():
 
 # ---------- walk kernel against the scalar reference ----------
 
+_TINY = 1e-12    # a command's time or turn left at or below this is spent
+
+
+def _euler(params, dt):
+    """The explicit-Euler update of one agent for one step size, the scalar
+    kernel that the walk is pinned against.
+
+    The returned kernel, ``advance(x, y, heading, speed, cmd, draw)``,
+    returns the new ``(x, y, heading, speed, cmd)``.  It advances ``cmd``
+    in place and returns None for it once it expires.  ``draw()`` gives the
+    next standard normal for the heading diffusion, which runs only while
+    no command is active.  Heading and speed are updated first, then the
+    position advances with the updated values; the heading returned is
+    (heading + increment) % 360.
+    """
+    walk = params.walk_speed_mean
+    decay = math.exp(-dt / params.recovery_tau)
+    sigma = math.sqrt(params.heading_diffusion * dt)
+    step_left = params.max_ang_speed_left * dt
+    step_right = params.max_ang_speed_right * dt
+    diffuses = params.heading_diffusion > 0.0
+    decel_time = params.decel_time
+    radians, cos, sin = math.radians, math.cos, math.sin
+
+    def advance(x, y, heading, speed, cmd, draw):
+        if cmd is None:
+            if diffuses:
+                heading += sigma * draw()
+            if speed != walk:
+                speed = walk + (speed - walk) * decay
+        elif cmd.kind != StimKind.DECELERATE:
+            step_max = step_left if cmd.kind == StimKind.TURN_LEFT else step_right
+            if cmd.turn_remaining > _TINY:
+                if cmd.turn_remaining <= step_max:
+                    heading = cmd.turn_target   # final snap: turn completes exactly
+                    cmd.turn_remaining = 0.0
+                else:
+                    heading += cmd.turn_sign * step_max
+                    cmd.turn_remaining -= step_max
+            else:
+                cmd.turn_remaining = 0.0
+            if speed != walk:
+                speed = walk + (speed - walk) * decay
+        else:
+            cmd.decel_elapsed += dt
+            ratio = min(cmd.decel_elapsed / decel_time, 1.0)
+            if ratio == 1.0:
+                speed = cmd.decel_vmin   # ramp done: land on the minimum exactly
+            else:
+                speed = cmd.decel_v0 + (cmd.decel_vmin - cmd.decel_v0) * ratio
+        if cmd is not None:
+            cmd.time_remaining -= dt
+            if cmd.time_remaining <= _TINY:
+                cmd = None
+        if speed < 0.0:
+            speed = 0.0
+        heading %= 360.0
+        r = radians(heading)
+        return (x + speed * dt * cos(r), y + speed * dt * sin(r),
+                heading, speed, cmd)
+
+    return advance
+
+
 def _reference_walk(arena, grid, params, state, dt, n_steps, stim_steps,
-                    log_steps, motion_rng, cmd_rng, xy, first_tick):
+                    log_steps, motion_rng, cmd_rng, xy, heading_log, speed_log,
+                    first_tick):
     """The one-step-at-a-time walk the stretch kernel replaced: every step
-    through the Euler kernel and _reflect_move, every step's cell marked."""
+    through the Euler kernel and _reflect_move, every step's cell marked,
+    and the position, heading and speed recorded at every log tick."""
     def normals():
         while True:
             yield from motion_rng.normal(size=1024).tolist()
@@ -538,7 +597,7 @@ def _reference_walk(arena, grid, params, state, dt, n_steps, stim_steps,
     tick = 0
     for k in range(n_steps + 1):
         if first_tick is not None:
-            ix, iy = grid.cell_index(x, y)
+            ix, iy = _cell_index(grid, x, y)
             c = iy * grid.nx + ix
             first_tick[c] = min(first_tick[c], tick)
         if k and k % stim_steps == 0:
@@ -548,6 +607,7 @@ def _reference_walk(arena, grid, params, state, dt, n_steps, stim_steps,
                                 cmd_rng).active_command
         if k % log_steps == 0:
             xy[tick] = x, y
+            heading_log[tick], speed_log[tick] = heading, speed
             names.append("" if cmd is None else cmd.kind.value)
             tick += 1
         if k == n_steps:
@@ -564,7 +624,8 @@ def _reference_walk(arena, grid, params, state, dt, n_steps, stim_steps,
 def _walks(walk, arena, params, states, seed, n_steps, stim_steps, log_steps,
            dt, mark):
     """Run every agent through walk with simulate's streams; returns the
-    logged positions, command names, first ticks and motion rngs."""
+    logged positions, headings, speeds, command names, first ticks and
+    motion rngs."""
     grid = CoverageGrid.for_arena(arena)
     n_log = n_steps // log_steps + 1
     motions = [np.random.default_rng(child_seed(seed, "swarm.motion", i))
@@ -575,12 +636,14 @@ def _walks(walk, arena, params, states, seed, n_steps, stim_steps, log_steps,
     for i, (p, s, motion) in enumerate(zip(params, states, motions)):
         cmd = np.random.default_rng(child_seed(seed, "swarm.cmd", i))
         xy = np.empty((n_log, 2))
+        headings, speeds = np.empty(n_log), np.empty(n_log)
         ticks = np.full(grid.total_cells, n_log + 1) if mark else None
         if mark and walk is _reference_walk:
             ticks = ticks.tolist()
         names = walk(arena, grid, p, s, dt, n_steps, stim_steps, log_steps,
-                     motion, cmd, xy, ticks)
-        out.append((xy, names, None if ticks is None else list(ticks), motion))
+                     motion, cmd, xy, headings, speeds, ticks)
+        out.append((xy, headings, speeds, names,
+                    None if ticks is None else list(ticks), motion))
     return out
 
 
@@ -605,6 +668,11 @@ LONG_COMMAND = replace(AUTO_PRESET, command_duration=15.0,
 
 ORACLE_CASES = {
     "auto": dict(params=[AUTO_PRESET] * 3, duration=60.0),
+    # one free, uncommanded agent whose speed relaxes toward the mean; 10 s
+    # at walking speed cannot reach a wall 1 m away
+    "free-walk": dict(params=[AUTO_PRESET], duration=10.0, stim_period=20.0,
+                      arena=Arena(obstacles=()),
+                      states=[AgentState(1.0, 1.0, 30.0, 0.04)]),
     "manual": dict(params=[MANUAL_PRESET] * 3, duration=60.0),
     "no-diffusion": dict(params=[replace(AUTO_PRESET, heading_diffusion=0.0)] * 2,
                          duration=40.0),
@@ -620,6 +688,13 @@ ORACLE_CASES = {
                 AgentState(0.2, 1.9, 90.0, 0.06, ActiveCommand(
                     StimKind.DECELERATE, 0.3, decel_v0=0.06,
                     decel_vmin=0.02, decel_elapsed=0.1))]),
+    # a right turn from 10 deg snaps to -1e-20 at its fourth step, a logged
+    # step that moves along 360.0 and carries 0.0 (see TRAP)
+    "snap-to-360": dict(
+        params=[_det_params()], duration=2.0, log_rate_hz=100.0,
+        arena=Arena(obstacles=()), states=[AgentState(1.0, 1.0, 10.0, 0.05, ActiveCommand(
+            StimKind.TURN_RIGHT, 0.3, turn_target=-1e-20, turn_remaining=10.0,
+            turn_sign=-1.0))]),
     "short-stim": dict(params=[replace(AUTO_PRESET, command_duration=0.4)] * 2,
                        duration=20.0, stim_period=0.2),
     "crowded": dict(params=[SPINNER] * 4, duration=60.0, arena=CROWDED),
@@ -670,18 +745,20 @@ def test_stretch_walk_equals_the_scalar_walk(case, coverage_from):
             stim_steps, log_steps, kw["dt"], coverage_from == "true")
     want = _walks(_reference_walk, *args)
     got = _walks(swarm._walk, *args)
-    for (wxy, wnames, wticks, wrng), (gxy, gnames, gticks, grng) in zip(want, got):
-        assert gxy.tobytes() == wxy.tobytes()
-        assert gnames == wnames
-        assert gticks == wticks
-    assert run.true_xy.tobytes() == np.array([w[0] for w in want]).tobytes()
-    assert run.commands == [w[1] for w in want]
+    for w, g in zip(want, got):
+        for logged_w, logged_g in zip(w[:3], g[:3]):   # xy, heading, speed
+            assert logged_g.tobytes() == logged_w.tobytes()
+        assert g[3:5] == w[3:5]                         # names, first ticks
+    for field, logged in (("true_xy", 0), ("heading_deg", 1), ("speed", 2)):
+        want_run = np.array([w[logged] for w in want])
+        assert getattr(run, field).tobytes() == want_run.tobytes()
+    assert run.commands == [w[3] for w in want]
     if params[0].heading_diffusion == 0.0:
         # no diffusion draws: the motion stream is where the spawn left it
         fresh = np.random.default_rng(child_seed(seed, "swarm.motion", 0))
         if states is None:
             fresh.uniform(-45.0, 45.0)
-        assert got[0][3].bit_generator.state == fresh.bit_generator.state
+        assert got[0][5].bit_generator.state == fresh.bit_generator.state
 
 
 def _record_reflections(monkeypatch):
@@ -743,7 +820,8 @@ def test_outputs_do_not_depend_on_block_sizes(monkeypatch, case, draw, mark,
     monkeypatch.setattr(swarm, "_MARK_STEPS", mark)
     monkeypatch.setattr(swarm, "_WRAP_RUN", wrap)
     got = run()
-    assert got.true_xy.tobytes() == want.true_xy.tobytes()
+    for field in ("true_xy", "heading_deg", "speed"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     assert got.commands == want.commands
     assert got.agent_coverage_pct.tobytes() == want.agent_coverage_pct.tobytes()
     assert got.union_coverage_pct.tobytes() == want.union_coverage_pct.tobytes()
