@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import tempfile
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -122,9 +121,37 @@ def _fixed_point_cells(x: np.ndarray, decimals: int, where: str) -> np.ndarray:
     return cells
 
 
+def _byte_cells(column: np.ndarray, fmt: str, where: str) -> np.ndarray:
+    """The cells of a bytes (S) column, formatted before, as the rows of a
+    NUL-padded uint8 matrix: numpy pads S values with NULs already."""
+    if fmt != "%s":
+        raise ValueError(f"{where}: a bytes column holds formatted cells, "
+                         f"so its format must be '%s', not {fmt!r}")
+    data = column.tobytes()
+    cells = np.frombuffer(data, np.uint8).reshape(len(column), column.itemsize)
+    # a cell's length runs to its last byte that is not NUL, so a NUL
+    # before it makes the non-NUL bytes fall short of the lengths
+    if (any(ch in data for ch in _CSV_UNSAFE.encode())
+            or np.count_nonzero(cells) != np.strings.str_len(column).sum()):
+        bad = next(cell for cell in column.tolist()
+                   if any(ch in cell for ch in (_CSV_UNSAFE + "\0").encode()))
+        raise ValueError(f"{where}: cell {bad!r} holds a comma, quote, CR, "
+                         "LF or NUL")
+    return cells
+
+
+def _formatted(column, fmt: str, where: str) -> np.ndarray:
+    """fmt % v for each cell of column as a bytes (S) array, which the
+    writer takes as it is: a column formatted once for several tables."""
+    cells = _column_cells(column, fmt, where)
+    return cells.view(f"S{cells.shape[1]}").ravel()
+
+
 def _column_cells(column, fmt: str, where: str) -> np.ndarray:
     """fmt % v for each cell of one column, as the rows of a NUL-padded
     uint8 matrix."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "S":
+        return _byte_cells(column, fmt, where)
     if (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"
             and column.itemsize <= 8):
         fixed = _FIXED_POINT.fullmatch(fmt)
@@ -163,9 +190,10 @@ def _write_csv(path: Path, header: list[str], columns, formats=None):
     that fmt % v prints.  Every other cell of such a column, non-finite
     ones included, falls back to fmt % v.  Any other numeric array column
     formats each distinct value once (a float by its bit pattern); lists,
-    tuples and other arrays format cell by cell.  A formatted cell holding
-    a comma, a double quote, CR, LF or NUL raises ValueError, since the
-    table does no quoting."""
+    tuples and other arrays format cell by cell.  A bytes (S) array column
+    holds cells formatted before, by _formatted or as UTF-8, and is
+    written as it is under "%s".  A cell holding a comma, a double quote,
+    CR, LF or NUL raises ValueError, since the table does no quoting."""
     if formats is None:
         formats = ["%s"] * len(header)
     n = len(columns[0]) if columns else 0
@@ -189,6 +217,16 @@ def _write_csv(path: Path, header: list[str], columns, formats=None):
             yield np.hstack(parts).tobytes().translate(None, b"\0")
 
     _atomic_write(path, blocks())
+
+
+def _name_column(rows) -> np.ndarray:
+    """The names in rows [n_agents][n_log] as one tick-major bytes (S)
+    column, each distinct name encoded once."""
+    names = sorted(set().union(*rows))
+    code = {name: i for i, name in enumerate(names)}.__getitem__
+    codes = np.array([np.fromiter(map(code, row), np.intp, len(row))
+                      for row in rows])
+    return np.array([name.encode() for name in names])[codes.T.ravel()]
 
 
 def _write_json(path: Path, payload: dict):
@@ -314,18 +352,20 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
         # rows run tick-major: every agent at one tick, then the next tick
         true_x, true_y = run.true_xy.transpose(2, 1, 0).reshape(2, -1)
         est_x, est_y = run.est_xy.transpose(2, 1, 0).reshape(2, -1)
+        # both tables' t_s cells
+        ticks = _formatted(run.log_t, "%s", "t_s")
         _write_csv(out_dir / "trajectory.csv",
                    ["t_s", "agent_id", "x_true_m", "y_true_m",
                     "x_est_m", "y_est_m", "command"],
-                   [np.repeat(run.log_t, run.n_agents),
+                   [np.repeat(ticks, run.n_agents),
                     np.tile(np.arange(run.n_agents), len(run.log_t)),
                     true_x, true_y, est_x, est_y,
-                    list(chain.from_iterable(zip(*run.commands)))],
+                    _name_column(run.commands)],
                    # positions to 1 um, against 5 cm of ranging noise
                    ["%s", "%d"] + ["%.6f"] * 4 + ["%s"])
         _write_csv(out_dir / "coverage.csv",
                    ["t_s"] + [f"agent{i}" for i in range(run.n_agents)] + ["union"],
-                   [run.log_t, *run.agent_coverage_pct, run.union_coverage_pct])
+                   [ticks, *run.agent_coverage_pct, run.union_coverage_pct])
         rate = sw.coverage_rate(run)
         _write_json(out_dir / "summary.json", {
             "schema_version": 1,

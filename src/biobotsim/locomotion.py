@@ -30,8 +30,9 @@ class StimCommand:
     duration: float = DEFAULT_COMMAND_DURATION
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ValueError(f"command duration must be positive, got {self.duration!r}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("command duration must be positive and finite, "
+                             f"got {self.duration!r}")
 
 
 @dataclass(frozen=True)

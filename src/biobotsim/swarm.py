@@ -8,8 +8,9 @@ grid, in percents by coverage_percent; position estimates from noisy
 anchor ranges are logged at a fixed rate alongside the true position,
 heading and speed, with a tick at the start and one at the end of the
 run.  Every fix starts from the anchor centroid, so all fixes of a run are
-solved together by one lane-wise Gauss-Newton kernel, the only position
-solver.  A run solves its fixes on first read of est_xy or est_converged,
+solved by one call of one lane-wise Gauss-Newton kernel, the only position
+solver, through a working set of lanes that it refills as lanes finish.
+A run solves its fixes on first read of est_xy or est_converged,
 so a run with coverage from true positions that never reads them, such as
 every run of dispersion_batch, the one driver of a seed batch, never
 solves them.
@@ -198,8 +199,9 @@ def coverage_percent(visited_cells, total_cells):
 
 # ---------- UWB localization ----------
 
-# lanes per Gauss-Newton block: bounds the kernel's temporaries, and
-# 1,024-4,096 lanes ran fastest on a 2-vCPU Xeon
+# lanes in the Gauss-Newton working set: bounds the kernel's temporaries.
+# On a 2-vCPU Xeon, 4,096-16,384 lanes solved a 60,004-fix run in 45-47 ms,
+# 1,024 lanes in 76 ms and 65,536 in 62 ms
 _FIX_LANES = 4096
 _FIX_TOL = 1e-9        # m, the step norm below which a lane has converged
 _FIX_MAX_ITER = 50
@@ -210,7 +212,8 @@ def _fix_ranges(xy: np.ndarray, uwb: UwbSystem, rng) -> np.ndarray:
     one block draw, which is the stream of scalar rng.normal() draws in
     (position, anchor) order."""
     anchors = np.array(uwb.anchors)
-    d = np.hypot(xy[:, :1] - anchors[:, 0], xy[:, 1:] - anchors[:, 1])
+    d = xy[:, :1] - anchors[:, 0]
+    np.hypot(d, xy[:, 1:] - anchors[:, 1], out=d)
     if uwb.range_noise_sd > 0.0:
         d += uwb.range_noise_sd * rng.normal(size=d.shape)
     return np.maximum(d, 0.0, out=d)
@@ -222,36 +225,58 @@ def _solve_fixes(ranges: np.ndarray, anchors, start: np.ndarray,
     of ranges [m, k], from start [m, 2]: each lane minimizes
     sum_i (r_i - |p - a_i|)^2.
 
-    Each lane follows its own iteration: a lane whose normal matrix is
+    Each lane counts its own iterations: a lane whose normal matrix is
     singular stops where it is, unconverged, and a lane whose step norm
     drops below _FIX_TOL has converged.  Lanes still moving after
-    _FIX_MAX_ITER steps return their last iterate.  Lanes leave the working
-    set as they finish, and every lane's arithmetic is independent of the
+    _FIX_MAX_ITER steps return their last iterate.  At most _FIX_LANES
+    lanes are worked at once; lanes leave the working set as they finish,
+    and once half of it has left it takes the next lanes in order.  A
+    distance is sqrt(dx*dx + dy*dy), or hypot(dx, dy) where the sum of
+    squares overflows.  Every lane's arithmetic is independent of the
     others, so a lane gives the same bits alone or in any batch.  Returns
     positions [m, 2], converged [m] and iteration counts [m].
     """
     m = len(ranges)
     xy = np.empty((m, 2))
     converged = np.zeros(m, dtype=bool)
-    iterations = np.full(m, _FIX_MAX_ITER)
-    lane = np.arange(m)
-    x, y = start[:, 0].copy(), start[:, 1].copy()
-    r = ranges.T.copy()
-    for it in range(1, _FIX_MAX_ITER + 1):
+    iterations = np.empty(m, dtype=np.intp)
+    # anchor terms are [k, lanes]: one row per anchor
+    ax, ay = np.array(anchors, dtype=float).T[:, :, None]
+    lane = np.empty(0, dtype=np.intp)
+    its = np.empty(0, dtype=np.intp)
+    x = y = np.empty(0)
+    taken = 0
+    while True:
+        if taken < m and 2 * len(lane) <= _FIX_LANES:
+            new = slice(taken, min(m, taken + _FIX_LANES - len(lane)))
+            taken = new.stop
+            lane = np.concatenate((lane, np.arange(new.start, new.stop)))
+            its = np.concatenate((its, np.zeros(new.stop - new.start, np.intp)))
+            x = np.concatenate((x, start[new, 0]))
+            y = np.concatenate((y, start[new, 1]))
         if not lane.size:
             break
-        jtj00 = jtj01 = jtj11 = rhs0 = rhs1 = 0.0
-        for (ax, ay), rk in zip(anchors, r):
-            dx, dy = x - ax, y - ay
-            d = np.maximum(np.hypot(dx, dy), 1e-12)
-            ux, uy = dx / d, dy / d
-            f = rk - d
-            # residual f = r - |p - a|, Jacobian row = (-ux, -uy)
-            jtj00 = jtj00 + ux * ux
-            jtj01 = jtj01 + ux * uy
-            jtj11 = jtj11 + uy * uy
-            rhs0 = rhs0 + ux * f
-            rhs1 = rhs1 + uy * f
+        its += 1
+        dx = x - ax
+        dy = y - ay
+        with np.errstate(over="ignore"):
+            d = dx * dx
+            d += dy * dy
+        np.sqrt(d, out=d)
+        over = np.isinf(d)
+        if over.any():
+            d[over] = np.hypot(dx[over], dy[over])
+        np.maximum(d, 1e-12, out=d)
+        ux = np.divide(dx, d, out=dx)
+        uy = np.divide(dy, d, out=dy)
+        # residual f = r - |p - a|, Jacobian row = (-ux, -uy)
+        f = np.subtract(ranges.take(lane, axis=0).T, d, out=d)
+        # a reduce over axis 0 adds the rows in anchor order
+        jtj00 = np.add.reduce(ux * ux, axis=0)
+        jtj01 = np.add.reduce(ux * uy, axis=0)
+        jtj11 = np.add.reduce(uy * uy, axis=0)
+        rhs0 = np.add.reduce(ux * f, axis=0)
+        rhs1 = np.add.reduce(uy * f, axis=0)
         det = jtj00 * jtj11 - jtj01 * jtj01
         flat = det == 0.0
         det[flat] = np.inf          # a zero step: singular lanes stay put
@@ -259,17 +284,17 @@ def _solve_fixes(ranges: np.ndarray, anchors, start: np.ndarray,
         sy = (rhs1 * jtj00 - rhs0 * jtj01) / det
         x += sx
         y += sy
-        done = flat | (np.hypot(sx, sy) < _FIX_TOL)
+        with np.errstate(over="ignore"):
+            small = sx * sx + sy * sy < _FIX_TOL ** 2
+        done = flat | small | (its == _FIX_MAX_ITER)
         if done.any():
             gone = lane[done]
             xy[gone, 0] = x[done]
             xy[gone, 1] = y[done]
-            converged[gone] = ~flat[done]
-            iterations[gone] = it
-            keep = ~done
-            lane, x, y, r = lane[keep], x[keep], y[keep], r[:, keep]
-    xy[lane, 0] = x
-    xy[lane, 1] = y
+            converged[gone] = small[done] & ~flat[done]
+            iterations[gone] = its[done]
+            keep = np.flatnonzero(~done)
+            lane, its, x, y = lane[keep], its[keep], x[keep], y[keep]
     return xy, converged, iterations
 
 
@@ -281,27 +306,19 @@ def _centroid(anchors) -> tuple[float, float]:
 def _localize(true_xy: np.ndarray, uwb: UwbSystem, rng
               ) -> tuple[np.ndarray, np.ndarray]:
     """UWB fixes of every agent at every log tick, each cold-started from
-    the anchor centroid.  true_xy is [n_agents, n_log, 2]; the ranging noise
-    is drawn in (tick, agent, anchor) order, one block of ticks at a time.
-    Returns est_xy [n_agents, n_log, 2] and est_converged [n_agents, n_log].
+    the anchor centroid, solved by one _solve_fixes call.  true_xy is
+    [n_agents, n_log, 2]; the ranging noise is one block draw in (tick,
+    agent, anchor) order.  Returns est_xy [n_agents, n_log, 2] and
+    est_converged [n_agents, n_log].
     """
     n_agents, n_log = true_xy.shape[:2]
-    est_xy = np.empty_like(true_xy)
-    est_conv = np.empty((n_agents, n_log), dtype=bool)
-    # tick-major views: lane order (tick, agent) is the ranging order
-    by_tick = true_xy.transpose(1, 0, 2)
-    est_by_tick = est_xy.transpose(1, 0, 2)
-    conv_by_tick = est_conv.T
-    start = np.array([_centroid(uwb.anchors)])
-    block_ticks = max(1, _FIX_LANES // n_agents)
-    for t0 in range(0, n_log, block_ticks):
-        block = by_tick[t0:t0 + block_ticks].reshape(-1, 2)
-        xy, converged, _ = _solve_fixes(
-            _fix_ranges(block, uwb, rng), uwb.anchors,
-            np.broadcast_to(start, block.shape))
-        est_by_tick[t0:t0 + block_ticks] = xy.reshape(-1, n_agents, 2)
-        conv_by_tick[t0:t0 + block_ticks] = converged.reshape(-1, n_agents)
-    return est_xy, est_conv
+    # tick-major lanes: lane order (tick, agent) is the ranging order
+    ranges = _fix_ranges(true_xy.transpose(1, 0, 2).reshape(-1, 2), uwb, rng)
+    xy, converged, _ = _solve_fixes(
+        ranges, uwb.anchors,
+        np.broadcast_to(_centroid(uwb.anchors), (len(ranges), 2)))
+    return (xy.reshape(n_log, n_agents, 2).transpose(1, 0, 2),
+            converged.reshape(n_log, n_agents).T)
 
 
 def _run_fixes(true_xy: np.ndarray, uwb: UwbSystem, seed: int
@@ -805,6 +822,8 @@ def simulate(arena: Arena, uwb: UwbSystem,
         if not (math.isfinite(s.heading) and math.isfinite(s.speed)):
             raise ValueError(f"initial heading {s.heading} and speed {s.speed} "
                              "must be finite")
+        if not 0.0 <= s.heading < 360.0:
+            raise ValueError(f"initial heading {s.heading} must lie in [0, 360)")
         cmd = s.active_command
         if cmd is not None and not all(
                 math.isfinite(getattr(cmd, f.name))

@@ -4,6 +4,7 @@ CLI checks run main() in-process and inspect exit codes, stdout, and the
 files written to throwaway directories.
 """
 import copy
+import hashlib
 import json
 import math
 import os
@@ -617,7 +618,27 @@ def test_estimated_coverage_run_solves_each_fix_once(tmp_path, monkeypatch):
                    "--output-dir", str(tmp_path / "out")])
     assert rc == 0
     traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-    assert sum(lanes) == len(traj) - 1 == 2 * 101
+    assert lanes == [len(traj) - 1] == [2 * 101]
+
+
+def test_far_anchor_keeps_finite_estimates(tmp_path):
+    # from the centroid, (x - 1e200)**2 overflows: the solver takes hypot
+    # for that anchor, and the run writes the bytes it wrote when every
+    # distance was a hypot
+    data = _quick_swarm_cfg(duration=10.0)
+    data["swarm"]["coverage_from"] = "estimated"
+    data["swarm"]["uwb"] = {"anchors_m": [[0.0, 0.0], [3.6, 0.0],
+                                          [1e200, 0.0], [0.0, 3.6]]}
+    cfg = _write_cfg(tmp_path, data)
+    rc = cli.main(["coverage", "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    traj = (tmp_path / "out" / "trajectory.csv").read_bytes()
+    est = [[float(v) for v in row.split(b",")[4:6]]
+           for row in traj.splitlines()[1:]]
+    assert len(est) == 2 * 101 and np.isfinite(est).all()
+    assert hashlib.sha256(traj).hexdigest() == (
+        "18d4bf43ecd51fb54a97dc3842f7e8a4665ad599bd8892c564afd424ffa6c5ca")
 
 
 def test_trajectory_csv_rows_run_tick_major_with_positions_to_1_um(tmp_path):
@@ -1039,9 +1060,34 @@ def test_text_cells_are_written_as_utf8(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "cr\rx", "lf\nx",
                                   "nul\0x"])
 def test_csv_writer_rejects_a_cell_it_cannot_write_unquoted(tmp_path, cell):
-    for columns in ([["ok", cell]], [np.array(["ok", cell])]):
+    for columns in ([["ok", cell]], [np.array(["ok", cell])],
+                    [np.array([b"ok", cell.encode()])]):
         with pytest.raises(ValueError, match="^bad.csv: column 'id': cell"):
             cli._write_csv(tmp_path / "bad.csv", ["id"], columns)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_bytes_columns_write_the_cells_formatted_once(block_rows):
+    ticks = np.array([0.0, 0.01, 0.1 + 0.2, 1e16, 5e-324, 150.0, 2.5])
+    rows = [["", "turn_left", "turn_left", "\u00e9t\u00e9", "", "x", ""],
+            ["decelerate", "", "", "", "\u65e5", "x", "turn_right"]]
+    names = [name for tick in zip(*rows) for name in tick]
+    formatted = [np.repeat(cli._formatted(ticks, "%s", "t"), 2),
+                 cli._name_column(rows)]
+    assert formatted[0].dtype.kind == formatted[1].dtype.kind == "S"
+    want = "c0,c1\n" + "".join(f"{t},{n}\n" for t, n in
+                               zip(np.repeat(ticks, 2).tolist(), names))
+    assert _csv_text(formatted, ["%s", "%s"], block_rows) == want.encode()
+    assert _csv_text([formatted[0][:0]] * 2, ["%s", "%s"],
+                     block_rows) == b"c0,c1\n"
+
+
+def test_bytes_columns_take_only_the_str_format(tmp_path):
+    for fmt in ("%r", "%d", "%.6f"):
+        with pytest.raises(ValueError, match="format must be '%s'"):
+            cli._write_csv(tmp_path / "bad.csv", ["t"],
+                           [np.array([b"0.5"])], [fmt])
     assert not (tmp_path / "bad.csv").exists()
 
 

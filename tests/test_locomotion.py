@@ -105,7 +105,7 @@ def test_params_reject_non_finite_fields(name, value):
 
 
 def test_command_duration_must_be_positive():
-    for duration in (0.0, -0.4, math.nan):
+    for duration in (0.0, -0.4, math.nan, math.inf):
         with pytest.raises(ValueError, match="must be positive"):
             StimCommand(StimKind.TURN_LEFT, duration=duration)
 

@@ -1,5 +1,7 @@
 """Arena geometry, coverage accounting, localization, and dispersion runs."""
 import math
+import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -14,6 +16,7 @@ from biobotsim.locomotion import (AUTO_PRESET, MANUAL_PRESET, ActiveCommand,
 from biobotsim.seeding import child_seed
 from biobotsim.swarm import (
     DEFAULT_OBSTACLES,
+    DEFAULT_RANGE_NOISE_SD,
     Arena,
     CoverageGrid,
     Rect,
@@ -231,6 +234,90 @@ def test_fix_kernel_lanes_equal_one_row_calls():
     assert its[0] == its[2] == 1
 
 
+LINE_UWB = UwbSystem(anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                    range_noise_sd=0.0)
+
+
+@st.composite
+def _fix_lanes(draw):
+    """A batch of fix lanes, each (ranges, start), all on the default square
+    of anchors or all on the anchor line of LINE_UWB."""
+    line = draw(st.booleans())
+    coord = st.floats(0.0, 2.0)
+
+    def ranges(uwb, x, y, noise_seed=None):
+        if noise_seed is not None:
+            uwb = replace(uwb, range_noise_sd=DEFAULT_RANGE_NOISE_SD)
+        rng = np.random.default_rng(noise_seed)
+        return _fix_ranges(np.array([[x, y]]), uwb, rng)[0].tolist()
+
+    if line:
+        uwb = LINE_UWB
+        kinds = st.one_of(
+            # on the anchor line and started on it: singular at once
+            st.builds(lambda x, x0: (ranges(uwb, x, 0.0), (x0, 0.0)),
+                      coord, coord),
+            st.builds(lambda x, y: (ranges(uwb, x, y), (1.0, 0.5)),
+                      coord, st.floats(0.1, 2.0)))
+    else:
+        uwb = QUIET_UWB
+        seeds = st.integers(0, 2 ** 32 - 1)
+        kinds = st.one_of(
+            st.builds(lambda x, y: (ranges(uwb, x, y), CENTROID),
+                      coord, coord),                              # noiseless
+            st.builds(lambda x, y, seed: (ranges(uwb, x, y, seed), CENTROID),
+                      coord, coord, seeds),                       # noisy
+            st.builds(lambda a, seed: (ranges(uwb, *a, seed), CENTROID),
+                      st.sampled_from(uwb.anchors),
+                      st.none() | seeds),                         # on an anchor
+            st.sampled_from([(CAPPED_RANGES, CENTROID),           # capped
+                             (CAPPED_RANGES, (0.0, 0.0))]))
+    return uwb, draw(st.lists(kinds, max_size=23))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 4096])
+@settings(max_examples=40, deadline=None)
+@given(batch=_fix_lanes())
+@example(batch=(QUIET_UWB, []))
+@example(batch=(QUIET_UWB, [(CAPPED_RANGES, CENTROID)] * 2
+                + [([0.0, 3.6, 5.0, 3.6], CENTROID)] * 9))
+def test_refilled_working_set_lanes_equal_one_row_calls(width, batch):
+    uwb, lanes = batch
+    k = len(uwb.anchors)
+    ranges = np.array([r for r, _ in lanes], dtype=float).reshape(-1, k)
+    starts = np.array([s for _, s in lanes], dtype=float).reshape(-1, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(swarm, "_FIX_LANES", width)
+        xy, conv, its = _solve_fixes(ranges, uwb.anchors, starts)
+        assert xy.shape == (len(lanes), 2)
+        assert conv.shape == its.shape == (len(lanes),)
+        for row, start, pos, c, n in zip(ranges, starts, xy, conv, its):
+            one = _solve_fixes(row[None], uwb.anchors, start[None])
+            assert one[0][0].tobytes() == pos.tobytes()
+            assert (one[1][0], one[2][0]) == (c, n)
+    assert ((1 <= its) & (its <= swarm._FIX_MAX_ITER)).all()
+
+
+def test_fix_solve_allocates_only_a_working_set():
+    # 60,004 lanes, as in a 150 s run of 4 agents logged at 100 Hz
+    uwb = UwbSystem()
+    p = np.random.default_rng(3).uniform(0.0, 2.0, (60_004, 2))
+    ranges = _fix_ranges(p, uwb, np.random.default_rng(4))
+    start = np.broadcast_to(CENTROID, p.shape)
+    tracemalloc.start()
+    try:
+        out = _solve_fixes(ranges, uwb.anchors, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the outputs, plus temporaries worth 16 float64 arrays of [k, lanes]
+    # for the working set: 2.1 MB, against 1.9 MB for a copy of the ranges
+    outputs = sum(a.nbytes for a in out)
+    working_set = 16 * len(uwb.anchors) * swarm._FIX_LANES * 8
+    assert peak <= outputs + working_set
+    assert (out[2] > 0).all()
+
+
 def test_block_ranging_noise_is_the_scalar_draw_stream():
     uwb = UwbSystem(range_noise_sd=0.5)
     xy = np.random.default_rng(1).uniform(0.0, 0.5, (37, 2))
@@ -243,7 +330,7 @@ def test_block_ranging_noise_is_the_scalar_draw_stream():
 
 
 def test_simulate_fixes_are_cold_started_one_row_solves(monkeypatch):
-    # small kernel blocks, so the run crosses several block boundaries
+    # a small working set, so the run's lanes refill it many times
     monkeypatch.setattr(swarm, "_FIX_LANES", 10)
     uwb = UwbSystem()
     run = simulate(Arena(), uwb, [AUTO_PRESET] * 3, duration=5.0, seed=2)
@@ -276,9 +363,9 @@ def test_fixes_are_solved_once_on_first_read(first, monkeypatch):
     assert lanes == []
     second = "est_converged" if first == "est_xy" else "est_xy"
     got = {first: getattr(run, first)}
-    assert sum(lanes) == 3 * 51
+    assert lanes == [3 * 51]       # one kernel call solves the run
     got[second] = getattr(run, second)
-    assert run.est_xy is got["est_xy"] and sum(lanes) == 3 * 51
+    assert run.est_xy is got["est_xy"] and lanes == [3 * 51]
 
     xy, conv = swarm._localize(run.true_xy, uwb, np.random.default_rng(
         child_seed(4, "swarm.uwb")))
@@ -481,6 +568,12 @@ def test_simulate_rejects_bad_arguments():
         with pytest.raises(ValueError, match="must be finite"):
             simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
                      initial_states=[AgentState(1.0, 1.0, heading, speed)])
+    # every logged heading lies in [0, 360), the one at tick 0 too
+    for heading in (-10.0, 360.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial heading {heading} must lie in [0, 360)")):
+            simulate(Arena(), QUIET_UWB, [AUTO_PRESET], duration=5.0,
+                     initial_states=[AgentState(1.0, 1.0, heading, 0.06)])
     for cmd in (ActiveCommand(StimKind.DECELERATE, 0.3, decel_v0=math.nan,
                               decel_vmin=0.02),
                 ActiveCommand(StimKind.TURN_LEFT, 0.3, turn_target=math.inf,
