@@ -236,6 +236,10 @@ def test_fix_kernel_lanes_equal_one_row_calls():
 
 LINE_UWB = UwbSystem(anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
                     range_noise_sd=0.0)
+# from its centroid, (x - 1e200)**2 overflows
+FAR_UWB = UwbSystem(
+    anchors=((0.0, 0.0), (3.6, 0.0), (1e200, 0.0), (0.0, 3.6)),
+    range_noise_sd=0.0)
 
 
 @st.composite
@@ -275,12 +279,48 @@ def _fix_lanes(draw):
     return uwb, draw(st.lists(kinds, max_size=23))
 
 
+def _reference_fix(ranges, anchors, start):
+    """One fix by the kernel's arithmetic on Python floats, one anchor at a
+    time; returns ((x, y), converged, iterations)."""
+    x, y = start
+    for it in range(1, swarm._FIX_MAX_ITER + 1):
+        jtj00 = jtj01 = jtj11 = rhs0 = rhs1 = 0.0
+        for (ax, ay), r in zip(anchors, ranges):
+            dx, dy = x - ax, y - ay
+            d = math.sqrt(dx * dx + dy * dy)
+            if d == math.inf:           # the sum of squares overflowed
+                d = math.hypot(dx, dy)
+            d = max(d, 1e-12)
+            ux, uy = dx / d, dy / d
+            f = r - d
+            jtj00 += ux * ux
+            jtj01 += ux * uy
+            jtj11 += uy * uy
+            rhs0 += ux * f
+            rhs1 += uy * f
+        det = jtj00 * jtj11 - jtj01 * jtj01
+        flat = det == 0.0
+        if flat:
+            det = math.inf
+        sx = (rhs0 * jtj11 - rhs1 * jtj01) / det
+        sy = (rhs1 * jtj00 - rhs0 * jtj01) / det
+        x += sx
+        y += sy
+        small = sx * sx + sy * sy < swarm._FIX_TOL ** 2
+        if flat or small:
+            return (x, y), small and not flat, it
+    return (x, y), False, swarm._FIX_MAX_ITER
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 7, 4096])
 @settings(max_examples=40, deadline=None)
 @given(batch=_fix_lanes())
 @example(batch=(QUIET_UWB, []))
 @example(batch=(QUIET_UWB, [(CAPPED_RANGES, CENTROID)] * 2
                 + [([0.0, 3.6, 5.0, 3.6], CENTROID)] * 9))
+@example(batch=(FAR_UWB, [(_fix_ranges(np.array([[1.0, 1.0]]), FAR_UWB,
+                                       None)[0].tolist(),
+                           swarm._centroid(FAR_UWB.anchors))] * 3))
 def test_refilled_working_set_lanes_equal_one_row_calls(width, batch):
     uwb, lanes = batch
     k = len(uwb.anchors)
@@ -295,6 +335,10 @@ def test_refilled_working_set_lanes_equal_one_row_calls(width, batch):
             one = _solve_fixes(row[None], uwb.anchors, start[None])
             assert one[0][0].tobytes() == pos.tobytes()
             assert (one[1][0], one[2][0]) == (c, n)
+            ref, ref_c, ref_n = _reference_fix(row.tolist(), uwb.anchors,
+                                               start.tolist())
+            assert np.array(ref).tobytes() == pos.tobytes()
+            assert (ref_c, ref_n) == (c, n)
     assert ((1 <= its) & (its <= swarm._FIX_MAX_ITER)).all()
 
 
