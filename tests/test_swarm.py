@@ -354,8 +354,8 @@ def test_fix_solve_allocates_only_a_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the outputs, plus temporaries worth 16 float64 arrays of [k, lanes]
-    # for the working set: 2.1 MB, against 1.9 MB for a copy of the ranges
+    # the outputs plus at most 16 float64 arrays of [k, _FIX_LANES] (2.1 MB):
+    # no temporary may grow with the number of lanes
     outputs = sum(a.nbytes for a in out)
     working_set = 16 * len(uwb.anchors) * swarm._FIX_LANES * 8
     assert peak <= outputs + working_set
