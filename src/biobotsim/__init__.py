@@ -16,7 +16,7 @@ from .vision import (Mask, PronotumShapeParams, ReferencePoint, SegMetrics,
                      augment, dsc, extract_reference_point, iou, read_pgm,
                      synth_pronotum, write_pgm)
 from .assembly import (AssemblyProcess, AssemblyState, ImplantPose,
-                       PayloadSpec, PixelToArmCalibration, Workspace, advance,
+                       PayloadSpec, PixelToArmCalibration, advance,
                        batch_assemble, check_exposure, check_payload,
                        check_workspace, plan_assembly, solve_pitch, walk_all)
 from .neurosignal import (SpikeParams, SpikeTrain, Trace, expected_spike_rate,

@@ -32,6 +32,9 @@ EVENT_ORDER = tuple(DEFAULT_STEP_DURATIONS)
 
 DEFAULT_HANDLING_GAP = 49.0  # cage swap and restocking time between units, s
 
+# axis-aligned manipulation volume, meters
+DEFAULT_WORKSPACE_BOX = (0.065, 0.035, 0.025)
+
 
 class AssemblyState(str, Enum):
     IDLE = "Idle"
@@ -84,37 +87,32 @@ class ImplantPose:
 
 @dataclass(frozen=True)
 class PayloadSpec:
-    """End-effector masses and arm limits, SI units."""
+    """End-effector masses and arm limits, SI units, under the config's
+    assembly.payload keys."""
 
-    gripper_mass: float = 1.0
-    camera_mass: float = 0.075
-    backpack_mass: float = 0.0023
-    arm_payload_limit: float = 3.0
-    arm_reach: float = 0.5
-    camera_min_depth: float = 0.28
-
-
-@dataclass(frozen=True)
-class Workspace:
-    """Axis-aligned manipulation volume, meters."""
-
-    box_dimensions: tuple[float, float, float] = (0.065, 0.035, 0.025)
+    gripper_mass_kg: float = 1.0
+    camera_mass_kg: float = 0.075
+    backpack_mass_kg: float = 0.0023
+    arm_payload_limit_kg: float = 3.0
+    arm_reach_m: float = 0.5
+    camera_min_depth_m: float = 0.28
 
 
 @dataclass(frozen=True)
 class PixelToArmCalibration:
-    """Affine pixel-to-arm-frame map: xy = scale * pixel + offset, z from lift."""
+    """Affine pixel-to-arm-frame map: xy = scale * pixel + offset, z from
+    lift.  Its fields are the config's assembly.calibration keys."""
 
-    scale_x: float = 1.0   # meters per pixel
-    scale_y: float = 1.0
-    offset_x: float = 0.0  # meters
-    offset_y: float = 0.0
-    offset_z: float = 0.0
+    scale_x_m_per_px: float = 1.0
+    scale_y_m_per_px: float = 1.0
+    offset_x_m: float = 0.0
+    offset_y_m: float = 0.0
+    offset_z_m: float = 0.0
 
     def apply(self, p_r: ReferencePoint, h: float) -> tuple[float, float, float]:
-        return (self.scale_x * p_r.x + self.offset_x,
-                self.scale_y * p_r.y + self.offset_y,
-                self.offset_z + h)
+        return (self.scale_x_m_per_px * p_r.x + self.offset_x_m,
+                self.scale_y_m_per_px * p_r.y + self.offset_y_m,
+                self.offset_z_m + h)
 
 
 @dataclass(frozen=True)
@@ -179,28 +177,29 @@ def solve_pitch(alpha_lower: float = DEFAULT_ALPHA_LOWER,
 def check_payload(spec: PayloadSpec):
     """Raise ValueError unless the arm can carry the tooling and still see
     the work surface."""
-    total = spec.gripper_mass + spec.camera_mass + spec.backpack_mass
-    if not total <= spec.arm_payload_limit:
+    total = spec.gripper_mass_kg + spec.camera_mass_kg + spec.backpack_mass_kg
+    if not total <= spec.arm_payload_limit_kg:
         raise ValueError(f"tooling mass {total!r} kg exceeds the arm payload "
-                         f"limit {spec.arm_payload_limit!r} kg")
-    if not spec.camera_min_depth < spec.arm_reach:
-        raise ValueError(f"camera minimum depth {spec.camera_min_depth!r} m is "
-                         f"not within the arm reach {spec.arm_reach!r} m")
+                         f"limit {spec.arm_payload_limit_kg!r} kg")
+    if not spec.camera_min_depth_m < spec.arm_reach_m:
+        raise ValueError(f"camera minimum depth {spec.camera_min_depth_m!r} m "
+                         f"is not within the arm reach {spec.arm_reach_m!r} m")
 
 
-def check_workspace(ws: Workspace,
-                    approach_envelope: tuple[float, float, float]):
+def check_workspace(box_m: tuple[float, float, float],
+                    approach_envelope_m: tuple[float, float, float]):
     """Raise ValueError unless the axis-aligned approach envelope fits
-    inside the box.
+    inside the workspace box, both in meters.
 
     The fixture centers the approach corridor on the marked spot, so the
     check reduces to extent containment, boundary inclusive.
     """
-    if any(e < 0.0 for e in approach_envelope):
-        raise ValueError(f"approach envelope must be non-negative, got {approach_envelope}")
-    if not all(e <= b for e, b in zip(approach_envelope, ws.box_dimensions)):
-        raise ValueError(f"approach envelope {approach_envelope} does not fit "
-                         f"the workspace box {ws.box_dimensions}")
+    if any(e < 0.0 for e in approach_envelope_m):
+        raise ValueError("approach envelope must be non-negative, "
+                         f"got {approach_envelope_m}")
+    if not all(e <= b for e, b in zip(approach_envelope_m, box_m)):
+        raise ValueError(f"approach envelope {approach_envelope_m} does not "
+                         f"fit the workspace box {box_m}")
 
 
 def check_exposure(rig: FixationRig) -> float:
@@ -209,12 +208,12 @@ def check_exposure(rig: FixationRig) -> float:
     Raises ValueError unless that lift exposes the mounting gap past the
     electrode.
     """
-    h = lifting_height(rig, rig.lowered_distance_d)
+    h = lifting_height(rig, rig.lowered_distance_d_m)
     if not exposure_sufficient(rig, h):
         raise ValueError(
             f"insufficient exposure: lift {h * 1e3:.3f} mm at "
-            f"d = {rig.lowered_distance_d * 1e3:.3f} mm does not clear the "
-            f"electrode thickness {rig.electrode_thickness * 1e3:.3f} mm"
+            f"d = {rig.lowered_distance_d_m * 1e3:.3f} mm does not clear the "
+            f"electrode thickness {rig.electrode_thickness_m * 1e3:.3f} mm"
         )
     return h
 

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 input data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -24,10 +25,9 @@ from . import neurosignal as ns
 from . import swarm as sw
 from . import vision
 from .config import (ConfigError, RunConfig, agent_params_from_config,
-                     arena_from_config, config_digest, from_config,
-                     load_config, uwb_from_config, workspace_from_config)
-from .morphology import (FixationRig, exposure_safety_margin,
-                         exposure_sufficient, lifting_height)
+                     arena_from_config, config_digest, load_config)
+from .morphology import (exposure_safety_margin, exposure_sufficient,
+                         lifting_height)
 from .seeding import child_seed
 
 ENV_OUTPUT_DIR = "BIOBOTSIM_OUTPUT_DIR"
@@ -237,23 +237,17 @@ def _write_json(path: Path, payload: dict):
 # ---------- subcommands ----------
 
 def run_assemble(cfg: RunConfig, out_dir: Path, batch: int | None) -> int:
-    rig = from_config(FixationRig, cfg.rig)
-    calibration = from_config(asm.PixelToArmCalibration,
-                              cfg.assembly.calibration)
-    payload = from_config(asm.PayloadSpec, cfg.assembly.payload)
-    workspace = workspace_from_config(cfg.assembly)
-
+    ac = cfg.assembly
     mask, p_r = vision.synth_pronotum(vision.PronotumShapeParams(),
                                       child_seed(cfg.seed, "assemble.mask"))
     extracted = vision.extract_reference_point(mask)
 
     pose, proc = asm.plan_assembly(
-        extracted, rig, calibration=calibration,
-        alpha_lower=cfg.assembly.alpha_lower_deg,
-        alpha_upper=cfg.assembly.alpha_upper_deg,
-        step_durations=cfg.assembly.step_durations_s)
-    asm.check_payload(payload)
-    asm.check_workspace(workspace, cfg.assembly.approach_envelope_m)
+        extracted, cfg.rig, calibration=ac.calibration,
+        alpha_lower=ac.alpha_lower_deg, alpha_upper=ac.alpha_upper_deg,
+        step_durations=ac.step_durations_s)
+    asm.check_payload(ac.payload)
+    asm.check_workspace(ac.workspace_box_m, ac.approach_envelope_m)
 
     final, rows = asm.walk_all(proc)
     _write_csv(out_dir / "event_log.csv",
@@ -272,7 +266,7 @@ def run_assemble(cfg: RunConfig, out_dir: Path, batch: int | None) -> int:
     if batch is not None:
         payload_doc["batch_n"] = batch
         payload_doc["batch_total_s"] = asm.batch_assemble(
-            batch, cfg.assembly.handling_gap_s, final.total_duration)
+            batch, ac.handling_gap_s, final.total_duration)
     _write_json(out_dir / "assembly.json", payload_doc)
 
     print(f"implant pitch: {pose.pitch_alpha:.1f} deg")
@@ -340,7 +334,6 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
                  n_agents: int | None = None) -> int:
     sc = cfg.swarm
     arena = arena_from_config(sc.arena)
-    uwb = uwb_from_config(sc.uwb)
     params = [agent_params_from_config(cfg.locomotion)] * (
         sc.n_agents if n_agents is None else n_agents)
     common = dict(stim_period=sc.stim_period_s, duration=sc.duration_s,
@@ -348,7 +341,7 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
                   coverage_from=sc.coverage_from, cell_size=sc.cell_size_m)
 
     if seeds is None:
-        run = sw.simulate(arena, uwb, params, seed=cfg.seed, **common)
+        run = sw.simulate(arena, sc.uwb, params, seed=cfg.seed, **common)
         # rows run tick-major: every agent at one tick, then the next tick
         true_x, true_y = run.true_xy.transpose(2, 1, 0).reshape(2, -1)
         est_x, est_y = run.est_xy.transpose(2, 1, 0).reshape(2, -1)
@@ -387,7 +380,7 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
 
     # batch mode: runs merged in seed order, each dropped before the next
     per_seed, unions = [], []
-    for run in sw.dispersion_batch(arena, uwb, params, seeds, cfg.seed, **common):
+    for run in sw.dispersion_batch(arena, sc.uwb, params, seeds, cfg.seed, **common):
         per_seed.append((run.seed, run.final_union_coverage, sw.coverage_rate(run)))
         unions.append(run.union_coverage_pct)
         log_t = run.log_t
@@ -473,10 +466,10 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
 
 
 def run_fixation(cfg: RunConfig, points: int) -> int:
-    rig = from_config(FixationRig, cfg.rig)
+    rig = cfg.rig
     print("d_mm\th_mm\texposed\tsafety_margin")
     for i in range(points):
-        d = rig.rod_a_initial_clearance * i / (points - 1)
+        d = rig.rod_a_initial_clearance_m * i / (points - 1)
         h = lifting_height(rig, d)
         print(f"{d * 1e3:.3f}\t{h * 1e3:.3f}"
               f"\t{'yes' if exposure_sufficient(rig, h) else 'no'}"
@@ -589,8 +582,7 @@ def main(argv=None) -> int:
             out = os.environ[ENV_OUTPUT_DIR]
         if output_flag is not None:
             out = output_flag
-        import dataclasses as _dc
-        cfg = _dc.replace(cfg, seed=seed, output_dir=str(out))
+        cfg = dataclasses.replace(cfg, seed=seed, output_dir=str(out))
         out_dir = Path(cfg.output_dir)
 
         if args.command == "assemble":

@@ -3,10 +3,16 @@
 Configs are plain JSON with unit-suffixed keys in SI units.  Loading is
 strict: unknown keys anywhere in the tree are rejected with their full
 path, so typos fail loudly instead of silently using defaults.  The
-schema is thin: every default is read from the domain object or module
-constant that owns it, and load-time validation runs the domain code's
-own checks, reporting each failure at its config path.  The neurosignal
-block is the domain object itself, neurosignal.SpikeParams.
+schema is thin.  The rig, assembly.calibration, assembly.payload,
+neurosignal and swarm.uwb blocks are the domain classes themselves
+(FixationRig, PixelToArmCalibration, PayloadSpec, SpikeParams,
+UwbSystem), whose fields are the config keys; each checks its own rules
+when it is built, and a failure is reported at the block's path, or at
+the field's path when the class names the field (ParamError).  Every
+other default is read from the module constant that owns it.  The
+arena and locomotion blocks are adapters, because their JSON shape
+differs from the domain type's.  After the tree is built, _validate
+runs the checks that span fields or blocks.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from . import assembly as asm
 from . import neurosignal as ns
 from . import swarm as sw
-from .assembly import PayloadSpec, PixelToArmCalibration, Workspace
+from .assembly import PayloadSpec, PixelToArmCalibration
 from .locomotion import AgentParams, PRESETS
 from .morphology import FixationRig
 from .swarm import Arena, Rect, UwbSystem
@@ -37,44 +43,17 @@ class ConfigError(Exception):
 # ---------- schema blocks ----------
 
 @dataclass(frozen=True)
-class RigConfig:
-    rod_a_initial_clearance_m: float = FixationRig.rod_a_initial_clearance
-    lowered_distance_d_m: float = FixationRig.lowered_distance_d
-    saturation_d_m: float = FixationRig.saturation_d
-    saturation_height_h_max_m: float = FixationRig.saturation_height_h_max
-    electrode_thickness_m: float = FixationRig.electrode_thickness
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    scale_x_m_per_px: float = PixelToArmCalibration.scale_x
-    scale_y_m_per_px: float = PixelToArmCalibration.scale_y
-    offset_x_m: float = PixelToArmCalibration.offset_x
-    offset_y_m: float = PixelToArmCalibration.offset_y
-    offset_z_m: float = PixelToArmCalibration.offset_z
-
-
-@dataclass(frozen=True)
-class PayloadConfig:
-    gripper_mass_kg: float = PayloadSpec.gripper_mass
-    camera_mass_kg: float = PayloadSpec.camera_mass
-    backpack_mass_kg: float = PayloadSpec.backpack_mass
-    arm_payload_limit_kg: float = PayloadSpec.arm_payload_limit
-    arm_reach_m: float = PayloadSpec.arm_reach
-    camera_min_depth_m: float = PayloadSpec.camera_min_depth
-
-
-@dataclass(frozen=True)
 class AssemblyConfig:
     alpha_lower_deg: float = asm.DEFAULT_ALPHA_LOWER
     alpha_upper_deg: float = asm.DEFAULT_ALPHA_UPPER
     step_durations_s: dict[str, float] = field(
         default_factory=lambda: dict(asm.DEFAULT_STEP_DURATIONS))
     handling_gap_s: float = asm.DEFAULT_HANDLING_GAP
-    workspace_box_m: tuple[float, float, float] = Workspace.box_dimensions
+    workspace_box_m: tuple[float, float, float] = asm.DEFAULT_WORKSPACE_BOX
     approach_envelope_m: tuple[float, float, float] = (0.010, 0.010, 0.010)
-    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
-    payload: PayloadConfig = field(default_factory=PayloadConfig)
+    calibration: PixelToArmCalibration = field(
+        default_factory=PixelToArmCalibration)
+    payload: PayloadSpec = field(default_factory=PayloadSpec)
 
 
 @dataclass(frozen=True)
@@ -95,12 +74,6 @@ class ArenaConfig:
 
 
 @dataclass(frozen=True)
-class UwbConfig:
-    anchors_m: tuple[tuple[float, float], ...] = UwbSystem.anchors
-    range_noise_sd_m: float = UwbSystem.range_noise_sd
-
-
-@dataclass(frozen=True)
 class SwarmConfig:
     n_agents: int = 4
     stim_period_s: float = sw.DEFAULT_STIM_PERIOD
@@ -110,7 +83,7 @@ class SwarmConfig:
     coverage_from: str = sw.DEFAULT_COVERAGE_FROM
     cell_size_m: float = sw.DEFAULT_CELL_SIZE
     arena: ArenaConfig = field(default_factory=ArenaConfig)
-    uwb: UwbConfig = field(default_factory=UwbConfig)
+    uwb: UwbSystem = field(default_factory=UwbSystem)
 
 
 @dataclass(frozen=True)
@@ -118,7 +91,7 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 42
     output_dir: str = "out"
-    rig: RigConfig = field(default_factory=RigConfig)
+    rig: FixationRig = field(default_factory=FixationRig)
     assembly: AssemblyConfig = field(default_factory=AssemblyConfig)
     neurosignal: ns.SpikeParams = field(default_factory=ns.SpikeParams)
     locomotion: LocomotionConfig = field(default_factory=LocomotionConfig)
@@ -192,8 +165,9 @@ def _key_path(path: str, key: str) -> str:
 
 
 def _build_dataclass(cls, data: dict, path: str):
-    """cls built from data; a ParamError that cls raises is reported at
-    the path of the field it names."""
+    """cls built from data.  A ParamError that cls raises is reported at
+    the path of the field it names, any other ValueError at path, the
+    block's own."""
     hints = get_type_hints(cls)
     names = [f.name for f in dataclasses.fields(cls)]
     unknown = set(data) - set(names)
@@ -205,6 +179,8 @@ def _build_dataclass(cls, data: dict, path: str):
         return cls(**kwargs)
     except ns.ParamError as exc:
         raise ConfigError(f"{_key_path(path, exc.name)}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -246,23 +222,22 @@ def _at(path: str):
 
 
 def _validate(cfg: RunConfig):
-    """Run every block through the domain code that owns its rules.  The
-    neurosignal block ran its own when it was built."""
+    """Run the checks that span a block's fields or several blocks, each
+    through the domain code that owns it.  Each block checked its own
+    fields when it was built."""
     ac, sc = cfg.assembly, cfg.swarm
     with _at("rig"):
-        asm.check_exposure(from_config(FixationRig, cfg.rig))
+        asm.check_exposure(cfg.rig)
     with _at("assembly.payload"):
-        asm.check_payload(from_config(PayloadSpec, ac.payload))
+        asm.check_payload(ac.payload)
     with _at("assembly"):
         asm.AssemblyProcess(step_durations=ac.step_durations_s)
         asm.solve_pitch(ac.alpha_lower_deg, ac.alpha_upper_deg)
-        asm.check_workspace(workspace_from_config(ac), ac.approach_envelope_m)
+        asm.check_workspace(ac.workspace_box_m, ac.approach_envelope_m)
     with _at("locomotion"):
         agent_params_from_config(cfg.locomotion)
     with _at("swarm.arena"):
         arena = arena_from_config(sc.arena)
-    with _at("swarm.uwb"):
-        uwb_from_config(sc.uwb)
     with _at("swarm"):
         sw.check_run(sc.n_agents, sc.stim_period_s, sc.duration_s, sc.dt_s,
                      sc.log_rate_hz, sc.coverage_from)
@@ -299,25 +274,6 @@ def config_digest(cfg: RunConfig) -> str:
 
 # ---------- adapters to domain objects ----------
 
-# unit suffixes that config keys add to domain field names
-_UNITS = ("_m_per_px", "_kg", "_m")
-
-
-def from_config(domain_cls, block):
-    """Build domain_cls from the config block that holds its fields under
-    unit-suffixed names: FixationRig from rig, PixelToArmCalibration from
-    assembly.calibration, PayloadSpec from assembly.payload."""
-    kwargs = {}
-    for f in dataclasses.fields(domain_cls):
-        key = next(f.name + u for u in _UNITS if hasattr(block, f.name + u))
-        kwargs[f.name] = getattr(block, key)
-    return domain_cls(**kwargs)
-
-
-def workspace_from_config(c: AssemblyConfig) -> Workspace:
-    return Workspace(box_dimensions=c.workspace_box_m)
-
-
 def agent_params_from_config(c: LocomotionConfig) -> AgentParams:
     if c.preset not in PRESETS:
         raise ValueError(
@@ -338,6 +294,3 @@ def arena_from_config(c: ArenaConfig) -> Arena:
     return Arena(width=c.width_m, height=c.height_m, obstacles=obstacles,
                  release_corner=c.release_corner)
 
-
-def uwb_from_config(c: UwbConfig) -> UwbSystem:
-    return UwbSystem(anchors=c.anchors_m, range_noise_sd=c.range_noise_sd_m)

@@ -12,22 +12,21 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class FixationRig:
-    """Rod fixation geometry, SI meters."""
+    """Rod fixation geometry, SI meters, under the config's rig keys."""
 
-    rod_a_initial_clearance: float = 4.0e-3   # rod A rest height above platform
-    lowered_distance_d: float = 3.5e-3        # operating lowering distance
-    saturation_d: float = 3.5e-3              # d at which the lift saturates
-    saturation_height_h_max: float = 1.9e-3   # plateau lift height
-    electrode_thickness: float = 0.6e-3
+    rod_a_initial_clearance_m: float = 4.0e-3  # rod A rest height above platform
+    lowered_distance_d_m: float = 3.5e-3       # operating lowering distance
+    saturation_d_m: float = 3.5e-3             # d at which the lift saturates
+    saturation_height_h_max_m: float = 1.9e-3  # plateau lift height
+    electrode_thickness_m: float = 0.6e-3
 
     def __post_init__(self):
-        if not 0.0 <= self.lowered_distance_d <= self.rod_a_initial_clearance:
-            raise ValueError(
-                "lowered_distance_d must lie in [0, rod_a_initial_clearance], "
-                f"got {self.lowered_distance_d!r}"
-            )
-        for name in ("rod_a_initial_clearance", "saturation_d",
-                     "saturation_height_h_max", "electrode_thickness"):
+        d, clearance = self.lowered_distance_d_m, self.rod_a_initial_clearance_m
+        if not 0.0 <= d <= clearance:
+            raise ValueError("lowered_distance_d_m must lie in "
+                             f"[0, rod_a_initial_clearance_m], got {d!r}")
+        for name in ("rod_a_initial_clearance_m", "saturation_d_m",
+                     "saturation_height_h_max_m", "electrode_thickness_m"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -38,20 +37,20 @@ def lifting_height(rig: FixationRig, d: float) -> float:
     Piecewise linear: h rises proportionally with d and plateaus at
     h_max once d reaches the saturation distance.
     """
-    if d < 0.0 or d > rig.rod_a_initial_clearance:
+    if d < 0.0 or d > rig.rod_a_initial_clearance_m:
         raise ValueError(
-            f"d must lie in [0, {rig.rod_a_initial_clearance}], got {d!r}"
+            f"d must lie in [0, {rig.rod_a_initial_clearance_m}], got {d!r}"
         )
-    if d >= rig.saturation_d:
-        return rig.saturation_height_h_max
-    return rig.saturation_height_h_max * d / rig.saturation_d
+    if d >= rig.saturation_d_m:
+        return rig.saturation_height_h_max_m
+    return rig.saturation_height_h_max_m * d / rig.saturation_d_m
 
 
 def exposure_sufficient(rig: FixationRig, h: float) -> bool:
     """True when the lift exposes the mounting gap past the electrode."""
-    return h > rig.electrode_thickness
+    return h > rig.electrode_thickness_m
 
 
 def exposure_safety_margin(rig: FixationRig, h: float) -> bool:
     # stricter criterion: lift beyond twice the electrode thickness
-    return h > 2.0 * rig.electrode_thickness
+    return h > 2.0 * rig.electrode_thickness_m

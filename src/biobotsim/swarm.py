@@ -34,8 +34,6 @@ DEFAULT_DT = 0.01             # s
 MAX_DT = 0.05                 # s
 DEFAULT_LOG_RATE = 10.0       # Hz
 DEFAULT_COVERAGE_FROM = "true"  # or "estimated"
-DEFAULT_RANGE_NOISE_SD = 0.05  # m
-DEFAULT_ANCHOR_SIDE = 3.6     # m, anchors sit on this square's corners
 
 _COMMAND_KINDS = (StimKind.TURN_LEFT, StimKind.TURN_RIGHT, StimKind.DECELERATE)
 _CORNERS = ("sw", "se", "ne", "nw")
@@ -109,24 +107,23 @@ class Arena:
         return Rect(x0, y0, x0 + cell_size, y0 + cell_size)
 
 
-def default_anchors(side: float = DEFAULT_ANCHOR_SIDE) -> tuple[tuple[float, float], ...]:
-    return ((0.0, 0.0), (side, 0.0), (side, side), (0.0, side))
-
-
 @dataclass(frozen=True)
 class UwbSystem:
-    """Anchor layout and ranging noise model."""
+    """Anchor layout and ranging noise model, meters, under the config's
+    swarm.uwb keys.  The default anchors sit on the corners of a 3.6 m
+    square."""
 
-    anchors: tuple[tuple[float, float], ...] = default_anchors()
-    range_noise_sd: float = DEFAULT_RANGE_NOISE_SD
+    anchors_m: tuple[tuple[float, float], ...] = (
+        (0.0, 0.0), (3.6, 0.0), (3.6, 3.6), (0.0, 3.6))
+    range_noise_sd_m: float = 0.05
 
     def __post_init__(self):
-        if len(self.anchors) < 3:
+        if len(self.anchors_m) < 3:
             raise ValueError("need at least 3 anchors for 2-D multilateration")
-        if self.range_noise_sd < 0.0:
-            raise ValueError("range_noise_sd must be non-negative")
-        object.__setattr__(self, "anchors",
-                           tuple((float(x), float(y)) for x, y in self.anchors))
+        if self.range_noise_sd_m < 0.0:
+            raise ValueError("range_noise_sd_m must be non-negative")
+        object.__setattr__(self, "anchors_m", tuple(
+            (float(x), float(y)) for x, y in self.anchors_m))
 
 
 # ---------- coverage grid ----------
@@ -211,11 +208,11 @@ def _fix_ranges(xy: np.ndarray, uwb: UwbSystem, rng) -> np.ndarray:
     """Noisy anchor ranges [m, k] from true positions [m, 2].  The noise is
     one block draw, which is the stream of scalar rng.normal() draws in
     (position, anchor) order."""
-    anchors = np.array(uwb.anchors)
+    anchors = np.array(uwb.anchors_m)
     d = xy[:, :1] - anchors[:, 0]
     np.hypot(d, xy[:, 1:] - anchors[:, 1], out=d)
-    if uwb.range_noise_sd > 0.0:
-        d += uwb.range_noise_sd * rng.normal(size=d.shape)
+    if uwb.range_noise_sd_m > 0.0:
+        d += uwb.range_noise_sd_m * rng.normal(size=d.shape)
     return np.maximum(d, 0.0, out=d)
 
 
@@ -315,8 +312,8 @@ def _localize(true_xy: np.ndarray, uwb: UwbSystem, rng
     # tick-major lanes: lane order (tick, agent) is the ranging order
     ranges = _fix_ranges(true_xy.transpose(1, 0, 2).reshape(-1, 2), uwb, rng)
     xy, converged, _ = _solve_fixes(
-        ranges, uwb.anchors,
-        np.broadcast_to(_centroid(uwb.anchors), (len(ranges), 2)))
+        ranges, uwb.anchors_m,
+        np.broadcast_to(_centroid(uwb.anchors_m), (len(ranges), 2)))
     return (xy.reshape(n_log, n_agents, 2).transpose(1, 0, 2),
             converged.reshape(n_log, n_agents).T)
 

@@ -110,7 +110,7 @@ def test_criterion_05_lifting_height_curve():
                      "plateau at 3.5 vs 4.0 mm"):
         rig = FixationRig()
         assert lifting_height(rig, 3.5e-3) == 1.9e-3
-        ds = np.linspace(0.0, rig.rod_a_initial_clearance, 1000)
+        ds = np.linspace(0.0, rig.rod_a_initial_clearance_m, 1000)
         hs = [lifting_height(rig, float(d)) for d in ds]
         assert all(hs[i] <= hs[i + 1] for i in range(999))
         assert lifting_height(rig, 4.0e-3) == lifting_height(rig, 3.5e-3)
@@ -180,12 +180,12 @@ def test_criterion_10_multilateration_accuracy():
 
         def solve(n, uwb):
             p = rng.uniform(0.0, 2.0, (n, 2))
-            start = np.broadcast_to(sw._centroid(uwb.anchors), p.shape)
+            start = np.broadcast_to(sw._centroid(uwb.anchors_m), p.shape)
             xy, conv, its = sw._solve_fixes(sw._fix_ranges(p, uwb, rng),
-                                            uwb.anchors, start)
+                                            uwb.anchors_m, start)
             return np.hypot(*(xy - p).T), conv, its
 
-        err, conv, its = solve(100, sw.UwbSystem(range_noise_sd=0.0))
+        err, conv, its = solve(100, sw.UwbSystem(range_noise_sd_m=0.0))
         assert conv.all() and (its <= 50).all()
         assert err.max() < 1e-6
 
@@ -199,7 +199,7 @@ def test_criterion_11_coverage_accounting():
         arena = sw.Arena(obstacles=())
         params = _zero_spread(AUTO_PRESET)
         start = AgentState(0.05, 0.05, 30.0, params.walk_speed_mean)
-        run = sw.simulate(arena, sw.UwbSystem(range_noise_sd=0.0), [params],
+        run = sw.simulate(arena, sw.UwbSystem(range_noise_sd_m=0.0), [params],
                           stim_period=40.0, duration=20.0, seed=0,
                           initial_states=[start])
         expected = np.zeros((20, 20), dtype=bool)

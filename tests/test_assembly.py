@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from biobotsim.assembly import (
     DEFAULT_STEP_DURATIONS,
+    DEFAULT_WORKSPACE_BOX,
     EVENT_ORDER,
     AssemblyProcess,
     AssemblyState,
@@ -11,7 +12,6 @@ from biobotsim.assembly import (
     ImplantPose,
     PayloadSpec,
     PixelToArmCalibration,
-    Workspace,
     advance,
     batch_assemble,
     check_payload,
@@ -76,41 +76,42 @@ def test_pose_rejects_pitch_outside_corridor():
 
 def test_default_payload_is_feasible():
     spec = PayloadSpec()
-    assert spec.gripper_mass + spec.camera_mass + spec.backpack_mass == pytest.approx(1.0773)
+    total = spec.gripper_mass_kg + spec.camera_mass_kg + spec.backpack_mass_kg
+    assert total == pytest.approx(1.0773)
     check_payload(spec)
 
 
 def test_payload_fails_under_small_arm_limit():
     with pytest.raises(ValueError, match="payload limit"):
-        check_payload(PayloadSpec(arm_payload_limit=1.0))
+        check_payload(PayloadSpec(arm_payload_limit_kg=1.0))
 
 
 def test_payload_fails_with_heavy_backpack():
     with pytest.raises(ValueError, match="payload limit"):
-        check_payload(PayloadSpec(backpack_mass=2.5))
+        check_payload(PayloadSpec(backpack_mass_kg=2.5))
 
 
 def test_payload_fails_when_camera_cannot_focus():
     with pytest.raises(ValueError, match="arm reach"):
-        check_payload(PayloadSpec(camera_min_depth=0.6))
+        check_payload(PayloadSpec(camera_min_depth_m=0.6))
 
 
 def test_small_envelope_fits_workspace():
-    check_workspace(Workspace(), (0.01, 0.01, 0.01))
+    check_workspace(DEFAULT_WORKSPACE_BOX, (0.01, 0.01, 0.01))
 
 
 def test_oversized_envelope_fails_on_one_axis():
     with pytest.raises(ValueError, match="does not fit"):
-        check_workspace(Workspace(), (0.07, 0.01, 0.01))
+        check_workspace(DEFAULT_WORKSPACE_BOX, (0.07, 0.01, 0.01))
 
 
 def test_exact_box_envelope_is_boundary_inclusive():
-    check_workspace(Workspace(), (0.065, 0.035, 0.025))
+    check_workspace(DEFAULT_WORKSPACE_BOX, (0.065, 0.035, 0.025))
 
 
 def test_negative_envelope_rejected():
     with pytest.raises(ValueError):
-        check_workspace(Workspace(), (-0.01, 0.01, 0.01))
+        check_workspace(DEFAULT_WORKSPACE_BOX, (-0.01, 0.01, 0.01))
 
 
 # ---------- calibration ----------
@@ -121,8 +122,9 @@ def test_identity_calibration_passes_pixels_through():
 
 
 def test_affine_calibration_scales_and_offsets():
-    cal = PixelToArmCalibration(scale_x=0.001, scale_y=-0.002,
-                                offset_x=0.1, offset_y=0.2, offset_z=0.05)
+    cal = PixelToArmCalibration(scale_x_m_per_px=0.001,
+                                scale_y_m_per_px=-0.002, offset_x_m=0.1,
+                                offset_y_m=0.2, offset_z_m=0.05)
     x, y, z = cal.apply(ReferencePoint(100, 50), 0.001)
     assert x == pytest.approx(0.1 + 0.1)
     assert y == pytest.approx(0.2 - 0.1)
@@ -218,14 +220,15 @@ def test_plan_assembly_defaults():
 
 
 def test_plan_assembly_requires_exposure():
-    rig = FixationRig(lowered_distance_d=0.0)
+    rig = FixationRig(lowered_distance_d_m=0.0)
     with pytest.raises(ValueError, match="exposure"):
         plan_assembly(ReferencePoint(10, 10), rig)
 
 
 def test_plan_assembly_applies_calibration():
-    cal = PixelToArmCalibration(scale_x=0.001, scale_y=0.001,
-                                offset_x=-0.05, offset_y=-0.05, offset_z=0.1)
+    cal = PixelToArmCalibration(scale_x_m_per_px=0.001,
+                                scale_y_m_per_px=0.001, offset_x_m=-0.05,
+                                offset_y_m=-0.05, offset_z_m=0.1)
     pose, _ = plan_assembly(ReferencePoint(100, 100), FixationRig(),
                             calibration=cal)
     assert pose.reference_point_xyz[0] == pytest.approx(0.05)

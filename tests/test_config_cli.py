@@ -22,19 +22,14 @@ from hypothesis import given, settings, strategies as st
 from biobotsim import cli, neurosignal as ns, swarm as sw, vision
 from biobotsim.assembly import PayloadSpec, PixelToArmCalibration
 from biobotsim.config import (
-    CalibrationConfig,
     ConfigError,
-    PayloadConfig,
-    RigConfig,
     RunConfig,
     agent_params_from_config,
     arena_from_config,
     config_digest,
     config_from_dict,
     config_to_dict,
-    from_config,
     load_config,
-    uwb_from_config,
 )
 from biobotsim.locomotion import AUTO_PRESET
 from biobotsim.morphology import FixationRig
@@ -85,11 +80,16 @@ def test_default_config_digest_is_pinned():
         "b4461a91f3016f8e8925606d64646549a78b3b9929be219443a87359379d9e09")
 
 
-def test_block_adapters_build_the_domain_defaults():
-    assert from_config(FixationRig, RigConfig()) == FixationRig()
-    assert (from_config(PixelToArmCalibration, CalibrationConfig())
-            == PixelToArmCalibration())
-    assert from_config(PayloadSpec, PayloadConfig()) == PayloadSpec()
+def test_config_blocks_are_the_domain_types():
+    # one declaration per block: a config mirror of a domain class would
+    # hold its keys and defaults a second time
+    cfg = RunConfig()
+    for block, cls in ((cfg.rig, FixationRig),
+                       (cfg.assembly.calibration, PixelToArmCalibration),
+                       (cfg.assembly.payload, PayloadSpec),
+                       (cfg.neurosignal, ns.SpikeParams),
+                       (cfg.swarm.uwb, sw.UwbSystem)):
+        assert type(block) is cls
 
 
 def test_schema_version_is_required_and_checked():
@@ -210,6 +210,10 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
     ({"swarm": {"duration_s": 30.9, "log_rate_hz": 1.0}}, "swarm",
      "log interval 1.0 does not divide the duration 30.9"),
     ({"rig": {"rod_a_initial_clearance_m": -1.0}}, "rig", "lowered_distance_d"),
+    ({"swarm": {"uwb": {"anchors_m": [[0.0, 0.0], [1.0, 0.0]]}}}, "swarm.uwb",
+     "need at least 3 anchors"),
+    ({"swarm": {"uwb": {"range_noise_sd_m": -0.1}}}, "swarm.uwb",
+     "range_noise_sd_m must be non-negative"),
     ({"swarm": {"arena": {"width_m": 0.5}}}, "swarm.arena", "outside the arena"),
     ({"assembly": {"step_durations_s": dict(_STEPS, fix=True)}},
      "assembly.step_durations_s.fix", "expected a number"),
@@ -247,8 +251,8 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "neurosignal.bandpass_high_hz", "must be above"),
 ], ids=["duration", "duration-under-one-step", "dt-bound", "tiling",
         "stim-period", "log-interval", "log-past-the-end",
-        "log-short-of-the-end", "rig", "arena", "step-bool", "step-string",
-        "step-zero", "corridor",
+        "log-short-of-the-end", "rig", "uwb-anchors", "uwb-noise", "arena",
+        "step-bool", "step-string", "step-zero", "corridor",
         "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
         "synth-duration", "synth-too-short", "synth-too-long", "r-max", "r-min",
         "sample-rate", "band-low", "band-high-below-low"])
@@ -329,7 +333,7 @@ def test_arena_and_uwb_adapters():
     arena = arena_from_config(cfg.swarm.arena)
     assert len(arena.obstacles) == 1
     assert arena.obstacles[0].x_max == 0.8
-    assert uwb_from_config(cfg.swarm.uwb).range_noise_sd == 0.0
+    assert cfg.swarm.uwb.range_noise_sd_m == 0.0
     default_arena = arena_from_config(RunConfig().swarm.arena)
     assert len(default_arena.obstacles) == 5
 
@@ -369,7 +373,7 @@ def test_assemble_batch_total(tmp_path, capsys):
 def test_assemble_zero_lowering_fails_at_runtime(tmp_path):
     # config loading rejects this rig; a RunConfig built in code skips
     # loading, and the run applies the same exposure check
-    cfg = RunConfig(rig=RigConfig(lowered_distance_d_m=0.0))
+    cfg = RunConfig(rig=FixationRig(lowered_distance_d_m=0.0))
     with pytest.raises(ValueError, match="insufficient exposure"):
         cli.run_assemble(cfg, tmp_path / "out", None)
 
@@ -577,7 +581,7 @@ def test_coverage_batch_runs_the_dispersion_batch(tmp_path):
     doc = json.loads((tmp_path / "out" / "summary.json").read_text())
     cfg = load_config(cfg_path)
     runs = sw.dispersion_batch(
-        arena_from_config(cfg.swarm.arena), uwb_from_config(cfg.swarm.uwb),
+        arena_from_config(cfg.swarm.arena), cfg.swarm.uwb,
         [agent_params_from_config(cfg.locomotion)] * 2, 3, cfg.seed,
         duration=10.0)
     finals = [(run.seed, run.final_union_coverage) for run in runs]
@@ -650,7 +654,7 @@ def test_trajectory_csv_rows_run_tick_major_with_positions_to_1_um(tmp_path):
     cfg = load_config(cfg_path)
     sc = cfg.swarm
     run = sw.simulate(
-        arena_from_config(sc.arena), uwb_from_config(sc.uwb),
+        arena_from_config(sc.arena), sc.uwb,
         [agent_params_from_config(cfg.locomotion)] * 3, seed=cfg.seed,
         stim_period=sc.stim_period_s, duration=sc.duration_s, dt=sc.dt_s,
         log_rate_hz=sc.log_rate_hz, coverage_from=sc.coverage_from,

@@ -42,7 +42,7 @@ def test_lift_rejects_lowering_past_clearance():
 
 
 def test_lift_monotone_on_dense_grid():
-    ds = np.linspace(0.0, RIG.rod_a_initial_clearance, 1000)
+    ds = np.linspace(0.0, RIG.rod_a_initial_clearance_m, 1000)
     hs = [lifting_height(RIG, float(d)) for d in ds]
     assert all(h2 >= h1 for h1, h2 in zip(hs, hs[1:]))
 
@@ -57,7 +57,7 @@ def test_lift_monotone_pairwise(d1, d2):
 @given(st.floats(min_value=0.0, max_value=4.0e-3))
 def test_lift_bounded_by_plateau(d):
     h = lifting_height(RIG, d)
-    assert 0.0 <= h <= RIG.saturation_height_h_max
+    assert 0.0 <= h <= RIG.saturation_height_h_max_m
 
 
 # ---------- exposure flags ----------
@@ -81,11 +81,11 @@ def test_lift_between_one_and_two_thicknesses():
 
 def test_rig_rejects_lowering_outside_clearance():
     with pytest.raises(ValueError):
-        FixationRig(lowered_distance_d=4.5e-3)
+        FixationRig(lowered_distance_d_m=4.5e-3)
     with pytest.raises(ValueError):
-        FixationRig(lowered_distance_d=-0.1e-3)
+        FixationRig(lowered_distance_d_m=-0.1e-3)
 
 
 def test_default_rig_plateau_exceeds_twice_electrode():
-    assert RIG.saturation_height_h_max > 2.0 * RIG.electrode_thickness
+    assert RIG.saturation_height_h_max_m > 2.0 * RIG.electrode_thickness_m
 

@@ -16,7 +16,6 @@ from biobotsim.locomotion import (AUTO_PRESET, MANUAL_PRESET, ActiveCommand,
 from biobotsim.seeding import child_seed
 from biobotsim.swarm import (
     DEFAULT_OBSTACLES,
-    DEFAULT_RANGE_NOISE_SD,
     Arena,
     CoverageGrid,
     Rect,
@@ -30,13 +29,12 @@ from biobotsim.swarm import (
     _solve_fixes,
     coverage_percent,
     coverage_rate,
-    default_anchors,
     dispersion_batch,
     simulate,
     spawn_states,
 )
 
-QUIET_UWB = UwbSystem(range_noise_sd=0.0)
+QUIET_UWB = UwbSystem(range_noise_sd_m=0.0)
 CENTROID = (1.8, 1.8)     # of the default anchors
 
 
@@ -96,14 +94,15 @@ def test_release_cell_rects_by_corner():
 
 
 def test_default_anchor_square():
-    assert default_anchors() == ((0.0, 0.0), (3.6, 0.0), (3.6, 3.6), (0.0, 3.6))
+    assert UwbSystem().anchors_m == ((0.0, 0.0), (3.6, 0.0), (3.6, 3.6),
+                                    (0.0, 3.6))
 
 
 def test_uwb_validation():
     with pytest.raises(ValueError):
-        UwbSystem(anchors=((0.0, 0.0), (1.0, 0.0)))
+        UwbSystem(anchors_m=((0.0, 0.0), (1.0, 0.0)))
     with pytest.raises(ValueError):
-        UwbSystem(range_noise_sd=-0.1)
+        UwbSystem(range_noise_sd_m=-0.1)
 
 
 # ---------- coverage grid ----------
@@ -169,13 +168,13 @@ def _solve(ranges, anchors, starts):
 
 def test_noiseless_ranges_are_exact_distances():
     ranges = _fix_ranges(np.array([[1.2, 0.7]]), QUIET_UWB, None)
-    expected = [math.hypot(1.2 - ax, 0.7 - ay) for ax, ay in QUIET_UWB.anchors]
+    expected = [math.hypot(1.2 - ax, 0.7 - ay) for ax, ay in QUIET_UWB.anchors_m]
     assert ranges.tolist() == [expected]
 
 
 def test_multilateration_recovers_noiseless_positions():
     p = np.random.default_rng(11).uniform(0.0, 2.0, (100, 2))
-    xy, conv, _ = _solve(_fix_ranges(p, QUIET_UWB, None), QUIET_UWB.anchors,
+    xy, conv, _ = _solve(_fix_ranges(p, QUIET_UWB, None), QUIET_UWB.anchors_m,
                          [CENTROID] * 100)
     assert conv.all()
     assert np.hypot(*(xy - p).T).max() < 1e-6
@@ -183,7 +182,7 @@ def test_multilateration_recovers_noiseless_positions():
 
 def test_warm_start_converges_fast():
     ranges = _fix_ranges(np.array([[0.4, 1.6]]), QUIET_UWB, None)
-    _, conv, its = _solve(ranges, QUIET_UWB.anchors, [(0.4, 1.6)])
+    _, conv, its = _solve(ranges, QUIET_UWB.anchors_m, [(0.4, 1.6)])
     assert conv[0]
     assert its[0] <= 3
 
@@ -196,9 +195,9 @@ CAPPED_RANGES = [0.021413335492545683, 3.5287300647154427, 5.00106074650553,
 def _one_row_calls_agree(uwb, ranges, starts):
     """Solve the lanes as one batch; assert each equals its own one-row
     _solve_fixes call bit for bit; return (converged, iterations)."""
-    xy, conv, its = _solve(ranges, uwb.anchors, starts)
+    xy, conv, its = _solve(ranges, uwb.anchors_m, starts)
     for row, start, pos, c, n in zip(ranges, starts, xy, conv, its):
-        one = _solve([row], uwb.anchors, [start])
+        one = _solve([row], uwb.anchors_m, [start])
         assert one[0].tobytes() == pos.tobytes()
         assert (one[1][0], one[2][0]) == (c, n)
     return conv.tolist(), its.tolist()
@@ -222,8 +221,8 @@ def test_fix_kernel_lanes_equal_one_row_calls():
     assert conv[:2] == [True, True]
     assert (conv[4], its[4]) == (False, 50)
 
-    line = UwbSystem(anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
-                     range_noise_sd=0.0)
+    line = UwbSystem(anchors_m=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                     range_noise_sd_m=0.0)
     rows = [ranges(line, 1.0, 0.0), ranges(line, 0.5, 0.4),
             ranges(line, 1.5, 0.0)]
     # on the anchor line every unit vector is horizontal: det == 0 at once,
@@ -234,12 +233,12 @@ def test_fix_kernel_lanes_equal_one_row_calls():
     assert its[0] == its[2] == 1
 
 
-LINE_UWB = UwbSystem(anchors=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
-                    range_noise_sd=0.0)
+LINE_UWB = UwbSystem(anchors_m=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                     range_noise_sd_m=0.0)
 # from its centroid, (x - 1e200)**2 overflows
 FAR_UWB = UwbSystem(
-    anchors=((0.0, 0.0), (3.6, 0.0), (1e200, 0.0), (0.0, 3.6)),
-    range_noise_sd=0.0)
+    anchors_m=((0.0, 0.0), (3.6, 0.0), (1e200, 0.0), (0.0, 3.6)),
+    range_noise_sd_m=0.0)
 
 
 @st.composite
@@ -251,7 +250,7 @@ def _fix_lanes(draw):
 
     def ranges(uwb, x, y, noise_seed=None):
         if noise_seed is not None:
-            uwb = replace(uwb, range_noise_sd=DEFAULT_RANGE_NOISE_SD)
+            uwb = replace(uwb, range_noise_sd_m=UwbSystem.range_noise_sd_m)
         rng = np.random.default_rng(noise_seed)
         return _fix_ranges(np.array([[x, y]]), uwb, rng)[0].tolist()
 
@@ -272,7 +271,7 @@ def _fix_lanes(draw):
             st.builds(lambda x, y, seed: (ranges(uwb, x, y, seed), CENTROID),
                       coord, coord, seeds),                       # noisy
             st.builds(lambda a, seed: (ranges(uwb, *a, seed), CENTROID),
-                      st.sampled_from(uwb.anchors),
+                      st.sampled_from(uwb.anchors_m),
                       st.none() | seeds),                         # on an anchor
             st.sampled_from([(CAPPED_RANGES, CENTROID),           # capped
                              (CAPPED_RANGES, (0.0, 0.0))]))
@@ -320,22 +319,22 @@ def _reference_fix(ranges, anchors, start):
                 + [([0.0, 3.6, 5.0, 3.6], CENTROID)] * 9))
 @example(batch=(FAR_UWB, [(_fix_ranges(np.array([[1.0, 1.0]]), FAR_UWB,
                                        None)[0].tolist(),
-                           swarm._centroid(FAR_UWB.anchors))] * 3))
+                           swarm._centroid(FAR_UWB.anchors_m))] * 3))
 def test_refilled_working_set_lanes_equal_one_row_calls(width, batch):
     uwb, lanes = batch
-    k = len(uwb.anchors)
+    k = len(uwb.anchors_m)
     ranges = np.array([r for r, _ in lanes], dtype=float).reshape(-1, k)
     starts = np.array([s for _, s in lanes], dtype=float).reshape(-1, 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(swarm, "_FIX_LANES", width)
-        xy, conv, its = _solve_fixes(ranges, uwb.anchors, starts)
+        xy, conv, its = _solve_fixes(ranges, uwb.anchors_m, starts)
         assert xy.shape == (len(lanes), 2)
         assert conv.shape == its.shape == (len(lanes),)
         for row, start, pos, c, n in zip(ranges, starts, xy, conv, its):
-            one = _solve_fixes(row[None], uwb.anchors, start[None])
+            one = _solve_fixes(row[None], uwb.anchors_m, start[None])
             assert one[0][0].tobytes() == pos.tobytes()
             assert (one[1][0], one[2][0]) == (c, n)
-            ref, ref_c, ref_n = _reference_fix(row.tolist(), uwb.anchors,
+            ref, ref_c, ref_n = _reference_fix(row.tolist(), uwb.anchors_m,
                                                start.tolist())
             assert np.array(ref).tobytes() == pos.tobytes()
             assert (ref_c, ref_n) == (c, n)
@@ -350,25 +349,25 @@ def test_fix_solve_allocates_only_a_working_set():
     start = np.broadcast_to(CENTROID, p.shape)
     tracemalloc.start()
     try:
-        out = _solve_fixes(ranges, uwb.anchors, start)
+        out = _solve_fixes(ranges, uwb.anchors_m, start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the outputs plus at most 16 float64 arrays of [k, _FIX_LANES] (2.1 MB):
     # no temporary may grow with the number of lanes
     outputs = sum(a.nbytes for a in out)
-    working_set = 16 * len(uwb.anchors) * swarm._FIX_LANES * 8
+    working_set = 16 * len(uwb.anchors_m) * swarm._FIX_LANES * 8
     assert peak <= outputs + working_set
     assert (out[2] > 0).all()
 
 
 def test_block_ranging_noise_is_the_scalar_draw_stream():
-    uwb = UwbSystem(range_noise_sd=0.5)
+    uwb = UwbSystem(range_noise_sd_m=0.5)
     xy = np.random.default_rng(1).uniform(0.0, 0.5, (37, 2))
     got = _fix_ranges(xy, uwb, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     want = [[max(np.hypot(x - ax, y - ay) + 0.5 * rng.normal(), 0.0)
-             for ax, ay in uwb.anchors] for x, y in xy.tolist()]
+             for ax, ay in uwb.anchors_m] for x, y in xy.tolist()]
     assert got.tolist() == want
     assert (got == 0.0).any()      # some noisy ranges clamp at zero
 
@@ -383,9 +382,9 @@ def test_simulate_fixes_are_cold_started_one_row_solves(monkeypatch):
         for i in range(3):
             x, y = run.true_xy[i, li].tolist()
             row = [max(np.hypot(x - ax, y - ay)
-                       + uwb.range_noise_sd * rng.normal(), 0.0)
-                   for ax, ay in uwb.anchors]
-            xy, conv, _ = _solve([row], uwb.anchors, [CENTROID])
+                       + uwb.range_noise_sd_m * rng.normal(), 0.0)
+                   for ax, ay in uwb.anchors_m]
+            xy, conv, _ = _solve([row], uwb.anchors_m, [CENTROID])
             assert xy[0].tobytes() == run.est_xy[i, li].tobytes()
             assert conv[0] == run.est_converged[i, li]
 
