@@ -867,7 +867,7 @@ def simulate(arena: Arena, uwb: UwbSystem,
 
     union_grid.visited = union_ticks < n_log
     return SwarmRun(seed=seed, uwb=uwb, n_agents=n_agents,
-                    log_t=np.arange(n_log) * log_steps * dt,
+                    log_t=np.arange(n_log) / log_rate_hz,
                     true_xy=true_xy, heading_deg=heading_deg, speed=speed,
                     commands=commands,
                     agent_coverage_pct=np.array([curve(t) for t in ticks]),

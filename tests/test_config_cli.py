@@ -628,7 +628,8 @@ def test_estimated_coverage_run_solves_each_fix_once(tmp_path, monkeypatch):
 def test_far_anchor_keeps_finite_estimates(tmp_path):
     # from the centroid, (x - 1e200)**2 overflows: the solver takes hypot
     # for that anchor, and the run writes the bytes it wrote when every
-    # distance was a hypot
+    # distance was a hypot (18d4bf43...), but for t_s cells printed as
+    # k / log_rate_hz
     data = _quick_swarm_cfg(duration=10.0)
     data["swarm"]["coverage_from"] = "estimated"
     data["swarm"]["uwb"] = {"anchors_m": [[0.0, 0.0], [3.6, 0.0],
@@ -642,7 +643,7 @@ def test_far_anchor_keeps_finite_estimates(tmp_path):
            for row in traj.splitlines()[1:]]
     assert len(est) == 2 * 101 and np.isfinite(est).all()
     assert hashlib.sha256(traj).hexdigest() == (
-        "18d4bf43ecd51fb54a97dc3842f7e8a4665ad599bd8892c564afd424ffa6c5ca")
+        "5db22410e27a89d51a485e7315b19ae4e6a96b3fab09ce5f0f6241617615447c")
 
 
 def test_trajectory_csv_rows_run_tick_major_with_positions_to_1_um(tmp_path):
@@ -671,6 +672,25 @@ def test_trajectory_csv_rows_run_tick_major_with_positions_to_1_um(tmp_path):
     got = np.array([[float(v) for v in row[2:6]] for row in rows])
     want = np.concatenate([run.true_xy, run.est_xy], axis=2)
     assert np.abs(got - want.transpose(1, 0, 2).reshape(-1, 4)).max() <= 5e-7
+
+
+@pytest.mark.parametrize("rate, digits", [(10.0, 1), (100.0, 2)])
+def test_log_ticks_print_as_the_tick_itself(tmp_path, rate, digits):
+    # tick k is k / rate, so no t_s cell carries float noise such as
+    # 0.35000000000000003, and the last tick is the duration itself
+    data = _quick_swarm_cfg(duration=20.0, n_agents=1)
+    data["swarm"]["log_rate_hz"] = rate
+    cfg = _write_cfg(tmp_path, data)
+    assert cli.main(["coverage", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    for name in ("trajectory.csv", "coverage.csv"):
+        lines = (tmp_path / "out" / name).read_text().splitlines()[1:]
+        cells = [line.split(",", 1)[0] for line in lines]
+        assert len(cells) == 20 * int(rate) + 1
+        for k, cell in enumerate(cells):
+            assert cell == repr(k / rate)
+            assert len(cell) <= len(f"{k / rate:.{digits}f}")
+        assert float(cells[-1]) == 20.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,26 +24,30 @@ DURATION_S = 60.0
 
 # trajectory.csv writes positions at %.6f (1 um); before that they were
 # reprs (8531cbb2...), and the t_s, agent_id and command cells are unchanged.
+# Tick k is k / log_rate_hz: a t_s cell such as 0.35000000000000003 became
+# 0.35, which moved every trajectory.csv and coverage.csv digest (from
+# feffcda8..., 78b72f8c..., 40f04abc..., 9744d0f1..., 6a1dbc7c... and
+# 7d963d45...); no other cell and no summary.json changed.
 GOLDEN = {
     "true": {
         "trajectory.csv":
-            "feffcda8bebae61cf7ab94ef5bd582c5b5ebeedce3bb0f434b73300bce849d99",
+            "07caa581693b040825fc2a48b477009454972a79748ea1a8058c482ac0c31dfd",
         "coverage.csv":
-            "78b72f8ce66c0b90843739511a20f488f9c99b8a1b6b409604f27f0f3762062d",
+            "65f0aa11ee8628e9ea9cd4a1707133530b6c3136ed2cab7f12b374767385f668",
         "summary.json":
             "a7f07e7c547170ca6a546863fbb8aa72ed2be11c7aba519e34ab5ef510bacda8",
     },
     "estimated": {
         "trajectory.csv":
-            "feffcda8bebae61cf7ab94ef5bd582c5b5ebeedce3bb0f434b73300bce849d99",
+            "07caa581693b040825fc2a48b477009454972a79748ea1a8058c482ac0c31dfd",
         "coverage.csv":
-            "40f04abc18e941ef0be5cef3a0a0f9b0f1421991801e148e7d9d18a18e2a7710",
+            "167bf6db16bcf42ed3cc2006e5879c27799a38b0d6c27506aace0771427045be",
         "summary.json":
             "71cb25b4afd0691e459d917713afdb0a05fa3b2d65e76e3dd01643a52aa7653c",
     },
     "seeds3": {
         "coverage.csv":
-            "9744d0f11c4f277b897ed6734b51631d26057c5ab84093fbdcf6128586f44af9",
+            "fd4a1d854f4b8a7b4b7381795c803e6860957a8cf04c4206b21f2ff9b198e6c0",
         "summary.json":
             "3967d442c6128d30ab8a14aa352a38119fdb62ff1ab79a27a25c0b881f2b55c4",
     },
@@ -51,9 +55,9 @@ GOLDEN = {
     # the writer's 4,096-row blocks
     "estimated_100hz": {
         "trajectory.csv":
-            "6a1dbc7c6f504e03452f0c632e0fbb21b5080bb011fb4af560171ec551a093e4",
+            "999fde676feecb6f6a836560c066f92a326b42285d3b3145b19b2e6d7a745f76",
         "coverage.csv":
-            "7d963d45aac1e89f7d59e99e53152453e01bfb44476a4040b674f225273c52d8",
+            "07ea440bf1325eecd9d22b5f42f17feb23f7d59ff7182a9b17cc749411cdfc36",
         "summary.json":
             "6d298e4be66bf030e287c423a35d3d57075f93feb3ed66f1d208a4388de1df17",
     },
