@@ -32,7 +32,7 @@ from biobotsim.config import (
     load_config,
 )
 from biobotsim.locomotion import AUTO_PRESET
-from biobotsim.morphology import FixationRig
+from biobotsim.morphology import FixationRig, lifting_height
 from biobotsim.vision import Mask, write_pgm
 
 
@@ -368,6 +368,22 @@ def test_assemble_batch_total(tmp_path, capsys):
     doc = json.loads((tmp_path / "out" / "assembly.json").read_text())
     assert doc["batch_n"] == 4
     assert doc["batch_total_s"] == 468.0
+
+
+def test_assemble_runs_the_rig_and_calibration_blocks(tmp_path):
+    data = {"schema_version": 1, "rig": {"lowered_distance_d_m": 2.0e-3},
+            "assembly": {"calibration": {
+                "scale_x_m_per_px": 0.001, "scale_y_m_per_px": -0.002,
+                "offset_x_m": 0.1, "offset_y_m": 0.2, "offset_z_m": 0.05}}}
+    cfg_path = _write_cfg(tmp_path, data)
+    assert cli.main(["assemble", "--config", str(cfg_path),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "assembly.json").read_text())
+    cfg = load_config(cfg_path)
+    p_r = vision.ReferencePoint(**doc["reference_point_px"])
+    lift = lifting_height(cfg.rig, 2.0e-3)
+    assert doc["pose_xyz_m"] == list(cfg.assembly.calibration.apply(p_r, lift))
+    assert doc["pose_xyz_m"][2] == pytest.approx(0.05 + 1.9e-3 * 2.0 / 3.5)
 
 
 def test_assemble_zero_lowering_fails_at_runtime(tmp_path):

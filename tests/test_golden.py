@@ -23,11 +23,9 @@ SEED = 11
 DURATION_S = 60.0
 
 # trajectory.csv writes positions at %.6f (1 um); before that they were
-# reprs (8531cbb2...), and the t_s, agent_id and command cells are unchanged.
-# Tick k is k / log_rate_hz: a t_s cell such as 0.35000000000000003 became
-# 0.35, which moved every trajectory.csv and coverage.csv digest (from
-# feffcda8..., 78b72f8c..., 40f04abc..., 9744d0f1..., 6a1dbc7c... and
-# 7d963d45...); no other cell and no summary.json changed.
+# reprs (8531cbb2...).  t_s cells print tick k as k / log_rate_hz (0.35,
+# not 0.35000000000000003); that change moved every trajectory.csv and
+# coverage.csv digest, and no summary.json.
 GOLDEN = {
     "true": {
         "trajectory.csv":
