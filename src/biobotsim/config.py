@@ -4,15 +4,13 @@ Configs are plain JSON with unit-suffixed keys in SI units.  Loading is
 strict: unknown keys anywhere in the tree are rejected with their full
 path, so typos fail loudly instead of silently using defaults.  The
 schema is thin.  The rig, assembly.calibration, assembly.payload,
-neurosignal and swarm.uwb blocks are the domain classes themselves
-(FixationRig, PixelToArmCalibration, PayloadSpec, SpikeParams,
-UwbSystem), whose fields are the config keys; each checks its own rules
-when it is built, and a failure is reported at the block's path, or at
-the field's path when the class names the field (ParamError).  Every
-other default is read from the module constant that owns it.  The
-arena and locomotion blocks are adapters, because their JSON shape
-differs from the domain type's.  After the tree is built, _validate
-runs the checks that span fields or blocks.
+neurosignal and swarm.uwb blocks are the domain classes themselves,
+whose field names are the config keys; each checks its own rules when it
+is built, and a failure is reported at the block's path (at the field's
+path for a ParamError).  The arena and locomotion blocks are adapters,
+because their JSON shape differs from the domain type's.  Other defaults
+are read from the module constants that own them, and _validate runs the
+checks that span fields or blocks.
 """
 from __future__ import annotations
 
