@@ -309,7 +309,12 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
     else:
         raise InputDataError("spikes needs --input, --synth, or --sweep")
 
-    train = ns.run_spike_pipeline(trace, nc)
+    try:
+        train = ns.run_spike_pipeline(trace, nc)
+    except ValueError as exc:   # the trace's rate, length or size
+        if input_path is None:
+            raise
+        raise ValueError(f"{input_path}: {exc}") from exc
     _write_json(out_dir / "spikes.json", {
         "schema_version": 1,
         "seed": cfg.seed,

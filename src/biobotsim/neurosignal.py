@@ -13,13 +13,14 @@ The bandpass needs numpy only.  It is a single-biquad Butterworth whose
 coefficients come in closed form from the bilinear transform with
 prewarped edges (biquad_coefficients).  It runs as a direct-form-II-
 transposed filter in one kernel, bandpass_rows, which filters many traces
-at once through blocked matrix-vector products.  The threshold takes the
+at once through blocked matrix products.  The threshold takes the
 median from one partition.
 
-The stages run as one chain, _detect_chunk, on the rows of one buffer.
-run_spike_pipeline is its call on one trace.  voltage_sweep is the driver
-of the voltage-response protocol.  It runs its traces a few at a time
-through the same chain, synthesis first, with one thread per CPU.
+The stages run as one chain, _detect_chunk, on the buffers of one
+_Workspace.  run_spike_pipeline is its call on one trace.  voltage_sweep
+is the driver of the voltage-response protocol.  It runs its traces a few
+at a time through the same chain, synthesis first, with one thread per
+CPU, and each thread reuses one workspace for all of its chunks.
 """
 from __future__ import annotations
 
@@ -98,8 +99,8 @@ def _spikelet(sample_rate: float) -> np.ndarray:
     return np.sin(2.0 * np.pi * np.arange(n) / n)
 
 
-# samples in one synthesized trace at most: 80 MB a trace, and a sweep
-# holds _LANES of them, with their filter's temporaries, on each thread
+# samples in one synthesized trace at most: 80 MB a trace, and each sweep
+# thread's workspace holds two such rows per lane, of _LANES lanes
 MAX_TRACE_SAMPLES = 10_000_000
 
 
@@ -199,6 +200,13 @@ def biquad_coefficients(sample_rate: float, low: float, high: float):
 
 _BLOCK = 32   # samples per block
 _GROUP = 32   # blocks per group
+# block rows per GEMM call, 7 whole groups.  OpenBLAS runs a GEMM on the
+# calling thread only while M*N*K stays under a threshold: 4 * 65,536 in
+# its generic build, and 1e6 in 0.3.31's SkylakeX build, where a 920-row
+# piece (1,000,960) already wakes its own threads.  A 224 x 34 by 34 x 32
+# product is 243,712, under both.  One GEMM over a whole 4-trace chunk
+# ran OpenBLAS's threads on top of the sweep's and doubled its CPU time.
+_PIECE = 7 * _GROUP
 
 
 @functools.lru_cache(maxsize=8)
@@ -210,7 +218,10 @@ def _block_matrices(sample_rate: float, low: float, high: float):
     P carries a state over one block: s_{k+1} = P s_k + e_k, where e_k is
     the state block k leaves when it starts from zero.  carry maps a
     group's [e_0 .. e_{G-1}, s_0] to [s_0 .. s_{G-1}, s_G].  Both are
-    built by running the recursions on unit inputs.
+    built by running the recursions on unit inputs.  Returns the
+    right-hand factors of the kernel's products on block rows, each
+    C-contiguous (BLAS runs a transposed view a third slower): outputs
+    step[:L].T [L + 2, L], end states step[L:, :L].T [L, 2]; and carry.
     """
     (b0, b1, b2), (_, a1, a2) = biquad_coefficients(sample_rate, low, high)
     L, G = _BLOCK, _GROUP
@@ -231,70 +242,117 @@ def _block_matrices(sample_rate: float, low: float, high: float):
         s0, s1 = (p[0, 0] * s0 + p[0, 1] * s1 + e0,
                   p[1, 0] * s0 + p[1, 1] * s1 + e1)
     carry = np.array(rows + [s0, s1])
-    step.setflags(write=False)   # the cache hands the same arrays to every call
-    carry.setflags(write=False)
-    return step, carry
+    outputs = np.ascontiguousarray(step[:L].T)
+    ends = np.ascontiguousarray(step[L:, :L].T)
+    for m in (outputs, ends, carry):   # the cache hands them to every call
+        m.setflags(write=False)
+    return outputs, ends, carry
+
+
+def _padded_width(n: int) -> int:
+    """Samples in a row of n samples padded with zeros to whole groups."""
+    return -(-n // (_BLOCK * _GROUP)) * _BLOCK * _GROUP
 
 
 def bandpass_rows(x: np.ndarray, sample_rate: float,
                   low: float = SpikeParams.bandpass_low_hz,
-                  high: float = SpikeParams.bandpass_high_hz) -> np.ndarray:
+                  high: float = SpikeParams.bandpass_high_hz,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Filter every row of x [lanes, n] with the bandpass biquad.
 
     The one filter kernel.  Filtering is causal with zero initial state.
-    Each row is cut into blocks of 32 samples; one matrix-vector product
-    per block gives its outputs from its inputs and start state.  The
-    2-value state is carried from block to block, 32 blocks per product.
-    Rows never mix, so a row's result does not depend on the other rows.
-    Raises ValueError unless 0 < low < high < sample_rate / 2.
+    Each row is read as blocks of 32 samples in whole groups of 32 blocks:
+    a C-contiguous float x whose n is a whole number of groups is read in
+    place, any other x is first copied into rows padded with zeros.  A GEMM
+    pass over the block rows gives each block's end state from its inputs;
+    the 2-value state is then carried from block to block, 32 blocks per
+    product; a second GEMM pass gives each block's outputs from its inputs
+    and start state.  Every GEMM call takes _PIECE block rows, a short last
+    piece padded in scratch: BLAS may pick its kernel, and so its rounding,
+    by the shape of a call, and with one shape for all calls a row's bits
+    depend neither on the other rows nor on how many there are.  out, a
+    C-contiguous [lanes, padded n], takes the output when given;
+    out[:, :n] is returned.  A trace too large for the filter gives inf or
+    NaN there, without a warning.  Raises ValueError unless
+    0 < low < high < sample_rate / 2.
     """
     if not 0.0 < low < high < sample_rate / 2.0:
         raise ValueError(f"band {low}-{high} Hz must lie between 0 Hz and "
                          f"Nyquist ({sample_rate / 2.0} Hz)")
-    step, carry = _block_matrices(float(sample_rate), float(low), float(high))
-    L, G = _BLOCK, _GROUP
+    to_out, to_end, carry = _block_matrices(float(sample_rate), float(low),
+                                            float(high))
+    L, G, P = _BLOCK, _GROUP, _PIECE
     lanes, n = x.shape
-    groups = -(-n // (L * G))
-    full = n // L
-    z = np.zeros((lanes, groups * G, L + 2))   # per block: inputs, start state
-    z[:, :full, :L] = x[:, :full * L].reshape(lanes, full, L)
-    if n % L:
-        z[:, full, :n % L] = x[:, full * L:]
-    ends = np.matvec(step[L:, :L], z[:, :, :L]).reshape(lanes, groups, 2 * G)
-    starts = np.empty_like(ends)
-    buf = np.zeros((lanes, 2 * G + 2))
-    for g in range(groups):
-        buf[:, :2 * G] = ends[:, g]
-        out = np.matvec(carry, buf)
-        starts[:, g] = out[:, :2 * G]
-        buf[:, 2 * G:] = out[:, 2 * G:]
-    z[:, :, L:] = starts.reshape(lanes, groups * G, 2)
-    return np.matvec(step[:L], z).reshape(lanes, groups * G * L)[:, :n]
+    width = _padded_width(n)
+    if not (x.flags.c_contiguous and x.dtype == float and n == width):
+        padded = np.zeros((lanes, width))
+        padded[:, :n] = x
+        x = padded
+    if out is None:
+        out = np.empty((lanes, width))
+    blocks, y = x.reshape(-1, L), out.reshape(-1, L, copy=False)
+    m = len(blocks)
+    z = np.zeros((P, L + 2))   # one piece of block rows: inputs, start state
+    ends = np.empty((m, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, m, P):
+            if i + P <= m:
+                np.matmul(blocks[i:i + P], to_end, out=ends[i:i + P])
+            else:
+                z[:m - i, :L] = blocks[i:]
+                ends[i:] = np.matmul(z[:, :L], to_end)[:m - i]
+        ends = ends.reshape(lanes, width // (L * G), 2 * G)
+        starts = np.empty_like(ends)
+        buf = np.zeros((lanes, 2 * G + 2))
+        for g in range(ends.shape[1]):
+            buf[:, :2 * G] = ends[:, g]
+            state = np.matvec(carry, buf)
+            starts[:, g] = state[:, :2 * G]
+            buf[:, 2 * G:] = state[:, 2 * G:]
+        starts = starts.reshape(m, 2)
+        for i in range(0, m, P):
+            k = min(P, m - i)
+            z[:k, :L] = blocks[i:i + k]
+            z[:k, L:] = starts[i:i + k]
+            if k == P:
+                np.matmul(z, to_out, out=y[i:i + P])
+            else:
+                y[i:] = np.matmul(z, to_out)[:k]
+    return out[:, :n]
 
 
-def _thresholds(mags: np.ndarray) -> np.ndarray:
+def _thresholds(mags: np.ndarray,
+                scratch: np.ndarray | None = None) -> np.ndarray:
     """Detection threshold of each row of mags = |x| [lanes, n]: 5 x the
     MAD-based noise estimate median(|x|) / MAD_SCALE.  The median comes
-    from one partition; division by a positive constant keeps the order of
-    the values, so it is np.median's value bit for bit."""
+    from one partition of a copy of mags, made in scratch [lanes, n] when
+    given; division by a positive constant keeps the order of the values,
+    so it is np.median's value bit for bit."""
     n = mags.shape[1]
     if n == 0:
         raise ValueError("cannot estimate a threshold from an empty trace")
     half = n // 2
-    part = np.partition(mags, half, axis=1)
+    part = np.empty_like(mags) if scratch is None else scratch
+    part[...] = mags
+    part.partition(half, axis=1)
     upper = part[:, half] / MAD_SCALE
     median = upper if n % 2 else (part[:, :half].max(axis=1) / MAD_SCALE
                                   + upper) / 2.0
     return THRESHOLD_FACTOR * median
 
 
-def _detect_rows(mags: np.ndarray, thresholds: np.ndarray,
-                 hold: int) -> list[np.ndarray]:
+def _detect_rows(mags: np.ndarray, thresholds: np.ndarray, hold: int,
+                 scratch: np.ndarray | None = None) -> list[np.ndarray]:
     """Upward crossings of each row of mags = |x| [lanes, n] above its
-    threshold, each kept only hold samples or more after the last kept."""
-    above = mags > thresholds[:, None]
-    rising = above.copy()
-    rising[:, 1:] &= ~above[:, :-1]
+    threshold, each kept only hold samples or more after the last kept.
+    scratch, if given, is a boolean [2, lanes, n] to work in."""
+    if scratch is None:
+        scratch = np.empty((2, *mags.shape), dtype=bool)
+    above, rising = scratch
+    np.greater(mags, thresholds[:, None], out=above)
+    rising[:, :1] = above[:, :1]
+    # True > False exactly where a run above the threshold starts
+    np.greater(above[:, 1:], above[:, :-1], out=rising[:, 1:])
     trains = []
     for row in rising:
         kept, last = [], None
@@ -306,22 +364,42 @@ def _detect_rows(mags: np.ndarray, thresholds: np.ndarray,
     return trains
 
 
-def _detect_chunk(rows: np.ndarray, sample_rate: float, spans,
+class _Workspace:
+    """The buffers the detection chain runs in, for up to lanes traces of n
+    samples each.  rows holds the traces, padded with zeros to whole
+    groups so that bandpass_rows reads them in place; once filtered they
+    are dead, and the threshold partitions in rows[:, :n].  out takes the
+    filter's output and then its magnitudes.  flags is detection's boolean
+    scratch.  A sweep thread reuses one workspace for all of its chunks."""
+
+    def __init__(self, lanes: int, n: int):
+        self.n = n
+        self.rows = np.zeros((lanes, _padded_width(n)))
+        self.out = np.empty_like(self.rows)
+        self.flags = np.empty((2, lanes, n), dtype=bool)
+
+
+def _detect_chunk(ws: _Workspace, lanes: int, sample_rate: float, spans,
                   params: SpikeParams) -> list[SpikeTrain]:
-    """The detection chain on the rows [lanes, n] of one buffer: blank them
+    """The detection chain on the first lanes traces of ws.rows: blank them
     in place at spans, bandpass them in one kernel call, then give each
-    row its own threshold and refractory-held detection."""
+    row its own threshold and refractory-held detection.  Raises
+    ValueError when a trace is too large for the filter."""
+    n = ws.n
+    rows = ws.rows[:lanes]
     for span in spans:
         rows[:, span] = 0.0
-    filtered = bandpass_rows(rows, sample_rate, params.bandpass_low_hz,
-                             params.bandpass_high_hz)
-    if not np.isfinite(filtered).all():
-        raise ValueError("samples must be finite")
-    mags = np.abs(filtered, out=filtered)
-    thresholds = _thresholds(mags)
+    mags = bandpass_rows(rows, sample_rate, params.bandpass_low_hz,
+                         params.bandpass_high_hz, out=ws.out[:lanes])[:, :n]
+    np.abs(mags, out=mags)
+    if not math.isfinite(mags.max(initial=0.0)):
+        raise ValueError("the filtered trace overflows: its samples are too "
+                         "large for the bandpass")
+    thresholds = _thresholds(mags, rows[:, :n])
     hold = int(round(params.refractory_s * sample_rate))
     return [SpikeTrain(idx, thr) for idx, thr in
-            zip(_detect_rows(mags, thresholds, hold), thresholds.tolist())]
+            zip(_detect_rows(mags, thresholds, hold, ws.flags[:, :lanes]),
+                thresholds.tolist())]
 
 
 def run_spike_pipeline(t: Trace,
@@ -329,11 +407,12 @@ def run_spike_pipeline(t: Trace,
     """Full detection chain on one trace: blank at params' edges,
     bandpass, robust threshold, detect.  The trace's own sample rate
     is used, not params.sample_rate_hz."""
-    rate = t.sample_rate
-    rows = t.samples[None].copy()   # _detect_chunk blanks in place
+    rate, n = t.sample_rate, len(t.samples)
     spans = _blank_spans(params.blank_edge_times_s, params.blank_window_s,
-                         rate, rows.shape[1])
-    return _detect_chunk(rows, rate, spans, params)[0]
+                         rate, n)
+    ws = _Workspace(1, n)
+    ws.rows[0, :n] = t.samples
+    return _detect_chunk(ws, 1, rate, spans, params)[0]
 
 
 # ---------- synthetic responses ----------
@@ -515,10 +594,12 @@ def voltage_sweep(voltages, n_seeds: int, seed: int,
     voltages[vi], child_seed(seed, f"spikes.sweep.{vi}", si), params),
     params).  Every check runs first, in the calling thread.  The traces
     then run _LANES at a time, each chunk through one fused kernel:
-    synthesis into the rows of one buffer, blanking, bandpass, threshold
+    synthesis into the rows of a _Workspace, blanking, bandpass, threshold
     and detection.  _map_chunks's threads build each chunk as they take
-    it; every trace has its own generator and the counts are gathered in
-    order, so they do not depend on the CPU count.
+    it, each in the one workspace it allocates at its first chunk, so no
+    chunk allocates a row-sized buffer.  Every trace has its own generator
+    and the counts are gathered in order, so they do not depend on the CPU
+    count.
     """
     fs, edges = params.sample_rate_hz, params.blank_edge_times_s
     rates = [expected_spike_rate(v, params) for v in voltages]
@@ -529,13 +610,18 @@ def voltage_sweep(voltages, n_seeds: int, seed: int,
     jobs = ((rate, child_seed(seed, f"spikes.sweep.{vi}", si))
             for vi, rate in enumerate(rates) for si in range(n_seeds))
 
-    def chunk_counts(chunk):
-        rows = np.empty((len(chunk), n))
-        _synth_rows(rows, chunk, params, template, artifacts)
-        return [train.count for train in
-                _detect_chunk(rows, fs, spans, params)]
+    lanes = _LANES
+    local = threading.local()   # each thread's workspace dies with it
 
-    chunks = iter(lambda: list(itertools.islice(jobs, _LANES)), [])
+    def chunk_counts(chunk):
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace(lanes, n)
+        _synth_rows(local.ws.rows[:len(chunk), :n], chunk, params, template,
+                    artifacts)
+        return [train.count for train in
+                _detect_chunk(local.ws, len(chunk), fs, spans, params)]
+
+    chunks = iter(lambda: list(itertools.islice(jobs, lanes)), [])
     counts = _map_chunks(chunk_counts, chunks)
     return np.array([c for cs in counts for c in cs],
                     dtype=int).reshape(len(rates), n_seeds)

@@ -107,11 +107,32 @@ class Arena:
         return Rect(x0, y0, x0 + cell_size, y0 + cell_size)
 
 
+# anchors that all lie this close to one line span no area, m
+_ANCHOR_LINE_TOL_M = 1e-6
+
+
+def _off_line(anchors) -> float:
+    """The largest distance of an anchor from the line through b, the
+    anchor farthest from the first, and c, the anchor farthest from b; 0
+    when all coincide.  The distance is absolute, not relative to the
+    anchors' spread, so that one far anchor cannot hide the layout of the
+    near ones."""
+    bx, by = max(anchors, key=lambda a: math.hypot(a[0] - anchors[0][0],
+                                                   a[1] - anchors[0][1]))
+    cx, cy = max(anchors, key=lambda a: math.hypot(a[0] - bx, a[1] - by))
+    length = math.hypot(cx - bx, cy - by)
+    if length == 0.0:
+        return 0.0
+    ux, uy = (cx - bx) / length, (cy - by) / length
+    return max(abs(ux * (y - by) - uy * (x - bx)) for x, y in anchors)
+
+
 @dataclass(frozen=True)
 class UwbSystem:
     """Anchor layout and ranging noise model, meters, under the config's
     swarm.uwb keys.  The default anchors sit on the corners of a 3.6 m
-    square."""
+    square.  At least 3 anchors must span an area: anchors that all lie
+    within _ANCHOR_LINE_TOL_M of one line leave every fix singular."""
 
     anchors_m: tuple[tuple[float, float], ...] = (
         (0.0, 0.0), (3.6, 0.0), (3.6, 3.6), (0.0, 3.6))
@@ -122,8 +143,11 @@ class UwbSystem:
             raise ValueError("need at least 3 anchors for 2-D multilateration")
         if self.range_noise_sd_m < 0.0:
             raise ValueError("range_noise_sd_m must be non-negative")
-        object.__setattr__(self, "anchors_m", tuple(
-            (float(x), float(y)) for x, y in self.anchors_m))
+        anchors = tuple((float(x), float(y)) for x, y in self.anchors_m)
+        if not _off_line(anchors) > _ANCHOR_LINE_TOL_M:
+            raise ValueError(f"anchors must span an area, but all lie within "
+                             f"{_ANCHOR_LINE_TOL_M} m of one line")
+        object.__setattr__(self, "anchors_m", anchors)
 
 
 # ---------- coverage grid ----------

@@ -214,6 +214,10 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "need at least 3 anchors"),
     ({"swarm": {"uwb": {"range_noise_sd_m": -0.1}}}, "swarm.uwb",
      "range_noise_sd_m must be non-negative"),
+    ({"swarm": {"uwb": {"anchors_m": [[0.0, 0.0]] * 3}}}, "swarm.uwb",
+     "anchors must span an area"),
+    ({"swarm": {"uwb": {"anchors_m": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}}},
+     "swarm.uwb", "anchors must span an area"),
     ({"swarm": {"arena": {"width_m": 0.5}}}, "swarm.arena", "outside the arena"),
     ({"assembly": {"step_durations_s": dict(_STEPS, fix=True)}},
      "assembly.step_durations_s.fix", "expected a number"),
@@ -251,7 +255,8 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "neurosignal.bandpass_high_hz", "must be above"),
 ], ids=["duration", "duration-under-one-step", "dt-bound", "tiling",
         "stim-period", "log-interval", "log-past-the-end",
-        "log-short-of-the-end", "rig", "uwb-anchors", "uwb-noise", "arena",
+        "log-short-of-the-end", "rig", "uwb-anchors", "uwb-noise",
+        "uwb-coincident-anchors", "uwb-collinear-anchors", "arena",
         "step-bool", "step-string", "step-zero", "corridor",
         "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
         "synth-duration", "synth-too-short", "synth-too-long", "r-max", "r-min",
@@ -454,6 +459,26 @@ def test_spikes_input_band_is_checked_at_the_trace_rate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 4, err
     assert "Nyquist" in err
+    assert f"runtime error: {tmp_path / 'slow.csv'}: band" in err
+
+
+@pytest.mark.parametrize("samples, text", [
+    # finite samples whose filtered values overflow, and would warn
+    (1.79e308 * np.random.default_rng(0).uniform(-1.0, 1.0, 30000),
+     "the filtered trace overflows: its samples are too large for the "
+     "bandpass"),
+    # 0.4 s long: the default 0.5 s blank edge lies past its end
+    (np.zeros(10000), "edge time 0.5 s outside the trace extent [0, 0.4] s"),
+], ids=["overflow", "edge-past-the-end"])
+def test_spikes_input_trace_faults_exit_4_naming_the_file(tmp_path, capsys,
+                                                          samples, text):
+    path = tmp_path / "trace.btrc"
+    ns.write_trace_binary(ns.Trace(25000.0, samples), path)
+    rc = cli.main(["spikes", "--input", str(path),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 4
+    assert capsys.readouterr().err == f"runtime error: {path}: {text}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_spikes_missing_input_file(tmp_path, capsys):

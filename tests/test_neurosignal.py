@@ -12,6 +12,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +200,23 @@ def test_batched_rows_equal_one_row_calls_bit_for_bit():
     batched = bandpass_rows(x, FS)
     for row, out in zip(x, batched):
         assert np.array_equal(out, bandpass_rows(row[None], FS)[0])
+
+
+@pytest.mark.parametrize("n", [1, 31, 1025, 3001, 30000])
+def test_workspace_rows_equal_rows_filtered_alone_bit_for_bit(n):
+    """The GEMM pieces run across lanes: at these lengths some pieces end
+    mid-lane and some are a short last piece.  Each row of 1-5 lanes,
+    filtered in place in a workspace, equals that row filtered alone."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(5, n)) * 1e-5
+    alone = [bandpass_rows(row[None], FS)[0] for row in x]
+    for lanes in range(1, 6):
+        ws = ns._Workspace(lanes, n)
+        ws.rows[:, :n] = x[:lanes]
+        batched = bandpass_rows(ws.rows, FS, out=ws.out)[:, :n]
+        assert np.shares_memory(batched, ws.out)
+        for row, out in zip(alone, batched):
+            assert np.array_equal(out, row)
 
 
 def test_kernel_uses_the_requested_band():
@@ -564,6 +582,36 @@ def test_sweep_counts_do_not_depend_on_cpus_or_chunk_size(
     counts = voltage_sweep(SWEEP_VOLTS, 10, SWEEP_SEED)
     assert counts.shape == (5, 10)
     assert counts.tolist() == sweep_reference_counts
+
+
+def test_back_to_back_sweeps_match_one_pipeline_call_per_trace(
+        monkeypatch, sweep_reference_counts):
+    """Three sweeps in one process, each with workspaces of its own: the
+    default one, one of shorter traces, then 3 lanes on 2 CPUs.  No
+    workspace outlives its sweep."""
+    made = []
+
+    class Tracked(ns._Workspace):
+        def __init__(self, lanes, n):
+            super().__init__(lanes, n)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(ns, "_Workspace", Tracked)
+    short = SpikeParams(synth_duration_s=1.05)
+    short_counts = [[run_spike_pipeline(synth_neural_response(
+                        v, child_seed(SWEEP_SEED, f"spikes.sweep.{vi}", si),
+                        short), short).count
+                     for si in range(10)] for vi, v in enumerate(SWEEP_VOLTS)]
+    for params, cpus, lanes, want in (
+            (P, 2, 4, sweep_reference_counts), (short, 2, 4, short_counts),
+            (P, 2, 3, sweep_reference_counts)):
+        monkeypatch.setattr(ns, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(ns, "_LANES", lanes)
+        made.clear()
+        assert voltage_sweep(SWEEP_VOLTS, 10, SWEEP_SEED,
+                             params).tolist() == want
+        assert 1 <= len(made) <= cpus
+        assert all(ref() is None for ref in made)
 
 
 def test_sweep_checks_every_voltage_before_any_synthesis(monkeypatch):

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,6 +104,17 @@ def test_uwb_validation():
         UwbSystem(anchors_m=((0.0, 0.0), (1.0, 0.0)))
     with pytest.raises(ValueError):
         UwbSystem(range_noise_sd_m=-0.1)
+    # coincident, collinear, and 0.5 um off one line
+    for anchors in (((0.0, 0.0),) * 3, ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                    ((0.0, 0.0), (2.0, 0.0), (1.0, 5e-7))):
+        with pytest.raises(ValueError, match="must span an area"):
+            UwbSystem(anchors_m=anchors)
+    # the tolerance is in metres, not relative to the spread: an anchor
+    # 1e200 m away does not hide the 3.6 m triangle of the others, and a
+    # triangle 2 um across spans an area
+    far = ((1e200, 0.0), (0.0, 0.0), (3.6, 0.0), (0.0, 3.6))
+    assert UwbSystem(anchors_m=far).anchors_m == far
+    UwbSystem(anchors_m=((0.0, 0.0), (2e-6, 0.0), (0.0, 2e-6)))
 
 
 # ---------- coverage grid ----------
@@ -221,8 +233,7 @@ def test_fix_kernel_lanes_equal_one_row_calls():
     assert conv[:2] == [True, True]
     assert (conv[4], its[4]) == (False, 50)
 
-    line = UwbSystem(anchors_m=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
-                     range_noise_sd_m=0.0)
+    line = LINE_UWB
     rows = [ranges(line, 1.0, 0.0), ranges(line, 0.5, 0.4),
             ranges(line, 1.5, 0.0)]
     # on the anchor line every unit vector is horizontal: det == 0 at once,
@@ -233,8 +244,10 @@ def test_fix_kernel_lanes_equal_one_row_calls():
     assert its[0] == its[2] == 1
 
 
-LINE_UWB = UwbSystem(anchors_m=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
-                     range_noise_sd_m=0.0)
+# collinear anchors span no area and UwbSystem rejects them, so the
+# solver's singular lanes take them from a stand-in with UwbSystem's fields
+LINE_UWB = SimpleNamespace(anchors_m=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+                           range_noise_sd_m=0.0)
 # from its centroid, (x - 1e200)**2 overflows
 FAR_UWB = UwbSystem(
     anchors_m=((0.0, 0.0), (3.6, 0.0), (1e200, 0.0), (0.0, 3.6)),
