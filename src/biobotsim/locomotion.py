@@ -109,7 +109,7 @@ class ActiveCommand:
 class AgentState:
     x: float
     y: float
-    heading: float               # degrees, [0, 360)
+    heading: float               # degrees; [0, 360) needed only in an initial state
     speed: float                 # m/s, >= 0
     active_command: Optional[ActiveCommand] = None
 

@@ -103,6 +103,12 @@ def _spikelet(sample_rate: float) -> np.ndarray:
 # thread's workspace holds two such rows per lane, of _LANES lanes
 MAX_TRACE_SAMPLES = 10_000_000
 
+# synth_noise_sd_v at most, V: artifacts peak at 50 x the noise level, so
+# from ~3.6e306 V they overflow.  This bound keeps a synthesized trace ~1e6
+# below the largest float; at 1e304 V the default band and the narrowest
+# and widest bands tested still filtered to finite values
+MAX_SYNTH_NOISE_SD_V = 1e300
+
 
 class ParamError(ValueError):
     """A bad SpikeParams field; name is the field's name."""
@@ -156,6 +162,9 @@ class SpikeParams:
              f"is too short to hold one {w}-sample spikelet")
         need(self.synth_noise_sd_v >= 0.0, "synth_noise_sd_v",
              "must be non-negative")
+        need(self.synth_noise_sd_v <= MAX_SYNTH_NOISE_SD_V, "synth_noise_sd_v",
+             f"must be at most {MAX_SYNTH_NOISE_SD_V:g} V, or the synthesized "
+             "trace overflows")
         need(self.r_min_hz >= 0.0, "r_min_hz", "must be non-negative")
         need(self.r_max_hz >= self.r_min_hz, "r_max_hz",
              f"must be at least r_min_hz ({self.r_min_hz} Hz)")

@@ -389,9 +389,10 @@ def _reflect_move(arena: Arena, old_x: float, old_y: float,
     """Specular reflection of one step off walls and obstacle faces.
 
     Returns the corrected position and heading plus the mirror parities
-    (x-flips, y-flips) so active turn commands can be conjugated.  The
-    position returned is free whenever the old one is: inside the walls
-    and strictly inside no obstacle.
+    (x-flips, y-flips) so active turn commands can be conjugated.  A
+    flipped heading is reduced mod 360; a free step's heading passes as it
+    is.  The position returned is free whenever the old one is: inside the
+    walls and strictly inside no obstacle.
     """
     new_x, new_y, heading, fx, fy = _walls(arena, new_x, new_y, heading, 0, 0)
     for rect in arena.obstacles:
@@ -423,7 +424,9 @@ def _reflect_move(arena: Arena, old_x: float, old_y: float,
         heading += 180.0
         fx += 1
         fy += 1
-    return new_x, new_y, heading % 360.0, fx, fy
+    if fx or fy:
+        heading %= 360.0
+    return new_x, new_y, heading, fx, fy
 
 
 def _conjugate_command(cmd, fx: int, fy: int):
@@ -516,13 +519,6 @@ def spawn_states(arena: Arena, params_per_agent: Sequence[AgentParams],
 _STRETCH_STEPS = 1024
 # a command's time left, or a turn's degrees left, at or below this is spent
 _TINY = 1e-12
-# bits of 360.0: as unsigned integers, the bits of a float in [0, 360) lie
-# below these, and those of -0.0 and of every negative float above them
-_BITS_360 = int(np.float64(360.0).view(np.uint64))
-# in-range steps in a row that end a stepped window in _headings, and the
-# steps it reads at a time; at least 1.  Wraps come in clusters: gaps
-# between them had quartiles of 1, 4 and 18 steps in the default batch
-_WRAP_RUN = 16
 # diffusion normals an agent draws at a time
 _DRAW_BLOCK = 4096
 # positions per np.minimum.at call when the steps' cells are marked
@@ -531,51 +527,24 @@ _MARK_STEPS = 4096
 
 def _headings(heading: float, inc: np.ndarray, snap: int = -1,
               target: float = 0.0) -> np.ndarray:
-    """Move headings of steps, from the heading carried into the first
-    step and each step's increment: a diffusion draw, a turn's step or 0.
+    """Move headings of steps, unwrapped, from the heading carried into the
+    first step and each step's increment: a diffusion draw, a turn's step
+    or -0.0.
 
-    A step moves along m = (h + inc) % 360 and carries m % 360 into the
-    next step.  Step snap >= 0 moves along target % 360 instead, as a
-    turn's last step.  While the running sum stays in [0, 360) both
-    moduli leave it as it is, so the sum is accumulated.  The two moduli
-    differ only where m is 360.0, as for -1e-20 % 360.  From a step that
-    leaves the range, the chain is stepped one step at a time until
-    _WRAP_RUN steps in a row stay in range; the sum restarts after them
-    from the carried heading, which is also their last move.
+    A step moves along h + inc and carries that sum into the next step, so
+    the headings are one running sum.  Step snap >= 0 moves along target
+    instead, as a turn's last step, and the sum restarts there.  Nothing is
+    reduced mod 360: the trigonometry is periodic.
     """
-    n = len(inc)
-    if 0 <= snap < n:
-        move = target % 360.0
-        return np.concatenate((_headings(heading, inc[:snap]), [move],
-                               _headings(move % 360.0, inc[snap + 1:])))
-    acc = np.empty(n + 1)
-    acc[1:] = inc
-    out = np.empty(n + 1)
-    p = 0
-    while p < n:
-        # slot p holds the heading carried into step p, and out[p + 1:]
-        # the moves of the steps from p
-        acc[p] = heading
-        np.add.accumulate(acc[p:], out=out[p:])
-        off = out[p + 1:].view(np.uint64) >= _BITS_360
-        i = int(off.argmax())
-        if not off[i]:
-            break
-        p += i
-        heading = out[p].item()
-        run = 0
-        while run < _WRAP_RUN and p < n:
-            moves = []
-            for d in inc[p:p + _WRAP_RUN].tolist():
-                s = heading + d
-                move = s % 360.0
-                heading = move % 360.0
-                moves.append(move)
-                run = run + 1 if move == s else 0
-                if run == _WRAP_RUN:
-                    break
-            out[p + 1:p + 1 + len(moves)] = moves
-            p += len(moves)
+    out = np.empty(len(inc) + 1)
+    out[0] = heading
+    out[1:] = inc
+    if 0 <= snap < len(inc):
+        np.add.accumulate(out[:snap + 1], out=out[:snap + 1])
+        out[snap + 1] = target
+        np.add.accumulate(out[snap + 1:], out=out[snap + 1:])
+    else:
+        np.add.accumulate(out, out=out)
     return out[1:]
 
 
@@ -604,10 +573,15 @@ def _relax(speed: float, walk: float, decay: float, n: int) -> np.ndarray:
         first = 0.0
     if first == speed or not n:
         return np.full(n, speed)
-    out = np.empty(n)
-    out[0] = speed = first
-    out[1:] = [speed := walk + (speed - walk) * decay for _ in range(n - 1)]
-    return out
+    return np.fromiter(_relaxing(first, walk, decay), float, n)
+
+
+def _relaxing(speed: float, walk: float, decay: float) -> Iterator[float]:
+    """speed, then each explicit-Euler step from it toward walk, without
+    end; a generator, so the loop reads walk and decay as locals."""
+    while True:
+        yield speed
+        speed = walk + (speed - walk) * decay
 
 
 def _running(start: float, step: float, n: int) -> np.ndarray:
@@ -632,12 +606,14 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
     accumulated, into one buffer that holds every step of the run, up to
     the first step that leaves free space; that step goes through
     _reflect_move, which may mirror an active turn, and the segment
-    restarts after it.  Writes the position at every log tick into xy, the
-    heading carried into the next step and the speed into heading_log and
-    speed_log, and returns the active command name at every log tick.
-    Heading and speed at tick 0 are the initial state's.  When first_tick is
-    given, every cell the agent enters gets the index of the first log
-    tick that counts it: ceil(k / log_steps) for the first step k there.
+    restarts after it.  The heading is carried unwrapped; only a reflected
+    step reduces it mod 360.  Writes the position at every log tick into
+    xy, the heading carried into the next step, reduced into [0, 360), and
+    the speed into heading_log and speed_log, and returns the active
+    command name at every log tick.  Heading and speed at tick 0 are the
+    initial state's.  When first_tick is given, every cell the agent enters
+    gets the index of the first log tick that counts it:
+    ceil(k / log_steps) for the first step k there.
     """
     walk = params.walk_speed_mean
     decay = math.exp(-dt / params.recovery_tau)
@@ -657,17 +633,19 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
 
     def log(k, deg, speeds):
         """Log the steps whose positions land at k, k + 1, ...: the heading
-        each carries, deg % 360, and its speed, at the log ticks only."""
+        each carries and its speed, at the log ticks only."""
         lo, hi = -(-k // log_steps), -(-(k + len(deg)) // log_steps)
         first = lo * log_steps - k
-        heading_log[lo:hi] = deg[first::log_steps] % 360.0
+        heading_log[lo:hi] = deg[first::log_steps]
         speed_log[lo:hi] = speeds[first::log_steps]
 
     def segment(k0, n, x, y, heading, speed, cmd):
         """Integrate the steps k0 .. k0 + n - 1, the first m of which carry
         the command cmd; returns the state and command at step k0 + n."""
         nonlocal noise, used
-        inc = np.zeros(n)
+        # -0.0, as h + -0.0 is h for every h: a step that adds nothing
+        # leaves the heading as it is, signed zero too
+        inc = np.full(n, -0.0)
         m, turn_end, snap, target, after = 0, 0, -1, 0.0, cmd
         if cmd is not None:
             time_left = _running(cmd.time_remaining, -dt, n)[1:]
@@ -724,7 +702,7 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
             if i is None:
                 log(k0 + j + 1, deg, speeds[j:])
                 return (px[-1].item(), py[-1].item(),
-                        deg[-1].item() % 360.0, speeds[-1].item(), after)
+                        deg[-1].item(), speeds[-1].item(), after)
             x, y, heading, flips_x, flips_y = _reflect_move(
                 arena, px[i].item(), py[i].item(), px[i + 1].item(),
                 py[i + 1].item(), deg[i].item())
@@ -751,6 +729,9 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
         x, y, heading, speed, cmd = segment(k, stop - k, x, y, heading, speed, cmd)
         k = stop
     xs[n_steps], ys[n_steps] = x, y
+    # into [0, 360): the second % maps 360.0, as from -1e-20 % 360, to 0.0
+    heading_log %= 360.0
+    heading_log %= 360.0
     xy[:, 0] = xs[::log_steps]
     xy[:, 1] = ys[::log_steps]
     names[-1] = "" if cmd is None else cmd.kind.value

@@ -236,6 +236,8 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "does not fit the workspace box"),
     ({"neurosignal": {"synth_noise_sd_v": -1.0}},
      "neurosignal.synth_noise_sd_v", "must be non-negative"),
+    ({"neurosignal": {"synth_noise_sd_v": 1e307}},
+     "neurosignal.synth_noise_sd_v", "must be at most 1e+300 V"),
     ({"neurosignal": {"synth_duration_s": 0.0}},
      "neurosignal.synth_duration_s", "must be positive"),
     ({"neurosignal": {"synth_duration_s": 0.0004, "blank_edge_times_s": [],
@@ -259,7 +261,7 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
         "uwb-coincident-anchors", "uwb-collinear-anchors", "arena",
         "step-bool", "step-string", "step-zero", "corridor",
         "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
-        "synth-duration", "synth-too-short", "synth-too-long", "r-max", "r-min",
+        "synth-noise-overflow", "synth-duration", "synth-too-short", "synth-too-long", "r-max", "r-min",
         "sample-rate", "band-low", "band-high-below-low"])
 def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
                                                 path, text):

@@ -96,11 +96,13 @@ def _measured_gain_db(freq: float) -> float:
     ({"sample_rate_hz": math.inf}, "synth_duration_s",
      "gives more than 10000000 samples"),
     ({"synth_noise_sd_v": -1e-6}, "synth_noise_sd_v", "must be non-negative"),
+    ({"synth_noise_sd_v": 1e307}, "synth_noise_sd_v",
+     "or the synthesized trace overflows"),
     ({"r_min_hz": -1.0, "r_max_hz": 0.0}, "r_min_hz", "must be non-negative"),
     ({"r_max_hz": 1.0}, "r_max_hz", "must be at least r_min_hz"),
 ], ids=["rate", "rate-nan", "low", "high-order", "high-nyquist", "blank",
         "refractory", "duration", "duration-spikelet", "duration-samples",
-        "rate-inf", "noise", "r-min", "r-max"])
+        "rate-inf", "noise", "noise-overflow", "r-min", "r-max"])
 def test_spike_params_name_the_field_that_breaks_a_rule(fields, name, text):
     with pytest.raises(ParamError, match=text) as info:
         SpikeParams(**fields)
@@ -115,6 +117,11 @@ def test_spike_params_edge_cases_that_pass():
     # 400 s at 25 kHz is MAX_TRACE_SAMPLES samples
     assert ns.MAX_TRACE_SAMPLES == 10_000_000
     SpikeParams(synth_duration_s=400.0)
+    # the largest noise level synthesizes and filters to finite values
+    p = SpikeParams(synth_noise_sd_v=ns.MAX_SYNTH_NOISE_SD_V)
+    trace = ns.synth_neural_response(3.0, 7, p)
+    assert np.isfinite(trace.samples).all()
+    assert math.isfinite(ns.run_spike_pipeline(trace, p).threshold_used)
 
 
 # ---------- bandpass ----------

@@ -449,6 +449,9 @@ def test_estimated_marking_matches_cell_index_per_fix():
 def test_reflection_off_left_wall():
     arena = Arena(obstacles=())
     assert _reflect_move(arena, 0.05, 1.0, -0.05, 1.0, 180.0) == (0.05, 1.0, 0.0, 1, 0)
+    # a flip reduces an unwrapped heading into [0, 360)
+    assert _reflect_move(arena, 0.05, 1.0, -0.05, 1.0, 540.0) == (0.05, 1.0, 0.0, 1, 0)
+    assert _reflect_move(arena, 0.05, 1.0, -0.05, 1.0, -170.0)[2] == 350.0
 
 
 def test_reflection_off_bottom_wall():
@@ -475,8 +478,11 @@ def test_reflection_off_obstacle_corner_uses_both_faces():
 
 
 def test_interior_moves_pass_through():
+    """A free step keeps its heading as it is, unwrapped."""
     arena = Arena()
-    assert _reflect_move(arena, 1.0, 1.5, 1.01, 1.51, 45.0) == (1.01, 1.51, 45.0, 0, 0)
+    for heading in (45.0, 725.0, -30.0):
+        assert (_reflect_move(arena, 1.0, 1.5, 1.01, 1.51, heading)
+                == (1.01, 1.51, heading, 0, 0))
 
 
 # ---------- spawning ----------
@@ -677,7 +683,8 @@ def _euler(params, dt):
     next standard normal for the heading diffusion, which runs only while
     no command is active.  Heading and speed are updated first, then the
     position advances with the updated values; the heading returned is
-    (heading + increment) % 360.
+    heading + increment, or a turn's target at its snap, never reduced
+    mod 360: only _reflect_move reduces a heading, at a flip.
     """
     walk = params.walk_speed_mean
     decay = math.exp(-dt / params.recovery_tau)
@@ -720,7 +727,6 @@ def _euler(params, dt):
                 cmd = None
         if speed < 0.0:
             speed = 0.0
-        heading %= 360.0
         r = radians(heading)
         return (x + speed * dt * cos(r), y + speed * dt * sin(r),
                 heading, speed, cmd)
@@ -756,7 +762,8 @@ def _reference_walk(arena, grid, params, state, dt, n_steps, stim_steps,
                                 cmd_rng).active_command
         if k % log_steps == 0:
             xy[tick] = x, y
-            heading_log[tick], speed_log[tick] = heading, speed
+            heading_log[tick] = heading % 360.0 % 360.0
+            speed_log[tick] = speed
             names.append("" if cmd is None else cmd.kind.value)
             tick += 1
         if k == n_steps:
@@ -837,8 +844,8 @@ ORACLE_CASES = {
                 AgentState(0.2, 1.9, 90.0, 0.06, ActiveCommand(
                     StimKind.DECELERATE, 0.3, decel_v0=0.06,
                     decel_vmin=0.02, decel_elapsed=0.1))]),
-    # a right turn from 10 deg snaps to -1e-20 at its fourth step, a logged
-    # step that moves along 360.0 and carries 0.0 (see TRAP)
+    # a right turn from 10 deg snaps to -1e-20 at its fourth step and holds
+    # it, unwrapped; every step is logged, as 0.0 and not as 360.0
     "snap-to-360": dict(
         params=[_det_params()], duration=2.0, log_rate_hz=100.0,
         arena=Arena(obstacles=()), states=[AgentState(1.0, 1.0, 10.0, 0.05, ActiveCommand(
@@ -898,6 +905,7 @@ def test_stretch_walk_equals_the_scalar_walk(case, coverage_from):
         for logged_w, logged_g in zip(w[:3], g[:3]):   # xy, heading, speed
             assert logged_g.tobytes() == logged_w.tobytes()
         assert g[3:5] == w[3:5]                         # names, first ticks
+        assert ((0.0 <= g[1]) & (g[1] < 360.0)).all()
     for field, logged in (("true_xy", 0), ("heading_deg", 1), ("speed", 2)):
         want_run = np.array([w[logged] for w in want])
         assert getattr(run, field).tobytes() == want_run.tobytes()
@@ -908,6 +916,19 @@ def test_stretch_walk_equals_the_scalar_walk(case, coverage_from):
         if states is None:
             fresh.uniform(-45.0, 45.0)
         assert got[0][5].bit_generator.state == fresh.bit_generator.state
+
+
+def test_snap_to_360_logs_zero():
+    """The turn's target -1e-20 is carried as it is, and the log reduces
+    it twice, since -1e-20 % 360 is 360.0: every tick from the snap on
+    reads 0.0."""
+    c = ORACLE_CASES["snap-to-360"]
+    run = simulate(c["arena"], QUIET_UWB, c["params"], duration=c["duration"],
+                   seed=3, log_rate_hz=c["log_rate_hz"],
+                   initial_states=c["states"])
+    logged = run.heading_deg[0]
+    assert logged[:4].tolist() == pytest.approx([10.0, 7.265, 4.53, 1.795])
+    assert logged[4:].tobytes() == np.zeros(len(logged) - 4).tobytes()
 
 
 def _record_reflections(monkeypatch):
@@ -952,10 +973,10 @@ def test_default_batch_reflects_only_blocked_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["crowded", "long-command"])
-@pytest.mark.parametrize("draw, mark, wrap", [(1, 3, 7), (3, 7, 1), (7, 1, 3)])
+@pytest.mark.parametrize("draw, mark, stretch", [(1, 3, 7), (3, 7, 1), (7, 1, 3)])
 def test_outputs_do_not_depend_on_block_sizes(monkeypatch, case, draw, mark,
-                                              wrap):
-    """The diffusion draw block, the marking chunk and the wrap window
+                                              stretch):
+    """The diffusion draw block, the marking chunk and the longest segment
     only group work: a run is byte for byte the same at any sizes."""
     c = ORACLE_CASES[case]
 
@@ -967,7 +988,7 @@ def test_outputs_do_not_depend_on_block_sizes(monkeypatch, case, draw, mark,
     want = run()
     monkeypatch.setattr(swarm, "_DRAW_BLOCK", draw)
     monkeypatch.setattr(swarm, "_MARK_STEPS", mark)
-    monkeypatch.setattr(swarm, "_WRAP_RUN", wrap)
+    monkeypatch.setattr(swarm, "_STRETCH_STEPS", stretch)
     got = run()
     for field in ("true_xy", "heading_deg", "speed"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
@@ -1044,24 +1065,19 @@ def test_reflection_never_leaves_an_agent_inside_an_obstacle(case, seed):
 
 
 def _scalar_headings(heading, inc, snap=-1, target=0.0):
+    """The unwrapped chain one increment at a time: each step moves along,
+    and carries, heading + its increment, or target at step snap."""
     moves = []
     for k, d in enumerate(inc):
-        heading = (target if k == snap else heading + d) % 360.0
+        heading = target if k == snap else heading + d
         moves.append(heading)
-        heading %= 360.0
     return moves
-
-
-# a start of 5e-21 plus -1.5e-20 sums to -1e-20, and -1e-20 % 360 is 360.0:
-# that step moves along 360.0 and carries 0.0, not 360.0, into the next
-TRAP = (5e-21, [-1.5e-20, 1e-10, -3.0, 2.5])
 
 
 def _turn_headings(heading, ang_speed, sign, n_turn, hold, target, inc):
     """Move headings of the Euler kernel under a turn that steps n_turn
     times, snaps to target and holds for hold steps, then of free steps
-    whose diffusion increments are inc; with the heading carried from
-    step to step mod 360, as _reflect_move carries it."""
+    whose diffusion increments are inc."""
     params = replace(AUTO_PRESET, max_ang_speed_left=ang_speed,
                      max_ang_speed_right=ang_speed, heading_diffusion=100.0)
     advance = _euler(params, 0.01)      # diffusion step sd: exactly 1.0
@@ -1074,9 +1090,12 @@ def _turn_headings(heading, ang_speed, sign, n_turn, hold, target, inc):
     for _ in range(n_turn + hold + 1 + len(inc)):
         _, _, heading, _, cmd = advance(0.0, 0.0, heading, 0.0, cmd, draw)
         moves.append(heading)
-        heading %= 360.0
     assert cmd is None
     return step_max, moves
+
+
+TARGETS = st.one_of(st.floats(-1000.0, 1000.0),
+                    st.sampled_from([-1e-20, -360.0, 360.0, 720.0]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1084,82 +1103,27 @@ def _turn_headings(heading, ang_speed, sign, n_turn, hold, target, inc):
        st.lists(st.one_of(st.floats(-400.0, 400.0),
                           st.floats(-1e-18, 1e-18),
                           st.sampled_from([0.0, -0.0, 360.0, -360.0])),
-                max_size=60),
+                min_size=1, max_size=60),
+       st.sampled_from(["none", "first", "middle", "last"]), TARGETS,
        st.floats(1.0, 30000.0), st.sampled_from([1.0, -1.0]),
-       st.integers(0, 30), st.integers(0, 3),
-       st.one_of(st.floats(-1000.0, 1000.0),
-                 st.sampled_from([-1e-20, -360.0, 360.0, 720.0])))
-def test_stretch_headings_match_the_scalar_chain(heading, inc, ang_speed, sign,
-                                                 n_turn, hold, target):
-    got = _headings(heading, np.array(inc, dtype=float))
-    assert got.tolist() == _scalar_headings(heading, inc)
-    for h, d in ((TRAP[0], TRAP[1]), (TRAP[0], TRAP[1][:1])):
-        want = _scalar_headings(h, d)
-        assert _headings(h, np.array(d)).tolist() == want
-    assert _scalar_headings(*TRAP)[:2] == [360.0, 1e-10]
+       st.integers(0, 30), st.integers(0, 3))
+# a snap to -0.0 that holds: the Euler kernel leaves it -0.0
+@example(0.0, [0.0], "none", -0.0, 1.0, 1.0, 0, 1)
+def test_stretch_headings_match_the_scalar_chain(heading, inc, where, target,
+                                                 ang_speed, sign, n_turn, hold):
+    """_headings is the unwrapped chain byte for byte: no step reduces a
+    heading mod 360, and a snap restarts the sum at its target as given."""
+    snap = {"none": -1, "first": 0, "middle": len(inc) // 2,
+            "last": len(inc) - 1}[where]
+    got = _headings(heading, np.array(inc, dtype=float), snap, target)
+    want = np.array(_scalar_headings(heading, inc, snap, target))
+    assert got.tobytes() == want.tobytes()
 
     # a turn: steps of sign * step_max, the snap to an unnormalized target,
-    # steps that hold it, then free diffusion steps
+    # steps that hold it, then free diffusion steps, as the Euler kernel
+    # moves them; the walk gives a step that adds nothing -0.0
     step_max, want = _turn_headings(heading, ang_speed, sign, n_turn, hold,
                                     target, inc)
-    turn = np.array([sign * step_max] * n_turn + [0.0] * (hold + 1) + inc)
-    assert _headings(heading, turn, n_turn, target).tolist() == want
-    # a snap to -1e-20 moves along 360.0 and carries 0.0, into the trap
-    step_max, want = _turn_headings(TRAP[0], ang_speed, sign, n_turn, hold,
-                                    -1e-20, TRAP[1])
-    turn = np.array([sign * step_max] * n_turn + [0.0] * (hold + 1) + TRAP[1])
-    assert _headings(TRAP[0], turn, n_turn, -1e-20).tolist() == want
-    assert want[n_turn] == 360.0
-
-
-@st.composite
-def wrap_clusters(draw):
-    """A start heading, 8 to ~1,000 increments and a snap step with its
-    target.  The increments come in blocks: clusters of wraps around
-    0/360, in-range runs one step shorter than, as long as and one step
-    longer than the run that ends a stepped window in _headings, or longer,
-    and the TRAP pair.  A snap, if any, falls at the start of a block or
-    _WRAP_RUN - 1 to _WRAP_RUN + 1 steps into it."""
-    w = swarm._WRAP_RUN
-    heading = h = draw(st.floats(0.0, 360.0, exclude_max=True))
-    target = draw(st.one_of(st.floats(-1000.0, 1000.0),
-                            st.sampled_from([-1e-20, 360.0, -360.0, 720.0])))
-    snap = -1
-    inc = []
-    for _ in range(draw(st.integers(4, 20))):
-        if snap < 0 and draw(st.booleans()):
-            snap = len(inc) + draw(st.sampled_from([0, w - 1, w, w + 1]))
-        kind = draw(st.sampled_from(["wraps", "quiet", "trap"]))
-        if kind == "wraps":
-            # to beside 0/360, then small steps either way
-            first = [-h + draw(st.floats(-0.5, 0.5))]
-            block = draw(st.lists(st.one_of(
-                st.floats(-1.0, 1.0),
-                st.sampled_from([-1e-18, 1e-18, -0.0, 360.0, -360.0])),
-                min_size=1, max_size=30))
-        elif kind == "quiet":
-            # to 180, then steps that stay in range
-            first = [180.0 - h]
-            n = draw(st.one_of(st.sampled_from([w - 1, w, w + 1]),
-                               st.integers(w, 3 * w)))
-            block = draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
-                                  max_size=n))
-        else:
-            # to 0.0 exactly, then 5e-21 and the TRAP pair
-            first = [-h]
-            block = [TRAP[0]] + TRAP[1]
-        for d in first + block:
-            h = (target if len(inc) == snap else h + d) % 360.0 % 360.0
-            inc.append(d)
-    return heading, inc, snap, target
-
-
-@settings(max_examples=200, deadline=None)
-@given(wrap_clusters())
-def test_long_heading_sequences_match_the_scalar_chain(case):
-    """Long sequences, in which _headings hands back from the stepped window
-    to the accumulate several times, give the scalar chain bit for bit."""
-    heading, inc, snap, target = case
-    want = np.array(_scalar_headings(heading, inc, snap, target))
-    got = _headings(heading, np.array(inc, dtype=float), snap, target)
-    assert got.tobytes() == want.tobytes()
+    turn = np.array([sign * step_max] * n_turn + [-0.0] * (hold + 1) + inc)
+    got = _headings(heading, turn, n_turn, target)
+    assert got.tobytes() == np.array(want).tobytes()
