@@ -1,8 +1,9 @@
 """Command line front end.
 
-Subcommands: assemble, spikes, coverage, metrics, fixation.  All runs are
-driven by a JSON config (defaults apply when none is given) plus a seed;
-identical config and seed always produce byte-identical output files.
+Subcommands: assemble, spikes, coverage, masks, metrics, fixation.  All
+runs are driven by a JSON config (defaults apply when none is given) plus
+a seed; identical config and seed always produce byte-identical output
+files.
 Output files carry no timestamps and are written atomically.
 
 Exit codes: 0 success, 2 config error, 3 input data error, 4 runtime error.
@@ -277,14 +278,16 @@ def run_assemble(cfg: RunConfig, out_dir: Path, batch: int | None) -> int:
 
 
 def _load_trace(path: Path) -> ns.Trace:
-    if not path.exists():
-        raise InputDataError(f"trace file not found: {path}")
+    """The trace at path; a file that cannot be read, parsed or held as a
+    Trace raises InputDataError naming path."""
     try:
         if path.suffix == ".csv":
             return ns.read_trace_csv(path)
         return ns.read_trace_binary(path)
+    except OSError as exc:
+        raise InputDataError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
-        raise InputDataError(str(exc)) from exc
+        raise InputDataError(f"{path}: {exc}") from exc
 
 
 def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
@@ -416,6 +419,38 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
     return EXIT_OK
 
 
+def run_masks(cfg: RunConfig, out_dir: Path, count: int, scale: float,
+              rotation_deg: float) -> int:
+    """Write count synthetic pronotum masks to truth/, a copy of each
+    scaled and rotated about the image center to pred/, and their
+    posterior-edge midpoints to truth_points.csv: a dataset that metrics
+    scores as it is."""
+    for d in ("truth", "pred"):
+        (out_dir / d).mkdir(parents=True, exist_ok=True)
+    perturbed = scale != 1.0 or rotation_deg != 0.0
+    ids, points = [f"m{k:04d}" for k in range(count)], []
+    for k, mask_id in enumerate(ids):
+        mask, p_r = vision.synth_pronotum(vision.PronotumShapeParams(),
+                                          child_seed(cfg.seed, "mask", k))
+        # the generator's point is exact by construction; check it against
+        # the extractor so a broken dataset never ships
+        got = vision.extract_reference_point(mask)
+        if got != p_r:
+            raise ValueError(f"{mask_id}.pgm: the extractor finds {got}, "
+                             f"the generator placed {p_r}")
+        vision.write_pgm(mask, out_dir / "truth" / f"{mask_id}.pgm")
+        vision.write_pgm(vision.augment(mask, scale, scale, rotation_deg)
+                         if perturbed else mask,
+                         out_dir / "pred" / f"{mask_id}.pgm")
+        points.append((p_r.x, p_r.y))
+    _write_csv(out_dir / "truth_points.csv", ["id", "x_px", "y_px"],
+               [ids, *zip(*points)])
+    kind = (f"scale {scale}, rotation {rotation_deg} deg" if perturbed
+            else "identical copies")
+    print(f"mask pairs: {count} ({kind})")
+    return EXIT_OK
+
+
 def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
                 truth_dir: Path) -> int:
     for d in (pred_dir, truth_dir):
@@ -446,11 +481,15 @@ def run_metrics(cfg: RunConfig, out_dir: Path, pred_dir: Path,
                 "UTF-8 cannot be an id in metrics.csv") from None
     preds, truths = [], []
     for name in truth_names:
-        try:
-            pm = vision.read_pgm(pred_dir / name)
-            tm = vision.read_pgm(truth_dir / name)
-        except ValueError as exc:
-            raise InputDataError(str(exc)) from exc
+        masks = []
+        for path in (pred_dir / name, truth_dir / name):
+            try:
+                masks.append(vision.read_pgm(path))
+            except OSError as exc:
+                raise InputDataError(f"{path}: {exc.strerror or exc}") from exc
+            except ValueError as exc:   # read_pgm's messages name the path
+                raise InputDataError(str(exc)) from exc
+        pm, tm = masks
         if pm.pixels.shape != tm.pixels.shape:
             raise InputDataError(
                 f"{name}: mask dimensions differ: prediction "
@@ -539,6 +578,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=_count(1), default=None,
                    help="override the configured agent count")
 
+    p = sub.add_parser("masks", parents=[common],
+                       help="write a synthetic mask dataset for metrics")
+    p.add_argument("--count", type=_count(1), default=50,
+                   help="number of mask pairs (default 50)")
+    p.add_argument("--scale", type=float, default=1.0,
+                   help="isotropic scale applied to the pred copies")
+    p.add_argument("--rotation-deg", type=float, default=0.0,
+                   help="rotation applied to the pred copies")
+
     p = sub.add_parser("metrics", parents=[common],
                        help="score segmentation mask pairs")
     p.add_argument("--pred", type=Path, required=True,
@@ -566,6 +614,16 @@ def main(argv=None) -> int:
             args.sweep = ns.sweep_voltages(*args.sweep)
         except ValueError as exc:
             parser.error(f"argument --sweep: {exc}")
+    if args.command == "masks":
+        frame = vision.PronotumShapeParams().frame
+        # at scale 1 only the rotation can fail, and once it has passed,
+        # only the scale
+        for flag, scale in (("--rotation-deg", 1.0), ("--scale", args.scale)):
+            try:
+                vision.check_augment((frame, frame), scale, scale,
+                                     args.rotation_deg)
+            except ValueError as exc:
+                parser.error(f"argument {flag}: {exc}")
     config_path = getattr(args, "config", None)
     seed_flag = getattr(args, "seed", None)
     output_flag = getattr(args, "output_dir", None)
@@ -597,6 +655,9 @@ def main(argv=None) -> int:
                               args.sweep, args.sweep_seeds)
         if args.command == "coverage":
             return run_coverage(cfg, out_dir, args.seeds, args.agents)
+        if args.command == "masks":
+            return run_masks(cfg, out_dir, args.count, args.scale,
+                             args.rotation_deg)
         if args.command == "metrics":
             return run_metrics(cfg, out_dir, args.pred, args.truth)
         if args.command == "fixation":

@@ -57,8 +57,9 @@ class Trace:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate <= 0.0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0.0):
+            raise ValueError("sample_rate must be finite and positive, got "
+                             f"{self.sample_rate!r}")
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
@@ -652,10 +653,10 @@ def write_trace_csv(t: Trace, path: str | Path):
 def read_trace_csv(path: str | Path) -> Trace:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# sample_rate_hz="):
-        raise ValueError(f"{path}: missing sample_rate comment line")
+        raise ValueError("missing sample_rate comment line")
     rate = float(lines[0].split("=", 1)[1])
     if len(lines) < 2 or lines[1] != "voltage_v":
-        raise ValueError(f"{path}: missing voltage_v header")
+        raise ValueError("missing voltage_v header")
     samples = np.array([float(v) for v in lines[2:] if v], dtype=float)
     return Trace(rate, samples)
 
@@ -673,14 +674,12 @@ def write_trace_binary(t: Trace, path: str | Path):
 def read_trace_binary(path: str | Path) -> Trace:
     raw = Path(path).read_bytes()
     if len(raw) < 20 or raw[:4] != _BINARY_MAGIC:
-        raise ValueError(f"{path}: not a trace frame file")
+        raise ValueError("not a trace frame file")
     rate = struct.unpack("<d", raw[4:12])[0]
     count = struct.unpack("<Q", raw[12:20])[0]
     expected = 20 + 8 * count
     if len(raw) != expected:
-        raise ValueError(
-            f"{path}: expected {expected} bytes for {count} samples, "
-            f"got {len(raw)}"
-        )
+        raise ValueError(f"expected {expected} bytes for {count} samples, "
+                         f"got {len(raw)}")
     samples = np.frombuffer(raw[20:], dtype="<f8").astype(float)
     return Trace(rate, samples)

@@ -203,13 +203,20 @@ def _cell_ids(grid: CoverageGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return iy.astype(np.intp)
 
 
-def _first_ticks(grid: CoverageGrid, xy: np.ndarray, never_seen: int
-                 ) -> np.ndarray:
-    """Index of the first position in xy [n, 2] that falls in each cell,
-    never_seen for a cell none falls in."""
+# positions per np.minimum.at call when cells are marked
+_MARK_STEPS = 4096
+
+
+def _first_ticks(grid: CoverageGrid, x: np.ndarray, y: np.ndarray,
+                 never_seen: int) -> np.ndarray:
+    """Index of the first of the positions x, y that falls in each cell,
+    never_seen for a cell none falls in.  The positions are marked
+    _MARK_STEPS at a time, so no temporary spans a long walk."""
     ticks = np.full(grid.total_cells, never_seen)
-    np.minimum.at(ticks, _cell_ids(grid, xy[:, 0], xy[:, 1]),
-                  np.arange(len(xy)))
+    for k in range(0, len(x), _MARK_STEPS):
+        np.minimum.at(ticks, _cell_ids(grid, x[k:k + _MARK_STEPS],
+                                       y[k:k + _MARK_STEPS]),
+                      np.arange(k, min(k + _MARK_STEPS, len(x))))
     return ticks
 
 
@@ -521,8 +528,6 @@ _STRETCH_STEPS = 1024
 _TINY = 1e-12
 # diffusion normals an agent draws at a time
 _DRAW_BLOCK = 4096
-# positions per np.minimum.at call when the steps' cells are marked
-_MARK_STEPS = 4096
 
 
 def _headings(heading: float, inc: np.ndarray, snap: int = -1,
@@ -738,11 +743,7 @@ def _walk(arena: Arena, grid: CoverageGrid, params: AgentParams,
     if first_tick is not None:
         # the first step in each cell; ceil is monotone, so its tick is the
         # first tick that counts the cell
-        first = np.full(grid.total_cells, n_steps + 1)
-        for k in range(0, n_steps + 1, _MARK_STEPS):
-            np.minimum.at(first, _cell_ids(grid, xs[k:k + _MARK_STEPS],
-                                           ys[k:k + _MARK_STEPS]),
-                          np.arange(k, min(k + _MARK_STEPS, n_steps + 1)))
+        first = _first_ticks(grid, xs, ys, n_steps + 1)
         seen = first <= n_steps
         first_tick[seen] = np.minimum(first_tick[seen],
                                       -(-first[seen] // log_steps))
@@ -861,7 +862,7 @@ def simulate(arena: Arena, uwb: UwbSystem,
         ticks = np.array(first_tick)
     else:
         fixes = _run_fixes(true_xy, uwb, seed)
-        ticks = np.array([_first_ticks(union_grid, xy, n_log)
+        ticks = np.array([_first_ticks(union_grid, xy[:, 0], xy[:, 1], n_log)
                           for xy in fixes[0]])
     ticks = ticks.reshape(n_agents, union_grid.ny, union_grid.nx)
     union_ticks = ticks.min(axis=0)

@@ -329,6 +329,9 @@ def test_criterion_15_byte_identical_reruns(tmp_path, capsys, monkeypatch):
                              str(cfg_path), "--output-dir", str(base / "s")]) == 0
             assert cli.main(["coverage", "--config", str(cfg_path),
                              "--output-dir", str(base / "c")]) == 0
+            assert cli.main(["masks", "--count", "2", "--scale", "0.9",
+                             "--rotation-deg", "2", "--config", str(cfg_path),
+                             "--output-dir", str(base / "k")]) == 0
             assert cli.main(["metrics", "--pred", str(tmp_path / "pred"),
                              "--truth", str(tmp_path / "truth"),
                              "--output-dir", str(base / "m")]) == 0

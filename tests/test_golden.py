@@ -5,8 +5,8 @@ reruns in one process: any change to the swarm engine that alters a
 single byte of trajectory.csv, coverage.csv or summary.json fails here,
 and so does any change to the spike chain that alters spikes.json or
 spike_sweep.csv, or any change to `synth_pronotum`, `augment`,
-`write_pgm` or `read_pgm` that alters a written mask or the `metrics`
-table, or any change to the assembly line that alters `assemble --batch 3`'s
+`write_pgm` or `read_pgm` that alters a written mask, the `masks`
+dataset or the `metrics` table, or any change to the assembly line that alters `assemble --batch 3`'s
 event_log.csv or assembly.json.
 A change that alters the numbers on purpose must say so and update the
 digests below.
@@ -182,6 +182,40 @@ def test_metrics_csv_matches_golden_digest(tmp_path, monkeypatch):
                      "--output-dir", str(out)]) == 0
     got = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_METRICS_CSV
+
+
+# `masks --count 3 --scale 0.9 --rotation-deg 2 --seed 42`, file by file:
+# the bytes that scripts/make_mask_dataset.py, which the subcommand
+# replaced, wrote at the same flags
+GOLDEN_MASKS_DATASET = {
+    "pred/m0000.pgm":
+        "b75987ae0f6b7cf065a8ad3e88d43bd1cd2d0ea9e275fea12380566c7a942461",
+    "pred/m0001.pgm":
+        "9581f4fb4c3b334b29ac232e06ebfbc846c911c5635337b4091b7b5c7153504a",
+    "pred/m0002.pgm":
+        "6f64e8c3d1229a9b998bd28b783a5a412aeba71b5546a789440b043b9ebdf3e0",
+    "truth/m0000.pgm":
+        "a5f0a1e57e5760ce70dbc5bbe40df40651f8c156b6cb1134a1ae7f5a3c9f4330",
+    "truth/m0001.pgm":
+        "4a965c976d3103751fd869217d66e7830f8ce1ec0bd2074f700cd349a715a55a",
+    "truth/m0002.pgm":
+        "0087b634ea2933fb7cd5f8116615f750dc97da3332612c19e56ce0f13d131083",
+    "truth_points.csv":
+        "f810613af598c65fde182a982c015a9e4a28157c7adc3284989768e8d908c8c5",
+}
+
+
+def test_masks_dataset_matches_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+    out = tmp_path / "out"
+    assert cli.main(["masks", "--count", "3", "--scale", "0.9",
+                     "--rotation-deg", "2", "--seed", "42",
+                     "--output-dir", str(out)]) == 0
+    got = {path.relative_to(out).as_posix():
+           hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in out.rglob("*") if path.is_file()}
+    assert got == GOLDEN_MASKS_DATASET
 
 
 # ---------- spike path ----------

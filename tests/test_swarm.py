@@ -441,7 +441,7 @@ def test_estimated_marking_matches_cell_index_per_fix():
         ix, iy = _cell_index(g, x, y)
         c = iy * g.nx + ix
         want[c] = min(want[c], k)
-    assert _first_ticks(g, xy, never_seen).tolist() == want
+    assert _first_ticks(g, xy[:, 0], xy[:, 1], never_seen).tolist() == want
 
 
 # ---------- reflection ----------
