@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .morphology import (FixationRig, exposure_safety_margin,
                          exposure_sufficient, lifting_height)
 from .vision import (Mask, PronotumShapeParams, ReferencePoint, SegMetrics,
-                     augment, dsc, extract_reference_point, iou, read_pgm,
-                     synth_pronotum, write_pgm)
+                     augment, dsc, encode_pgm, extract_reference_point, iou,
+                     read_pgm, synth_pronotum)
 from .assembly import (AssemblyProcess, AssemblyState, ImplantPose,
                        PayloadSpec, PixelToArmCalibration, advance,
                        batch_assemble, check_exposure, check_payload,

@@ -376,6 +376,8 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
             "n_agents": run.n_agents,
             "final_union_coverage_pct": run.final_union_coverage,
             "coverage_rate_cm2_per_s": rate,
+            "fixes_unconverged": int(np.count_nonzero(~run.est_converged)),
+            "fix_iterations_mean": float(run.est_iterations.mean()),
             "per_agent": [
                 {"agent_id": i,
                  "final_coverage_pct": float(run.agent_coverage_pct[i, -1])}
@@ -438,10 +440,11 @@ def run_masks(cfg: RunConfig, out_dir: Path, count: int, scale: float,
         if got != p_r:
             raise ValueError(f"{mask_id}.pgm: the extractor finds {got}, "
                              f"the generator placed {p_r}")
-        vision.write_pgm(mask, out_dir / "truth" / f"{mask_id}.pgm")
-        vision.write_pgm(vision.augment(mask, scale, scale, rotation_deg)
-                         if perturbed else mask,
-                         out_dir / "pred" / f"{mask_id}.pgm")
+        _atomic_write(out_dir / "truth" / f"{mask_id}.pgm",
+                      vision.encode_pgm(mask))
+        _atomic_write(out_dir / "pred" / f"{mask_id}.pgm", vision.encode_pgm(
+            vision.augment(mask, scale, scale, rotation_deg)
+            if perturbed else mask))
         points.append((p_r.x, p_r.y))
     _write_csv(out_dir / "truth_points.csv", ["id", "x_px", "y_px"],
                [ids, *zip(*points)])

@@ -7,13 +7,13 @@ is the package's only integrator.  Coverage is accounted on a square cell
 grid, in percents by coverage_percent; position estimates from noisy
 anchor ranges are logged at a fixed rate alongside the true position,
 heading and speed, with a tick at the start and one at the end of the
-run.  Every fix starts from the anchor centroid, so all fixes of a run are
-solved by one call of one lane-wise Gauss-Newton kernel, the only position
+run.  Every fix starts from its own ranges alone, so all fixes of a run are
+solved by one call of one lane-wise Newton kernel, the only position
 solver, through a working set of lanes that it refills as lanes finish.
-A run solves its fixes on first read of est_xy or est_converged,
-so a run with coverage from true positions that never reads them, such as
-every run of dispersion_batch, the one driver of a seed batch, never
-solves them.
+A run solves its fixes on first read of est_xy, est_converged or
+est_iterations, so a run with coverage from true positions that never
+reads them, such as every run of dispersion_batch, the one driver of a
+seed batch, never solves them.
 """
 from __future__ import annotations
 
@@ -227,103 +227,200 @@ def coverage_percent(visited_cells, total_cells):
 
 # ---------- UWB localization ----------
 
-# lanes in the Gauss-Newton working set: bounds the kernel's temporaries.
-# On a 2-vCPU Xeon, 4,096-16,384 lanes solved a 60,004-fix run in 45-47 ms,
-# 1,024 lanes in 76 ms and 65,536 in 62 ms
+# lanes in the fix solver's working set: bounds the kernel's temporaries.
+# On a 2-vCPU Xeon, 4,096 lanes solved a 60,004-fix run in 22 ms, 16,384
+# in 25 ms, 1,024 in 36 ms and 65,536 in 44 ms
 _FIX_LANES = 4096
 _FIX_TOL = 1e-9        # m, the step norm below which a lane has converged
 _FIX_MAX_ITER = 50
 
 
+def _distances(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy), with hypot(dx, dy) where the sum of squares
+    overflows, such as from an anchor at 1e200 m.  The caller ignores the
+    overflow warning."""
+    d = dx * dx
+    d += dy * dy
+    np.sqrt(d, out=d)
+    if d.size and d.max() == np.inf:
+        over = np.isinf(d)
+        d[over] = np.hypot(dx[over], dy[over])
+    return d
+
+
 def _fix_ranges(xy: np.ndarray, uwb: UwbSystem, rng) -> np.ndarray:
     """Noisy anchor ranges [m, k] from true positions [m, 2].  The noise is
-    one block draw, which is the stream of scalar rng.normal() draws in
-    (position, anchor) order."""
-    anchors = np.array(uwb.anchors_m)
-    d = xy[:, :1] - anchors[:, 0]
-    np.hypot(d, xy[:, 1:] - anchors[:, 1], out=d)
-    if uwb.range_noise_sd_m > 0.0:
-        d += uwb.range_noise_sd_m * rng.normal(size=d.shape)
-    return np.maximum(d, 0.0, out=d)
+    the stream of scalar rng.normal() draws in (position, anchor) order,
+    drawn in blocks of _FIX_LANES positions, which bound the temporaries."""
+    ax, ay = np.array(uwb.anchors_m).T
+    ranges = np.empty((len(xy), len(ax)))
+    for i in range(0, len(xy), _FIX_LANES):
+        x, y = xy[i:i + _FIX_LANES].T[:, :, None]
+        with np.errstate(over="ignore"):
+            d = _distances(x - ax, y - ay)
+        if uwb.range_noise_sd_m > 0.0:
+            noise = rng.standard_normal(d.shape)
+            noise *= uwb.range_noise_sd_m
+            d += noise
+        np.maximum(d, 0.0, out=ranges[i:i + _FIX_LANES])
+    return ranges
 
 
-def _solve_fixes(ranges: np.ndarray, anchors, start: np.ndarray,
+def _linear_start(anchors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear least-squares fix from range differences (Caffery, IEEE
+    VTC 2000), as coefficients taken on Python floats.  Anchor 0's equation
+    |p - a_0|^2 = r_0^2 subtracted from anchor i's leaves the row
+    2 (a_i - a_0) . p = b_i, with b_i = r_0^2 - r_i^2 + kappa_i, for
+    i = 1 .. k-1; the fix is x = sum_i wx_i b_i and y = sum_i wy_i b_i.
+    Returns (kappa, wx, wy) as [k-1, 1] columns.  They are not finite when
+    the anchors span no area or their squares overflow."""
+    (x0, y0), rest = anchors[0], anchors[1:]
+    gx = [2.0 * (x - x0) for x, _ in rest]
+    gy = [2.0 * (y - y0) for _, y in rest]
+    # a loop, not sum(), which compensates its sums from Python 3.12
+    sxx = sxy = syy = 0.0
+    for g, h in zip(gx, gy):
+        sxx += g * g
+        sxy += g * h
+        syy += h * h
+    det = sxx * syy - sxy * sxy
+    inv = 1.0 / det if det else math.inf
+    kappa = [x * x + y * y - (x0 * x0 + y0 * y0) for x, y in rest]
+    wx = [(syy * g - sxy * h) * inv for g, h in zip(gx, gy)]
+    wy = [(sxx * h - sxy * g) * inv for g, h in zip(gx, gy)]
+    return (np.array(kappa)[:, None], np.array(wx)[:, None],
+            np.array(wy)[:, None])
+
+
+def _solve_fixes(ranges: np.ndarray, anchors
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Newton least squares for many fixes at once, one lane per row
-    of ranges [m, k], from start [m, 2]: each lane minimizes
-    sum_i (r_i - |p - a_i|)^2.
+    """Least-squares fixes, one lane per row of ranges [m, k]: each lane
+    minimizes sum_i (r_i - |p - a_i|)^2 by safeguarded Newton.
 
-    Each lane counts its own iterations: a lane whose normal matrix is
-    singular stops where it is, unconverged, and a lane whose step norm
-    drops below _FIX_TOL has converged.  Lanes still moving after
-    _FIX_MAX_ITER steps return their last iterate.  At most _FIX_LANES
-    lanes are worked at once; lanes leave the working set as they finish,
-    and once half of it has left it takes the next lanes in order.  A
-    distance is sqrt(dx*dx + dy*dy), or hypot(dx, dy) where the sum of
-    squares overflows.  Every lane's arithmetic is independent of the
-    others, so a lane gives the same bits alone or in any batch.  Returns
-    positions [m, 2], converged [m] and iteration counts [m].
+    A lane starts from the linear least-squares fix of its own ranges
+    (_linear_start), or from the anchor centroid where that is not finite.
+    With c_i = r_i / |p - a_i| and unit vectors u_i from the anchors, the
+    Hessian is H = sum_i c_i u_i u_i^T - (sum_i c_i - k) I.  A lane takes
+    the Newton step where H is positive definite, else the Gauss-Newton
+    step; a lane whose Gauss-Newton normal matrix is singular there stops
+    where it is, unconverged.  A lane whose step norm drops below _FIX_TOL
+    has converged, and lanes still moving after _FIX_MAX_ITER steps return
+    their last iterate.  At most _FIX_LANES lanes are worked at once; lanes
+    leave the working set as they finish, and once half of it has left it
+    takes the next lanes in order.  A distance is sqrt(dx*dx + dy*dy), or
+    hypot(dx, dy) where the sum of squares overflows.  Every lane's
+    arithmetic is independent of the others, and each sum over anchors is
+    one np.add.reduce over axis 0, in anchor order, so a lane gives the
+    same bits alone or in any batch.  Returns positions [m, 2], converged
+    [m] and iteration counts [m].
     """
-    m = len(ranges)
-    xy = np.empty((m, 2))
+    m, k = ranges.shape
+    xy = np.empty((2, m))
     converged = np.zeros(m, dtype=bool)
-    iterations = np.empty(m, dtype=np.intp)
+    iterations = np.empty(m, dtype=np.uint8)      # at most _FIX_MAX_ITER
     # anchor terms are [k, lanes]: one row per anchor
     ax, ay = np.array(anchors, dtype=float).T[:, :, None]
-    lane = np.empty(0, dtype=np.intp)
-    its = np.empty(0, dtype=np.intp)
+    kappa, wx, wy = _linear_start(anchors)
+    cx, cy = _centroid(anchors)
+    # the working set: lane ids, the round each lane entered, positions
+    # and ranges [k, lanes]; lanes enter in order, so the oldest lead
+    lane = born = np.empty(0, dtype=np.intp)
     x = y = np.empty(0)
-    taken = 0
-    while True:
-        if taken < m and 2 * len(lane) <= _FIX_LANES:
-            new = slice(taken, min(m, taken + _FIX_LANES - len(lane)))
-            taken = new.stop
-            lane = np.concatenate((lane, np.arange(new.start, new.stop)))
-            its = np.concatenate((its, np.zeros(new.stop - new.start, np.intp)))
-            x = np.concatenate((x, start[new, 0]))
-            y = np.concatenate((y, start[new, 1]))
-        if not lane.size:
-            break
-        its += 1
-        dx = x - ax
-        dy = y - ay
-        with np.errstate(over="ignore"):
-            d = dx * dx
-            d += dy * dy
-        np.sqrt(d, out=d)
-        over = np.isinf(d)
-        if over.any():
-            d[over] = np.hypot(dx[over], dy[over])
-        np.maximum(d, 1e-12, out=d)
-        ux = np.divide(dx, d, out=dx)
-        uy = np.divide(dy, d, out=dy)
-        # residual f = r - |p - a|, Jacobian row = (-ux, -uy)
-        f = np.subtract(ranges.take(lane, axis=0).T, d, out=d)
-        # a reduce over axis 0 adds the rows in anchor order
-        jtj00 = np.add.reduce(ux * ux, axis=0)
-        jtj01 = np.add.reduce(ux * uy, axis=0)
-        jtj11 = np.add.reduce(uy * uy, axis=0)
-        rhs0 = np.add.reduce(ux * f, axis=0)
-        rhs1 = np.add.reduce(uy * f, axis=0)
-        det = jtj00 * jtj11 - jtj01 * jtj01
-        flat = det == 0.0
-        det[flat] = np.inf          # a zero step: singular lanes stay put
-        sx = (rhs0 * jtj11 - rhs1 * jtj01) / det
-        sy = (rhs1 * jtj00 - rhs0 * jtj01) / det
-        x += sx
-        y += sy
-        with np.errstate(over="ignore"):
-            small = sx * sx + sy * sy < _FIX_TOL ** 2
-        done = flat | small | (its == _FIX_MAX_ITER)
-        if done.any():
-            gone = lane[done]
-            xy[gone, 0] = x[done]
-            xy[gone, 1] = y[done]
-            converged[gone] = small[done] & ~flat[done]
-            iterations[gone] = its[done]
-            keep = np.flatnonzero(~done)
-            lane, its, x, y = lane[keep], its[keep], x[keep], y[keep]
-    return xy, converged, iterations
+    r = np.empty((k, 0))
+    taken = rnd = 0
+    # non-finite values arise only on lanes that the kernel then handles:
+    # overflowed distances, non-finite starts and steps of lanes that
+    # take the Gauss-Newton step
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            if taken < m and 2 * len(lane) <= _FIX_LANES:
+                stop = min(m, taken + _FIX_LANES - len(lane))
+                new = ranges[taken:stop].T        # [k, n], strided
+                sq = np.multiply(new, new, order="C")
+                b = sq[0] - sq[1:]
+                b += kappa
+                x0 = np.add.reduce(wx * b, axis=0)
+                y0 = np.add.reduce(wy * b, axis=0)
+                wild = ~(np.isfinite(x0) & np.isfinite(y0))
+                x0[wild] = cx
+                y0[wild] = cy
+                lane = np.concatenate((lane, np.arange(taken, stop)))
+                born = np.concatenate((born, np.full(stop - taken, rnd)))
+                x = np.concatenate((x, x0))
+                y = np.concatenate((y, y0))
+                r = np.concatenate((r, new), axis=1)
+                taken = stop
+            if not len(lane):
+                break
+            rnd += 1
+            ux = x - ax
+            uy = y - ay
+            d = _distances(ux, uy)
+            np.maximum(d, 1e-12, out=d)
+            f = np.subtract(r, d)                 # residual r - |p - a|
+            c = np.divide(1.0, d, out=d)
+            ux *= c
+            uy *= c
+            c *= r                                # c = r / |p - a|
+            # the Newton step solves H s = g, with g = sum f u the descent
+            # direction of the cost and H as above
+            g0 = np.add.reduce(f * ux, axis=0)
+            g1 = np.add.reduce(f * uy, axis=0)
+            cu = np.multiply(c, ux, out=f)
+            h01 = np.add.reduce(cu * uy, axis=0)
+            cu *= ux
+            h11 = k - np.add.reduce(cu, axis=0)
+            c *= uy
+            c *= uy
+            h00 = k - np.add.reduce(c, axis=0)
+            det = h00 * h11
+            det -= h01 * h01
+            sx = g0 * h11
+            sx -= g1 * h01
+            sx /= det
+            sy = g1 * h00
+            sy -= g0 * h01
+            sy /= det
+            flat = None
+            # positive definite: det > 0 and h00 > 0, neither NaN
+            newton = np.minimum(det, h00) > 0.0
+            if not newton.all():
+                gn = np.flatnonzero(~newton)
+                vx, vy = ux[:, gn], uy[:, gn]
+                j00 = np.add.reduce(vx * vx, axis=0)
+                j01 = np.add.reduce(vx * vy, axis=0)
+                j11 = np.add.reduce(vy * vy, axis=0)
+                jdet = j00 * j11 - j01 * j01
+                singular = jdet == 0.0
+                jdet[singular] = np.inf     # a zero step: singular lanes stay put
+                g0, g1 = g0[gn], g1[gn]
+                sx[gn] = (g0 * j11 - g1 * j01) / jdet
+                sy[gn] = (g1 * j00 - g0 * j01) / jdet
+                if singular.any():
+                    flat = gn[singular]
+            x += sx
+            y += sy
+            sx *= sx
+            sy *= sy
+            sx += sy
+            small = sx < _FIX_TOL ** 2
+            done = small.copy()
+            if born[0] == rnd - _FIX_MAX_ITER:
+                done |= born == born[0]
+            if flat is not None:
+                done[flat] = True
+                small[flat] = False
+            if done.any():
+                out = np.flatnonzero(done)
+                gone = lane.take(out)
+                xy[0, gone] = x.take(out)
+                xy[1, gone] = y.take(out)
+                converged[gone] = small.take(out)
+                iterations[gone] = rnd - born.take(out)
+                keep = np.flatnonzero(~done)
+                lane, born = lane.take(keep), born.take(keep)
+                x, y, r = x.take(keep), y.take(keep), r.take(keep, axis=1)
+    return xy.T, converged, iterations
 
 
 def _centroid(anchors) -> tuple[float, float]:
@@ -332,25 +429,25 @@ def _centroid(anchors) -> tuple[float, float]:
 
 
 def _localize(true_xy: np.ndarray, uwb: UwbSystem, rng
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """UWB fixes of every agent at every log tick, each cold-started from
-    the anchor centroid, solved by one _solve_fixes call.  true_xy is
-    [n_agents, n_log, 2]; the ranging noise is one block draw in (tick,
-    agent, anchor) order.  Returns est_xy [n_agents, n_log, 2] and
-    est_converged [n_agents, n_log].
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """UWB fixes of every agent at every log tick, each solved from its own
+    ranges alone by one _solve_fixes call.  true_xy is [n_agents, n_log, 2];
+    the ranging noise is one block draw in (tick, agent, anchor) order.
+    Returns est_xy [n_agents, n_log, 2], est_converged and est_iterations
+    [n_agents, n_log].
     """
     n_agents, n_log = true_xy.shape[:2]
     # tick-major lanes: lane order (tick, agent) is the ranging order
     ranges = _fix_ranges(true_xy.transpose(1, 0, 2).reshape(-1, 2), uwb, rng)
-    xy, converged, _ = _solve_fixes(
-        ranges, uwb.anchors_m,
-        np.broadcast_to(_centroid(uwb.anchors_m), (len(ranges), 2)))
-    return (xy.reshape(n_log, n_agents, 2).transpose(1, 0, 2),
-            converged.reshape(n_log, n_agents).T)
+    xy, converged, iterations = _solve_fixes(ranges, uwb.anchors_m)
+    # xy is the transpose of an (x, y) row pair, so this is a view
+    return (xy.T.reshape(2, n_log, n_agents).transpose(2, 1, 0),
+            converged.reshape(n_log, n_agents).T,
+            iterations.reshape(n_log, n_agents).T)
 
 
 def _run_fixes(true_xy: np.ndarray, uwb: UwbSystem, seed: int
-               ) -> tuple[np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The UWB fixes of the run with this seed.  Its swarm.uwb stream feeds
     nothing but the ranging noise, so the fixes come out the same whenever
     they are solved."""
@@ -471,10 +568,11 @@ class SwarmRun:
     agent_coverage_pct: np.ndarray    # [n_agents, n_log]
     union_coverage_pct: np.ndarray    # [n_log]
     union_grid: CoverageGrid
-    # (est_xy, est_converged), or None until the first read solves them
-    fixes: Optional[tuple[np.ndarray, np.ndarray]] = None
+    # (est_xy, est_converged, est_iterations), or None until the first
+    # read solves them
+    fixes: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def _solved_fixes(self) -> tuple[np.ndarray, np.ndarray]:
+    def _solved_fixes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.fixes is None:
             self.fixes = _run_fixes(self.true_xy, self.uwb, self.seed)
         return self.fixes
@@ -488,6 +586,12 @@ class SwarmRun:
     def est_converged(self) -> np.ndarray:
         """Converged flag of each fix [n_agents, n_log], solved on first read."""
         return self._solved_fixes()[1]
+
+    @property
+    def est_iterations(self) -> np.ndarray:
+        """Solver iterations of each fix [n_agents, n_log], solved on first
+        read."""
+        return self._solved_fixes()[2]
 
     @property
     def final_union_coverage(self) -> float:
@@ -803,7 +907,8 @@ def simulate(arena: Arena, uwb: UwbSystem,
     marked from true positions at every integration step (or from UWB
     estimates at the logging cadence when coverage_from="estimated").
     Only that coverage solves the UWB fixes here; otherwise the run solves
-    them on first read of est_xy or est_converged, with the same result.
+    them on first read of est_xy, est_converged or est_iterations, with
+    the same result.
     Fully deterministic for a given seed.
     """
     n_agents = len(params_per_agent)

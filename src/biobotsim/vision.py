@@ -401,8 +401,9 @@ _PGM_SPACE = b" \t\n\v\f\r"
 _PGM_COMMENT = re.compile(rb"#[^\n\r]*")
 
 
-def write_pgm(mask: Mask, path: str | Path):
-    """Write an ASCII PGM (P2, maxval 1); round-trips bit for bit.
+def encode_pgm(mask: Mask) -> list:
+    """The bytes of an ASCII PGM (P2, maxval 1) of mask, which round-trip
+    bit for bit, as two chunks: the header and a uint8 array of the rows.
 
     The file is ``P2``, ``<width> <height>`` and ``1`` on three lines, then
     one line per mask row holding its pixels as ``0``/``1`` separated by
@@ -414,8 +415,15 @@ def write_pgm(mask: Mask, path: str | Path):
     body = np.full((h, 2 * w), ord(" "), dtype=np.uint8)
     np.add(mask.pixels.view(np.uint8), ord("0"), out=body[:, 0::2])
     body[:, -1] = ord("\n")
+    return [f"P2\n{w} {h}\n1\n".encode(), body]
+
+
+def write_pgm(mask: Mask, path: str | Path):
+    """Write encode_pgm(mask) to path in place, not through a temp file:
+    an interrupted write leaves a truncated file."""
+    header, body = encode_pgm(mask)
     with Path(path).open("wb") as f:
-        f.write(f"P2\n{w} {h}\n1\n".encode())
+        f.write(header)
         f.write(body)
 
 

@@ -697,10 +697,10 @@ def test_estimated_coverage_run_solves_each_fix_once(tmp_path, monkeypatch):
 
 
 def test_far_anchor_keeps_finite_estimates(tmp_path):
-    # from the centroid, (x - 1e200)**2 overflows: the solver takes hypot
-    # for that anchor, and the run writes the bytes it wrote when every
-    # distance was a hypot (18d4bf43...), but for t_s cells printed as
-    # k / log_rate_hz
+    # the linear start overflows, so every fix starts at the centroid, where
+    # (x - 1e200)**2 overflows: the solver takes hypot for that anchor.
+    # Gauss-Newton left every fix at the centroid, x ~ 2.5e199 m
+    # (5db22410...); Newton reaches the near anchors' fix
     data = _quick_swarm_cfg(duration=10.0)
     data["swarm"]["coverage_from"] = "estimated"
     data["swarm"]["uwb"] = {"anchors_m": [[0.0, 0.0], [3.6, 0.0],
@@ -713,8 +713,11 @@ def test_far_anchor_keeps_finite_estimates(tmp_path):
     est = [[float(v) for v in row.split(b",")[4:6]]
            for row in traj.splitlines()[1:]]
     assert len(est) == 2 * 101 and np.isfinite(est).all()
+    true = [[float(v) for v in row.split(b",")[2:4]]
+            for row in traj.splitlines()[1:]]
+    assert np.hypot(*(np.array(est) - true).T).max() < 0.5
     assert hashlib.sha256(traj).hexdigest() == (
-        "5db22410e27a89d51a485e7315b19ae4e6a96b3fab09ce5f0f6241617615447c")
+        "d42b7e82f67dc18c03d024598958956ddfee2d93e53229c089f1d8c49335c257")
 
 
 def test_trajectory_csv_rows_run_tick_major_with_positions_to_1_um(tmp_path):
@@ -866,6 +869,24 @@ def test_mask_script_exits_naming_a_mask_the_extractor_misreads(
     assert capsys.readouterr().err.startswith("runtime error: m0000.pgm: ")
     assert not (tmp_path / "truth" / "m0000.pgm").exists()
     assert not (tmp_path / "truth_points.csv").exists()
+
+
+def test_mask_script_write_failing_mid_file_leaves_no_mask(
+        tmp_path, monkeypatch, capsys):
+    encode = vision.encode_pgm
+
+    def failing(mask):
+        header, body = encode(mask)
+        yield header
+        yield body[:1]
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(vision, "encode_pgm", failing)
+    assert cli.main(["masks", "--count", "2",
+                     "--output-dir", str(tmp_path)]) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    # neither the mask nor its temp file is left
+    assert list((tmp_path / "truth").iterdir()) == []
 
 
 def test_metrics_one_pixel_offset_gives_unit_mse(tmp_path, capsys):

@@ -25,23 +25,26 @@ DURATION_S = 60.0
 # trajectory.csv writes positions at %.6f (1 um); before that they were
 # reprs (8531cbb2...).  t_s cells print tick k as k / log_rate_hz (0.35,
 # not 0.35000000000000003); that change moved every trajectory.csv and
-# coverage.csv digest, and no summary.json.
+# coverage.csv digest, and no summary.json.  Solving the fixes by Newton
+# from a linear start moved est cells of 7 (60 s) and 61 (30 s at 100 Hz)
+# trajectory.csv rows, and every single-run summary.json gained
+# fixes_unconverged and fix_iterations_mean; no coverage.csv moved.
 GOLDEN = {
     "true": {
         "trajectory.csv":
-            "07caa581693b040825fc2a48b477009454972a79748ea1a8058c482ac0c31dfd",
+            "7b396ded127cc939e4090196ae1c7cedb253e2fd5d97f851f8c8c618833b57db",
         "coverage.csv":
             "65f0aa11ee8628e9ea9cd4a1707133530b6c3136ed2cab7f12b374767385f668",
         "summary.json":
-            "a7f07e7c547170ca6a546863fbb8aa72ed2be11c7aba519e34ab5ef510bacda8",
+            "c1a9e458ae5bc0e02eb8130b3fabe8655bf684c628338ce4e8c08074c6dd7849",
     },
     "estimated": {
         "trajectory.csv":
-            "07caa581693b040825fc2a48b477009454972a79748ea1a8058c482ac0c31dfd",
+            "7b396ded127cc939e4090196ae1c7cedb253e2fd5d97f851f8c8c618833b57db",
         "coverage.csv":
             "167bf6db16bcf42ed3cc2006e5879c27799a38b0d6c27506aace0771427045be",
         "summary.json":
-            "71cb25b4afd0691e459d917713afdb0a05fa3b2d65e76e3dd01643a52aa7653c",
+            "ee0581cdd19ef38beeabce72f9304b54a1feb746a4a73d35d501c8431c97f90c",
     },
     "seeds3": {
         "coverage.csv":
@@ -53,11 +56,11 @@ GOLDEN = {
     # the writer's 4,096-row blocks
     "estimated_100hz": {
         "trajectory.csv":
-            "999fde676feecb6f6a836560c066f92a326b42285d3b3145b19b2e6d7a745f76",
+            "001841fb88645d5e8e60a97b5b6230ac4b5acfb30545beae9b41f811848b14b8",
         "coverage.csv":
             "07ea440bf1325eecd9d22b5f42f17feb23f7d59ff7182a9b17cc749411cdfc36",
         "summary.json":
-            "6d298e4be66bf030e287c423a35d3d57075f93feb3ed66f1d208a4388de1df17",
+            "2357060e700187c5af996cb2d134c5aa7131de07ea509ea04901d653347d574a",
     },
 }
 

@@ -2,6 +2,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -166,50 +167,59 @@ def test_coverage_rate_frozen_point():
                    agent_coverage_pct=np.zeros((1, 2)),
                    union_coverage_pct=np.array([0.0, 80.25]),
                    union_grid=g,
-                   fixes=(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool)))
+                   fixes=(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool),
+                          np.ones((1, 2), dtype=np.uint8)))
     assert coverage_rate(run) == pytest.approx(50.87, abs=0.01)
     assert run.final_union_coverage == 80.25
 
 
 # ---------- localization ----------
 
-def _solve(ranges, anchors, starts):
-    return _solve_fixes(np.array(ranges, dtype=float), anchors,
-                        np.array(starts, dtype=float))
+def _solve(ranges, anchors):
+    return _solve_fixes(np.array(ranges, dtype=float), anchors)
+
+
+def _distance(dx, dy):
+    # the solver's distance on Python floats
+    d = math.sqrt(dx * dx + dy * dy)
+    return math.hypot(dx, dy) if d == math.inf else d
 
 
 def test_noiseless_ranges_are_exact_distances():
-    ranges = _fix_ranges(np.array([[1.2, 0.7]]), QUIET_UWB, None)
-    expected = [math.hypot(1.2 - ax, 0.7 - ay) for ax, ay in QUIET_UWB.anchors_m]
-    assert ranges.tolist() == [expected]
+    for uwb in (QUIET_UWB, FAR_UWB):
+        ranges = _fix_ranges(np.array([[1.2, 0.7]]), uwb, None)
+        expected = [_distance(1.2 - ax, 0.7 - ay) for ax, ay in uwb.anchors_m]
+        assert ranges.tolist() == [expected]
 
 
 def test_multilateration_recovers_noiseless_positions():
     p = np.random.default_rng(11).uniform(0.0, 2.0, (100, 2))
-    xy, conv, _ = _solve(_fix_ranges(p, QUIET_UWB, None), QUIET_UWB.anchors_m,
-                         [CENTROID] * 100)
+    xy, conv, _ = _solve(_fix_ranges(p, QUIET_UWB, None), QUIET_UWB.anchors_m)
     assert conv.all()
     assert np.hypot(*(xy - p).T).max() < 1e-6
 
 
 def test_warm_start_converges_fast():
+    # on noiseless ranges the linear start is the fix: one step to confirm
+    # it, one more below the step tolerance
     ranges = _fix_ranges(np.array([[0.4, 1.6]]), QUIET_UWB, None)
-    _, conv, its = _solve(ranges, QUIET_UWB.anchors_m, [(0.4, 1.6)])
+    _, conv, its = _solve(ranges, QUIET_UWB.anchors_m)
     assert conv[0]
-    assert its[0] <= 3
+    assert its[0] <= 2
 
 
-# noisy ranges 4 cm from the anchor at (0, 0) that hit the 50-iteration cap
+# noisy ranges 4 cm from the anchor at (0, 0) on which Gauss-Newton from
+# the anchor centroid hit the 50-iteration cap
 CAPPED_RANGES = [0.021413335492545683, 3.5287300647154427, 5.00106074650553,
                  3.4808339024089774]
 
 
-def _one_row_calls_agree(uwb, ranges, starts):
+def _one_row_calls_agree(uwb, ranges):
     """Solve the lanes as one batch; assert each equals its own one-row
     _solve_fixes call bit for bit; return (converged, iterations)."""
-    xy, conv, its = _solve(ranges, uwb.anchors_m, starts)
-    for row, start, pos, c, n in zip(ranges, starts, xy, conv, its):
-        one = _solve([row], uwb.anchors_m, [start])
+    xy, conv, its = _solve(ranges, uwb.anchors_m)
+    for row, pos, c, n in zip(ranges, xy, conv, its):
+        one = _solve([row], uwb.anchors_m)
         assert one[0].tobytes() == pos.tobytes()
         assert (one[1][0], one[2][0]) == (c, n)
     return conv.tolist(), its.tolist()
@@ -225,23 +235,32 @@ def test_fix_kernel_lanes_equal_one_row_calls():
               ranges(UwbSystem(), 1.1, 0.2),         # noisy
               ranges(QUIET_UWB, 0.0, 0.0),           # on an anchor
               [0.0, 3.6, 5.0, 3.6],                  # zero range
-              CAPPED_RANGES]                         # iteration cap
-    starts = [CENTROID] * 5
-    square.append(CAPPED_RANGES)                  # started on an anchor
-    starts.append((0.0, 0.0))
-    conv, its = _one_row_calls_agree(QUIET_UWB, square, starts)
-    assert conv[:2] == [True, True]
-    assert (conv[4], its[4]) == (False, 50)
+              CAPPED_RANGES]                         # Gauss-Newton's cap
+    conv, its = _one_row_calls_agree(QUIET_UWB, square)
+    assert conv == [True] * 5
+    assert max(its) < swarm._FIX_MAX_ITER
 
+    # the linear start of anchors on a line is not finite, so these lanes
+    # start at the line's centroid (1, 0), which is an anchor.  On the line
+    # every unit vector is horizontal or zero: the lane whose fix is the
+    # start converges at once, and the others step along the line until H
+    # is not positive definite, where the normal matrix is singular
     line = LINE_UWB
     rows = [ranges(line, 1.0, 0.0), ranges(line, 0.5, 0.4),
             ranges(line, 1.5, 0.0)]
-    # on the anchor line every unit vector is horizontal: det == 0 at once,
-    # also from the line's centroid (1, 0)
-    conv, its = _one_row_calls_agree(line, rows,
-                                     [(1.0, 0.0), (1.0, 0.5), (0.3, 0.0)])
-    assert conv == [False, True, False]
-    assert its[0] == its[2] == 1
+    conv, its = _one_row_calls_agree(line, rows)
+    assert conv == [True, False, False]
+    assert its == [1, 2, 2]
+    assert (_solve(rows, line.anchors_m)[0][:, 1] == 0.0).all()
+
+    # from the far anchor's layout the linear start overflows; the lanes
+    # start at the centroid and end finite, with no warning
+    far = [ranges(FAR_UWB, 1.0, 1.0), ranges(FAR_UWB, 0.2, 1.7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xy, _, _ = _solve(far, FAR_UWB.anchors_m)
+        _one_row_calls_agree(FAR_UWB, far)
+    assert np.isfinite(xy).all()
 
 
 # collinear anchors span no area and UwbSystem rejects them, so the
@@ -256,7 +275,7 @@ FAR_UWB = UwbSystem(
 
 @st.composite
 def _fix_lanes(draw):
-    """A batch of fix lanes, each (ranges, start), all on the default square
+    """A batch of fix lanes, each a row of ranges, all on the default square
     of anchors or all on the anchor line of LINE_UWB."""
     line = draw(st.booleans())
     coord = st.floats(0.0, 2.0)
@@ -270,52 +289,81 @@ def _fix_lanes(draw):
     if line:
         uwb = LINE_UWB
         kinds = st.one_of(
-            # on the anchor line and started on it: singular at once
-            st.builds(lambda x, x0: (ranges(uwb, x, 0.0), (x0, 0.0)),
-                      coord, coord),
-            st.builds(lambda x, y: (ranges(uwb, x, y), (1.0, 0.5)),
-                      coord, st.floats(0.1, 2.0)))
+            st.builds(lambda x: ranges(uwb, x, 0.0), coord),   # on the line
+            st.builds(lambda x, y: ranges(uwb, x, y), coord, st.floats(0.1, 2.0)))
     else:
         uwb = QUIET_UWB
         seeds = st.integers(0, 2 ** 32 - 1)
         kinds = st.one_of(
-            st.builds(lambda x, y: (ranges(uwb, x, y), CENTROID),
-                      coord, coord),                              # noiseless
-            st.builds(lambda x, y, seed: (ranges(uwb, x, y, seed), CENTROID),
-                      coord, coord, seeds),                       # noisy
-            st.builds(lambda a, seed: (ranges(uwb, *a, seed), CENTROID),
+            st.builds(lambda x, y: ranges(uwb, x, y), coord, coord),  # noiseless
+            st.builds(lambda x, y, seed: ranges(uwb, x, y, seed),
+                      coord, coord, seeds),                           # noisy
+            st.builds(lambda a, seed: ranges(uwb, *a, seed),
                       st.sampled_from(uwb.anchors_m),
-                      st.none() | seeds),                         # on an anchor
-            st.sampled_from([(CAPPED_RANGES, CENTROID),           # capped
-                             (CAPPED_RANGES, (0.0, 0.0))]))
+                      st.none() | seeds),                             # on an anchor
+            st.just(CAPPED_RANGES))
     return uwb, draw(st.lists(kinds, max_size=23))
 
 
-def _reference_fix(ranges, anchors, start):
+def _anchor_sum(terms):
+    # np.add.reduce over axis 0 adds the rows in anchor order
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _reference_fix(ranges, anchors):
     """One fix by the kernel's arithmetic on Python floats, one anchor at a
-    time; returns ((x, y), converged, iterations)."""
-    x, y = start
+    time: the linear start, then safeguarded Newton; returns ((x, y),
+    converged, iterations)."""
+    k = len(anchors)
+    # the linear start: anchor 0's equation subtracted from the others'
+    (x0, y0), rest = anchors[0], anchors[1:]
+    gx = [2.0 * (ax - x0) for ax, _ in rest]
+    gy = [2.0 * (ay - y0) for _, ay in rest]
+    sxx = sxy = syy = 0.0
+    for g, h in zip(gx, gy):
+        sxx += g * g
+        sxy += g * h
+        syy += h * h
+    det = sxx * syy - sxy * sxy
+    inv = 1.0 / det if det else math.inf
+    b = [(ranges[0] * ranges[0] - r * r) + (ax * ax + ay * ay - (x0 * x0 + y0 * y0))
+         for (ax, ay), r in zip(rest, ranges[1:])]
+    x = _anchor_sum([(syy * g - sxy * h) * inv * bi for g, h, bi in zip(gx, gy, b)])
+    y = _anchor_sum([(sxx * h - sxy * g) * inv * bi for g, h, bi in zip(gx, gy, b)])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        x, y = swarm._centroid(anchors)
     for it in range(1, swarm._FIX_MAX_ITER + 1):
-        jtj00 = jtj01 = jtj11 = rhs0 = rhs1 = 0.0
+        terms = []
         for (ax, ay), r in zip(anchors, ranges):
             dx, dy = x - ax, y - ay
-            d = math.sqrt(dx * dx + dy * dy)
-            if d == math.inf:           # the sum of squares overflowed
-                d = math.hypot(dx, dy)
+            d = _distance(dx, dy)
             d = max(d, 1e-12)
-            ux, uy = dx / d, dy / d
-            f = r - d
-            jtj00 += ux * ux
-            jtj01 += ux * uy
-            jtj11 += uy * uy
-            rhs0 += ux * f
-            rhs1 += uy * f
-        det = jtj00 * jtj11 - jtj01 * jtj01
-        flat = det == 0.0
-        if flat:
-            det = math.inf
-        sx = (rhs0 * jtj11 - rhs1 * jtj01) / det
-        sy = (rhs1 * jtj00 - rhs0 * jtj01) / det
+            q = 1.0 / d
+            ux, uy, c = dx * q, dy * q, q * r
+            terms.append((r - d, ux, uy, c))
+        g0 = _anchor_sum([f * ux for f, ux, _, _ in terms])
+        g1 = _anchor_sum([f * uy for f, _, uy, _ in terms])
+        h01 = _anchor_sum([c * ux * uy for _, ux, uy, c in terms])
+        h11 = k - _anchor_sum([c * ux * ux for _, ux, _, c in terms])
+        h00 = k - _anchor_sum([c * uy * uy for _, _, uy, c in terms])
+        det = h00 * h11 - h01 * h01
+        flat = False
+        if det > 0.0 and h00 > 0.0:          # H positive definite: Newton
+            sx = (g0 * h11 - g1 * h01) / det
+            sy = (g1 * h00 - g0 * h01) / det
+        else:                                # else Gauss-Newton
+            j00 = _anchor_sum([ux * ux for _, ux, _, _ in terms])
+            j01 = _anchor_sum([ux * uy for _, ux, uy, _ in terms])
+            j11 = _anchor_sum([uy * uy for _, _, uy, _ in terms])
+            jdet = j00 * j11 - j01 * j01
+            flat = jdet == 0.0
+            if flat:
+                jdet = math.inf
+            sx = (g0 * j11 - g1 * j01) / jdet
+            sy = (g1 * j00 - g0 * j01) / jdet
         x += sx
         y += sy
         small = sx * sx + sy * sy < swarm._FIX_TOL ** 2
@@ -328,27 +376,22 @@ def _reference_fix(ranges, anchors, start):
 @settings(max_examples=40, deadline=None)
 @given(batch=_fix_lanes())
 @example(batch=(QUIET_UWB, []))
-@example(batch=(QUIET_UWB, [(CAPPED_RANGES, CENTROID)] * 2
-                + [([0.0, 3.6, 5.0, 3.6], CENTROID)] * 9))
-@example(batch=(FAR_UWB, [(_fix_ranges(np.array([[1.0, 1.0]]), FAR_UWB,
-                                       None)[0].tolist(),
-                           swarm._centroid(FAR_UWB.anchors_m))] * 3))
+@example(batch=(QUIET_UWB, [CAPPED_RANGES] * 2 + [[0.0, 3.6, 5.0, 3.6]] * 9))
+@example(batch=(FAR_UWB, [_fix_ranges(np.array([[1.0, 1.0]]), FAR_UWB,
+                                      None)[0].tolist()] * 3))
 def test_refilled_working_set_lanes_equal_one_row_calls(width, batch):
     uwb, lanes = batch
-    k = len(uwb.anchors_m)
-    ranges = np.array([r for r, _ in lanes], dtype=float).reshape(-1, k)
-    starts = np.array([s for _, s in lanes], dtype=float).reshape(-1, 2)
+    ranges = np.array(lanes, dtype=float).reshape(-1, len(uwb.anchors_m))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(swarm, "_FIX_LANES", width)
-        xy, conv, its = _solve_fixes(ranges, uwb.anchors_m, starts)
+        xy, conv, its = _solve_fixes(ranges, uwb.anchors_m)
         assert xy.shape == (len(lanes), 2)
         assert conv.shape == its.shape == (len(lanes),)
-        for row, start, pos, c, n in zip(ranges, starts, xy, conv, its):
-            one = _solve_fixes(row[None], uwb.anchors_m, start[None])
+        for row, pos, c, n in zip(ranges, xy, conv, its):
+            one = _solve_fixes(row[None], uwb.anchors_m)
             assert one[0][0].tobytes() == pos.tobytes()
             assert (one[1][0], one[2][0]) == (c, n)
-            ref, ref_c, ref_n = _reference_fix(row.tolist(), uwb.anchors_m,
-                                               start.tolist())
+            ref, ref_c, ref_n = _reference_fix(row.tolist(), uwb.anchors_m)
             assert np.array(ref).tobytes() == pos.tobytes()
             assert (ref_c, ref_n) == (c, n)
     assert ((1 <= its) & (its <= swarm._FIX_MAX_ITER)).all()
@@ -359,10 +402,9 @@ def test_fix_solve_allocates_only_a_working_set():
     uwb = UwbSystem()
     p = np.random.default_rng(3).uniform(0.0, 2.0, (60_004, 2))
     ranges = _fix_ranges(p, uwb, np.random.default_rng(4))
-    start = np.broadcast_to(CENTROID, p.shape)
     tracemalloc.start()
     try:
-        out = _solve_fixes(ranges, uwb.anchors_m, start)
+        out = _solve_fixes(ranges, uwb.anchors_m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,7 +421,7 @@ def test_block_ranging_noise_is_the_scalar_draw_stream():
     xy = np.random.default_rng(1).uniform(0.0, 0.5, (37, 2))
     got = _fix_ranges(xy, uwb, np.random.default_rng(5))
     rng = np.random.default_rng(5)
-    want = [[max(np.hypot(x - ax, y - ay) + 0.5 * rng.normal(), 0.0)
+    want = [[max(_distance(x - ax, y - ay) + 0.5 * rng.normal(), 0.0)
              for ax, ay in uwb.anchors_m] for x, y in xy.tolist()]
     assert got.tolist() == want
     assert (got == 0.0).any()      # some noisy ranges clamp at zero
@@ -394,12 +436,13 @@ def test_simulate_fixes_are_cold_started_one_row_solves(monkeypatch):
     for li in range(len(run.log_t)):       # ranging order: tick, agent
         for i in range(3):
             x, y = run.true_xy[i, li].tolist()
-            row = [max(np.hypot(x - ax, y - ay)
+            row = [max(_distance(x - ax, y - ay)
                        + uwb.range_noise_sd_m * rng.normal(), 0.0)
                    for ax, ay in uwb.anchors_m]
-            xy, conv, _ = _solve([row], uwb.anchors_m, [CENTROID])
+            xy, conv, its = _solve([row], uwb.anchors_m)
             assert xy[0].tobytes() == run.est_xy[i, li].tobytes()
             assert conv[0] == run.est_converged[i, li]
+            assert its[0] == run.est_iterations[i, li]
 
 
 @pytest.mark.parametrize("first", ["est_xy", "est_converged"])
@@ -423,10 +466,21 @@ def test_fixes_are_solved_once_on_first_read(first, monkeypatch):
     got[second] = getattr(run, second)
     assert run.est_xy is got["est_xy"] and lanes == [3 * 51]
 
-    xy, conv = swarm._localize(run.true_xy, uwb, np.random.default_rng(
+    xy, conv, its = swarm._localize(run.true_xy, uwb, np.random.default_rng(
         child_seed(4, "swarm.uwb")))
     assert got["est_xy"].tobytes() == xy.tobytes()
     assert got["est_converged"].tobytes() == conv.tobytes()
+    assert run.est_iterations.tobytes() == its.tobytes()
+
+
+def test_criterion_12_first_seed_fixes_all_converge():
+    # the first run of criterion 12's batch: 25,244 fixes, of which
+    # Gauss-Newton from the anchor centroid left 8 at its iteration cap,
+    # all near the anchor at (0, 0)
+    run = next(dispersion_batch(Arena(), UwbSystem(), [AUTO_PRESET] * 4,
+                                20, seed=42))
+    assert run.est_converged.all()
+    assert run.est_iterations.max() < swarm._FIX_MAX_ITER
 
 
 def test_estimated_marking_matches_cell_index_per_fix():
