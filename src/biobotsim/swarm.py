@@ -242,7 +242,7 @@ def _distances(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     d = dx * dx
     d += dy * dy
     np.sqrt(d, out=d)
-    if d.size and d.max() == np.inf:
+    if d.max() == np.inf:
         over = np.isinf(d)
         d[over] = np.hypot(dx[over], dy[over])
     return d
