@@ -200,8 +200,8 @@ def test_multilateration_recovers_noiseless_positions():
 
 
 def test_warm_start_converges_fast():
-    # on noiseless ranges the linear start is the fix: one step to confirm
-    # it, one more below the step tolerance
+    # on noiseless ranges the linear start is the fix up to rounding, so
+    # the first step or the second falls below the step tolerance
     ranges = _fix_ranges(np.array([[0.4, 1.6]]), QUIET_UWB, None)
     _, conv, its = _solve(ranges, QUIET_UWB.anchors_m)
     assert conv[0]
