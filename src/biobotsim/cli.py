@@ -25,8 +25,9 @@ from . import assembly as asm
 from . import neurosignal as ns
 from . import swarm as sw
 from . import vision
-from .config import (ConfigError, RunConfig, agent_params_from_config,
-                     arena_from_config, config_digest, load_config)
+from .config import (SCHEMA_VERSION, ConfigError, RunConfig,
+                     agent_params_from_config, arena_from_config,
+                     config_digest, config_from_dict, load_config)
 from .morphology import (exposure_safety_margin, exposure_sufficient,
                          lifting_height)
 from .seeding import child_seed
@@ -247,8 +248,6 @@ def run_assemble(cfg: RunConfig, out_dir: Path, batch: int | None) -> int:
         extracted, cfg.rig, calibration=ac.calibration,
         alpha_lower=ac.alpha_lower_deg, alpha_upper=ac.alpha_upper_deg,
         step_durations=ac.step_durations_s)
-    asm.check_payload(ac.payload)
-    asm.check_workspace(ac.workspace_box_m, ac.approach_envelope_m)
 
     final, rows = asm.walk_all(proc)
     _write_csv(out_dir / "event_log.csv",
@@ -318,12 +317,15 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
         if input_path is None:
             raise
         raise ValueError(f"{input_path}: {exc}") from exc
+    # 12 significant digits: the last bits of the threshold follow the BLAS
+    # build's GEMM kernel, and the count it sets does not
+    threshold = float(f"{train.threshold_used:.12g}")
     _write_json(out_dir / "spikes.json", {
         "schema_version": 1,
         "seed": cfg.seed,
         "config_sha256": config_digest(cfg),
         "n_spikes": train.count,
-        "threshold_v": train.threshold_used,
+        "threshold_v": threshold,
         "params": {
             "sample_rate_hz": trace.sample_rate,
             "bandpass_low_hz": nc.bandpass_low_hz,
@@ -334,16 +336,14 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
         },
     })
     print(f"n_spikes: {train.count}")
-    print(f"threshold: {train.threshold_used!r} V")
+    print(f"threshold: {threshold!r} V")
     return EXIT_OK
 
 
-def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None,
-                 n_agents: int | None = None) -> int:
+def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None) -> int:
     sc = cfg.swarm
     arena = arena_from_config(sc.arena)
-    params = [agent_params_from_config(cfg.locomotion)] * (
-        sc.n_agents if n_agents is None else n_agents)
+    params = [agent_params_from_config(cfg.locomotion)] * sc.n_agents
     common = dict(stim_period=sc.stim_period_s, duration=sc.duration_s,
                   dt=sc.dt_s, log_rate_hz=sc.log_rate_hz,
                   coverage_from=sc.coverage_from, cell_size=sc.cell_size_m)
@@ -631,7 +631,8 @@ def main(argv=None) -> int:
     seed_flag = getattr(args, "seed", None)
     output_flag = getattr(args, "output_dir", None)
     try:
-        cfg = load_config(config_path) if config_path is not None else RunConfig()
+        cfg = (load_config(config_path) if config_path is not None
+               else config_from_dict({"schema_version": SCHEMA_VERSION}))
 
         seed = cfg.seed
         if os.environ.get(ENV_SEED):
@@ -649,6 +650,9 @@ def main(argv=None) -> int:
         if output_flag is not None:
             out = output_flag
         cfg = dataclasses.replace(cfg, seed=seed, output_dir=str(out))
+        if getattr(args, "agents", None) is not None:
+            cfg = dataclasses.replace(cfg, swarm=dataclasses.replace(
+                cfg.swarm, n_agents=args.agents))
         out_dir = Path(cfg.output_dir)
 
         if args.command == "assemble":
@@ -657,7 +661,7 @@ def main(argv=None) -> int:
             return run_spikes(cfg, out_dir, args.input, args.synth,
                               args.sweep, args.sweep_seeds)
         if args.command == "coverage":
-            return run_coverage(cfg, out_dir, args.seeds, args.agents)
+            return run_coverage(cfg, out_dir, args.seeds)
         if args.command == "masks":
             return run_masks(cfg, out_dir, args.count, args.scale,
                              args.rotation_deg)

@@ -151,10 +151,6 @@ def _coerce(tp, value, path: str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
-    if tp is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
     raise ConfigError(f"{path}: unsupported config field type {_type_name(tp)}")
 
 
@@ -230,6 +226,7 @@ def _validate(cfg: RunConfig):
         asm.check_payload(ac.payload)
     with _at("assembly"):
         asm.AssemblyProcess(step_durations=ac.step_durations_s)
+        asm.batch_assemble(1, ac.handling_gap_s)
         asm.solve_pitch(ac.alpha_lower_deg, ac.alpha_upper_deg)
         asm.check_workspace(ac.workspace_box_m, ac.approach_envelope_m)
     with _at("locomotion"):

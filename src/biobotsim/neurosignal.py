@@ -642,15 +642,9 @@ def voltage_sweep(voltages, n_seeds: int, seed: int,
 _BINARY_MAGIC = b"BTRC"
 
 
-def write_trace_csv(t: Trace, path: str | Path):
-    """Text format: a sample-rate comment line, a header, one voltage per
-    row.  Values are written with shortest round-trip float formatting."""
-    lines = [f"# sample_rate_hz={t.sample_rate!r}", "voltage_v"]
-    lines.extend(repr(float(v)) for v in t.samples)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def read_trace_csv(path: str | Path) -> Trace:
+    """Text format: a sample-rate comment line, a voltage_v header, one
+    voltage per row."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# sample_rate_hz="):
         raise ValueError("missing sample_rate comment line")
@@ -661,17 +655,9 @@ def read_trace_csv(path: str | Path) -> Trace:
     return Trace(rate, samples)
 
 
-def write_trace_binary(t: Trace, path: str | Path):
+def read_trace_binary(path: str | Path) -> Trace:
     """Binary frame: 4-byte magic, little-endian float64 sample rate,
     little-endian uint64 count, then count little-endian float64 samples."""
-    with open(path, "wb") as f:
-        f.write(_BINARY_MAGIC)
-        f.write(struct.pack("<d", t.sample_rate))
-        f.write(struct.pack("<Q", len(t.samples)))
-        f.write(t.samples.astype("<f8").tobytes())
-
-
-def read_trace_binary(path: str | Path) -> Trace:
     raw = Path(path).read_bytes()
     if len(raw) < 20 or raw[:4] != _BINARY_MAGIC:
         raise ValueError("not a trace frame file")

@@ -9,7 +9,7 @@ anchor ranges are logged at a fixed rate alongside the true position,
 heading and speed, with a tick at the start and one at the end of the
 run.  Every fix starts from its own ranges alone, so all fixes of a run are
 solved by one call of one lane-wise Newton kernel, the only position
-solver, through a working set of lanes that it refills as lanes finish.
+solver, in consecutive blocks of lanes, each solved to completion.
 A run solves its fixes on first read of est_xy, est_converged or
 est_iterations, so a run with coverage from true positions that never
 reads them, such as every run of dispersion_batch, the one driver of a
@@ -227,9 +227,10 @@ def coverage_percent(visited_cells, total_cells):
 
 # ---------- UWB localization ----------
 
-# lanes in the fix solver's working set: bounds the kernel's temporaries.
-# On a 2-vCPU Xeon, 4,096 lanes solved a 60,004-fix run in 22 ms, 16,384
-# in 25 ms, 1,024 in 36 ms and 65,536 in 44 ms
+# lanes in a block of the fix solver: bounds the kernel's temporaries.
+# On a 2-vCPU Xeon, blocks of 4,096 lanes solved a 60,004-fix run in
+# 18-19 ms, of 16,384 in 26-27 ms and of 1,024 in 28-29 ms (medians of 15
+# calls, in each of two processes)
 _FIX_LANES = 4096
 _FIX_TOL = 1e-9        # m, the step norm below which a lane has converged
 _FIX_MAX_ITER = 50
@@ -305,14 +306,14 @@ def _solve_fixes(ranges: np.ndarray, anchors
     step; a lane whose Gauss-Newton normal matrix is singular there stops
     where it is, unconverged.  A lane whose step norm drops below _FIX_TOL
     has converged, and lanes still moving after _FIX_MAX_ITER steps return
-    their last iterate.  At most _FIX_LANES lanes are worked at once; lanes
-    leave the working set as they finish, and once half of it has left it
-    takes the next lanes in order.  A distance is sqrt(dx*dx + dy*dy), or
-    hypot(dx, dy) where the sum of squares overflows.  Every lane's
-    arithmetic is independent of the others, and each sum over anchors is
-    one np.add.reduce over axis 0, in anchor order, so a lane gives the
-    same bits alone or in any batch.  Returns positions [m, 2], converged
-    [m] and iteration counts [m].
+    their last iterate.  The lanes are solved in consecutive blocks of
+    _FIX_LANES, each to completion before the next, and a lane's iteration
+    count is the round in which it leaves its block.  A distance is
+    sqrt(dx*dx + dy*dy), or hypot(dx, dy) where the sum of squares
+    overflows.  Every lane's arithmetic is independent of the others, and
+    each sum over anchors is one np.add.reduce over axis 0, in anchor
+    order, so a lane gives the same bits alone or in any batch.  Returns
+    positions [m, 2], converged [m] and iteration counts [m].
     """
     m, k = ranges.shape
     xy = np.empty((2, m))
@@ -322,104 +323,91 @@ def _solve_fixes(ranges: np.ndarray, anchors
     ax, ay = np.array(anchors, dtype=float).T[:, :, None]
     kappa, wx, wy = _linear_start(anchors)
     cx, cy = _centroid(anchors)
-    # the working set: lane ids, the round each lane entered, positions
-    # and ranges [k, lanes]; lanes enter in order, so the oldest lead
-    lane = born = np.empty(0, dtype=np.intp)
-    x = y = np.empty(0)
-    r = np.empty((k, 0))
-    taken = rnd = 0
     # non-finite values arise only on lanes that the kernel then handles:
     # overflowed distances, non-finite starts and steps of lanes that
     # take the Gauss-Newton step
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while True:
-            if taken < m and 2 * len(lane) <= _FIX_LANES:
-                stop = min(m, taken + _FIX_LANES - len(lane))
-                new = ranges[taken:stop].T        # [k, n], strided
-                sq = np.multiply(new, new, order="C")
-                b = sq[0] - sq[1:]
-                b += kappa
-                x0 = np.add.reduce(wx * b, axis=0)
-                y0 = np.add.reduce(wy * b, axis=0)
-                wild = ~(np.isfinite(x0) & np.isfinite(y0))
-                x0[wild] = cx
-                y0[wild] = cy
-                lane = np.concatenate((lane, np.arange(taken, stop)))
-                born = np.concatenate((born, np.full(stop - taken, rnd)))
-                x = np.concatenate((x, x0))
-                y = np.concatenate((y, y0))
-                r = np.concatenate((r, new), axis=1)
-                taken = stop
-            if not len(lane):
-                break
-            rnd += 1
-            ux = x - ax
-            uy = y - ay
-            d = _distances(ux, uy)
-            np.maximum(d, 1e-12, out=d)
-            f = np.subtract(r, d)                 # residual r - |p - a|
-            c = np.divide(1.0, d, out=d)
-            ux *= c
-            uy *= c
-            c *= r                                # c = r / |p - a|
-            # the Newton step solves H s = g, with g = sum f u the descent
-            # direction of the cost and H as above
-            g0 = np.add.reduce(f * ux, axis=0)
-            g1 = np.add.reduce(f * uy, axis=0)
-            cu = np.multiply(c, ux, out=f)
-            h01 = np.add.reduce(cu * uy, axis=0)
-            cu *= ux
-            h11 = k - np.add.reduce(cu, axis=0)
-            c *= uy
-            c *= uy
-            h00 = k - np.add.reduce(c, axis=0)
-            det = h00 * h11
-            det -= h01 * h01
-            sx = g0 * h11
-            sx -= g1 * h01
-            sx /= det
-            sy = g1 * h00
-            sy -= g0 * h01
-            sy /= det
-            flat = None
-            # positive definite: det > 0 and h00 > 0, neither NaN
-            newton = np.minimum(det, h00) > 0.0
-            if not newton.all():
-                gn = np.flatnonzero(~newton)
-                vx, vy = ux[:, gn], uy[:, gn]
-                j00 = np.add.reduce(vx * vx, axis=0)
-                j01 = np.add.reduce(vx * vy, axis=0)
-                j11 = np.add.reduce(vy * vy, axis=0)
-                jdet = j00 * j11 - j01 * j01
-                singular = jdet == 0.0
-                jdet[singular] = np.inf     # a zero step: singular lanes stay put
-                g0, g1 = g0[gn], g1[gn]
-                sx[gn] = (g0 * j11 - g1 * j01) / jdet
-                sy[gn] = (g1 * j00 - g0 * j01) / jdet
-                if singular.any():
-                    flat = gn[singular]
-            x += sx
-            y += sy
-            sx *= sx
-            sy *= sy
-            sx += sy
-            small = sx < _FIX_TOL ** 2
-            done = small.copy()
-            if born[0] == rnd - _FIX_MAX_ITER:
-                done |= born == born[0]
-            if flat is not None:
-                done[flat] = True
-                small[flat] = False
-            if done.any():
-                out = np.flatnonzero(done)
-                gone = lane.take(out)
-                xy[0, gone] = x.take(out)
-                xy[1, gone] = y.take(out)
-                converged[gone] = small.take(out)
-                iterations[gone] = rnd - born.take(out)
-                keep = np.flatnonzero(~done)
-                lane, born = lane.take(keep), born.take(keep)
-                x, y, r = x.take(keep), y.take(keep), r.take(keep, axis=1)
+        for start in range(0, m, _FIX_LANES):
+            # the block's unfinished lanes: ids, ranges [k, lanes], positions
+            lane = np.arange(start, min(m, start + _FIX_LANES))
+            r = ranges[start:start + _FIX_LANES].T.copy()
+            sq = r * r
+            b = sq[0] - sq[1:]
+            b += kappa
+            x = np.add.reduce(wx * b, axis=0)
+            y = np.add.reduce(wy * b, axis=0)
+            wild = ~(np.isfinite(x) & np.isfinite(y))
+            x[wild] = cx
+            y[wild] = cy
+            for rnd in range(1, _FIX_MAX_ITER + 1):
+                ux = x - ax
+                uy = y - ay
+                d = _distances(ux, uy)
+                np.maximum(d, 1e-12, out=d)
+                f = np.subtract(r, d)             # residual r - |p - a|
+                c = np.divide(1.0, d, out=d)
+                ux *= c
+                uy *= c
+                c *= r                            # c = r / |p - a|
+                # the Newton step solves H s = g, with g = sum f u the
+                # descent direction of the cost and H as above
+                g0 = np.add.reduce(f * ux, axis=0)
+                g1 = np.add.reduce(f * uy, axis=0)
+                cu = np.multiply(c, ux, out=f)
+                h01 = np.add.reduce(cu * uy, axis=0)
+                cu *= ux
+                h11 = k - np.add.reduce(cu, axis=0)
+                c *= uy
+                c *= uy
+                h00 = k - np.add.reduce(c, axis=0)
+                det = h00 * h11
+                det -= h01 * h01
+                sx = g0 * h11
+                sx -= g1 * h01
+                sx /= det
+                sy = g1 * h00
+                sy -= g0 * h01
+                sy /= det
+                flat = None
+                # positive definite: det > 0 and h00 > 0, neither NaN
+                newton = np.minimum(det, h00) > 0.0
+                if not newton.all():
+                    gn = np.flatnonzero(~newton)
+                    vx, vy = ux[:, gn], uy[:, gn]
+                    j00 = np.add.reduce(vx * vx, axis=0)
+                    j01 = np.add.reduce(vx * vy, axis=0)
+                    j11 = np.add.reduce(vy * vy, axis=0)
+                    jdet = j00 * j11 - j01 * j01
+                    singular = jdet == 0.0
+                    # a zero step: singular lanes stay put
+                    jdet[singular] = np.inf
+                    g0, g1 = g0[gn], g1[gn]
+                    sx[gn] = (g0 * j11 - g1 * j01) / jdet
+                    sy[gn] = (g1 * j00 - g0 * j01) / jdet
+                    if singular.any():
+                        flat = gn[singular]
+                x += sx
+                y += sy
+                sx *= sx
+                sy *= sy
+                sx += sy
+                small = sx < _FIX_TOL ** 2
+                done = small | (rnd == _FIX_MAX_ITER)
+                if flat is not None:
+                    done[flat] = True
+                    small[flat] = False
+                if done.any():
+                    out = np.flatnonzero(done)
+                    gone = lane.take(out)
+                    xy[0, gone] = x.take(out)
+                    xy[1, gone] = y.take(out)
+                    converged[gone] = small.take(out)
+                    iterations[gone] = rnd
+                    keep = np.flatnonzero(~done)
+                    if not len(keep):
+                        break
+                    lane = lane.take(keep)
+                    x, y, r = x.take(keep), y.take(keep), r.take(keep, axis=1)
     return xy.T, converged, iterations
 
 

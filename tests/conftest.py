@@ -1,4 +1,6 @@
 """Shared test fixtures."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,33 @@ def planted_spike_trace():
     spikelets at 4x the pipeline threshold, 10 ms apart from 80 ms, in a
     0.25 s trace at 25 kHz."""
     return _planted_spike_trace
+
+
+def _write_trace_csv(t: ns.Trace, path):
+    """The text trace format that ns.read_trace_csv reads: a sample-rate
+    comment line, a header, one voltage per row, each a shortest
+    round-trip repr."""
+    lines = [f"# sample_rate_hz={t.sample_rate!r}", "voltage_v"]
+    lines.extend(repr(float(v)) for v in t.samples)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_trace_binary(t: ns.Trace, path):
+    """The binary frame that ns.read_trace_binary reads: the magic BTRC,
+    a little-endian float64 sample rate, a little-endian uint64 count,
+    then count little-endian float64 samples."""
+    path.write_bytes(b"BTRC" + struct.pack("<dQ", t.sample_rate,
+                                           len(t.samples))
+                     + t.samples.astype("<f8").tobytes())
+
+
+@pytest.fixture(scope="session")
+def write_trace_csv():
+    """write_trace_csv(trace, path) writes a CSV trace file."""
+    return _write_trace_csv
+
+
+@pytest.fixture(scope="session")
+def write_trace_binary():
+    """write_trace_binary(trace, path) writes a binary trace frame."""
+    return _write_trace_binary

@@ -233,6 +233,8 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "exceeds the arm payload limit"),
     ({"assembly": {"approach_envelope_m": [1.0, 1.0, 1.0]}}, "assembly",
      "does not fit the workspace box"),
+    ({"assembly": {"handling_gap_s": -1}}, "assembly",
+     "handling_gap must be non-negative"),
     ({"neurosignal": {"synth_noise_sd_v": -1.0}},
      "neurosignal.synth_noise_sd_v", "must be non-negative"),
     ({"neurosignal": {"synth_noise_sd_v": 1e307}},
@@ -259,7 +261,8 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
         "log-short-of-the-end", "rig", "uwb-anchors", "uwb-noise",
         "uwb-coincident-anchors", "uwb-collinear-anchors", "arena",
         "step-bool", "step-string", "step-zero", "corridor",
-        "envelope", "exposure", "payload", "envelope-fit", "synth-noise",
+        "envelope", "exposure", "payload", "envelope-fit", "handling-gap",
+        "synth-noise",
         "synth-noise-overflow", "synth-duration", "synth-too-short", "synth-too-long", "r-max", "r-min",
         "sample-rate", "band-low", "band-high-below-low"])
 def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
@@ -402,9 +405,9 @@ def test_assemble_zero_lowering_fails_at_runtime(tmp_path):
 
 # ---------- spikes ----------
 
-def test_spikes_zero_trace_detects_nothing(tmp_path, capsys):
+def test_spikes_zero_trace_detects_nothing(tmp_path, capsys, write_trace_csv):
     trace = ns.Trace(25000.0, np.zeros(30000))
-    ns.write_trace_csv(trace, tmp_path / "flat.csv")
+    write_trace_csv(trace, tmp_path / "flat.csv")
     rc = cli.main(["spikes", "--input", str(tmp_path / "flat.csv"),
                    "--output-dir", str(tmp_path / "out")])
     assert rc == 0
@@ -415,8 +418,9 @@ def test_spikes_zero_trace_detects_nothing(tmp_path, capsys):
 
 
 def test_spikes_planted_fixture_binary_input(tmp_path, capsys,
-                                            planted_spike_trace):
-    ns.write_trace_binary(planted_spike_trace(3), tmp_path / "planted.btrc")
+                                            planted_spike_trace,
+                                            write_trace_binary):
+    write_trace_binary(planted_spike_trace(3), tmp_path / "planted.btrc")
     cfg = _write_cfg(tmp_path, {"schema_version": 1,
                                 "neurosignal": {"blank_edge_times_s": []}})
     rc = cli.main(["spikes", "--config", str(cfg),
@@ -452,9 +456,10 @@ def test_spikes_sweep_writes_table(tmp_path, capsys):
     assert means[0] < means[-1]
 
 
-def test_spikes_input_band_is_checked_at_the_trace_rate(tmp_path, capsys):
+def test_spikes_input_band_is_checked_at_the_trace_rate(tmp_path, capsys,
+                                                        write_trace_csv):
     # the default 5 kHz upper edge lies above an 8 kHz trace's Nyquist
-    ns.write_trace_csv(ns.Trace(8000.0, np.zeros(8000)), tmp_path / "slow.csv")
+    write_trace_csv(ns.Trace(8000.0, np.zeros(8000)), tmp_path / "slow.csv")
     rc = cli.main(["spikes", "--input", str(tmp_path / "slow.csv"),
                    "--output-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -472,9 +477,10 @@ def test_spikes_input_band_is_checked_at_the_trace_rate(tmp_path, capsys):
     (np.zeros(10000), "edge time 0.5 s outside the trace extent [0, 0.4] s"),
 ], ids=["overflow", "edge-past-the-end"])
 def test_spikes_input_trace_faults_exit_4_naming_the_file(tmp_path, capsys,
-                                                          samples, text):
+                                                          samples, text,
+                                                          write_trace_binary):
     path = tmp_path / "trace.btrc"
-    ns.write_trace_binary(ns.Trace(25000.0, samples), path)
+    write_trace_binary(ns.Trace(25000.0, samples), path)
     rc = cli.main(["spikes", "--input", str(path),
                    "--output-dir", str(tmp_path / "out")])
     assert rc == 4
@@ -627,6 +633,20 @@ def test_coverage_agents_flag_overrides_config(tmp_path):
     assert single["n_agents"] == 1
     assert quad["n_agents"] == 4
     assert single["final_union_coverage_pct"] < quad["final_union_coverage_pct"]
+
+
+def test_coverage_agents_flag_is_hashed_as_the_agent_count(tmp_path):
+    # --agents 1 over a 4-agent config is the run of a 1-agent config, so
+    # its config_sha256 is that config's
+    four = _write_cfg(tmp_path, _quick_swarm_cfg(n_agents=4))
+    assert cli.main(["coverage", "--config", str(four), "--agents", "1",
+                     "--output-dir", str(tmp_path / "flag")]) == 0
+    one = _write_cfg(tmp_path, _quick_swarm_cfg(n_agents=1), "one.json")
+    assert cli.main(["coverage", "--config", str(one),
+                     "--output-dir", str(tmp_path / "config")]) == 0
+    for name in ("summary.json", "trajectory.csv"):
+        assert ((tmp_path / "flag" / name).read_bytes()
+                == (tmp_path / "config" / name).read_bytes())
 
 
 def test_coverage_batch_mode(tmp_path, capsys):

@@ -13,6 +13,10 @@ digests below.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,12 +234,15 @@ SPIKES_SEED = 3
 # every n_spikes is unchanged.  The filter's GEMM passes moved it again at
 # 0.5 V (2.6760412141348537e-05 to 2.676041214134854e-05) and 2.0 V
 # (2.697464706294614e-05 to 2.6974647062946128e-05): its last bits follow
-# the BLAS build's GEMM kernel.
+# the BLAS build's GEMM kernel.  So threshold_v is written at 12
+# significant digits, which moved all four digests (3.0 V:
+# 2.7310871635901424e-05 to 2.73108716359e-05); every n_spikes is
+# unchanged.
 GOLDEN_SPIKES_JSON = {
-    0.5: "293db4923eeb726fe4fb05f26e1ff499c6bd94b13bdf831b64fb67f8711d2387",
-    2.0: "6ab25126b3d11a4aea28a0d4acdb439a8e4fe242cbbc5e0ed95a17598bb71fe7",
-    3.0: "818c6092c4aa9c367f670ab755e21256209a09ae08edf1389e2a0365942bd5a0",
-    4.0: "badb03e416ae5b71a3231191c054da0fb36dcf701b83d4e7468f6cbfb1c3e74f",
+    0.5: "f9166a416096eb6bd33466ae5a80ad28a60048b72f58108390d691ae2454b5c8",
+    2.0: "afec945f6bdbf391432d32af873f8243883d9dd62d93277d362c60f858d5de59",
+    3.0: "5a56ae5447057c5036dd9f1f0c2a21fda24bca22b2fa0f876371f2a21c67f905",
+    4.0: "b634f21db7118bb0890dcf6e637b47f5db24b2304a405ec8f77263569ea093d0",
 }
 
 # the 15 x 50 sweep of the voltage-response protocol
@@ -257,6 +264,28 @@ def test_spikes_json_matches_golden_digest(voltage, tmp_path, monkeypatch):
     out = _spikes(tmp_path, monkeypatch, "--synth", repr(voltage))
     got = hashlib.sha256((out / "spikes.json").read_bytes()).hexdigest()
     assert got == GOLDEN_SPIKES_JSON[voltage]
+
+
+def test_spikes_json_does_not_depend_on_the_blas_kernel(tmp_path):
+    # an OpenBLAS built with DYNAMIC_ARCH takes its kernel for one process
+    # from OPENBLAS_CORETYPE; Haswell is the kernel of AVX2 hosts without
+    # AVX-512, and it sums the filter's GEMMs in another order
+    voltages = [repr(v) for v in sorted(GOLDEN_SPIKES_JSON)]
+    code = ("import sys\nfrom biobotsim import cli\n"
+            "for v in sys.argv[1:]:\n"
+            f"    assert cli.main(['spikes', '--synth', v, '--seed', "
+            f"'{SPIKES_SEED}', '--output-dir', v]) == 0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in (cli.ENV_SEED, cli.ENV_OUTPUT_DIR)}
+    env.update(OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code, *voltages], cwd=tmp_path,
+                   env=env, check=True, capture_output=True)
+    got = {float(v): hashlib.sha256(
+        (tmp_path / v / "spikes.json").read_bytes()).hexdigest()
+        for v in voltages}
+    assert got == GOLDEN_SPIKES_JSON
 
 
 def test_spike_sweep_csv_matches_golden_digest(tmp_path, monkeypatch):

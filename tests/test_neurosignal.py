@@ -39,8 +39,6 @@ from biobotsim.neurosignal import (
     sweep_voltages,
     synth_neural_response,
     voltage_sweep,
-    write_trace_binary,
-    write_trace_csv,
 )
 from biobotsim.seeding import child_seed
 
@@ -532,7 +530,8 @@ def test_trace_duration():
     assert Trace(FS, np.zeros(25000)).duration == 1.0
 
 
-def test_csv_round_trip_is_bitwise(tmp_path, planted_spike_trace):
+def test_csv_round_trip_is_bitwise(tmp_path, planted_spike_trace,
+                                   write_trace_csv):
     t = planted_spike_trace(8)
     p = tmp_path / "t.csv"
     write_trace_csv(t, p)
@@ -541,7 +540,8 @@ def test_csv_round_trip_is_bitwise(tmp_path, planted_spike_trace):
     assert np.array_equal(back.samples, t.samples)
 
 
-def test_binary_round_trip_is_bitwise(tmp_path, planted_spike_trace):
+def test_binary_round_trip_is_bitwise(tmp_path, planted_spike_trace,
+                                      write_trace_binary):
     t = planted_spike_trace(8)
     p = tmp_path / "t.btrc"
     write_trace_binary(t, p)
@@ -550,7 +550,7 @@ def test_binary_round_trip_is_bitwise(tmp_path, planted_spike_trace):
     assert np.array_equal(back.samples, t.samples)
 
 
-def test_binary_reader_rejects_truncated_frames(tmp_path):
+def test_binary_reader_rejects_truncated_frames(tmp_path, write_trace_binary):
     p = tmp_path / "bad.btrc"
     write_trace_binary(Trace(FS, np.zeros(10)), p)
     raw = p.read_bytes()

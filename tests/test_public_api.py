@@ -24,15 +24,15 @@ def _exported_functions():
 
 
 def test_every_exported_function_runs_on_a_pipeline(tmp_path, monkeypatch,
-                                                    capsys):
+                                                    capsys, write_trace_csv):
     monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "swarm": {
         "n_agents": 2, "duration_s": 20.0}}))
     trace = tmp_path / "trace.csv"
-    ns.write_trace_csv(ns.Trace(ns.SpikeParams.sample_rate_hz, np.zeros(30000)),
-                       trace)
+    write_trace_csv(ns.Trace(ns.SpikeParams.sample_rate_hz, np.zeros(30000)),
+                    trace)
     out = tmp_path / "out"
     runs = [["masks", "--count", "2", "--scale", "0.9", "--rotation-deg", "2"],
             ["assemble", "--batch", "2"], ["fixation", "--points", "3"],

@@ -428,7 +428,7 @@ def test_block_ranging_noise_is_the_scalar_draw_stream():
 
 
 def test_simulate_fixes_are_cold_started_one_row_solves(monkeypatch):
-    # a small working set, so the run's lanes refill it many times
+    # small blocks, so the run's lanes span many of them
     monkeypatch.setattr(swarm, "_FIX_LANES", 10)
     uwb = UwbSystem()
     run = simulate(Arena(), uwb, [AUTO_PRESET] * 3, duration=5.0, seed=2)
