@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 input data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -27,7 +28,8 @@ from . import swarm as sw
 from . import vision
 from .config import (SCHEMA_VERSION, ConfigError, RunConfig,
                      agent_params_from_config, arena_from_config,
-                     config_digest, config_from_dict, load_config)
+                     check_swarm, config_digest, config_from_dict,
+                     load_config)
 from .morphology import (exposure_safety_margin, exposure_sufficient,
                          lifting_height)
 from .seeding import child_seed
@@ -294,6 +296,13 @@ def run_spikes(cfg: RunConfig, out_dir: Path, input_path: Path | None,
                sweep_seeds: int) -> int:
     """sweep is the voltage grid of ns.sweep_voltages."""
     nc = cfg.neurosignal
+    if sweep is not None or (input_path is None and synth_voltage is not None):
+        # a synthesized trace's extent is the config's, so its edges are
+        # checked before any work; a trace file's edges once it is read
+        try:
+            ns.synth_blank_spans(nc)
+        except ValueError as exc:
+            raise ConfigError(f"neurosignal.blank_edge_times_s: {exc}") from None
 
     if sweep is not None:
         counts = ns.voltage_sweep(sweep, sweep_seeds, cfg.seed, nc)
@@ -388,13 +397,17 @@ def run_coverage(cfg: RunConfig, out_dir: Path, seeds: int | None) -> int:
         print(f"coverage rate: {rate:.2f} cm^2/s")
         return EXIT_OK
 
-    # batch mode: runs merged in seed order, each dropped before the next
+    # batch mode: runs merged in seed order, each dropped before the next;
+    # closing the batch ends its worker processes, also on an error here
     per_seed, unions = [], []
-    for run in sw.dispersion_batch(arena, sc.uwb, params, seeds, cfg.seed, **common):
-        per_seed.append((run.seed, run.final_union_coverage, sw.coverage_rate(run)))
-        unions.append(run.union_coverage_pct)
-        log_t = run.log_t
-        del run
+    with contextlib.closing(sw.dispersion_batch(
+            arena, sc.uwb, params, seeds, cfg.seed, **common)) as runs:
+        for run in runs:
+            per_seed.append((run.seed, run.final_union_coverage,
+                             sw.coverage_rate(run)))
+            unions.append(run.union_coverage_pct)
+            log_t = run.log_t
+            del run
     run_seeds, finals, rates = zip(*per_seed)
     stack = np.vstack(unions)
     _write_csv(out_dir / "coverage.csv",
@@ -653,6 +666,7 @@ def main(argv=None) -> int:
         if getattr(args, "agents", None) is not None:
             cfg = dataclasses.replace(cfg, swarm=dataclasses.replace(
                 cfg.swarm, n_agents=args.agents))
+            check_swarm(cfg.swarm)   # the agent count bounds a run's size
         out_dir = Path(cfg.output_dir)
 
         if args.command == "assemble":

@@ -219,7 +219,7 @@ def _validate(cfg: RunConfig):
     """Run the checks that span a block's fields or several blocks, each
     through the domain code that owns it.  Each block checked its own
     fields when it was built."""
-    ac, sc = cfg.assembly, cfg.swarm
+    ac = cfg.assembly
     with _at("rig"):
         asm.check_exposure(cfg.rig)
     with _at("assembly.payload"):
@@ -231,6 +231,12 @@ def _validate(cfg: RunConfig):
         asm.check_workspace(ac.workspace_box_m, ac.approach_envelope_m)
     with _at("locomotion"):
         agent_params_from_config(cfg.locomotion)
+    check_swarm(cfg.swarm)
+
+
+def check_swarm(sc: SwarmConfig):
+    """The checks that span the swarm block's fields, among them the bound
+    on a run's size; run again once --agents has replaced n_agents."""
     with _at("swarm.arena"):
         arena = arena_from_config(sc.arena)
     with _at("swarm"):

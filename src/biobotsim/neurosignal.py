@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import seeding
 from .seeding import child_seed
 
 THRESHOLD_FACTOR = 5.0
@@ -189,6 +189,15 @@ def _blank_spans(edge_times, window: float, sample_rate: float,
             )
         spans.append(slice(start, min(start + width, n)))
     return spans
+
+
+def synth_blank_spans(params: SpikeParams) -> list[slice]:
+    """The blank spans of a trace synthesized under params: _blank_spans at
+    its rate and length, with the same ValueError for an edge past its
+    end."""
+    fs = params.sample_rate_hz
+    return _blank_spans(params.blank_edge_times_s, params.blank_window_s, fs,
+                        int(round(params.synth_duration_s * fs)))
 
 
 def biquad_coefficients(sample_rate: float, low: float, high: float):
@@ -559,13 +568,6 @@ def sweep_voltages(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(n - 1)] + [last]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _map_chunks(fn, chunks) -> list:
     """[fn(c) for c in chunks] on one thread per CPU, in chunk order.  Each
     thread reads its next chunk when it finishes one, so one chunk per
@@ -585,7 +587,7 @@ def _map_chunks(fn, chunks) -> list:
                 with lock:   # so that no chunk is taken after it
                     errors[i] = exc
 
-    workers = [threading.Thread(target=work) for _ in range(_cpu_count())]
+    workers = [threading.Thread(target=work) for _ in range(seeding.cpu_count())]
     for w in workers:
         w.start()
     for w in workers:
@@ -614,7 +616,7 @@ def voltage_sweep(voltages, n_seeds: int, seed: int,
     fs, edges = params.sample_rate_hz, params.blank_edge_times_s
     rates = [expected_spike_rate(v, params) for v in voltages]
     n = int(round(params.synth_duration_s * fs))
-    spans = _blank_spans(edges, params.blank_window_s, fs, n)
+    spans = synth_blank_spans(params)
     template = _spikelet(fs)
     artifacts = _artifacts(edges, fs, n, params.synth_noise_sd_v)
     jobs = ((rate, child_seed(seed, f"spikes.sweep.{vi}", si))

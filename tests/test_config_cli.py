@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biobotsim import cli, neurosignal as ns, swarm as sw, vision
+from biobotsim import cli, neurosignal as ns, seeding, swarm as sw, vision
 from biobotsim.assembly import PayloadSpec, PixelToArmCalibration
 from biobotsim.config import (
     ConfigError,
@@ -256,6 +256,16 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
      "must be positive"),
     ({"neurosignal": {"bandpass_high_hz": 200.0}},
      "neurosignal.bandpass_high_hz", "must be above"),
+    ({"swarm": {"duration_s": 1e7}}, "swarm",
+     "n_agents 4 over the duration 10000000.0 at dt 0.01 take 4e+09 "
+     "agent-steps, more than 10000000"),
+    ({"swarm": {"n_agents": 10 ** 7}}, "swarm",
+     "n_agents 10000000 over the duration 631.0 at dt 0.01 take 6.31e+11 "
+     "agent-steps, more than 10000000"),
+    ({"swarm": {"duration_s": 1e308}}, "swarm", "take inf agent-steps"),
+    ({"swarm": {"duration_s": 2600.0, "log_rate_hz": 100.0}}, "swarm",
+     "n_agents 4 over the duration 2600.0 at log_rate_hz 100.0 log 1040004 "
+     "ticks, more than 1000000"),
 ], ids=["duration", "duration-under-one-step", "dt-bound", "tiling",
         "stim-period", "log-interval", "log-past-the-end",
         "log-short-of-the-end", "rig", "uwb-anchors", "uwb-noise",
@@ -264,7 +274,8 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
         "envelope", "exposure", "payload", "envelope-fit", "handling-gap",
         "synth-noise",
         "synth-noise-overflow", "synth-duration", "synth-too-short", "synth-too-long", "r-max", "r-min",
-        "sample-rate", "band-low", "band-high-below-low"])
+        "sample-rate", "band-low", "band-high-below-low", "agent-steps",
+        "agents", "steps-overflow", "log-ticks"])
 def test_config_mistakes_exit_2_with_their_path(tmp_path, capsys, data,
                                                 path, text):
     err = _exit_2_message(tmp_path, capsys, dict(data, schema_version=1))
@@ -589,12 +600,44 @@ def test_sweep_blank_edge_past_the_trace_fails_before_synthesis(
                                 "neurosignal": {"synth_duration_s": 0.4}})
     rc = cli.main(["spikes", "--sweep", "0.5", "4.0", "0.25",
                    "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
-    assert rc == 4
+    assert rc == 2
     assert capsys.readouterr().err == (
-        "runtime error: edge time 0.5 s outside the trace extent "
-        "[0, 0.4] s\n")
+        "config error: neurosignal.blank_edge_times_s: edge time 0.5 s "
+        "outside the trace extent [0, 0.4] s\n")
     assert calls == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--synth", "3.0"], ["--sweep", "1", "2", "1", "--sweep-seeds", "2"],
+    ["--synth", "3.0", "--sweep", "1", "2", "1"],
+], ids=["synth", "sweep", "sweep-wins"])
+def test_blank_edge_past_a_synthesized_trace_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(ns, "_synth_rows",
+                        lambda *a, **k: calls.append(a))
+    cfg = _write_cfg(tmp_path, {"schema_version": 1,
+                                "neurosignal": {"synth_duration_s": 0.4}})
+    rc = cli.main(["spikes", *argv, "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: neurosignal.blank_edge_times_s: edge time 0.5 s")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_blank_edges_are_checked_against_a_trace_file_not_the_config(
+        tmp_path, capsys, write_trace_binary):
+    # the config's 0.4 s would not hold the 0.5 s edge; the 1.2 s file does
+    path = tmp_path / "trace.btrc"
+    write_trace_binary(ns.Trace(25000.0, np.zeros(30000)), path)
+    cfg = _write_cfg(tmp_path, {"schema_version": 1,
+                                "neurosignal": {"synth_duration_s": 0.4}})
+    rc = cli.main(["spikes", "--input", str(path), "--synth", "3.0",
+                   "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
 
 
 # ---------- coverage ----------
@@ -681,6 +724,29 @@ def test_coverage_batch_runs_the_dispersion_batch(tmp_path):
                       for p in doc["per_seed"]]
 
 
+def test_coverage_batch_writes_the_same_bytes_on_any_worker_count(
+        tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path, _quick_swarm_cfg(duration=10.0))
+    for workers in (1, 2):
+        monkeypatch.setattr(seeding, "cpu_count", lambda: workers)
+        assert cli.main(["coverage", "--config", str(cfg), "--seeds", "3",
+                         "--output-dir", str(tmp_path / str(workers))]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    for name in ("coverage.csv", "summary.json"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes())
+
+
+def test_agents_flag_is_bounded_like_the_config(tmp_path, capsys):
+    rc = cli.main(["coverage", "--agents", str(10 ** 7),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: swarm: n_agents 10000000 over the duration 631.0")
+    assert not (tmp_path / "out").exists()
+
+
 def _count_fix_lanes(monkeypatch):
     """Wrap the fix kernel; the returned list gets the lane count of every
     call."""
@@ -697,6 +763,8 @@ def _count_fix_lanes(monkeypatch):
 
 def test_coverage_batch_solves_no_fixes(tmp_path, monkeypatch):
     lanes = _count_fix_lanes(monkeypatch)
+    # the fixes a child solved would not be counted here
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 1)
     cfg = _write_cfg(tmp_path, _quick_swarm_cfg(duration=10.0))
     rc = cli.main(["coverage", "--config", str(cfg), "--seeds", "2",
                    "--output-dir", str(tmp_path / "out")])

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biobotsim import neurosignal as ns
+from biobotsim import neurosignal as ns, seeding
 from biobotsim.neurosignal import (
     MAD_SCALE,
     MAX_SWEEP_POINTS,
@@ -584,7 +584,7 @@ def sweep_reference_counts():
 @pytest.mark.parametrize("cpus, lanes", [(1, 4), (3, 4), (1, 3), (3, 3)])
 def test_sweep_counts_do_not_depend_on_cpus_or_chunk_size(
         monkeypatch, sweep_reference_counts, cpus, lanes):
-    monkeypatch.setattr(ns, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(seeding, "cpu_count", lambda: cpus)
     monkeypatch.setattr(ns, "_LANES", lanes)   # 3 does not divide 50
     counts = voltage_sweep(SWEEP_VOLTS, 10, SWEEP_SEED)
     assert counts.shape == (5, 10)
@@ -612,7 +612,7 @@ def test_back_to_back_sweeps_match_one_pipeline_call_per_trace(
     for params, cpus, lanes, want in (
             (P, 2, 4, sweep_reference_counts), (short, 2, 4, short_counts),
             (P, 2, 3, sweep_reference_counts)):
-        monkeypatch.setattr(ns, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(seeding, "cpu_count", lambda: cpus)
         monkeypatch.setattr(ns, "_LANES", lanes)
         made.clear()
         assert voltage_sweep(SWEEP_VOLTS, 10, SWEEP_SEED,
@@ -635,7 +635,7 @@ def test_chunk_failure_cancels_the_queued_chunks(monkeypatch):
     """Chunk 1 fails while chunk 0 still runs: no further chunk is read or
     run, and chunk 0's later error, the first in chunk order, is the one
     raised."""
-    monkeypatch.setattr(ns, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 2)
     read, ran = [], []
 
     def chunks():
@@ -663,7 +663,7 @@ def test_sweep_holds_at_most_two_chunks_per_thread(monkeypatch,
                                                    sweep_reference_counts):
     """Chunks are built as the threads take them: chunks pulled from the
     sweep minus chunks finished never exceeds 2 x 2 threads."""
-    monkeypatch.setattr(ns, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 2)
     map_chunks = ns._map_chunks
     lock = threading.Lock()
     pulled = finished = peak = 0
@@ -697,7 +697,7 @@ def test_chunk_reader_takes_each_chunk_once_under_fast_thread_switching(
         monkeypatch):
     """The threads share one chunk generator, which yields the GIL while it
     runs: every chunk is still taken exactly once."""
-    monkeypatch.setattr(ns, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 2)
 
     def chunks():
         for c in range(500):

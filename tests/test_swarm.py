@@ -1,6 +1,9 @@
 """Arena geometry, coverage accounting, localization, and dispersion runs."""
 import math
+import os
 import re
+import sys
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from biobotsim import swarm
+from biobotsim import seeding, swarm
 from biobotsim.locomotion import (AUTO_PRESET, MANUAL_PRESET, ActiveCommand,
                                   AgentState, StimCommand, StimKind,
                                   apply_command)
@@ -602,6 +605,8 @@ def test_dispersion_batch_holds_one_run_at_a_time(monkeypatch):
         return run
 
     monkeypatch.setattr(swarm, "simulate", tracked)
+    # the runs a child makes are not seen here
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 1)
     seeds = []
     for run in dispersion_batch(Arena(), QUIET_UWB, [AUTO_PRESET] * 2, 3, 7,
                                 duration=5.0):
@@ -610,6 +615,140 @@ def test_dispersion_batch_holds_one_run_at_a_time(monkeypatch):
         del run
     assert alive_at_start == [0, 0, 0]
     assert len(set(seeds)) == 3
+
+
+def _batch(monkeypatch, workers, n_seeds=3, **run_kwargs):
+    """dispersion_batch's generator over seeds 0 .. n_seeds - 1 of seed 7
+    on two agents, with the CPU count patched to workers."""
+    monkeypatch.setattr(seeding, "cpu_count", lambda: workers)
+    return dispersion_batch(Arena(), QUIET_UWB, [AUTO_PRESET] * 2, n_seeds, 7,
+                            **run_kwargs)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_equal_runs(got, want):
+    assert [r.seed for r in got] == [r.seed for r in want]
+    for g, w in zip(got, want):
+        for field in ("log_t", "true_xy", "heading_deg", "speed",
+                      "agent_coverage_pct", "union_coverage_pct", "est_xy",
+                      "est_converged", "est_iterations"):
+            assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+        assert g.commands == w.commands
+        assert g.union_grid.visited.tobytes() == w.union_grid.visited.tobytes()
+
+
+def test_batch_workers_fork_where_it_is_safe(monkeypatch):
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 4)
+    forks = hasattr(os, "fork") and sys.platform != "darwin"
+    assert [swarm._batch_workers(n) for n in (0, 1, 3, 9)] == (
+        [1, 1, 3, 4] if forks else [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("coverage_from", ["true", "estimated"])
+def test_forked_batch_yields_the_runs_of_one_worker(monkeypatch,
+                                                    coverage_from):
+    """Arrays, commands and fixes, whichever worker made a run; with
+    coverage from estimates the children deliver fixes they solved."""
+    kwargs = dict(duration=20.0, coverage_from=coverage_from)
+    want = list(_batch(monkeypatch, 1, 5, **kwargs))
+    got = list(_batch(monkeypatch, 2, 5, **kwargs))
+    _assert_no_child()
+    _assert_equal_runs(got, want)
+
+
+def test_forked_batch_closed_early_kills_its_children(monkeypatch):
+    """Closing the batch after its first run ends children that are still
+    running a seed, at once, and reaps them."""
+    simulate_one, parent = swarm.simulate, os.getpid()
+
+    def slow_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        return simulate_one(*args, **kwargs)
+
+    monkeypatch.setattr(swarm, "simulate", slow_in_a_child)
+    start = time.monotonic()
+    for run in _batch(monkeypatch, 3, 5, duration=5.0):
+        break
+    assert time.monotonic() - start < 30.0
+    _assert_no_child()
+
+
+def test_failing_seed_raises_at_its_position_and_leaves_no_child(monkeypatch):
+    """Seed 1 fails on worker 1, the child; the batch raises there, after
+    seed 0's run, as one worker does."""
+    simulate_one = swarm.simulate
+    bad = child_seed(7, "coverage.batch", 1)
+
+    def failing(*args, seed, **kwargs):
+        if seed == bad:
+            raise ValueError(f"seed {seed} fails")
+        return simulate_one(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(swarm, "simulate", failing)
+    for workers in (1, 2):
+        seeds = []
+        with pytest.raises(ValueError, match=f"seed {bad} fails"):
+            for run in _batch(monkeypatch, workers, 4, duration=5.0):
+                seeds.append(run.seed)
+        assert seeds == [child_seed(7, "coverage.batch", 0)]
+        _assert_no_child()
+
+
+def test_seeds_of_a_child_that_dies_run_in_the_parent(monkeypatch):
+    want = list(_batch(monkeypatch, 1, 4, duration=5.0))
+    simulate_one, parent = swarm.simulate, os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(9)
+        return simulate_one(*args, **kwargs)
+
+    monkeypatch.setattr(swarm, "simulate", dying)
+    got = list(_batch(monkeypatch, 2, 4, duration=5.0))
+    _assert_no_child()
+    _assert_equal_runs(got, want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_seeds_of_a_worker_that_cannot_fork_run_in_the_parent(monkeypatch):
+    want = list(_batch(monkeypatch, 1, 4, duration=5.0))
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    got = list(_batch(monkeypatch, 3, 4, duration=5.0))
+    _assert_no_child()
+    _assert_equal_runs(got, want)
+    assert len(forks) == (2 if swarm._batch_workers(4) == 3 else 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_fork_warns_nothing_in_a_threaded_process(monkeypatch):
+    """Python 3.12's warning on a fork among threads, as OpenBLAS's are,
+    is silenced."""
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                      "use of fork() may lead to deadlocks in the child.",
+                      DeprecationWarning)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(list(_batch(monkeypatch, 2, 2, duration=5.0))) == 2
+    _assert_no_child()
 
 
 def test_union_dominates_individuals_and_grows():
@@ -1020,6 +1159,8 @@ def test_default_batch_reflects_only_blocked_steps(monkeypatch):
     at blocked steps only: 604 calls in 757,200 agent-steps, each one a
     bounce or a back-off."""
     seen = _record_reflections(monkeypatch)
+    # the reflections a child makes are not seen here
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 1)
     for _ in dispersion_batch(Arena(), UwbSystem(), [AUTO_PRESET] * 4, 3, 11):
         pass
     assert seen
