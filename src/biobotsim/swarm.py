@@ -1080,6 +1080,10 @@ def dispersion_batch(arena: Arena, uwb: UwbSystem, params_per_agent, n_seeds: in
 
     workers = _batch_workers(n_seeds)
     pids, readers = [], {}      # readers of the children still delivering
+    if workers > 1:
+        # numpy loads numpy.random lazily, at a run's first draw: load it
+        # here, once, rather than again in every child
+        import numpy.random
 
     def take(i):
         reader = readers.get(i % workers)
