@@ -6,13 +6,14 @@ duration and exactly one legal event per state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .morphology import FixationRig, exposure_sufficient, lifting_height
-from .vision import ReferencePoint
+from .vision import DEFAULT_FRAME, ReferencePoint
 
 # implantation pitch corridor bounds, degrees
 DEFAULT_ALPHA_LOWER = 157.8
@@ -32,8 +33,10 @@ EVENT_ORDER = tuple(DEFAULT_STEP_DURATIONS)
 
 DEFAULT_HANDLING_GAP = 49.0  # cage swap and restocking time between units, s
 
-# axis-aligned manipulation volume, meters
+# axis-aligned manipulation volume, and the approach envelope that must
+# fit inside it, meters
 DEFAULT_WORKSPACE_BOX = (0.065, 0.035, 0.025)
+DEFAULT_APPROACH_ENVELOPE = (0.010, 0.010, 0.010)
 
 
 class AssemblyState(str, Enum):
@@ -101,13 +104,22 @@ class PayloadSpec:
 @dataclass(frozen=True)
 class PixelToArmCalibration:
     """Affine pixel-to-arm-frame map: xy = scale * pixel + offset, z from
-    lift.  Its fields are the config's assembly.calibration keys."""
+    lift.  Its fields are the config's assembly.calibration keys.  Raises
+    ValueError unless it maps every pixel of a DEFAULT_FRAME mask to a
+    finite pose."""
 
     scale_x_m_per_px: float = 1.0
     scale_y_m_per_px: float = 1.0
     offset_x_m: float = 0.0
     offset_y_m: float = 0.0
     offset_z_m: float = 0.0
+
+    def __post_init__(self):
+        for px in (0, DEFAULT_FRAME - 1):   # x rests on px alone, y on py
+            xyz = self.apply(ReferencePoint(px, px), 0.0)
+            if not all(map(math.isfinite, xyz)):
+                raise ValueError(f"maps pixel ({px}, {px}) to {list(xyz)}, "
+                                 "which is not finite")
 
     def apply(self, p_r: ReferencePoint, h: float) -> tuple[float, float, float]:
         return (self.scale_x_m_per_px * p_r.x + self.offset_x_m,
@@ -165,13 +177,16 @@ def walk_all(proc: AssemblyProcess) -> tuple[AssemblyProcess, list[tuple[str, fl
 
 def solve_pitch(alpha_lower: float = DEFAULT_ALPHA_LOWER,
                 alpha_upper: float = DEFAULT_ALPHA_UPPER) -> float:
-    """Midpoint of the implantation pitch corridor (degrees)."""
-    if not alpha_lower < alpha_upper:
+    """Midpoint of the implantation pitch corridor (degrees).  Raises
+    ValueError unless it lies strictly inside, as ImplantPose requires."""
+    pitch = (alpha_lower + alpha_upper) / 2.0
+    if not alpha_lower < pitch < alpha_upper:
         raise ValueError(
-            f"corridor is infeasible: alpha_lower {alpha_lower} must be "
-            f"strictly below alpha_upper {alpha_upper}"
+            f"corridor is infeasible: its midpoint {pitch} does not lie "
+            f"strictly between alpha_lower {alpha_lower} and alpha_upper "
+            f"{alpha_upper}"
         )
-    return (alpha_lower + alpha_upper) / 2.0
+    return pitch
 
 
 def check_payload(spec: PayloadSpec):

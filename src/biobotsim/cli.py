@@ -234,8 +234,9 @@ def _name_column(rows) -> np.ndarray:
 
 
 def _write_json(path: Path, payload: dict):
-    _atomic_write(path, [(json.dumps(payload, sort_keys=True, indent=2)
-                          + "\n").encode()])
+    # allow_nan=False: NaN and Infinity are not JSON, so they raise here
+    _atomic_write(path, [(json.dumps(payload, sort_keys=True, indent=2,
+                                     allow_nan=False) + "\n").encode()])
 
 
 # ---------- subcommands ----------

@@ -48,7 +48,7 @@ class AssemblyConfig:
         default_factory=lambda: dict(asm.DEFAULT_STEP_DURATIONS))
     handling_gap_s: float = asm.DEFAULT_HANDLING_GAP
     workspace_box_m: tuple[float, float, float] = asm.DEFAULT_WORKSPACE_BOX
-    approach_envelope_m: tuple[float, float, float] = (0.010, 0.010, 0.010)
+    approach_envelope_m: tuple[float, float, float] = asm.DEFAULT_APPROACH_ENVELOPE
     calibration: PixelToArmCalibration = field(
         default_factory=PixelToArmCalibration)
     payload: PayloadSpec = field(default_factory=PayloadSpec)

@@ -19,16 +19,15 @@ median from one partition.
 The stages run as one chain, _detect_chunk, on the buffers of one
 _Workspace.  run_spike_pipeline is its call on one trace.  voltage_sweep
 is the driver of the voltage-response protocol.  It runs its traces a few
-at a time through the same chain, synthesis first, with one thread per
-CPU, and each thread reuses one workspace for all of its chunks.
+at a time through the same chain, synthesis first, on seeding.fork_map's
+forked workers, one process per CPU where fork is safe, and each process
+reuses one workspace for all of its chunks.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,7 +100,7 @@ def _spikelet(sample_rate: float) -> np.ndarray:
 
 
 # samples in one synthesized trace at most: 80 MB a trace, and each sweep
-# thread's workspace holds two such rows per lane, of _LANES lanes
+# process's workspace holds two such rows per lane, of _LANES lanes
 MAX_TRACE_SAMPLES = 10_000_000
 
 # synth_noise_sd_v at most, V: artifacts peak at 50 x the noise level, so
@@ -389,7 +388,7 @@ class _Workspace:
     groups so that bandpass_rows reads them in place; once filtered they
     are dead, and the threshold partitions in rows[:, :n].  out takes the
     filter's output and then its magnitudes.  flags is detection's boolean
-    scratch.  A sweep thread reuses one workspace for all of its chunks."""
+    scratch.  A sweep process reuses one workspace for all of its chunks."""
 
     def __init__(self, lanes: int, n: int):
         self.n = n
@@ -537,7 +536,7 @@ def synth_neural_response(stim_voltage: float, rng_seed: int,
 MAX_SWEEP_POINTS = 10_001
 
 # traces per chunk: it bounds the memory each chunk holds, and chunks are
-# what the sweep hands to its threads
+# the jobs the sweep hands to its workers
 _LANES = 4
 
 
@@ -568,35 +567,6 @@ def sweep_voltages(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(n - 1)] + [last]
 
 
-def _map_chunks(fn, chunks) -> list:
-    """[fn(c) for c in chunks] on one thread per CPU, in chunk order.  Each
-    thread reads its next chunk when it finishes one, so one chunk per
-    thread is in flight.  Once a chunk fails no more are read, and once the
-    running ones finish the first failure in chunk order is raised."""
-    jobs, lock, results, errors = enumerate(chunks), threading.Lock(), {}, {}
-
-    def take():
-        with lock:   # a generator must not run on two threads at once
-            return (None, None) if errors else next(jobs, (None, None))
-
-    def work():
-        for i, c in iter(take, (None, None)):
-            try:
-                results[i] = fn(c)
-            except BaseException as exc:   # raised below, in chunk order
-                with lock:   # so that no chunk is taken after it
-                    errors[i] = exc
-
-    workers = [threading.Thread(target=work) for _ in range(seeding.cpu_count())]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    if errors:
-        raise errors[min(errors)]
-    return [results[i] for i in range(len(results))]
-
-
 def voltage_sweep(voltages, n_seeds: int, seed: int,
                   params: SpikeParams = SpikeParams()) -> np.ndarray:
     """Spike counts [len(voltages), n_seeds] of the voltage-response
@@ -604,13 +574,14 @@ def voltage_sweep(voltages, n_seeds: int, seed: int,
 
     Count [vi, si] is that of run_spike_pipeline(synth_neural_response(
     voltages[vi], child_seed(seed, f"spikes.sweep.{vi}", si), params),
-    params).  Every check runs first, in the calling thread.  The traces
+    params).  Every check runs first, in the calling process.  The traces
     then run _LANES at a time, each chunk through one fused kernel:
     synthesis into the rows of a _Workspace, blanking, bandpass, threshold
-    and detection.  _map_chunks's threads build each chunk as they take
-    it, each in the one workspace it allocates at its first chunk, so no
-    chunk allocates a row-sized buffer.  Every trace has its own generator
-    and the counts are gathered in order, so they do not depend on the CPU
+    and detection.  Chunk i runs on one of seeding.fork_map's workers and
+    is built there from its index: job j is the trace divmod(j, n_seeds).
+    Each process allocates one workspace at its first chunk, so no chunk
+    allocates a row-sized buffer.  Every trace has its own generator and
+    the counts are gathered in order, so they do not depend on the CPU
     count.
     """
     fs, edges = params.sample_rate_hz, params.blank_edge_times_s
@@ -619,22 +590,22 @@ def voltage_sweep(voltages, n_seeds: int, seed: int,
     spans = synth_blank_spans(params)
     template = _spikelet(fs)
     artifacts = _artifacts(edges, fs, n, params.synth_noise_sd_v)
-    jobs = ((rate, child_seed(seed, f"spikes.sweep.{vi}", si))
-            for vi, rate in enumerate(rates) for si in range(n_seeds))
+    lanes, jobs = _LANES, len(rates) * n_seeds
+    ws = None   # this process's workspace: a forked worker makes its own
 
-    lanes = _LANES
-    local = threading.local()   # each thread's workspace dies with it
-
-    def chunk_counts(chunk):
-        if not hasattr(local, "ws"):
-            local.ws = _Workspace(lanes, n)
-        _synth_rows(local.ws.rows[:len(chunk), :n], chunk, params, template,
-                    artifacts)
+    def chunk_counts(i):
+        nonlocal ws
+        if ws is None:
+            ws = _Workspace(lanes, n)
+        traces = [divmod(j, n_seeds)
+                  for j in range(i * lanes, min(i * lanes + lanes, jobs))]
+        _synth_rows(ws.rows[:len(traces), :n],
+                    [(rates[vi], child_seed(seed, f"spikes.sweep.{vi}", si))
+                     for vi, si in traces], params, template, artifacts)
         return [train.count for train in
-                _detect_chunk(local.ws, len(chunk), fs, spans, params)]
+                _detect_chunk(ws, len(traces), fs, spans, params)]
 
-    chunks = iter(lambda: list(itertools.islice(jobs, lanes)), [])
-    counts = _map_chunks(chunk_counts, chunks)
+    counts = seeding.fork_map(chunk_counts, -(-jobs // lanes))
     return np.array([c for cs in counts for c in cs],
                     dtype=int).reshape(len(rates), n_seeds)
 

@@ -14,17 +14,15 @@ A run solves its fixes on first read of est_xy, est_converged or
 est_iterations, so a run with coverage from true positions that never
 reads them, such as every run of dispersion_batch, the one driver of a
 seed batch, never solves them.  Seeds are independent, so a batch runs
-them on one process per CPU where fork is safe, and streams each finished
-run back to the calling process, which yields the runs in seed order.
+them on seeding.fork_map's forked workers, one process per CPU where fork
+is safe, and the calling process yields the runs in seed order.
 check_run bounds a run's size before any step is taken.
 """
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import dataclass, fields, replace
-from typing import BinaryIO, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -1001,122 +999,16 @@ def simulate(arena: Arena, uwb: UwbSystem,
                     union_grid=union_grid, fixes=fixes)
 
 
-def _batch_workers(n_seeds: int) -> int:
-    """Processes that run a batch of n_seeds: one per CPU this process may
-    use, at most one per seed, and 1 where fork is not the platform's safe
-    default: without os.fork, or on macOS, whose system libraries may
-    crash in a forked child."""
-    if not hasattr(os, "fork") or sys.platform == "darwin":
-        return 1
-    return max(1, min(seeding.cpu_count(), n_seeds))
-
-
-def _fork_worker(run, indices, readers) -> tuple[int, BinaryIO]:
-    """Fork a child that pickles run(i) for each i in indices, in order,
-    into a pipe and ends with os._exit, 1 at its first exception; return
-    its pid and the pipe's read end.  The child closes readers, the other
-    children's read ends, which only this process reads."""
-    import pickle
-    import warnings
-
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # From Python 3.12, fork warns in a process with other threads,
-            # as a lock one of them holds stays held in the child.  The
-            # threads here are OpenBLAS's, which numpy starts at import,
-            # and the child only walks, marks and solves fixes, which call
-            # no BLAS
-            warnings.filterwarnings("ignore", ".*use of fork",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            for reader in readers:
-                reader.close()
-            with os.fdopen(w, "wb") as out:
-                for i in indices:
-                    pickle.dump(run(i), out, pickle.HIGHEST_PROTOCOL)
-                    out.flush()
-            code = 0
-        finally:
-            # no exception leaves the child: the parent, reading no run,
-            # runs the seed itself and raises it there
-            os._exit(code)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
 def dispersion_batch(arena: Arena, uwb: UwbSystem, params_per_agent, n_seeds: int,
                      seed: int, **run_kwargs) -> Iterator[SwarmRun]:
     """Yield simulate(..., seed=child_seed(seed, "coverage.batch", i), **run_kwargs)
     for i < n_seeds, in that order.
 
-    The seeds run on W = _batch_workers(n_seeds) processes.  This one is
-    worker 0, and os.fork starts the others; seed i runs on worker i mod
-    W.  Each child pickles every run it finishes into its own pipe, where
-    it waits until this process reads it, and this process reads each run
-    in its turn, so it holds one at a time: a consumer that drops each run
-    holds one.  A run that a child does not deliver, as when it raised,
-    runs here instead, and so do the rest of that child's seeds, as do the
-    seeds of a worker that could not be forked: a failing seed raises
-    here, at its position, as it does at W = 1.  However the generator
-    ends, every child is reaped; one that ends early, closed or raising,
-    kills its children first, while one that runs to its end has read
-    every run, so its children are ending by themselves.  W = 1 is the
-    same loop with no child.
+    The seeds run on seeding.fork_map's workers, so this process holds
+    one run at a time, and a failing seed raises here, at its position.
     """
-    seeds = [child_seed(seed, "coverage.batch", i) for i in range(n_seeds)]
-
     def run(i):
-        return simulate(arena, uwb, params_per_agent, seed=seeds[i],
-                        **run_kwargs)
+        return simulate(arena, uwb, params_per_agent,
+                        seed=child_seed(seed, "coverage.batch", i), **run_kwargs)
 
-    workers = _batch_workers(n_seeds)
-    pids, readers = [], {}      # readers of the children still delivering
-    if workers > 1:
-        # numpy loads numpy.random lazily, at a run's first draw: load it
-        # here, once, rather than again in every child
-        import numpy.random
-
-    def take(i):
-        reader = readers.get(i % workers)
-        if reader is not None:
-            import pickle
-            try:
-                return pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError):
-                # the pipe ended early: the child raised or was killed
-                del readers[i % workers]
-                reader.close()
-        return run(i)
-
-    done = False
-    try:
-        for w in range(1, workers):
-            try:
-                pid, readers[w] = _fork_worker(
-                    run, range(w, n_seeds, workers), list(readers.values()))
-            except OSError:   # no process to spare: the rest run here
-                break
-            pids.append(pid)
-        for i in range(n_seeds):
-            yield take(i)
-        done = True
-    finally:
-        for reader in readers.values():
-            reader.close()
-        if not done and pids:
-            # a child may still be running.  Unreaped, a child that has
-            # ended keeps its pid and takes the signal harmlessly
-            import signal
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
+    return seeding.fork_map(run, n_seeds)

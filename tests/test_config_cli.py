@@ -225,6 +225,11 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
     ({"assembly": {"step_durations_s": dict(_STEPS, grasp=0.0)}},
      "assembly", "grasp"),
     ({"assembly": {"alpha_lower_deg": 170.0}}, "assembly", "infeasible"),
+    ({"assembly": {"alpha_lower_deg": 1.0,
+                   "alpha_upper_deg": 1.0000000000000002}}, "assembly",
+     "its midpoint 1.0 does not lie strictly between"),
+    ({"assembly": {"calibration": {"scale_x_m_per_px": 1e308}}},
+     "assembly.calibration", "maps pixel (255, 255) to [inf, 255.0, 0.0]"),
     ({"assembly": {"approach_envelope_m": [-0.01, 0.01, 0.01]}},
      "assembly", "envelope"),
     ({"rig": {"saturation_height_h_max_m": 1e-4}}, "rig",
@@ -271,6 +276,7 @@ _STEPS = {"fix": 8.0, "locate": 6.0, "grasp": 12.0, "implant": 16.0,
         "log-short-of-the-end", "rig", "uwb-anchors", "uwb-noise",
         "uwb-coincident-anchors", "uwb-collinear-anchors", "arena",
         "step-bool", "step-string", "step-zero", "corridor",
+        "corridor-two-floats-wide", "calibration-overflow",
         "envelope", "exposure", "payload", "envelope-fit", "handling-gap",
         "synth-noise",
         "synth-noise-overflow", "synth-duration", "synth-too-short", "synth-too-long", "r-max", "r-min",
@@ -321,8 +327,15 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # the sweep imports its pool when it runs, so cold start does not pay
+    # the sweep and the batch run on forked processes, not a pool
     assert _modules_after_cli_import("concurrent") == "[]"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_json_outputs_refuse_nan_and_infinity(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(tmp_path / "out.json", {"x": value})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_config_reports_json_errors(tmp_path):
@@ -736,6 +749,19 @@ def test_coverage_batch_writes_the_same_bytes_on_any_worker_count(
     for name in ("coverage.csv", "summary.json"):
         assert ((tmp_path / "1" / name).read_bytes()
                 == (tmp_path / "2" / name).read_bytes())
+
+
+def test_spike_sweep_writes_the_same_bytes_on_any_worker_count(
+        tmp_path, monkeypatch):
+    for workers in (1, 2):
+        monkeypatch.setattr(seeding, "cpu_count", lambda: workers)
+        assert cli.main(["spikes", "--sweep", "0.5", "4.0", "0.5",
+                         "--sweep-seeds", "5",
+                         "--output-dir", str(tmp_path / str(workers))]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert ((tmp_path / "1" / "spike_sweep.csv").read_bytes()
+            == (tmp_path / "2" / "spike_sweep.csv").read_bytes())
 
 
 def test_agents_flag_is_bounded_like_the_config(tmp_path, capsys):

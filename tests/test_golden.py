@@ -248,6 +248,7 @@ GOLDEN_SPIKES_JSON = {
 # the 15 x 50 sweep of the voltage-response protocol
 GOLDEN_SPIKE_SWEEP_CSV = (
     "f15feec834a01fd877e92c2294dd0444c7eb5c3ee2e77f55c5ce3f69bea4120e")
+SWEEP_ARGS = ["--sweep", "0.5", "4.0", "0.25", "--sweep-seeds", "50"]
 
 
 def _spikes(tmp_path, monkeypatch, *args):
@@ -269,12 +270,16 @@ def test_spikes_json_matches_golden_digest(voltage, tmp_path, monkeypatch):
 def test_spikes_json_does_not_depend_on_the_blas_kernel(tmp_path):
     # an OpenBLAS built with DYNAMIC_ARCH takes its kernel for one process
     # from OPENBLAS_CORETYPE; Haswell is the kernel of AVX2 hosts without
-    # AVX-512, and it sums the filter's GEMMs in another order
+    # AVX-512, and it sums the filter's GEMMs in another order.  The sweep
+    # reruns too, as its GEMMs run in forked workers
     voltages = [repr(v) for v in sorted(GOLDEN_SPIKES_JSON)]
     code = ("import sys\nfrom biobotsim import cli\n"
+            f"seed = ['--seed', '{SPIKES_SEED}']\n"
             "for v in sys.argv[1:]:\n"
-            f"    assert cli.main(['spikes', '--synth', v, '--seed', "
-            f"'{SPIKES_SEED}', '--output-dir', v]) == 0\n")
+            "    assert cli.main(['spikes', '--synth', v, *seed, "
+            "'--output-dir', v]) == 0\n"
+            f"assert cli.main(['spikes', *{SWEEP_ARGS!r}, *seed, "
+            "'--output-dir', 'sweep']) == 0\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
            if k not in (cli.ENV_SEED, cli.ENV_OUTPUT_DIR)}
@@ -286,11 +291,12 @@ def test_spikes_json_does_not_depend_on_the_blas_kernel(tmp_path):
         (tmp_path / v / "spikes.json").read_bytes()).hexdigest()
         for v in voltages}
     assert got == GOLDEN_SPIKES_JSON
+    assert hashlib.sha256((tmp_path / "sweep" / "spike_sweep.csv")
+                          .read_bytes()).hexdigest() == GOLDEN_SPIKE_SWEEP_CSV
 
 
 def test_spike_sweep_csv_matches_golden_digest(tmp_path, monkeypatch):
-    out = _spikes(tmp_path, monkeypatch, "--sweep", "0.5", "4.0", "0.25",
-                  "--sweep-seeds", "50")
+    out = _spikes(tmp_path, monkeypatch, *SWEEP_ARGS)
     got = hashlib.sha256((out / "spike_sweep.csv").read_bytes()).hexdigest()
     assert got == GOLDEN_SPIKE_SWEEP_CSV
 

@@ -641,13 +641,6 @@ def _assert_equal_runs(got, want):
         assert g.union_grid.visited.tobytes() == w.union_grid.visited.tobytes()
 
 
-def test_batch_workers_fork_where_it_is_safe(monkeypatch):
-    monkeypatch.setattr(seeding, "cpu_count", lambda: 4)
-    forks = hasattr(os, "fork") and sys.platform != "darwin"
-    assert [swarm._batch_workers(n) for n in (0, 1, 3, 9)] == (
-        [1, 1, 3, 4] if forks else [1, 1, 1, 1])
-
-
 @pytest.mark.parametrize("coverage_from", ["true", "estimated"])
 def test_forked_batch_yields_the_runs_of_one_worker(monkeypatch,
                                                     coverage_from):
@@ -660,63 +653,72 @@ def test_forked_batch_yields_the_runs_of_one_worker(monkeypatch,
     _assert_equal_runs(got, want)
 
 
-def test_forked_batch_closed_early_kills_its_children(monkeypatch):
-    """Closing the batch after its first run ends children that are still
-    running a seed, at once, and reaps them."""
-    simulate_one, parent = swarm.simulate, os.getpid()
+# ---------- seeding.fork_map, the workers a batch runs on ----------
 
-    def slow_in_a_child(*args, **kwargs):
+def test_batch_workers_fork_where_it_is_safe(monkeypatch):
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 4)
+    forks = hasattr(os, "fork") and sys.platform != "darwin"
+    assert [seeding._workers(n) for n in (0, 1, 3, 9)] == (
+        [1, 1, 3, 4] if forks else [1, 1, 1, 1])
+
+
+def test_forked_batch_closed_early_kills_its_children(monkeypatch):
+    """Closing fork_map after its first result ends children that are
+    still running a job, at once, and reaps them."""
+    parent = os.getpid()
+
+    def slow_in_a_child(i):
         if os.getpid() != parent:
             time.sleep(60.0)
-        return simulate_one(*args, **kwargs)
+        return i
 
-    monkeypatch.setattr(swarm, "simulate", slow_in_a_child)
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 3)
     start = time.monotonic()
-    for run in _batch(monkeypatch, 3, 5, duration=5.0):
+    for _ in seeding.fork_map(slow_in_a_child, 5):
         break
     assert time.monotonic() - start < 30.0
     _assert_no_child()
 
 
 def test_failing_seed_raises_at_its_position_and_leaves_no_child(monkeypatch):
-    """Seed 1 fails on worker 1, the child; the batch raises there, after
-    seed 0's run, as one worker does."""
-    simulate_one = swarm.simulate
-    bad = child_seed(7, "coverage.batch", 1)
+    """Job 1 fails on worker 1, the child; fork_map raises there, after
+    job 0's result, as one worker does."""
+    def failing(i):
+        if i == 1:
+            raise ValueError(f"job {i} fails")
+        return i
 
-    def failing(*args, seed, **kwargs):
-        if seed == bad:
-            raise ValueError(f"seed {seed} fails")
-        return simulate_one(*args, seed=seed, **kwargs)
-
-    monkeypatch.setattr(swarm, "simulate", failing)
     for workers in (1, 2):
-        seeds = []
-        with pytest.raises(ValueError, match=f"seed {bad} fails"):
-            for run in _batch(monkeypatch, workers, 4, duration=5.0):
-                seeds.append(run.seed)
-        assert seeds == [child_seed(7, "coverage.batch", 0)]
+        monkeypatch.setattr(seeding, "cpu_count", lambda: workers)
+        got = []
+        with pytest.raises(ValueError, match="job 1 fails"):
+            for result in seeding.fork_map(failing, 4):
+                got.append(result)
+        assert got == [0]
         _assert_no_child()
 
 
 def test_seeds_of_a_child_that_dies_run_in_the_parent(monkeypatch):
-    want = list(_batch(monkeypatch, 1, 4, duration=5.0))
-    simulate_one, parent = swarm.simulate, os.getpid()
+    """The child delivers job 1 and dies at job 3: jobs 3 and 5 run here."""
+    parent = os.getpid()
 
-    def dying(*args, **kwargs):
-        if os.getpid() != parent:
+    def dying(i):
+        if os.getpid() != parent and i == 3:
             os._exit(9)
-        return simulate_one(*args, **kwargs)
+        return i, os.getpid()
 
-    monkeypatch.setattr(swarm, "simulate", dying)
-    got = list(_batch(monkeypatch, 2, 4, duration=5.0))
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 2)
+    got = list(seeding.fork_map(dying, 6))
     _assert_no_child()
-    _assert_equal_runs(got, want)
+    assert [i for i, _ in got] == list(range(6))
+    assert [i for i, pid in got if pid != parent] == (
+        [1] if seeding._workers(6) == 2 else [])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_seeds_of_a_worker_that_cannot_fork_run_in_the_parent(monkeypatch):
-    want = list(_batch(monkeypatch, 1, 4, duration=5.0))
+    """Worker 2's fork raises: worker 1 runs jobs 1 and 4, and worker 2's
+    jobs run here."""
     fork, forks = os.fork, []
 
     def second_fork_fails():
@@ -726,10 +728,14 @@ def test_seeds_of_a_worker_that_cannot_fork_run_in_the_parent(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
-    got = list(_batch(monkeypatch, 3, 4, duration=5.0))
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 3)
+    parent = os.getpid()
+    got = list(seeding.fork_map(lambda i: (i, os.getpid()), 6))
     _assert_no_child()
-    _assert_equal_runs(got, want)
-    assert len(forks) == (2 if swarm._batch_workers(4) == 3 else 0)
+    assert [i for i, _ in got] == list(range(6))
+    forked = seeding._workers(6) == 3
+    assert len(forks) == (2 if forked else 0)
+    assert [i for i, pid in got if pid != parent] == ([1, 4] if forked else [])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -745,9 +751,10 @@ def test_fork_warns_nothing_in_a_threaded_process(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(seeding, "cpu_count", lambda: 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert len(list(_batch(monkeypatch, 2, 2, duration=5.0))) == 2
+        assert list(seeding.fork_map(lambda i: i, 2)) == [0, 1]
     _assert_no_child()
 
 
